@@ -104,7 +104,6 @@ def _domain_poly_mesh(cfg: RunConfig):
             raise CertifemError("loading a mesh for a disk domain needs --generate to fix the polygon; "
                                 "use certifem disk-study --mesh for the m-gon pipeline")
         poly = poly_approx_of_polygon(domain)
-        meshmod.check_boundary_on_poly(mesh, poly)
     else:
         raise CertifemError("need either --generate or --mesh")
     return domain, poly, mesh

@@ -152,14 +152,11 @@ class DiscreteSource:
     element_values: np.ndarray | None = None  # barycentric mode
     nodal_values: np.ndarray | None = None  # nodal mode
 
-    def load_vector(self) -> np.ndarray:
-        return assemble_load(self.mesh, self)
-
     def l2_norm(self) -> float:
         """||f_h|| over the meshed region: exact for barycentric/nodal modes,
         degree-4 quadrature for exact mode."""
         mesh = self.mesh
-        meas = _measures(mesh)
+        meas = meshmod._measures(mesh)
         if self.mode == "barycentric":
             return math.sqrt(float((self.element_values**2 * meas).sum()))
         if self.mode == "nodal":
@@ -190,10 +187,6 @@ def build_fh(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str = "exact") -
     return DiscreteSource(mode, mesh, f)
 
 
-def _measures(mesh: meshmod.SimplicialMesh) -> np.ndarray:
-    return np.abs(meshmod._signed_measures(mesh.nodes, mesh.elements, mesh.dim))
-
-
 def _gradients(mesh: meshmod.SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
     """Physical P1 basis gradients per element: (M, dim, dim+1) and measures."""
     verts = mesh.element_vertices()
@@ -204,20 +197,30 @@ def _gradients(mesh: meshmod.SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
     ref[:, 1:] = np.eye(n)
     rhs = np.broadcast_to(ref, (mesh.element_count, n, n + 1))
     grads = np.linalg.solve(b, rhs)  # grad of lambda_i in column i
-    return grads, _measures(mesh)
+    return grads, meshmod._measures(mesh)
 
 
 def assemble_stiffness(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
-    """Full stiffness matrix over all nodes (constants lie in its kernel)."""
+    """Full stiffness matrix over all nodes (constants lie in its kernel).
+
+    Assembled once per mesh and shared, so its arrays are read-only.
+    """
+    return meshmod._cached(mesh, "stiffness", _assemble_stiffness)
+
+
+def _assemble_stiffness(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
     grads, meas = _gradients(mesh)
     local = np.einsum("mki,mkj->mij", grads, grads) * meas[:, None, None]
-    return _scatter(mesh, local)
+    mat = _scatter(mesh, local)
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.setflags(write=False)
+    return mat
 
 
 def assemble_mass(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
     """Full P1 mass matrix (exact closed-form local blocks)."""
     n = mesh.dim
-    meas = _measures(mesh)
+    meas = meshmod._measures(mesh)
     base = np.ones((n + 1, n + 1)) + np.eye(n + 1)
     denom = (n + 1) * (n + 2)
     local = base[None, :, :] * (meas / denom)[:, None, None]
@@ -240,7 +243,7 @@ def assemble_load(mesh: meshmod.SimplicialMesh, fh: DiscreteSource) -> np.ndarra
     degree-4 rule.
     """
     n = mesh.dim
-    meas = _measures(mesh)
+    meas = meshmod._measures(mesh)
     b = np.zeros(mesh.node_count)
     if fh.mode == "barycentric":
         contrib = fh.element_values * meas / (n + 1)
@@ -316,21 +319,24 @@ def solve_cg(system: LinearSystem, tol: float = 1e-12, maxiter: int | None = Non
     r = b.copy()
     z = inv_diag * r
     p = z.copy()
+    step = np.empty(n)
     rz = float(r @ z)
-    best_x, best_res = x.copy(), 1.0
+    best_x, best_res = np.zeros(n), 1.0
     for it in range(1, maxiter + 1):
         ap = a_mat @ p
         alpha = rz / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
         res = float(np.linalg.norm(r)) / norm_b
         if res < best_res:
-            best_res, best_x = res, x.copy()
+            best_res = res
+            np.copyto(best_x, x)
         if res <= tol:
             return x, it, res, True
-        z = inv_diag * r
+        np.multiply(inv_diag, r, out=z)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return best_x, maxiter, best_res, False
 
@@ -365,7 +371,8 @@ def fem_l2_norm(mesh: meshmod.SimplicialMesh, sol: FemSolution) -> float:
 def fem_h1_seminorm(mesh: meshmod.SimplicialMesh, sol: FemSolution) -> float:
     """|u_h|_1 from the exact P1 stiffness matrix."""
     v = sol.nodal_values
-    return math.sqrt(max(float(v @ (assemble_stiffness(mesh) @ v)), 0.0))
+    stiffness = meshmod._cached(mesh, "stiffness", _assemble_stiffness)
+    return math.sqrt(max(float(v @ (stiffness @ v)), 0.0))
 
 
 def l2_error_interior(mesh: meshmod.SimplicialMesh, sol: FemSolution, exact: Callable) -> float:
@@ -375,7 +382,7 @@ def l2_error_interior(mesh: meshmod.SimplicialMesh, sol: FemSolution, exact: Cal
     pts = np.einsum("qk,mkd->mqd", bary, verts)
     u_ex = np.asarray(exact(pts), dtype=float)
     u_h = np.einsum("qk,mk->mq", bary, sol.nodal_values[mesh.elements])
-    meas = _measures(mesh)
+    meas = meshmod._measures(mesh)
     sq = float((((u_ex - u_h) ** 2) @ w * meas).sum())
     return math.sqrt(max(sq, 0.0))
 
@@ -393,7 +400,7 @@ def fh_error_measured(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str) ->
         fh_vals = fh.element_values[:, None] * np.ones_like(fvals)
     else:
         fh_vals = np.einsum("qk,mk->mq", bary, fh.nodal_values[mesh.elements])
-    meas = _measures(mesh)
+    meas = meshmod._measures(mesh)
     sq = float((((fvals - fh_vals) ** 2) @ w * meas).sum())
     return math.sqrt(max(sq, 0.0))
 

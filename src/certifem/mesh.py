@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -34,6 +35,9 @@ class SimplicialMesh:
     elements: np.ndarray  # (M, dim+1), positively oriented
     boundary_facets: np.ndarray  # (K, dim), sorted node tuples
     boundary_nodes: np.ndarray  # sorted unique node indices
+    # Derived geometry (and the stiffness matrix), filled on first use by
+    # `_cached`; the arrays above are read-only, so entries never go stale.
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -96,6 +100,51 @@ def _signed_measures(nodes: np.ndarray, elements: np.ndarray, dim: int) -> np.nd
     return np.linalg.det(edges) / _FACTORIAL[dim]
 
 
+def _unique_rows(rows: np.ndarray, n: int, return_inverse: bool = False) -> tuple:
+    """`np.unique(rows, axis=0, return_inverse=..., return_counts=True)` for
+    rows of node indices in [0, n): returns (unique, [inverse,] counts).
+
+    Each row becomes one int64 key, the row read as a base-n number, so the
+    sorted keys list the rows in the same lexicographic order.
+    """
+    width = rows.shape[1]
+    if n**width > 2**63:  # the largest key, n**width - 1, must fit in int64
+        raise MeshParseError(
+            f"int64 keys of {width}-index rows need nodes**{width} <= 2**63; the mesh has {n} nodes"
+        )
+    keys = np.zeros(rows.shape[0], dtype=np.int64)
+    for col in rows.T:
+        keys *= n
+        keys += col
+    keys, *rest = np.unique(keys, return_inverse=return_inverse, return_counts=True)
+    uniq = np.empty((keys.size, width), dtype=np.int64)
+    for j in range(width - 1, 0, -1):
+        keys, uniq[:, j] = np.divmod(keys, n)
+    uniq[:, 0] = keys
+    return (uniq, *rest)
+
+
+def _cached(mesh: SimplicialMesh, key: str, build: Callable[[SimplicialMesh], object]):
+    """`build(mesh)`, computed on the first call for this mesh and shared
+    afterwards; builders return read-only arrays.  Threads racing on one mesh
+    may both build, but they store equal values."""
+    cache = mesh._cache
+    if key not in cache:
+        cache[key] = build(mesh)
+    return cache[key]
+
+
+def _measures(mesh: SimplicialMesh) -> np.ndarray:
+    """(M,) element measures, read-only and shared."""
+    return _cached(mesh, "measures", _build_measures)
+
+
+def _build_measures(mesh: SimplicialMesh) -> np.ndarray:
+    meas = np.abs(_signed_measures(mesh.nodes, mesh.elements, mesh.dim))
+    meas.setflags(write=False)
+    return meas
+
+
 def build_mesh(dim: int, nodes, elements) -> SimplicialMesh:
     """Validate connectivity, fix orientation, and detect the boundary."""
     if dim not in (2, 3):
@@ -125,17 +174,18 @@ def build_mesh(dim: int, nodes, elements) -> SimplicialMesh:
         raise InvertedElementError(f"element {bad} has nonpositive measure after orientation fix")
 
     fac = _all_facets(el, dim)
-    uniq, counts = np.unique(fac, axis=0, return_counts=True)
+    uniq, counts = _unique_rows(fac, nd.shape[0])
     if np.any(counts > 2):
         bad = uniq[np.argmax(counts)]
         raise NonConformingMeshError(f"facet {bad.tolist()} shared by {counts.max()} elements")
     bfac = uniq[counts == 1]
     bnodes = np.unique(bfac)
-    nd.setflags(write=False)
-    el.setflags(write=False)
-    bfac.setflags(write=False)
-    bnodes.setflags(write=False)
-    return SimplicialMesh(dim, nd, el, bfac, bnodes)
+    for arr in (nd, el, bfac, bnodes, sm):
+        arr.setflags(write=False)
+    mesh = SimplicialMesh(dim, nd, el, bfac, bnodes)
+    # Every signed measure is positive here, so it equals the measure.
+    mesh._cache["measures"] = sm
+    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +223,7 @@ def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
     el = mesh.elements
     pairs = np.concatenate([el[:, [0, 1]], el[:, [1, 2]], el[:, [0, 2]]], axis=0)
     pairs.sort(axis=1)
-    uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    uniq, inverse, _ = _unique_rows(pairs, mesh.node_count, return_inverse=True)
     mid = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
     offset = mesh.node_count
     mid_idx = inverse.reshape(3, -1).T + offset  # columns: m01, m12, m02
@@ -208,6 +258,11 @@ class ElementMetrics:
 
 
 def element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
+    """Per-element geometry, computed once per mesh; the arrays are read-only."""
+    return _cached(mesh, "metrics", _element_metrics)
+
+
+def _element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
     verts = mesh.element_vertices()
     if mesh.dim == 2:
         a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
@@ -215,7 +270,7 @@ def element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
         e1 = ((a - c) ** 2).sum(-1)
         e2 = ((a - b) ** 2).sum(-1)
         edge_sq = np.stack([e0, e1, e2], axis=1)
-        area = np.abs(_signed_measures(mesh.nodes, mesh.elements, 2))
+        area = _measures(mesh)
         h = np.sqrt(edge_sq.max(axis=1))
         lengths = np.sqrt(edge_sq)
         circum = lengths.prod(axis=1) / (4.0 * area)
@@ -227,9 +282,9 @@ def element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
                 2.0 * lengths[:, j] * lengths[:, k]
             )
         ang = np.arccos(np.clip(cosines, -1.0, 1.0))
-        return ElementMetrics(area, edge_sq, h, circum, inr, ang.min(axis=1), ang.max(axis=1))
+        return _frozen_metrics(area, edge_sq, h, circum, inr, ang.min(axis=1), ang.max(axis=1))
 
-    vol = np.abs(_signed_measures(mesh.nodes, mesh.elements, 3))
+    vol = _measures(mesh)
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     edge_sq = np.stack([((verts[:, i] - verts[:, j]) ** 2).sum(-1) for i, j in pairs], axis=1)
     h = np.sqrt(edge_sq.max(axis=1))
@@ -245,11 +300,23 @@ def element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
         w = verts[:, f[2]] - verts[:, f[0]]
         areas += 0.5 * np.linalg.norm(np.cross(u, w), axis=1)
     inr = 3.0 * vol / areas
-    return ElementMetrics(vol, edge_sq, h, circum, inr, None, None)
+    return _frozen_metrics(vol, edge_sq, h, circum, inr, None, None)
+
+
+def _frozen_metrics(*arrays) -> ElementMetrics:
+    for arr in arrays:
+        if arr is not None:
+            arr.setflags(write=False)
+    return ElementMetrics(*arrays)
 
 
 def quality(mesh: SimplicialMesh) -> MeshQuality:
-    """Global mesh metrics; sigma uses inscribed-ball diameters."""
+    """Global mesh metrics, computed once per mesh; sigma uses inscribed-ball
+    diameters."""
+    return _cached(mesh, "quality", _quality)
+
+
+def _quality(mesh: SimplicialMesh) -> MeshQuality:
     em = element_metrics(mesh)
     sigma = float((em.h / (2.0 * em.inradius)).max())
     if mesh.dim == 2:
@@ -279,7 +346,7 @@ def edge_count(mesh: SimplicialMesh) -> int:
         idx = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         pairs = np.concatenate([el[:, list(i)] for i in idx], axis=0)
     pairs.sort(axis=1)
-    return np.unique(pairs, axis=0).shape[0]
+    return _unique_rows(pairs, mesh.node_count)[0].shape[0]
 
 
 def check_boundary_on_poly(mesh: SimplicialMesh, poly: PolyApprox, tol: float = 1e-10) -> None:
@@ -418,4 +485,4 @@ def _read_ele_file(path: str, dim: int) -> np.ndarray:
 
 def measure_sum(mesh: SimplicialMesh) -> float:
     """Total measure of the meshed region (exact sum of element measures)."""
-    return float(np.abs(_signed_measures(mesh.nodes, mesh.elements, mesh.dim)).sum())
+    return float(_measures(mesh).sum())

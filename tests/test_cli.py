@@ -152,3 +152,34 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.load(open(out))["dim"] == 2
+
+
+@pytest.mark.parametrize("source", ["mesh", "generate"])
+def test_certify_checks_mesh_boundary_once(tmp_path, monkeypatch, source):
+    from certifem import mesh as meshmod
+
+    poly_path = str(tmp_path / "square.json")
+    json.dump({"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, open(poly_path, "w"))
+    args = ["certify", "--domain", f"polygon:{poly_path}", "--out", str(tmp_path / "r.json")]
+    if source == "mesh":
+        mesh_path = str(tmp_path / "square.node")
+        meshmod.save(meshmod.build_mesh(2, [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]]), mesh_path)
+        args += ["--mesh", mesh_path]
+    else:
+        args += ["--generate", "1"]
+    checks = []
+    check = meshmod.check_boundary_on_poly
+    monkeypatch.setattr(meshmod, "check_boundary_on_poly", lambda *a, **k: checks.append(1) or check(*a, **k))
+    assert run_cli(*args) == 0
+    assert len(checks) == 1
+
+
+def test_certify_mesh_outside_polygon_exits_2(tmp_path, capsys):
+    from certifem import mesh as meshmod
+
+    poly_path = str(tmp_path / "square.json")
+    json.dump({"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, open(poly_path, "w"))
+    mesh_path = str(tmp_path / "small.node")
+    meshmod.save(meshmod.build_mesh(2, [[0, 0], [0.5, 0], [0, 0.5]], [[0, 1, 2]]), mesh_path)
+    assert run_cli("certify", "--domain", f"polygon:{poly_path}", "--mesh", mesh_path) == 2
+    assert "not contained" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -192,3 +193,82 @@ def test_element_metrics_match_scalar_geometry(rng):
         assert em.circumradius[i] == pytest.approx(circumradius(t), rel=1e-10)
         assert em.inradius[i] == pytest.approx(inradius(t), rel=1e-12)
         assert em.min_angle[i] == pytest.approx(min(angles(t)), rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# integer-key dedupe against np.unique(axis=0)
+
+
+def _jittered_square(n, seed):
+    xs = np.linspace(0.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(xs, xs, indexing="ij")
+    nodes = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    idx = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+    a, b, c, d = idx[:-1, :-1].ravel(), idx[1:, :-1].ravel(), idx[1:, 1:].ravel(), idx[:-1, 1:].ravel()
+    elements = np.concatenate([np.stack([a, b, c], axis=1), np.stack([a, c, d], axis=1)])
+    interior = ((nodes > 0.0) & (nodes < 1.0)).all(axis=1)
+    nodes[interior] += (0.15 / n) * np.random.default_rng(seed).choice([-1.0, 1.0], (int(interior.sum()), 2))
+    return build_mesh(2, nodes, elements)
+
+
+def _kuhn_cube(n):
+    """Unit cube as an n^3 grid of cubes, six tetrahedra each."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    nodes = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
+    idx = np.arange((n + 1) ** 3).reshape(n + 1, n + 1, n + 1)
+    elements = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        cell = idx[i : i + 2, j : j + 2, k : k + 2]
+        for path in itertools.permutations(range(3)):
+            step = [0, 0, 0]
+            tet = [cell[0, 0, 0]]
+            for axis in path:
+                step[axis] = 1
+                tet.append(cell[tuple(step)])
+            elements.append(tet)
+    return build_mesh(3, nodes, elements)
+
+
+KEY_DEDUPE_MESHES = {
+    "fan": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 7), 2),
+    "jittered": lambda: _jittered_square(6, seed=3),
+    "tets": lambda: _kuhn_cube(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_DEDUPE_MESHES))
+def test_key_dedupe_matches_row_unique(name):
+    mesh = KEY_DEDUPE_MESHES[name]()
+    dim, el = mesh.dim, mesh.elements
+    facets = np.sort(np.concatenate([np.delete(el, j, axis=1) for j in range(dim + 1)]), axis=1)
+    uniq, counts = np.unique(facets, axis=0, return_counts=True)
+    assert counts.max() == 2 and np.any(counts == 1)
+    np.testing.assert_array_equal(mesh.boundary_facets, uniq[counts == 1])
+    np.testing.assert_array_equal(mesh.boundary_nodes, np.unique(uniq[counts == 1]))
+
+    corners = [(a, b) for a in range(dim + 1) for b in range(a + 1, dim + 1)]
+    edges = np.sort(np.concatenate([el[:, list(c)] for c in corners]), axis=1)
+    assert edge_count(mesh) == np.unique(edges, axis=0).shape[0]
+
+    if dim == 2:
+        pairs = np.sort(np.concatenate([el[:, [0, 1]], el[:, [1, 2]], el[:, [0, 2]]]), axis=1)
+        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        fine = refine_uniform(mesh)
+        mid = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
+        np.testing.assert_array_equal(fine.nodes, np.vstack([mesh.nodes, mid]))
+        m01, m12, m02 = (inverse.reshape(3, -1) + mesh.node_count)
+        np.testing.assert_array_equal(fine.elements[3 * mesh.element_count :], np.stack([m01, m12, m02], axis=1))
+
+
+def test_key_dedupe_overflow_guard():
+    from certifem.mesh import _unique_rows
+
+    with pytest.raises(MeshParseError, match=r"2\*\*63"):
+        _unique_rows(np.array([[0, 1]], dtype=np.int64), 2**32)
+    with pytest.raises(MeshParseError, match=r"2\*\*63"):
+        _unique_rows(np.array([[0, 1, 2]], dtype=np.int64), 2**21 + 1)
+    # the largest admissible base still decodes its largest key exactly
+    top = np.array([[2**21 - 1] * 3, [0, 0, 1], [2**21 - 1] * 3], dtype=np.int64)
+    uniq, counts = _unique_rows(top, 2**21)
+    np.testing.assert_array_equal(uniq, top[1:])
+    assert counts.tolist() == [1, 2]

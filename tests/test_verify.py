@@ -239,3 +239,46 @@ def test_disk_poincare_constant_documented():
     # exact constant of the unit disk vs the dimension-only bound
     assert 1.0 / BESSEL_J0_FIRST_ZERO == pytest.approx(0.41583, abs=1e-5)
     assert 1.0 / BESSEL_J0_FIRST_ZERO < math.sqrt(2.0) / math.pi
+
+
+def test_disk_study_row_builds_each_mesh_quantity_once(monkeypatch):
+    import dataclasses
+
+    from certifem import assemble_stiffness, element_metrics
+    from certifem import fem as femmod
+    from certifem import mesh as meshmod
+
+    seen = {}
+
+    def spy(module, name):
+        build = getattr(module, name)
+
+        def wrapper(mesh):
+            seen.setdefault(name, []).append(mesh)
+            return build(mesh)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(meshmod, "_element_metrics")
+    spy(meshmod, "_quality")
+    spy(femmod, "_assemble_stiffness")
+    disk_study_row(10, 1)
+
+    assert {name: len(meshes) for name, meshes in seen.items()} == {
+        "_element_metrics": 1,
+        "_quality": 1,
+        "_assemble_stiffness": 1,
+    }
+    final = seen["_element_metrics"][0]
+    assert final.element_count == 40
+    assert seen["_assemble_stiffness"][0] is final
+
+    em = element_metrics(final)
+    arrays = [getattr(em, f.name) for f in dataclasses.fields(em)]
+    arrays = [a for a in arrays if a is not None] + [meshmod._measures(final)]
+    stiffness = assemble_stiffness(final)
+    arrays += [stiffness.data, stiffness.indices, stiffness.indptr]
+    assert all(not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        em.h[0] = 0.0
+    assert em.measures is meshmod._measures(final)
