@@ -8,8 +8,10 @@ the polygonal hull (and hence the boundary gap) exactly unchanged.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -145,12 +147,19 @@ def _build_measures(mesh: SimplicialMesh) -> np.ndarray:
     return meas
 
 
+def _as_array(values, dtype, name: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=dtype)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise MeshParseError(f"{name} must be a rectangular numeric array: {exc}") from exc
+
+
 def build_mesh(dim: int, nodes, elements) -> SimplicialMesh:
     """Validate connectivity, fix orientation, and detect the boundary."""
     if dim not in (2, 3):
         raise MeshParseError(f"unsupported dimension {dim}")
-    nd = np.array(nodes, dtype=float)
-    el = np.array(elements, dtype=np.int64)
+    nd = _as_array(nodes, float, "nodes")
+    el = _as_array(elements, np.int64, "elements")
     if nd.ndim != 2 or nd.shape[1] != dim:
         raise MeshParseError(f"node array must be (N, {dim}), got {nd.shape}")
     if not np.all(np.isfinite(nd)):
@@ -353,14 +362,18 @@ def check_boundary_on_poly(mesh: SimplicialMesh, poly: PolyApprox, tol: float = 
     """Every boundary facet of the mesh must lie inside some facet of `poly`."""
     normals = poly.facet_normals
     offsets = np.einsum("fd,fd->f", normals, poly.facet_barycenters)
-    for facet in mesh.boundary_facets:
-        pts = mesh.nodes[facet]
-        dist = pts @ normals.T - offsets  # (dim, F)
-        ok = np.all(np.abs(dist) <= tol, axis=0)
-        if not bool(ok.any()):
-            raise NotInscribedError(
-                f"mesh boundary facet {np.asarray(facet).tolist()} not contained in any polytope facet"
-            )
+    bnodes = mesh.boundary_nodes
+    points = mesh.nodes[bnodes]
+    # each boundary facet as positions in `bnodes`
+    local = np.searchsorted(bnodes, mesh.boundary_facets)
+    contained = np.zeros(local.shape[0], dtype=bool)
+    for normal, offset in zip(normals, offsets):
+        on_plane = np.abs(points @ normal - offset) <= tol
+        contained |= on_plane[local].all(axis=1)
+    outside = np.flatnonzero(~contained)
+    if outside.size:
+        facet = mesh.boundary_facets[outside[0]]
+        raise NotInscribedError(f"mesh boundary facet {facet.tolist()} not contained in any polytope facet")
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +403,18 @@ def save(mesh: SimplicialMesh, path: str, fmt: str | None = None) -> None:
         base = _node_ele_base(path)
         bmark = np.zeros(mesh.node_count, dtype=int)
         bmark[mesh.boundary_nodes] = 1
-        with open(base + ".node", "w", encoding="utf-8") as fh:
-            fh.write(f"{mesh.node_count} {mesh.dim} 0 1\n")
-            for i, row in enumerate(mesh.nodes):
-                coords = " ".join("%.17g" % x for x in row)
-                fh.write(f"{i + 1} {coords} {bmark[i]}\n")
-        with open(base + ".ele", "w", encoding="utf-8") as fh:
-            fh.write(f"{mesh.element_count} {mesh.dim + 1} 0\n")
-            for i, row in enumerate(mesh.elements):
-                idx = " ".join(str(j + 1) for j in row)
-                fh.write(f"{i + 1} {idx}\n")
+        _write_rows(
+            base + ".node",
+            f"{mesh.node_count} {mesh.dim} 0 1\n",
+            "%d" + " %.17g" * mesh.dim + " %d\n",
+            [np.arange(1, mesh.node_count + 1), *mesh.nodes.T, bmark],
+        )
+        _write_rows(
+            base + ".ele",
+            f"{mesh.element_count} {mesh.dim + 1} 0\n",
+            " ".join(["%d"] * (mesh.dim + 2)) + "\n",
+            [np.arange(1, mesh.element_count + 1), *(mesh.elements + 1).T],
+        )
         return
     raise MeshParseError(f"unknown mesh format {fmt!r}")
 
@@ -427,6 +442,15 @@ def load(path: str, fmt: str | None = None) -> SimplicialMesh:
     raise MeshParseError(f"unknown mesh format {fmt!r}")
 
 
+def _write_rows(path: str, header: str, row_fmt: str, columns: list[np.ndarray]) -> None:
+    """Write `header`, then one `row_fmt % row` line per row of `columns`,
+    in a single write."""
+    rows = zip(*(col.tolist() for col in columns))
+    text = header + "".join(row_fmt % row for row in rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _infer_format(path: str) -> str:
     if path.endswith(".json"):
         return "json"
@@ -442,44 +466,74 @@ def _node_ele_base(path: str) -> str:
     return path
 
 
-def _data_lines(path: str) -> list[list[str]]:
+@contextlib.contextmanager
+def _mesh_file(path: str):
+    """Open a `.node`/`.ele` file for reading; I/O and syntax errors raised
+    while it is open become `MeshParseError`s naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.split("#", 1)[0].strip() for ln in fh]
+            yield fh
     except OSError as exc:
         raise MeshParseError(f"cannot read {path}: {exc}") from exc
-    return [ln.split() for ln in lines if ln]
+    except ValueError as exc:
+        raise MeshParseError(f"{path}: {exc}") from exc
+
+
+def _read_header(fh, kind: str) -> tuple[int, int]:
+    """The first two numbers of the first data line: the row count and the
+    dimension (`.node`) or corners per element (`.ele`)."""
+    for line in fh:
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if len(tokens) < 2:
+            raise ValueError(f"{kind} header needs a count and a width, got {line.strip()!r}")
+        count, width = int(tokens[0]), int(tokens[1])
+        if count < 1:
+            raise ValueError(f"{kind} header count must be positive, got {count}")
+        return count, width
+    raise ValueError(f"empty {kind} file")
+
+
+def _read_rows(fh, kind: str, count: int, usecols: range, dtype) -> np.ndarray:
+    """Columns `usecols` of the next `count` data rows, parsed whole by
+    numpy's C reader; `#` comments and blank lines are skipped, extra
+    columns and lines past `count` are ignored."""
+    with warnings.catch_warnings():
+        # loadtxt warns about comment or blank lines under `max_rows` and
+        # about empty input; the row count below covers both.
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(fh, comments="#", usecols=usecols, max_rows=count, ndmin=2, dtype=dtype)
+    if rows.shape[0] != count:
+        raise ValueError(f"expected {count} {kind} lines, found {rows.shape[0]}")
+    return rows
 
 
 def _read_node_file(path: str) -> tuple[np.ndarray, int]:
-    rows = _data_lines(path)
-    if not rows:
-        raise MeshParseError(f"{path}: empty node file")
-    try:
-        count, dim = int(rows[0][0]), int(rows[0][1])
-        body = rows[1 : 1 + count]
-        if len(body) != count:
-            raise ValueError(f"expected {count} node lines, found {len(body)}")
-        nodes = np.array([[float(tok) for tok in r[1 : 1 + dim]] for r in body])
-    except (ValueError, IndexError) as exc:
-        raise MeshParseError(f"{path}: {exc}") from exc
-    return nodes, dim
+    with _mesh_file(path) as fh:
+        count, dim = _read_header(fh, "node")
+        if dim not in (2, 3):
+            raise ValueError(f"unsupported dimension {dim}")
+        rows = _read_rows(fh, "node", count, range(1 + dim), float)
+    index = rows[:, 0]
+    wrong = np.flatnonzero(index != np.arange(1, count + 1))
+    if wrong.size:
+        i = int(wrong[0])
+        raise MeshParseError(
+            f"{path}: node {i + 1} is numbered {index[i]:.17g}; the index column must read 1..{count} in order"
+        )
+    return rows[:, 1:], dim
 
 
 def _read_ele_file(path: str, dim: int) -> np.ndarray:
-    rows = _data_lines(path)
-    if not rows:
-        raise MeshParseError(f"{path}: empty element file")
-    try:
-        count, per = int(rows[0][0]), int(rows[0][1])
+    with _mesh_file(path) as fh:
+        count, per = _read_header(fh, "element")
         if per != dim + 1:
             raise ValueError(f"expected {dim + 1} corners per element, header says {per}")
-        body = rows[1 : 1 + count]
-        if len(body) != count:
-            raise ValueError(f"expected {count} element lines, found {len(body)}")
-        elements = np.array([[int(tok) - 1 for tok in r[1 : 1 + per]] for r in body], dtype=np.int64)
-    except (ValueError, IndexError) as exc:
-        raise MeshParseError(f"{path}: {exc}") from exc
+        # The element index column is not read: element order does not
+        # change the mesh.
+        elements = _read_rows(fh, "element", count, range(1, 1 + per), np.int64)
+    elements -= 1
     return elements
 
 

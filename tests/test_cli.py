@@ -183,3 +183,33 @@ def test_certify_mesh_outside_polygon_exits_2(tmp_path, capsys):
     meshmod.save(meshmod.build_mesh(2, [[0, 0], [0.5, 0], [0, 0.5]], [[0, 1, 2]]), mesh_path)
     assert run_cli("certify", "--domain", f"polygon:{poly_path}", "--mesh", mesh_path) == 2
     assert "not contained" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "nodes",
+    [[[0, 0], [1], [0, 1]], [[0, 0], ["a", 0], [0, 1]]],
+    ids=["ragged", "non-numeric"],
+)
+def test_bad_json_mesh_exits_1(tmp_path, capsys, nodes):
+    mesh_path = tmp_path / "bad.json"
+    mesh_path.write_text(json.dumps({"dim": 2, "nodes": nodes, "elements": [[0, 1, 2]]}))
+    assert run_cli("mesh", "stats", "--mesh", str(mesh_path)) == 1
+    assert "rectangular numeric array" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_certify_permuted_node_file_exits_1(tmp_path, capsys):
+    from certifem import mesh as meshmod
+
+    poly_path = tmp_path / "square.json"
+    poly_path.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    mesh_path = tmp_path / "square.node"
+    nodes = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]]
+    square = meshmod.build_mesh(2, nodes, [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+    meshmod.save(square, str(mesh_path))
+    lines = mesh_path.read_text().splitlines(keepends=True)
+    lines[1], lines[5] = lines[5], lines[1]
+    mesh_path.write_text("".join(lines))
+    assert run_cli("certify", "--domain", f"polygon:{poly_path}", "--mesh", str(mesh_path)) == 1
+    assert "the index column must read 1..5 in order" in capsys.readouterr().err

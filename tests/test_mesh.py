@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from certifem import (
     InvertedElementError,
     MeshParseError,
     NonConformingMeshError,
+    NotInscribedError,
     angles,
     build_mesh,
     check_boundary_on_poly,
@@ -27,7 +30,7 @@ from certifem import (
     refine_uniform,
     save,
 )
-from certifem import ConvexPolygon, Simplex
+from certifem import Ball, ConvexPolygon, Simplex, make_poly_approx
 from conftest import sample_triangle
 
 UNIT_SQUARE_POLY = poly_approx_of_polygon(ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]]))
@@ -272,3 +275,181 @@ def test_key_dedupe_overflow_guard():
     uniq, counts = _unique_rows(top, 2**21)
     np.testing.assert_array_equal(uniq, top[1:])
     assert counts.tolist() == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# .node/.ele reader and writer
+
+
+def _node_ele_lines(mesh):
+    """Clean Triangle-style lines, 1-based, as `save` writes them."""
+    node = [f"{mesh.node_count} 2 0 0"] + [f"{i + 1} {x!r} {y!r}" for i, (x, y) in enumerate(mesh.nodes.tolist())]
+    ele = [f"{mesh.element_count} 3 0"] + [f"{i + 1} {a + 1} {b + 1} {c + 1}" for i, (a, b, c) in enumerate(mesh.elements.tolist())]
+    return node, ele
+
+
+def _write_node_ele(tmp_path, name, node_lines, ele_lines):
+    base = tmp_path / name
+    (tmp_path / f"{name}.node").write_text("".join(line + "\n" for line in node_lines))
+    (tmp_path / f"{name}.ele").write_text("".join(line + "\n" for line in ele_lines))
+    return str(base) + ".node"
+
+
+def _assert_same_mesh(a, b):
+    assert np.array_equal(a.nodes, b.nodes)
+    assert np.array_equal(a.elements, b.elements)
+    assert np.array_equal(a.boundary_facets, b.boundary_facets)
+
+
+@pytest.mark.filterwarnings("error")
+def test_node_ele_reader_skips_comments_extra_columns_and_trailing_lines(tmp_path):
+    mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 6), 1)
+    node, ele = _node_ele_lines(mesh)
+    clean = load(_write_node_ele(tmp_path, "clean", node, ele))
+    _assert_same_mesh(clean, mesh)
+
+    messy_node = ["# Triangle node file", "", f"  {mesh.node_count} 2 1 1   # one attribute, one marker"]
+    for i, line in enumerate(node[1:]):
+        messy_node.append(f"{line}\t0.5 {i % 2}  # attribute and marker")
+        if i % 3 == 0:
+            messy_node += ["# comment inside the body", "   "]
+    messy_node += ["1 not read", "# trailing comment"]
+    messy_ele = ["", f"{mesh.element_count} 3 1 # region attribute"]
+    for line in ele[1:]:
+        messy_ele += [f"{line} 7", ""]
+    messy_ele += ["extra line past the count"]
+    _assert_same_mesh(load(_write_node_ele(tmp_path, "messy", messy_node, messy_ele)), clean)
+
+
+def _swap_node_lines(node, i, j):
+    node = list(node)
+    node[1 + i], node[1 + j] = node[1 + j], node[1 + i]
+    return node
+
+
+BAD_NODE_ELE = {
+    "empty node file": lambda node, ele: ([], ele, ".node"),
+    "header without width": lambda node, ele: ([node[0].split()[0]] + node[1:], ele, ".node"),
+    "short node file": lambda node, ele: (node[:-1], ele, ".node"),
+    "short element file": lambda node, ele: (node, ele[:-1], ".ele"),
+    "non-numeric coordinate": lambda node, ele: (node[:3] + [node[3].replace(" ", " x", 1)] + node[4:], ele, ".node"),
+    "non-numeric corner": lambda node, ele: (node, ele[:2] + [ele[2] + "q"] + ele[3:], ".ele"),
+    "missing coordinate": lambda node, ele: (node[:2] + [node[2].rsplit(" ", 1)[0]] + node[3:], ele, ".node"),
+    "wrong corner count": lambda node, ele: (node, [ele[0].replace(" 3 ", " 4 ")] + ele[1:], ".ele"),
+    "zero node count": lambda node, ele: (["0 2 0 0"], ele, ".node"),
+    "unsupported dimension": lambda node, ele: ([node[0].replace(" 2 ", " 4 ")] + node[1:], ele, ".node"),
+    # nodes 0 (the fan centre) and 7 (a spoke midpoint) are interior, 1 and 2 are corners
+    "permuted interior lines": lambda node, ele: (_swap_node_lines(node, 0, 7), ele, ".node"),
+    "permuted boundary lines": lambda node, ele: (_swap_node_lines(node, 1, 2), ele, ".node"),
+    "zero-based index": lambda node, ele: (
+        node[:1] + [f"{i} {line.split(' ', 1)[1]}" for i, line in enumerate(node[1:])],
+        ele,
+        ".node",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(BAD_NODE_ELE))
+def test_node_ele_reader_rejects(tmp_path, case):
+    mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 6), 1)
+    node, ele, culprit = BAD_NODE_ELE[case](*_node_ele_lines(mesh))
+    path = _write_node_ele(tmp_path, "bad", node, ele)
+    with pytest.raises(MeshParseError, match=re.escape(str(tmp_path / "bad") + culprit)):
+        load(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "nodes, elements",
+    [
+        ([[0, 0], [1], [0, 1]], [[0, 1, 2]]),
+        ([[0, 0], ["a", 0], [0, 1]], [[0, 1, 2]]),
+        ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2], [0, 1]]),
+        ([[0, 0], [1, 0], [0, 1]], [[0, 1, "b"]]),
+        ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2**70]]),
+    ],
+)
+def test_build_mesh_rejects_ragged_or_non_numeric(tmp_path, nodes, elements):
+    with pytest.raises(MeshParseError, match="rectangular numeric array"):
+        build_mesh(2, nodes, elements)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 2, "nodes": nodes, "elements": elements}))
+    with pytest.raises(MeshParseError):
+        load(str(path))
+
+
+@pytest.mark.filterwarnings("error")
+def test_node_ele_round_trip_is_bit_exact(tmp_path):
+    mesh = _jittered_square(32, seed=5)
+    save(mesh, str(tmp_path / "sq"), "node_ele")
+    loaded = load(str(tmp_path / "sq.node"))
+    _assert_same_mesh(loaded, mesh)
+    assert loaded.nodes.tobytes() == mesh.nodes.tobytes()
+
+
+def test_node_ele_save_bytes(tmp_path):
+    mesh = build_mesh(2, [[0, 0], [1, 0], [1, 1], [0.1, 1]], [[0, 1, 2], [0, 2, 3]])
+    save(mesh, str(tmp_path / "two.node"))
+    assert (tmp_path / "two.node").read_bytes() == (
+        b"4 2 0 1\n1 0 0 1\n2 1 0 1\n3 1 1 1\n4 0.10000000000000001 1 1\n"
+    )
+    assert (tmp_path / "two.ele").read_bytes() == b"2 3 0\n1 1 2 3\n2 1 3 4\n"
+
+
+# ---------------------------------------------------------------------------
+# boundary containment against the per-facet loop it replaced
+
+
+def _first_facet_outside(mesh, poly, tol=1e-10):
+    normals = poly.facet_normals
+    offsets = np.einsum("fd,fd->f", normals, poly.facet_barycenters)
+    for facet in mesh.boundary_facets:
+        dist = mesh.nodes[facet] @ normals.T - offsets
+        if not np.all(np.abs(dist) <= tol, axis=0).any():
+            return facet.tolist()
+    return None
+
+
+def _square_with_right_side_at(x):
+    mesh = _jittered_square(8, seed=1)
+    nodes = mesh.nodes.copy()
+    nodes[nodes[:, 0] == 1.0, 0] = x
+    return build_mesh(2, nodes, mesh.elements)
+
+
+OCTA_VERTS = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+OCTA_FACETS = [[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4], [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]]
+
+
+def _octahedron_mesh(scale):
+    nodes = np.vstack([[0.0, 0.0, 0.0], scale * np.array(OCTA_VERTS, dtype=float)])
+    return build_mesh(3, nodes, [[0] + [i + 1 for i in f] for f in OCTA_FACETS])
+
+
+HEPTAGON = inscribed_regular_polygon(Disk(1.0), 7)
+OCTAHEDRON = make_poly_approx(Ball(1.0), OCTA_VERTS, OCTA_FACETS)
+BOUNDARY_CASES = {
+    "fan inside": (lambda: generate_fan_refined(HEPTAGON, 2), HEPTAGON, True),
+    "fan in a different polygon": (
+        lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 14), 1), HEPTAGON, False,
+    ),
+    "square inside": (lambda: _jittered_square(8, seed=1), UNIT_SQUARE_POLY, True),
+    "square within tolerance": (lambda: _square_with_right_side_at(1.0 + 5e-11), UNIT_SQUARE_POLY, True),
+    "square side outside": (lambda: _square_with_right_side_at(1.0 + 1e-9), UNIT_SQUARE_POLY, False),
+    "octahedron": (lambda: _octahedron_mesh(1.0), OCTAHEDRON, True),
+    "shrunk octahedron": (lambda: _octahedron_mesh(0.5), OCTAHEDRON, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_check_boundary_on_poly_matches_facet_loop(case):
+    build, poly, inside = BOUNDARY_CASES[case]
+    mesh = build()
+    first = _first_facet_outside(mesh, poly)
+    assert (first is None) == inside
+    if inside:
+        check_boundary_on_poly(mesh, poly)
+    else:
+        with pytest.raises(NotInscribedError, match=re.escape(f"mesh boundary facet {first} not contained")):
+            check_boundary_on_poly(mesh, poly)
