@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 IO/parse failure, 2 validation or configuration
 failure, 3 measured error above a certified bound (the one fatal
-scientific failure).  Reports are deterministic for a fixed configuration
-and seed: keys are sorted and no timestamps are embedded.
+scientific failure).  Reports are deterministic for a fixed configuration:
+keys are sorted and no timestamps are embedded.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import estimator as estmod
 from . import fem as femmod
@@ -30,20 +29,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_BOUND = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    domain_spec: str | None = None
-    mesh_path: str | None = None
-    generate: str | None = None
-    f_spec: str = "const:1"
-    fh_mode: str = "exact"
-    strategy: str = "elementwise"
-    rho_convention: str = "radius"
-    out: str | None = None
-    seed: int = 0
 
 
 def _threads() -> int:
@@ -83,10 +68,10 @@ def _parse_source(spec: str, domain) -> femmod.SourceTerm:
     raise CertifemError(f"unknown source spec {spec!r}")
 
 
-def _domain_poly_mesh(cfg: RunConfig):
-    domain = _parse_domain(cfg.domain_spec or "disk:1.0")
-    if cfg.generate:
-        parts = [int(tok) for tok in cfg.generate.split(",")]
+def _domain_poly_mesh(args):
+    domain = _parse_domain(args.domain)
+    if args.generate:
+        parts = [int(tok) for tok in args.generate.split(",")]
         if isinstance(domain, Disk):
             if len(parts) != 2:
                 raise CertifemError("--generate for a disk takes m,refine")
@@ -98,8 +83,8 @@ def _domain_poly_mesh(cfg: RunConfig):
             k = parts[0]
             poly = poly_approx_of_polygon(domain)
         mesh = meshmod.generate_fan_refined(poly, k)
-    elif cfg.mesh_path:
-        mesh = meshmod.load(cfg.mesh_path)
+    elif args.mesh:
+        mesh = meshmod.load(args.mesh)
         if isinstance(domain, Disk):
             raise CertifemError("loading a mesh for a disk domain needs --generate to fix the polygon; "
                                 "use certifem disk-study --mesh for the m-gon pipeline")
@@ -144,22 +129,10 @@ def _format_of(path: str) -> str:
 
 
 def cmd_certify(args) -> int:
-    cfg = RunConfig(
-        command="certify",
-        domain_spec=args.domain,
-        mesh_path=args.mesh,
-        generate=args.generate,
-        f_spec=args.f,
-        fh_mode=args.fh_mode,
-        strategy=args.strategy,
-        rho_convention=args.rho_convention,
-        out=args.out,
-        seed=args.seed,
-    )
-    domain, poly, mesh = _domain_poly_mesh(cfg)
-    source = _parse_source(cfg.f_spec, domain)
-    bound = estmod.certify(domain, poly, mesh, source, cfg.fh_mode, cfg.strategy, cfg.rho_convention)
-    _write_or_print(bound.to_json(), cfg.out)
+    domain, poly, mesh = _domain_poly_mesh(args)
+    source = _parse_source(args.f, domain)
+    bound = estmod.certify(domain, poly, mesh, source, args.fh_mode, args.strategy, args.rho_convention)
+    _write_or_print(bound.to_json(), args.out)
     return EXIT_OK
 
 
@@ -228,7 +201,6 @@ def cmd_disk_study(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="certifem", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0, help="seed for any sampled diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_mesh = sub.add_parser("mesh", help="generate, inspect, or convert meshes")

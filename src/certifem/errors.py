@@ -59,7 +59,3 @@ class NotNonBluntError(CertifemError):
 
 class BoundViolationError(CertifemError):
     """Measured error exceeded a certified bound."""
-
-
-class MaxIterExceededError(CertifemError):
-    """Iterative solver hit the iteration cap (diagnostic use only)."""

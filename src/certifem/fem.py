@@ -24,6 +24,10 @@ FH_MODES = ("barycentric", "nodal", "exact")
 
 SUP_SLACK = 1e-10
 
+# Elements per block in `_quadrature_points`: the (q, block, dim) scratch
+# buffers stay small while each numpy call still covers thousands of elements.
+_QUAD_BLOCK = 4096
+
 
 @dataclass
 class SourceTerm:
@@ -164,8 +168,7 @@ class DiscreteSource:
             v = self.nodal_values
             return math.sqrt(max(float(v @ (m_full @ v)), 0.0))
         bary, w = simplex_rule(mesh.dim)
-        pts = np.einsum("qk,mkd->mqd", bary, mesh.element_vertices())
-        vals = self.source.evaluate(pts)
+        vals = self.source.evaluate(_quadrature_points(mesh, bary))
         _check_sup(self.source, vals)
         return math.sqrt(float(((vals**2) @ w * meas).sum()))
 
@@ -185,6 +188,29 @@ def build_fh(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str = "exact") -
         _check_sup(f, vals)
         return DiscreteSource(mode, mesh, f, nodal_values=vals)
     return DiscreteSource(mode, mesh, f)
+
+
+def _quadrature_points(mesh: meshmod.SimplicialMesh, bary: np.ndarray) -> np.ndarray:
+    """(M, q, dim) physical quadrature points, `sum_k bary[q, k] * corner_k`.
+
+    Bit-identical to `np.einsum("qk,mkd->mqd", bary, mesh.element_vertices())`:
+    the same products summed over k in the same order, but in broadcast
+    kernels over a (q, block, dim) buffer instead of numpy's generic einsum
+    loop, one block of elements at a time.
+    """
+    nodes, elements = mesh.nodes, mesh.elements
+    nq, dim = bary.shape[0], mesh.dim
+    out = np.empty((mesh.element_count, nq, dim))
+    acc = np.empty((nq, min(_QUAD_BLOCK, mesh.element_count), dim))
+    term = np.empty_like(acc)
+    for start in range(0, mesh.element_count, _QUAD_BLOCK):
+        corners = nodes[elements[start : start + _QUAD_BLOCK].T]  # (dim+1, block, dim)
+        size = corners.shape[1]
+        np.multiply(bary[:, 0, None, None], corners[0], out=acc[:, :size])
+        for k in range(1, dim + 1):
+            acc[:, :size] += np.multiply(bary[:, k, None, None], corners[k], out=term[:, :size])
+        out[start : start + size] = acc[:, :size].transpose(1, 0, 2)
+    return out
 
 
 def _gradients(mesh: meshmod.SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +236,12 @@ def assemble_stiffness(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
 
 def _assemble_stiffness(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
     grads, meas = _gradients(mesh)
-    local = np.einsum("mki,mkj->mij", grads, grads) * meas[:, None, None]
+    # local[m, i, j] = meas[m] * sum_k grads[m, k, i] * grads[m, k, j], summed
+    # over k in order (bit-identical to the einsum "mki,mkj->mij").
+    local = grads[:, 0, :, None] * grads[:, 0, None, :]
+    for k in range(1, mesh.dim):
+        local += grads[:, k, :, None] * grads[:, k, None, :]
+    local *= meas[:, None, None]
     mat = _scatter(mesh, local)
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.setflags(write=False)
@@ -253,8 +284,7 @@ def assemble_load(mesh: meshmod.SimplicialMesh, fh: DiscreteSource) -> np.ndarra
     if fh.mode == "nodal":
         return assemble_mass(mesh) @ fh.nodal_values
     bary, w = simplex_rule(n)
-    pts = np.einsum("qk,mkd->mqd", bary, mesh.element_vertices())
-    vals = np.asarray(fh.source.evaluate(pts), dtype=float)
+    vals = np.asarray(fh.source.evaluate(_quadrature_points(mesh, bary)), dtype=float)
     _check_sup(fh.source, vals)
     contrib = np.einsum("mq,q,qk->mk", vals, w, bary) * meas[:, None]
     for j in range(n + 1):
@@ -363,9 +393,14 @@ def solve_poisson(
 
 
 def fem_l2_norm(mesh: meshmod.SimplicialMesh, sol: FemSolution) -> float:
-    """||u_h|| from the exact P1 mass matrix."""
-    v = sol.nodal_values
-    return math.sqrt(max(float(v @ (assemble_mass(mesh) @ v)), 0.0))
+    """||u_h||, exact for P1: the sum over elements of v^T M_T v with the
+    closed-form local mass matrix M_T = |T| (J + I) / ((n+1)(n+2)), J the
+    all-ones matrix, so no global mass matrix is assembled."""
+    n = mesh.dim
+    v = sol.nodal_values[mesh.elements]
+    local = (v**2).sum(axis=1) + v.sum(axis=1) ** 2
+    sq = float((local * meshmod._measures(mesh)).sum()) / ((n + 1) * (n + 2))
+    return math.sqrt(max(sq, 0.0))
 
 
 def fem_h1_seminorm(mesh: meshmod.SimplicialMesh, sol: FemSolution) -> float:
@@ -378,9 +413,7 @@ def fem_h1_seminorm(mesh: meshmod.SimplicialMesh, sol: FemSolution) -> float:
 def l2_error_interior(mesh: meshmod.SimplicialMesh, sol: FemSolution, exact: Callable) -> float:
     """|| u_exact - u_h || over the meshed region by the degree-4 rule."""
     bary, w = simplex_rule(mesh.dim)
-    verts = mesh.element_vertices()
-    pts = np.einsum("qk,mkd->mqd", bary, verts)
-    u_ex = np.asarray(exact(pts), dtype=float)
+    u_ex = np.asarray(exact(_quadrature_points(mesh, bary)), dtype=float)
     u_h = np.einsum("qk,mk->mq", bary, sol.nodal_values[mesh.elements])
     meas = meshmod._measures(mesh)
     sq = float((((u_ex - u_h) ** 2) @ w * meas).sum())
@@ -393,9 +426,7 @@ def fh_error_measured(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str) ->
     if mode == "exact":
         return 0.0
     bary, w = simplex_rule(mesh.dim)
-    verts = mesh.element_vertices()
-    pts = np.einsum("qk,mkd->mqd", bary, verts)
-    fvals = np.asarray(f.evaluate(pts), dtype=float)
+    fvals = np.asarray(f.evaluate(_quadrature_points(mesh, bary)), dtype=float)
     if mode == "barycentric":
         fh_vals = fh.element_values[:, None] * np.ones_like(fvals)
     else:

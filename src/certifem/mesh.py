@@ -25,9 +25,7 @@ from .errors import (
     NonConformingMeshError,
     NotInscribedError,
 )
-from .geometry import DEGENERACY_TOL, NONBLUNT_TOL
-
-_FACTORIAL = (1.0, 1.0, 2.0, 6.0)
+from .geometry import _FACTORIAL, DEGENERACY_TOL, NONBLUNT_TOL
 
 
 @dataclass(frozen=True)
@@ -154,12 +152,24 @@ def _as_array(values, dtype, name: str) -> np.ndarray:
         raise MeshParseError(f"{name} must be a rectangular numeric array: {exc}") from exc
 
 
+def _as_indices(values) -> np.ndarray:
+    """Element indices as a new int64 array.  Integer arrays pass on a dtype
+    test; floats must be integral, and booleans are refused, where a cast
+    would truncate them into a different mesh."""
+    arr = values if isinstance(values, np.ndarray) else _as_array(values, None, "elements")
+    if arr.dtype.kind == "b":
+        raise MeshParseError("element indices must be integers, got booleans")
+    if arr.dtype.kind == "f" and not np.all((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)):
+        raise MeshParseError("element indices must be whole numbers within int64 range")
+    return _as_array(arr, np.int64, "elements")
+
+
 def build_mesh(dim: int, nodes, elements) -> SimplicialMesh:
     """Validate connectivity, fix orientation, and detect the boundary."""
     if dim not in (2, 3):
         raise MeshParseError(f"unsupported dimension {dim}")
     nd = _as_array(nodes, float, "nodes")
-    el = _as_array(elements, np.int64, "elements")
+    el = _as_indices(elements)
     if nd.ndim != 2 or nd.shape[1] != dim:
         raise MeshParseError(f"node array must be (N, {dim}), got {nd.shape}")
     if not np.all(np.isfinite(nd)):
@@ -433,6 +443,12 @@ def load(path: str, fmt: str | None = None) -> SimplicialMesh:
             elements = obj["elements"]
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise MeshParseError(f"cannot parse mesh json {path}: {exc}") from exc
+        # numpy reads a list mixing true/false with numbers as numbers, so
+        # `build_mesh` would not see them.
+        if isinstance(elements, list) and any(
+            type(i) is bool for row in elements if isinstance(row, list) for i in row
+        ):
+            raise MeshParseError(f"{path}: element indices must be integers, got true/false")
         return build_mesh(dim, nodes, elements)
     if fmt == "node_ele":
         base = _node_ele_base(path)

@@ -213,3 +213,13 @@ def test_certify_permuted_node_file_exits_1(tmp_path, capsys):
     mesh_path.write_text("".join(lines))
     assert run_cli("certify", "--domain", f"polygon:{poly_path}", "--mesh", str(mesh_path)) == 1
     assert "the index column must read 1..5 in order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("elements", ["[[true, 0, 2], [1, 2, 3]]", "[[0, 1, 2.5], [0, 2, 3]]"], ids=["boolean", "fractional"])
+def test_certify_mesh_with_non_integer_indices_exits_1(tmp_path, capsys, elements):
+    poly_path = tmp_path / "square.json"
+    poly_path.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    mesh_path = tmp_path / "bad.json"
+    mesh_path.write_text('{"dim": 2, "nodes": [[0, 0], [1, 0], [1, 1], [0, 1]], "elements": %s}' % elements)
+    assert run_cli("certify", "--domain", f"polygon:{poly_path}", "--mesh", str(mesh_path)) == 1
+    assert "element indices" in capsys.readouterr().err

@@ -1,11 +1,16 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from certifem import fem
 from certifem import (
+    ConvexPolygon,
     Disk,
+    FemSolution,
     LinearSystem,
     MissingNormMetadata,
     SourceTerm,
@@ -15,7 +20,9 @@ from certifem import (
     assemble_stiffness,
     build_fh,
     build_mesh,
+    certify,
     dirichlet_system,
+    disk_study_row,
     fem_h1_seminorm,
     fem_l2_norm,
     fh_error_measured,
@@ -25,6 +32,7 @@ from certifem import (
     l2_error_interior,
     measure_sum,
     poincare_residual,
+    poly_approx_of_polygon,
     registry,
     solve_cg,
     solve_poisson,
@@ -36,7 +44,9 @@ from certifem.quadrature import (
     TRI_D4_BARY,
     TRI_D4_WEIGHTS,
     reference_monomial_integral,
+    simplex_rule,
 )
+from test_mesh import _jittered_square, _kuhn_cube
 
 REF_TRIANGLE = build_mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
 TWO_TRI_SQUARE = build_mesh(2, [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]])
@@ -283,3 +293,100 @@ def test_3d_mass_and_stiffness():
     fh = build_fh(mesh, SourceTerm.constant(1.0, dim=3), "barycentric")
     b = assemble_load(mesh, fh)
     assert b == pytest.approx(np.full(4, 1.0 / 24.0), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# broadcast element kernels against the einsum expressions they replace
+
+
+def _einsum_quadrature_points(mesh, bary):
+    return np.einsum("qk,mkd->mqd", bary, mesh.element_vertices())
+
+
+def _einsum_stiffness(mesh):
+    grads, meas = fem._gradients(mesh)
+    return fem._scatter(mesh, np.einsum("mki,mkj->mij", grads, grads) * meas[:, None, None])
+
+
+def _jittered_kuhn_cube(n, seed):
+    cube = _kuhn_cube(n)
+    nodes = np.array(cube.nodes)
+    interior = ((nodes > 0.0) & (nodes < 1.0)).all(axis=1)
+    nodes[interior] += (0.15 / n) * np.random.default_rng(seed).uniform(-1.0, 1.0, (int(interior.sum()), 3))
+    return build_mesh(3, nodes, cube.elements)
+
+
+KERNEL_MESHES = {
+    "fan-one-block": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 7), 2),
+    "fan-partial-block": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 50), 5),
+    "jittered-square": lambda: _jittered_square(32, seed=5),
+    "jittered-kuhn-cube": lambda: _jittered_kuhn_cube(3, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MESHES))
+def test_quadrature_points_match_einsum(name):
+    mesh = KERNEL_MESHES[name]()
+    bary, _ = simplex_rule(mesh.dim)
+    got = fem._quadrature_points(mesh, bary)
+    assert got.shape == (mesh.element_count, bary.shape[0], mesh.dim)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _einsum_quadrature_points(mesh, bary))
+    if name == "fan-partial-block":
+        assert mesh.element_count > 2 * fem._QUAD_BLOCK and mesh.element_count % fem._QUAD_BLOCK
+    if name == "jittered-kuhn-cube":
+        assert bary.shape == (11, 4)
+
+
+@pytest.mark.parametrize("name", ["jittered-square", "jittered-kuhn-cube"])
+def test_stiffness_blocks_match_einsum(name):
+    mesh = KERNEL_MESHES[name]()
+    got, ref = fem._assemble_stiffness(mesh), _einsum_stiffness(mesh)
+    assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
+
+
+@pytest.mark.parametrize("name", ["jittered-square", "jittered-kuhn-cube"])
+def test_matrix_free_l2_norm_matches_mass_matrix(name):
+    mesh = KERNEL_MESHES[name]()
+    v = np.random.default_rng(7).uniform(-1.0, 1.0, mesh.node_count)
+    sol = FemSolution(v, 0, 0.0, True, mesh)
+    assert fem_l2_norm(mesh, sol) == pytest.approx(math.sqrt(v @ (assemble_mass(mesh) @ v)), rel=1e-13)
+
+
+def test_quadrature_points_peak_memory_below_einsum():
+    mesh = KERNEL_MESHES["fan-partial-block"]()
+    bary, _ = simplex_rule(2)
+
+    def peak(kernel):
+        kernel(mesh, bary)  # warm up
+        tracemalloc.start()
+        try:
+            kernel(mesh, bary)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(fem._quadrature_points) < peak(_einsum_quadrature_points)
+
+
+def _square_certify_json():
+    dom = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+    mesh = _jittered_square(32, seed=2)
+    return certify(dom, poly_approx_of_polygon(dom), mesh, SourceTerm.sin_product(), "exact").to_json()
+
+
+def test_reported_numbers_do_not_depend_on_quadrature_kernel(monkeypatch):
+    """Every reported digit is the same with the einsum quadrature points."""
+
+    def run():
+        return [disk_study_row(30, 3, mode) for mode in fem.FH_MODES], _square_certify_json()
+
+    rows, report = run()
+    calls = []
+    monkeypatch.setattr(fem, "_quadrature_points", lambda *a: calls.append(1) or _einsum_quadrature_points(*a))
+    ref_rows, ref_report = run()
+    assert calls
+    for row, ref in zip(rows, ref_rows):
+        assert dataclasses.asdict(row) == dataclasses.asdict(ref)
+    assert report == ref_report

@@ -380,6 +380,38 @@ def test_build_mesh_rejects_ragged_or_non_numeric(tmp_path, nodes, elements):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "elements",
+    [[[0.9, 1.5, 2.7]], [[0.0, 1.0, 2.5]], [[True, False, True]], [[float("nan"), 1.0, 2.0]], [[1e300, 1.0, 2.0]]],
+    ids=["fractional", "one-fractional", "boolean", "nan", "huge"],
+)
+def test_build_mesh_rejects_non_integer_indices(elements):
+    with pytest.raises(MeshParseError, match="element indices"):
+        build_mesh(2, [[0, 0], [1, 0], [0, 1]], elements)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "elements",
+    [[[0, 1, 2]], [[0.0, 1.0, 2.0]], np.array([[0, 1, 2]], dtype=np.int32), np.array([[0, 1, 2]], dtype=np.uint8)],
+    ids=["list", "integral-floats", "int32", "uint8"],
+)
+def test_build_mesh_accepts_integral_indices(elements):
+    mesh = build_mesh(2, [[0, 0], [1, 0], [0, 1]], elements)
+    assert mesh.elements.dtype == np.int64
+    assert mesh.elements.tolist() == [[0, 1, 2]]
+
+
+def test_json_load_rejects_boolean_indices(tmp_path):
+    # numpy reads [true, 0, 2] as [1, 0, 2], a valid triangle
+    assert np.array([[True, 0, 2]]).tolist() == [[1, 0, 2]]
+    path = tmp_path / "bool.json"
+    path.write_text('{"dim": 2, "nodes": [[0, 0], [1, 0], [0, 1]], "elements": [[true, 0, 2]]}')
+    with pytest.raises(MeshParseError, match="true/false"):
+        load(str(path))
+
+
+@pytest.mark.filterwarnings("error")
 def test_node_ele_round_trip_is_bit_exact(tmp_path):
     mesh = _jittered_square(32, seed=5)
     save(mesh, str(tmp_path / "sq"), "node_ele")
