@@ -2,8 +2,13 @@
 
 Assembly is vectorized over elements; Dirichlet conditions are imposed by
 reduction to interior unknowns (keeps the system symmetric positive
-definite); the solver is a hand-rolled Jacobi-preconditioned conjugate
-gradient so behavior is deterministic and fully inspectable.
+definite); the solver is a hand-rolled conjugate gradient so behavior is
+deterministic and fully inspectable.  Its preconditioner is line Jacobi:
+chains and rings of strongly coupled nodes (the rings of a fan-refined
+m-gon, whose thin triangles couple ring neighbours ~125x more strongly
+than spoke neighbours) are solved exactly by one tridiagonal solve plus a
+rank-one correction per ring, every other node by its diagonal.  A matrix
+with no such lines gets plain Jacobi.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import mesh as meshmod
 from .errors import CertifemError, MissingNormMetadata, SupNormViolationError
@@ -27,6 +33,14 @@ SUP_SLACK = 1e-10
 # Elements per block in `_quadrature_points`: the (q, block, dim) scratch
 # buffers stay small while each numpy call still covers thousands of elements.
 _QUAD_BLOCK = 4096
+
+# Line-Jacobi preconditioner: an off-diagonal a_ij links nodes i and j when
+# -a_ij >= _LINE_THETA * max(a_ii, a_jj), and a connected set of linked nodes
+# is solved as one line when it has at least _LINE_MIN_NODES nodes.  0.45
+# picks out the fan rings (|a_ij| / a_ii ~ 0.5); 0.4 also pairs thousands of
+# nodes of a jittered square, which slows its solve.
+_LINE_THETA = 0.45
+_LINE_MIN_NODES = 3  # `_line_jacobi` tests for it as "some node has two links"
 
 
 @dataclass
@@ -242,14 +256,18 @@ def _assemble_stiffness(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
     for k in range(1, mesh.dim):
         local += grads[:, k, :, None] * grads[:, k, None, :]
     local *= meas[:, None, None]
-    mat = _scatter(mesh, local)
-    for arr in (mat.data, mat.indices, mat.indptr):
-        arr.setflags(write=False)
-    return mat
+    return _scatter(mesh, local)
 
 
 def assemble_mass(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
-    """Full P1 mass matrix (exact closed-form local blocks)."""
+    """Full P1 mass matrix (exact closed-form local blocks).
+
+    Assembled once per mesh and shared, so its arrays are read-only.
+    """
+    return meshmod._cached(mesh, "mass", _assemble_mass)
+
+
+def _assemble_mass(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
     n = mesh.dim
     meas = meshmod._measures(mesh)
     base = np.ones((n + 1, n + 1)) + np.eye(n + 1)
@@ -259,12 +277,18 @@ def assemble_mass(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
 
 
 def _scatter(mesh: meshmod.SimplicialMesh, local: np.ndarray) -> sp.csr_matrix:
-    el = mesh.elements
+    """Global CSR matrix summing the (M, k, k) local blocks; read-only, since
+    the per-mesh cache shares it."""
+    # int32 halves the (M, k*k) index arrays; scipy stores the CSR indices as
+    # int32 anyway, so the matrix is the same bit for bit
+    el = mesh.elements.astype(np.int32)
     k = el.shape[1]
     rows = np.repeat(el, k, axis=1).ravel()
     cols = np.tile(el, (1, k)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.node_count, mesh.node_count))
-    return mat.tocsr()
+    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.node_count, mesh.node_count)).tocsr()
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.setflags(write=False)
+    return mat
 
 
 def assemble_load(mesh: meshmod.SimplicialMesh, fh: DiscreteSource) -> np.ndarray:
@@ -329,8 +353,120 @@ class FemSolution:
     mesh: meshmod.SimplicialMesh | None = field(repr=False, default=None)
 
 
+def _line_links(a_mat: sp.csr_matrix, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, a_ij) with i < j for the links the line preconditioner keeps.
+
+    A link needs -a_ij >= _LINE_THETA * max(a_ii, a_jj); a node keeps its
+    links only when it has at most two and their |a_ij| sum to less than
+    a_ii.  The kept part of the matrix is then strictly diagonally dominant
+    with a positive diagonal, hence SPD, and every connected set of linked
+    nodes is a path or a cycle.
+    """
+    n = diag.size
+    indptr, cols, vals = a_mat.indptr, a_mat.indices, a_mat.data
+    # the row test first, over all entries; everything after it is O(links)
+    idx = np.flatnonzero(vals <= np.repeat(-_LINE_THETA * diag, np.diff(indptr)))
+    i = (np.searchsorted(indptr, idx, side="right") - 1).astype(np.int32)
+    j, a = cols[idx], vals[idx]
+    upper = (j > i) & (a <= -_LINE_THETA * diag[j])
+    i, j, a = i[upper], j[upper], a[upper]
+    ends = np.concatenate([i, j])
+    degree = np.bincount(ends, minlength=n)
+    link_sum = -np.bincount(ends, weights=np.concatenate([a, a]), minlength=n)
+    keeps = (degree <= 2) & (link_sum < diag)
+    kept = keeps[i] & keeps[j]
+    return i[kept], j[kept], a[kept]
+
+
+def _line_jacobi(a_mat: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray], None]:
+    """`apply(r, out)` writing M^{-1} r, with M = diag(A) plus the kept links.
+
+    Nodes on a line (a path or cycle of at least _LINE_MIN_NODES linked
+    nodes) are ordered along it, so each path is a tridiagonal block and
+    each cycle a tridiagonal block plus its closing link c between its
+    first and last node.  All blocks are factored together once (LAPACK
+    `dpttrf`); the closing link is split off as the rank-one term
+    -d_0 v v^T, v = e_0 - (c / d_0) e_last, which adds d_0 and c^2 / d_0 to
+    the block's end diagonals (so the block stays SPD) and is undone per
+    apply by one Sherman-Morrison correction.  Other nodes get r_i / a_ii.
+    Without lines `apply` is exactly the Jacobi step.
+    """
+    diag = a_mat.diagonal()
+    inv_diag = 1.0 / diag
+    n = diag.size
+    i, j, a = _line_links(a_mat, diag)
+    degree = np.bincount(np.concatenate([i, j]), minlength=n)
+    # a linked set of three or more nodes has a node with two links; without
+    # one there are only pairs and single nodes, and no graph work is needed
+    if not np.any(degree == 2):
+        return lambda r, out: np.multiply(inv_diag, r, out=out)
+
+    # ~2 MiB and ~18 ms of imports, paid only by matrices that form lines
+    from scipy.sparse import csgraph
+
+    links = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n))
+    label = csgraph.connected_components(links, directed=False)[1]
+    size = np.bincount(label)
+    path_ends = np.flatnonzero((degree == 1) & (size[label] >= _LINE_MIN_NODES))
+    is_cycle = size >= _LINE_MIN_NODES
+    is_cycle[label[path_ends]] = False
+    cycle_entries = np.unique(label, return_index=True)[1][is_cycle]
+
+    # depth-first from a virtual root joined to every path end and to one
+    # node per cycle walks each line from end to end, one line after another
+    root_links = np.concatenate([path_ends, cycle_entries])
+    walk_i = np.concatenate([i, np.full(root_links.size, n, np.int32)])
+    walk_j = np.concatenate([j, root_links])
+    walk = sp.coo_matrix((np.ones(walk_i.size), (walk_i, walk_j)), shape=(n + 1, n + 1))
+    # intp: numpy gathers and scatters with it about twice as fast as int32
+    order = csgraph.depth_first_order(walk, n, directed=False, return_predecessors=False)[1:].astype(np.intp)
+    line_label = label[order]
+    starts = np.flatnonzero(np.r_[True, line_label[1:] != line_label[:-1]])
+    stops = np.r_[starts[1:], order.size]
+
+    key = i.astype(np.int64) * n + j
+    sort = np.argsort(key)
+    key, link_value = key[sort], a[sort]
+
+    def value(u, v):
+        lo, hi = np.minimum(u, v).astype(np.int64), np.maximum(u, v)
+        return link_value[np.searchsorted(key, lo * n + hi)]
+
+    d = diag[order]
+    e = np.zeros(order.size - 1)
+    inside = np.ones(order.size - 1, dtype=bool)
+    inside[starts[1:] - 1] = False
+    e[inside] = value(order[:-1][inside], order[1:][inside])
+
+    cycles = is_cycle[line_label[starts]]
+    first, last = starts[cycles], stops[cycles] - 1
+    closing = value(order[first], order[last])
+    d0 = d[first]
+    v_last = -closing / d0
+    d[first] += d0
+    d[last] += closing * closing / d0
+    d, e, info = dpttrf(d, e)
+    if info != 0:
+        raise CertifemError(f"line preconditioner factorization failed (dpttrf info {info})")
+    u = np.zeros(order.size)
+    u[first], u[last] = -d0, closing
+    w = dpttrs(d, e, u)[0]
+    kappa = 1.0 / (1.0 + w[first] + v_last * w[last])
+    line_of = np.repeat(np.arange(starts.size), stops - starts)
+    s_line = np.zeros(starts.size)
+
+    def apply(r, out):
+        np.multiply(inv_diag, r, out=out)
+        y = dpttrs(d, e, r[order])[0]
+        s_line[cycles] = (y[first] + v_last * y[last]) * kappa
+        y -= w * s_line[line_of]
+        out[order] = y
+
+    return apply
+
+
 def solve_cg(system: LinearSystem, tol: float = 1e-12, maxiter: int | None = None) -> tuple[np.ndarray, int, float, bool]:
-    """Jacobi-preconditioned conjugate gradients.
+    """Line-Jacobi-preconditioned conjugate gradients (see `_line_jacobi`).
 
     Stops when ||b - A x|| / ||b|| <= tol; returns the best iterate with a
     convergence flag when the iteration cap is reached.  Deterministic.
@@ -344,10 +480,11 @@ def solve_cg(system: LinearSystem, tol: float = 1e-12, maxiter: int | None = Non
         return np.zeros(n), 0, 0.0, True
     if maxiter is None:
         maxiter = max(100, 20 * n)
-    inv_diag = 1.0 / a_mat.diagonal()
+    precondition = _line_jacobi(a_mat)
     x = np.zeros(n)
     r = b.copy()
-    z = inv_diag * r
+    z = np.empty(n)
+    precondition(r, z)
     p = z.copy()
     step = np.empty(n)
     rz = float(r @ z)
@@ -363,7 +500,7 @@ def solve_cg(system: LinearSystem, tol: float = 1e-12, maxiter: int | None = Non
             np.copyto(best_x, x)
         if res <= tol:
             return x, it, res, True
-        np.multiply(inv_diag, r, out=z)
+        precondition(r, z)
         rz_new = float(r @ z)
         p *= rz_new / rz
         p += z

@@ -390,3 +390,152 @@ def test_reported_numbers_do_not_depend_on_quadrature_kernel(monkeypatch):
     for row, ref in zip(rows, ref_rows):
         assert dataclasses.asdict(row) == dataclasses.asdict(ref)
     assert report == ref_report
+
+
+# ---------------------------------------------------------------------------
+# line-Jacobi preconditioner
+
+
+def _jacobi_cg(system, tol=1e-12, maxiter=None):
+    """The point-Jacobi CG loop `solve_cg` runs when a matrix forms no lines."""
+    a_mat, b = system.matrix, system.rhs
+    n = b.size
+    norm_b = float(np.linalg.norm(b))
+    if maxiter is None:
+        maxiter = max(100, 20 * n)
+    inv_diag = 1.0 / a_mat.diagonal()
+    x, r = np.zeros(n), b.copy()
+    z = inv_diag * r
+    p = z.copy()
+    step = np.empty(n)
+    rz = float(r @ z)
+    best_x, best_res = np.zeros(n), 1.0
+    for it in range(1, maxiter + 1):
+        ap = a_mat @ p
+        alpha = rz / float(p @ ap)
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
+        res = float(np.linalg.norm(r)) / norm_b
+        if res < best_res:
+            best_res = res
+            np.copyto(best_x, x)
+        if res <= tol:
+            return x, it, res, True
+        np.multiply(inv_diag, r, out=z)
+        rz_new = float(r @ z)
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
+    return best_x, maxiter, best_res, False
+
+
+def _poisson_system(mesh, f=None):
+    fh = build_fh(mesh, f or SourceTerm.constant(1.0), "exact")
+    return dirichlet_system(mesh, assemble_stiffness(mesh), assemble_load(mesh, fh))
+
+
+def _stretched_rectangle(n):
+    """[0, 4] x [0, 1] cut into n x n cells of aspect 4:1: vertical
+    neighbours couple 16x more strongly than horizontal ones."""
+    square = structured_square_mesh(n)
+    return build_mesh(2, np.asarray(square.nodes) * [4.0, 1.0], square.elements)
+
+
+def _kept_line_matrix(a_mat):
+    """Dense M: diag(A) plus the kept links of linked sets of >= 3 nodes,
+    and the number of such sets that are paths and cycles."""
+    from scipy.sparse import csgraph
+
+    n = a_mat.shape[0]
+    i, j, a = fem._line_links(a_mat, a_mat.diagonal())
+    _, label = csgraph.connected_components(sp.coo_matrix((a, (i, j)), shape=(n, n)), directed=False)
+    size = np.bincount(label)
+    line = size[label[i]] >= 3
+    m_dense = np.diag(a_mat.diagonal())
+    m_dense[i[line], j[line]] = a[line]
+    m_dense[j[line], i[line]] = a[line]
+    degree = np.bincount(np.concatenate([i, j]), minlength=n)
+    lines = np.flatnonzero(size >= 3)
+    has_end = np.isin(lines, label[degree == 1])
+    return m_dense, int(has_end.sum()), int((~has_end).sum())
+
+
+LINE_MESHES = {
+    "fan-cycles": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 20), 2),
+    "stretched-paths": lambda: _stretched_rectangle(8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_MESHES))
+def test_line_preconditioner_is_exact_solve_of_kept_matrix(name):
+    a_mat = _poisson_system(LINE_MESHES[name]()).matrix
+    m_dense, paths, cycles = _kept_line_matrix(a_mat)
+    assert (paths, cycles) == ((0, 3) if name == "fan-cycles" else (7, 0))
+    apply = fem._line_jacobi(a_mat)
+    for seed in range(3):
+        r = np.random.default_rng(seed).normal(size=a_mat.shape[0])
+        z = np.empty_like(r)
+        apply(r, z)
+        assert z == pytest.approx(np.linalg.solve(m_dense, r), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(LINE_MESHES))
+def test_line_matrix_is_symmetric_and_strictly_dominant(name):
+    a_mat = _poisson_system(LINE_MESHES[name]()).matrix
+    m_dense = _kept_line_matrix(a_mat)[0]
+    assert np.array_equal(m_dense, m_dense.T)
+    off = np.abs(m_dense).sum(axis=1) - np.diag(m_dense)
+    assert np.all(np.diag(m_dense) > off)
+    assert np.count_nonzero(off) == a_mat.shape[0] - (1 if name == "fan-cycles" else 0)  # all but the centre
+
+
+def _tridiagonal_system(diag, off, n=12):
+    mat = sp.diags([np.full(n - 1, off), np.full(n, diag), np.full(n - 1, off)], [-1, 0, 1], format="csr")
+    return LinearSystem(mat, np.linspace(1.0, 2.0, n), np.arange(n))
+
+
+def test_line_links_need_threshold_and_strict_dominance():
+    links = lambda system: fem._line_links(system.matrix, system.matrix.diagonal())[0].size
+    assert links(_tridiagonal_system(1.0, -0.46)) == 11  # one path through all nodes
+    assert links(_tridiagonal_system(1.0, -0.44)) == 0  # below 0.45 of the diagonal
+    # the Dirichlet 1D Laplacian's links reach 0.5 of the diagonal, but two
+    # of them sum to the diagonal: not strictly dominant, so no line
+    laplace = _tridiagonal_system(2.0, -1.0)
+    assert links(laplace) == 0
+    assert all(np.array_equal(u, v) for u, v in zip(solve_cg(laplace), _jacobi_cg(laplace)))
+
+
+@pytest.mark.parametrize("mesh", [structured_square_mesh(16), _jittered_square(32, seed=5)], ids=["square", "jittered"])
+def test_cg_without_lines_is_jacobi_cg_bit_for_bit(mesh):
+    system = _poisson_system(mesh, registry()["square2d"].f)
+    x, iters, res, ok = solve_cg(system)
+    ref_x, ref_iters, ref_res, ref_ok = _jacobi_cg(system)
+    assert ok and ref_ok and iters == ref_iters and res == ref_res
+    assert np.array_equal(x, ref_x)
+
+
+def test_line_cg_maxiter_returns_best_iterate():
+    system = _poisson_system(LINE_MESHES["fan-cycles"]())
+    res1 = solve_cg(system, maxiter=1)[2]
+    x, iters, res, ok = solve_cg(system, maxiter=2)
+    assert not ok and iters == 2
+    assert res <= res1 and res > 1e-12
+    true_res = np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs)
+    assert true_res == pytest.approx(res, rel=1e-8)
+
+
+def test_fan_line_cg_iterations_and_solution():
+    """disk m=50, k=5 (24,801 unknowns): point-Jacobi CG needs 302 iterations."""
+    from certifem.verify import _disk2d, actual_l2_error
+
+    disk = _disk2d()
+    poly = inscribed_regular_polygon(disk.domain, 50)
+    mesh = generate_fan_refined(poly, 5)
+    row = disk_study_row(50, 5, mesh=mesh)
+    assert row.iterations <= 60
+    system = _poisson_system(mesh, disk.f)
+    x, _, _, ok = _jacobi_cg(system)
+    full = np.zeros(mesh.node_count)
+    full[system.interior] = x
+    assert ok
+    assert row.actual == pytest.approx(actual_l2_error(disk, poly, mesh, FemSolution(full, 0, 0.0, True, mesh)), rel=1e-9)

@@ -282,3 +282,17 @@ def test_disk_study_row_builds_each_mesh_quantity_once(monkeypatch):
     with pytest.raises(ValueError):
         em.h[0] = 0.0
     assert em.measures is meshmod._measures(final)
+
+
+def test_nodal_disk_study_row_assembles_mass_once(monkeypatch):
+    from certifem import assemble_mass
+    from certifem import fem as femmod
+
+    meshes = []
+    build = femmod._assemble_mass
+    monkeypatch.setattr(femmod, "_assemble_mass", lambda mesh: meshes.append(mesh) or build(mesh))
+    disk_study_row(30, 3, "nodal")
+    assert len(meshes) == 1
+    mass = assemble_mass(meshes[0])
+    assert len(meshes) == 1
+    assert not any(a.flags.writeable for a in (mass.data, mass.indices, mass.indptr))
