@@ -30,6 +30,7 @@ from .errors import (
     NotNonBluntError,
     StrategyInapplicableError,
 )
+from .fem import poincare_bound
 
 GUARD_PER_OP = 1.0 + 1e-13
 
@@ -55,15 +56,6 @@ def _check_closed_form_coefficients() -> None:
 
 
 _check_closed_form_coefficients()
-
-
-def poincare_bound(dim: int, diameter: float) -> float:
-    """Upper bound D / (sqrt(n) pi) for the Poincare constant."""
-    if dim not in (2, 3):
-        raise ValueError(f"unsupported dimension {dim}")
-    if diameter < 0:
-        raise ValueError("diameter must be nonnegative")
-    return diameter / (math.sqrt(dim) * math.pi)
 
 
 @dataclass(frozen=True)
@@ -94,6 +86,11 @@ def _guard(value: float, ops: int) -> float:
     return value * GUARD_PER_OP**ops
 
 
+def _boundary_term(dom: ConvexDomain, poly: PolyApprox, f: femmod.SourceTerm) -> float:
+    """Guarded domain-truncation term (1/2) D |Omega|^(1/2) delta ||f||_inf."""
+    return _guard(0.5 * dom.diameter * math.sqrt(dom.measure) * poly.gap * f.sup_norm, 4)
+
+
 def _worst_angle_element(mesh: meshmod.SimplicialMesh) -> tuple[int, float]:
     em = meshmod.element_metrics(mesh)
     idx = int(np.argmax(em.max_angle))
@@ -109,13 +106,20 @@ def certify(
     strategy: str = "elementwise",
     rho_convention: str = "radius",
     validate: bool = True,
+    fh: femmod.DiscreteSource | None = None,
 ) -> CertifiedBound:
     """Assemble the certified three-term L2 error bound.
 
-    Raises StrategyInapplicableError when the chosen mesh-wide constant does
-    not apply (naming the worst element for the non-obtuse strategy), and
-    NotInscribedError when the mesh boundary leaves the polytope.
+    `fh` reuses the discrete source of an earlier solve (the second value
+    `solve_poisson` returns); it must have been built on `mesh` from `f` in
+    `fh_mode`, else ValueError.  Raises StrategyInapplicableError when the
+    chosen mesh-wide constant does not apply (naming the worst element for
+    the non-obtuse strategy), and NotInscribedError when the mesh boundary
+    leaves the polytope.
     """
+    # identity, not ==: comparing meshes would compare their arrays
+    if fh is not None and not (fh.mesh is mesh and fh.source is f and fh.mode == fh_mode):
+        raise ValueError("fh was built for another mesh, source or f_h mode")
     if validate:
         meshmod.check_boundary_on_poly(mesh, poly)
     qual = meshmod.quality(mesh)
@@ -132,25 +136,23 @@ def certify(
     constants = icmod.mesh_constants(mesh, qual, rho_convention)
     a_h = constants.value(strategy)
 
-    delta = poly.gap
-    diameter = dom.diameter
-    dom_measure = dom.measure
-    c_p = poincare_bound(mesh.dim, diameter)
+    c_p = poincare_bound(mesh.dim, dom.diameter)
 
-    fh = femmod.build_fh(mesh, f, fh_mode)
+    if fh is None:
+        fh = femmod.build_fh(mesh, f, fh_mode)
     fh_norm = fh.l2_norm()
     pert = femmod.fh_perturbation_bound(mesh, f, fh_mode, qual)
 
-    term_boundary = _guard(0.5 * diameter * math.sqrt(dom_measure) * delta * f.sup_norm, 4)
+    term_boundary = _boundary_term(dom, poly, f)
     term_source = _guard(c_p * c_p * pert, 2)
     term_fem = _guard(a_h * a_h * fh_norm, 2)
     total = term_boundary + term_source + term_fem
 
     metadata = {
         "dim": mesh.dim,
-        "diameter": diameter,
-        "domain_measure": dom_measure,
-        "gap": delta,
+        "diameter": dom.diameter,
+        "domain_measure": dom.measure,
+        "gap": poly.gap,
         "poincare_bound": c_p,
         "strategy": strategy,
         "a_h": a_h,
@@ -197,7 +199,7 @@ def certify_closed_form_2d(
         l2 = fh.l2_norm()
     h = qual.h
     d = dom.diameter
-    term1 = _guard(0.5 * d * math.sqrt(dom.measure) * poly.gap * f.sup_norm, 4)
+    term1 = _boundary_term(dom, poly, f)
     term2 = _guard(CLOSED_FORM_C_L2 * h * h * l2, 3)
     term3 = _guard(CLOSED_FORM_C_POINCARE * d * d * h * h * f.h2_seminorm, 5)
     term4 = _guard(CLOSED_FORM_C_H4 * h**4 * f.h2_seminorm, 3)

@@ -48,14 +48,12 @@ class SourceTerm:
     """Source data plus the norm metadata the certified bounds consume.
 
     `evaluate` must accept an (..., dim) array of points and return (...)
-    values; wrap plain scalar callables with `SourceTerm.from_scalar`.
-    Every stored norm is an upper bound for the true norm over the domain,
-    which keeps the resulting error bounds valid.
+    values.  Every stored norm is an upper bound for the true norm over the
+    domain, which keeps the resulting error bounds valid.
     """
 
     evaluate: Callable
     sup_norm: float
-    gradient: Callable | None = None
     grad_sup_norm: float | None = None
     h2_seminorm: float | None = None
     l2_norm: float | None = None
@@ -70,7 +68,6 @@ class SourceTerm:
         return SourceTerm(
             evaluate=f,
             sup_norm=abs(float(value)),
-            gradient=lambda pts: np.zeros(np.asarray(pts).shape),
             grad_sup_norm=0.0,
             h2_seminorm=0.0,
             name=f"const:{value:g}",
@@ -88,16 +85,9 @@ class SourceTerm:
             pts = np.asarray(pts, dtype=float)
             return 2.0 * math.pi**2 * np.sin(math.pi * pts[..., 0]) * np.sin(math.pi * pts[..., 1])
 
-        def grad(pts):
-            pts = np.asarray(pts, dtype=float)
-            gx = 2.0 * math.pi**3 * np.cos(math.pi * pts[..., 0]) * np.sin(math.pi * pts[..., 1])
-            gy = 2.0 * math.pi**3 * np.sin(math.pi * pts[..., 0]) * np.cos(math.pi * pts[..., 1])
-            return np.stack([gx, gy], axis=-1)
-
         return SourceTerm(
             evaluate=f,
             sup_norm=2.0 * math.pi**2,
-            gradient=grad,
             grad_sup_norm=2.0 * math.pi**3,
             h2_seminorm=2.0 * math.pi**4,
             l2_norm=math.pi**2,
@@ -120,11 +110,6 @@ class SourceTerm:
             x, y = pts[..., 0], pts[..., 1]
             return c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
 
-        def grad(pts):
-            pts = np.asarray(pts, dtype=float)
-            x, y = pts[..., 0], pts[..., 1]
-            return np.stack([c[1] + 2 * c[3] * x + c[4] * y, c[2] + c[4] * x + 2 * c[5] * y], axis=-1)
-
         xmax = max(abs(domain.support(np.array([1.0, 0.0]))), abs(domain.support(np.array([-1.0, 0.0]))))
         ymax = max(abs(domain.support(np.array([0.0, 1.0]))), abs(domain.support(np.array([0.0, -1.0]))))
         sup = abs(c[0]) + abs(c[1]) * xmax + abs(c[2]) * ymax + abs(c[3]) * xmax**2 + abs(c[4]) * xmax * ymax + abs(c[5]) * ymax**2
@@ -134,22 +119,10 @@ class SourceTerm:
         return SourceTerm(
             evaluate=f,
             sup_norm=sup,
-            gradient=grad,
             grad_sup_norm=math.hypot(gx, gy),
             h2_seminorm=h2,
             name="poly:" + ",".join("%g" % x for x in c),
         )
-
-    @staticmethod
-    def from_scalar(func: Callable, sup_norm: float, **kw) -> "SourceTerm":
-        def f(pts):
-            pts = np.asarray(pts, dtype=float)
-            if pts.ndim == 1:
-                return func(pts)
-            flat = pts.reshape(-1, pts.shape[-1])
-            return np.array([func(p) for p in flat]).reshape(pts.shape[:-1])
-
-        return SourceTerm(evaluate=f, sup_norm=sup_norm, **kw)
 
 
 def _check_sup(f: SourceTerm, values: np.ndarray) -> None:
@@ -174,9 +147,8 @@ class DiscreteSource:
         """||f_h|| over the meshed region: exact for barycentric/nodal modes,
         degree-4 quadrature for exact mode."""
         mesh = self.mesh
-        meas = meshmod._measures(mesh)
         if self.mode == "barycentric":
-            return math.sqrt(float((self.element_values**2 * meas).sum()))
+            return math.sqrt(float((self.element_values**2 * meshmod._measures(mesh)).sum()))
         if self.mode == "nodal":
             m_full = assemble_mass(mesh)
             v = self.nodal_values
@@ -184,7 +156,7 @@ class DiscreteSource:
         bary, w = simplex_rule(mesh.dim)
         vals = self.source.evaluate(_quadrature_points(mesh, bary))
         _check_sup(self.source, vals)
-        return math.sqrt(float(((vals**2) @ w * meas).sum()))
+        return _quadrature_l2(mesh, vals, w)
 
 
 def build_fh(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str = "exact") -> DiscreteSource:
@@ -552,9 +524,7 @@ def l2_error_interior(mesh: meshmod.SimplicialMesh, sol: FemSolution, exact: Cal
     bary, w = simplex_rule(mesh.dim)
     u_ex = np.asarray(exact(_quadrature_points(mesh, bary)), dtype=float)
     u_h = np.einsum("qk,mk->mq", bary, sol.nodal_values[mesh.elements])
-    meas = meshmod._measures(mesh)
-    sq = float((((u_ex - u_h) ** 2) @ w * meas).sum())
-    return math.sqrt(max(sq, 0.0))
+    return _quadrature_l2(mesh, u_ex - u_h, w)
 
 
 def fh_error_measured(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str) -> float:
@@ -568,9 +538,13 @@ def fh_error_measured(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str) ->
         fh_vals = fh.element_values[:, None] * np.ones_like(fvals)
     else:
         fh_vals = np.einsum("qk,mk->mq", bary, fh.nodal_values[mesh.elements])
-    meas = meshmod._measures(mesh)
-    sq = float((((fvals - fh_vals) ** 2) @ w * meas).sum())
-    return math.sqrt(max(sq, 0.0))
+    return _quadrature_l2(mesh, fvals - fh_vals, w)
+
+
+def _quadrature_l2(mesh: meshmod.SimplicialMesh, vals: np.ndarray, w: np.ndarray) -> float:
+    """L2 norm by the quadrature rule with weights `w` of (M, q) values at
+    the rule's points."""
+    return math.sqrt(max(float(((vals**2) @ w * meshmod._measures(mesh)).sum()), 0.0))
 
 
 def fh_perturbation_bound(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str, qual=None) -> float:
@@ -591,7 +565,15 @@ def fh_perturbation_bound(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str
     raise ValueError(f"unknown f_h mode {mode!r}")
 
 
+def poincare_bound(dim: int, diameter: float) -> float:
+    """Upper bound D / (sqrt(n) pi) for the Poincare constant."""
+    if dim not in (2, 3):
+        raise ValueError(f"unsupported dimension {dim}")
+    if diameter < 0:
+        raise ValueError("diameter must be nonnegative")
+    return diameter / (math.sqrt(dim) * math.pi)
+
+
 def poincare_residual(mesh: meshmod.SimplicialMesh, sol: FemSolution, diameter: float) -> tuple[float, float]:
     """(||u_h||, C_P-bound * |u_h|_1) with both sides from exact P1 quadrature."""
-    bound = diameter / (math.sqrt(mesh.dim) * math.pi)
-    return fem_l2_norm(mesh, sol), bound * fem_h1_seminorm(mesh, sol)
+    return fem_l2_norm(mesh, sol), poincare_bound(mesh.dim, diameter) * fem_h1_seminorm(mesh, sol)

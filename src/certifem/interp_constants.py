@@ -23,7 +23,13 @@ from .errors import (
     NegativeRadicandError,
     StrategyInapplicableError,
 )
-from .geometry import Simplex, angles, edge_lengths, inradius, measure
+from .geometry import (
+    Simplex,
+    as_batch,
+    edge_cosines,
+    edge_lengths,
+    vertex_metrics,
+)
 from .quadrature import reference_monomial_integral
 
 LIU_COEFF = 0.49293
@@ -54,7 +60,8 @@ class GlobalConstants:
 
     `elementwise` is always at least as sharp as any applicable closed form.
     Closed-form fields are None when their hypothesis fails (e.g. `nonblunt`
-    on a mesh with an obtuse triangle) or the dimension does not match.
+    on a mesh with an obtuse triangle, `minangle` when a needle's smallest
+    angle rounds to 0) or the dimension does not match.
     """
 
     dim: int
@@ -78,13 +85,6 @@ class GlobalConstants:
         return {s: getattr(self, s) for s in STRATEGIES if getattr(self, s) is not None}
 
 
-def _liu_single(alpha: float, beta: float, theta: float) -> float:
-    inner = alpha**4 + 2.0 * alpha**2 * beta**2 * math.cos(2.0 * theta) + beta**4
-    inner = math.sqrt(max(inner, 0.0))
-    radical = math.sqrt((alpha**2 + beta**2 + inner) / 2.0)
-    return LIU_COEFF * (1.0 + abs(math.cos(theta))) / math.sin(theta) * radical
-
-
 def liu_bound(t: Simplex) -> float:
     """Angle-based H1 constant bound, minimized over the three interior angles.
 
@@ -93,39 +93,15 @@ def liu_bound(t: Simplex) -> float:
     """
     if t.dim != 2:
         raise ValueError("liu_bound applies to triangles")
-    ang = angles(t)
-    v = t.vertices
-    best = math.inf
-    for i in range(3):
-        alpha = float(np.linalg.norm(v[(i + 1) % 3] - v[i]))
-        beta = float(np.linalg.norm(v[(i + 2) % 3] - v[i]))
-        best = min(best, _liu_single(alpha, beta, ang[i]))
-    return best
-
-
-def _kobayashi_radicand(a2: float, b2: float, c2: float, s: float) -> float:
-    return (
-        a2 * b2 * c2 / (16.0 * s * s)
-        - (a2 + b2 + c2) / 30.0
-        - (s * s / 5.0) * (1.0 / a2 + 1.0 / b2 + 1.0 / c2)
-    )
-
-
-def _clamp_radicand(rad: float, scale: float) -> float:
-    if rad < -RADICAND_TOL * max(1.0, scale):
-        raise NegativeRadicandError(f"radicand {rad:.3e} negative beyond tolerance")
-    return max(rad, 0.0)
+    return float(_liu_batch(as_batch(t)[2])[0])
 
 
 def kobayashi_bound_2d(t: Simplex) -> float:
     """Edge/area H1 constant bound; never exceeds the circumradius."""
     if t.dim != 2:
         raise ValueError("kobayashi_bound_2d applies to triangles")
-    s = measure(t)
-    lengths = edge_lengths(t)
-    a2, b2, c2 = (ell**2 for ell in lengths)
-    rad = _kobayashi_radicand(a2, b2, c2, s)
-    return math.sqrt(_clamp_radicand(rad, a2))
+    _, meas, edge_sq = as_batch(t)
+    return float(_kobayashi_batch_2d(edge_sq, meas)[0])
 
 
 def kobayashi_bound_3d(t: Simplex, rho_convention: str = "radius") -> float:
@@ -136,12 +112,10 @@ def kobayashi_bound_3d(t: Simplex, rho_convention: str = "radius") -> float:
     """
     if t.dim != 3:
         raise ValueError("kobayashi_bound_3d applies to tetrahedra")
-    rho = _rho(inradius(t), rho_convention)
-    h = edge_lengths(t)[0]
-    return TET_COEFF * h * h / rho
+    return float(_kobayashi_batch_3d(vertex_metrics(*as_batch(t)[:2]), rho_convention)[0])
 
 
-def _rho(inr: float, convention: str) -> float:
+def _rho(inr, convention: str):
     if convention == "radius":
         return inr
     if convention == "diameter":
@@ -150,13 +124,12 @@ def _rho(inr: float, convention: str) -> float:
 
 
 def element_constants(t: Simplex, rho_convention: str = "radius") -> ElementConstants:
-    h = edge_lengths(t)[0]
+    l2 = global_l2_bound(t.dim, edge_lengths(t)[0])
     if t.dim == 2:
-        liu = liu_bound(t)
-        kob = kobayashi_bound_2d(t)
-        return ElementConstants(liu, kob, min(liu, kob), L2_COEFF_2D * h * h)
+        liu, kob = liu_bound(t), kobayashi_bound_2d(t)
+        return ElementConstants(liu, kob, min(liu, kob), l2)
     kob = kobayashi_bound_3d(t, rho_convention)
-    return ElementConstants(None, kob, kob, L2_COEFF_3D * h * h)
+    return ElementConstants(None, kob, kob, l2)
 
 
 def global_l2_bound(dim: int, h: float) -> float:
@@ -194,20 +167,23 @@ def _liu_batch(edge_sq: np.ndarray) -> np.ndarray:
     Column j of edge_sq is the squared length opposite vertex j, so the
     angle at vertex j has adjacent squared lengths in the other columns.
     """
-    lengths = np.sqrt(edge_sq)
-    best = np.full(edge_sq.shape[0], np.inf)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        a2, b2 = edge_sq[:, j], edge_sq[:, k]
-        cos_t = (a2 + b2 - edge_sq[:, i]) / (2.0 * lengths[:, j] * lengths[:, k])
-        cos_t = np.clip(cos_t, -1.0, 1.0)
-        sin_t = np.sqrt(1.0 - cos_t**2)
-        cos_2t = 2.0 * cos_t**2 - 1.0
-        inner = np.sqrt(np.maximum(a2 * a2 + 2.0 * a2 * b2 * cos_2t + b2 * b2, 0.0))
-        radical = np.sqrt((a2 + b2 + inner) / 2.0)
-        val = LIU_COEFF * (1.0 + np.abs(cos_t)) / sin_t * radical
-        best = np.minimum(best, val)
-    return best
+    cos_t = np.clip(edge_cosines(edge_sq), -1.0, 1.0)
+    a2, b2 = edge_sq[:, [1, 2, 0]], edge_sq[:, [2, 0, 1]]
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    cos_2t = 2.0 * cos_t**2 - 1.0
+    inner = np.sqrt(np.maximum(a2 * a2 + 2.0 * a2 * b2 * cos_2t + b2 * b2, 0.0))
+    radical = np.sqrt((a2 + b2 + inner) / 2.0)
+    # a needle can round sin_t to 0: that angle's bound is +inf, not a warning
+    ratio = np.divide(LIU_COEFF * (1.0 + np.abs(cos_t)), sin_t, out=np.full_like(sin_t, np.inf), where=sin_t > 0)
+    return (ratio * radical).min(axis=1)
+
+
+def _clamp_radicand(rad, scale):
+    """`rad` clamped at 0; raises where it is below -RADICAND_TOL * max(1, scale)."""
+    if np.any(rad < -RADICAND_TOL * np.maximum(1.0, scale)):
+        worst = int(np.argmin(rad))
+        raise NegativeRadicandError(f"element {worst}: radicand {np.min(rad):.3e} negative beyond tolerance")
+    return np.maximum(rad, 0.0)
 
 
 def _kobayashi_batch_2d(edge_sq: np.ndarray, area: np.ndarray) -> np.ndarray:
@@ -217,11 +193,11 @@ def _kobayashi_batch_2d(edge_sq: np.ndarray, area: np.ndarray) -> np.ndarray:
         - (a2 + b2 + c2) / 30.0
         - (area * area / 5.0) * (1.0 / a2 + 1.0 / b2 + 1.0 / c2)
     )
-    scale = np.maximum(1.0, edge_sq.max(axis=1))
-    if np.any(rad < -RADICAND_TOL * scale):
-        worst = int(np.argmin(rad))
-        raise NegativeRadicandError(f"element {worst}: radicand {rad[worst]:.3e} negative beyond tolerance")
-    return np.sqrt(np.maximum(rad, 0.0))
+    return np.sqrt(_clamp_radicand(rad, edge_sq.max(axis=1)))
+
+
+def _kobayashi_batch_3d(em: meshmod.ElementMetrics, rho_convention: str) -> np.ndarray:
+    return TET_COEFF * em.h**2 / _rho(em.inradius, rho_convention)
 
 
 def mesh_constants(
@@ -241,18 +217,16 @@ def mesh_constants(
             dim=2,
             elementwise=elementwise,
             circumradius=qual.max_circumradius,
-            minangle=min_angle_global(qual.min_angle, qual.h),
+            minangle=min_angle_global(qual.min_angle, qual.h) if qual.min_angle > 0.0 else None,
             nonblunt=NONBLUNT_COEFF * qual.h if qual.nonblunt else None,
             regularity=None,
             l2_global=global_l2_bound(2, qual.h),
             rho_convention=rho_convention,
         )
-    rho = _rho(em.inradius, rho_convention)
-    kob = TET_COEFF * em.h**2 / rho
-    sigma_conv = float((em.h / rho).max())
+    sigma_conv = float((em.h / _rho(em.inradius, rho_convention)).max())
     return GlobalConstants(
         dim=3,
-        elementwise=float(kob.max()),
+        elementwise=float(_kobayashi_batch_3d(em, rho_convention).max()),
         circumradius=None,
         minangle=None,
         nonblunt=None,

@@ -12,7 +12,7 @@ import contextlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -25,7 +25,16 @@ from .errors import (
     NonConformingMeshError,
     NotInscribedError,
 )
-from .geometry import _FACTORIAL, DEGENERACY_TOL, NONBLUNT_TOL
+from .geometry import (
+    EDGES,
+    FACETS,
+    NONBLUNT_TOL,
+    ElementMetrics,
+    degenerate,
+    signed_measures,
+    squared_edges,
+    vertex_metrics,
+)
 
 
 @dataclass(frozen=True)
@@ -70,34 +79,14 @@ class MeshQuality:
     node_count: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "h": self.h,
-            "max_circumradius": self.max_circumradius,
-            "min_angle": self.min_angle,
-            "sigma": self.sigma,
-            "nonblunt": self.nonblunt,
-            "element_count": self.element_count,
-            "node_count": self.node_count,
-        }
+        return asdict(self)
 
 
 def _all_facets(elements: np.ndarray, dim: int) -> np.ndarray:
     """Facets of every element as sorted index tuples, (M * (dim+1), dim)."""
-    m = elements.shape[0]
-    if dim == 2:
-        idx = [(1, 2), (0, 2), (0, 1)]
-    else:
-        idx = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-    fac = np.concatenate([elements[:, list(i)] for i in idx], axis=0)
+    fac = np.concatenate([elements[:, list(i)] for i in FACETS[dim]], axis=0)
     fac.sort(axis=1)
-    return fac.reshape(m * (dim + 1), dim)
-
-
-def _signed_measures(nodes: np.ndarray, elements: np.ndarray, dim: int) -> np.ndarray:
-    verts = nodes[elements]
-    edges = verts[:, 1:, :] - verts[:, :1, :]
-    return np.linalg.det(edges) / _FACTORIAL[dim]
+    return fac
 
 
 def _unique_rows(rows: np.ndarray, n: int, return_inverse: bool = False) -> tuple:
@@ -140,7 +129,7 @@ def _measures(mesh: SimplicialMesh) -> np.ndarray:
 
 
 def _build_measures(mesh: SimplicialMesh) -> np.ndarray:
-    meas = np.abs(_signed_measures(mesh.nodes, mesh.elements, mesh.dim))
+    meas = np.abs(signed_measures(mesh.element_vertices()))
     meas.setflags(write=False)
     return meas
 
@@ -180,17 +169,16 @@ def build_mesh(dim: int, nodes, elements) -> SimplicialMesh:
         raise MeshParseError("element index out of range")
 
     # Orientation fix: swap the last two vertices of inverted elements.
-    sm = _signed_measures(nd, el, dim)
+    verts = nd[el]
+    sm = signed_measures(verts)
     flip = sm < 0
     if np.any(flip):
         el[flip, -2], el[flip, -1] = el[flip, -1].copy(), el[flip, -2].copy()
-        sm = _signed_measures(nd, el, dim)
-    verts = nd[el]
-    edges = verts[:, 1:, :] - verts[:, :1, :]
-    h = np.sqrt((edges**2).sum(-1)).max(axis=1) if el.size else np.zeros(0)
-    if np.any(sm <= DEGENERACY_TOL * h**dim):
-        bad = int(np.argmin(sm - DEGENERACY_TOL * h**dim))
-        raise InvertedElementError(f"element {bad} has nonpositive measure after orientation fix")
+        verts = nd[el]
+        sm = signed_measures(verts)
+    bad = np.flatnonzero(degenerate(sm, squared_edges(verts), dim))
+    if bad.size:
+        raise InvertedElementError(f"element {bad[0]} has nonpositive measure after orientation fix")
 
     fac = _all_facets(el, dim)
     uniq, counts = _unique_rows(fac, nd.shape[0])
@@ -265,68 +253,13 @@ def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
 # per-element metrics and global quality
 
 
-@dataclass(frozen=True)
-class ElementMetrics:
-    measures: np.ndarray  # (M,)
-    edge_sq: np.ndarray  # (M, 3) squared edge lengths, edge j opposite vertex j (2D); (M, 6) in 3D
-    h: np.ndarray  # (M,) longest edge
-    circumradius: np.ndarray  # (M,)
-    inradius: np.ndarray  # (M,)
-    min_angle: np.ndarray | None  # 2D only
-    max_angle: np.ndarray | None  # 2D only
-
-
 def element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
     """Per-element geometry, computed once per mesh; the arrays are read-only."""
     return _cached(mesh, "metrics", _element_metrics)
 
 
 def _element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
-    verts = mesh.element_vertices()
-    if mesh.dim == 2:
-        a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
-        e0 = ((b - c) ** 2).sum(-1)  # opposite vertex 0
-        e1 = ((a - c) ** 2).sum(-1)
-        e2 = ((a - b) ** 2).sum(-1)
-        edge_sq = np.stack([e0, e1, e2], axis=1)
-        area = _measures(mesh)
-        h = np.sqrt(edge_sq.max(axis=1))
-        lengths = np.sqrt(edge_sq)
-        circum = lengths.prod(axis=1) / (4.0 * area)
-        inr = 2.0 * area / lengths.sum(axis=1)
-        cosines = np.empty_like(edge_sq)
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            cosines[:, i] = (edge_sq[:, j] + edge_sq[:, k] - edge_sq[:, i]) / (
-                2.0 * lengths[:, j] * lengths[:, k]
-            )
-        ang = np.arccos(np.clip(cosines, -1.0, 1.0))
-        return _frozen_metrics(area, edge_sq, h, circum, inr, ang.min(axis=1), ang.max(axis=1))
-
-    vol = _measures(mesh)
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    edge_sq = np.stack([((verts[:, i] - verts[:, j]) ** 2).sum(-1) for i, j in pairs], axis=1)
-    h = np.sqrt(edge_sq.max(axis=1))
-    # circumcenter from the perpendicular-bisector system, batched
-    d = verts[:, 1:, :] - verts[:, :1, :]
-    rhs = np.einsum("mij,mij->mi", d, d)
-    y = np.linalg.solve(2.0 * d, rhs[..., None])[..., 0]
-    circum = np.linalg.norm(y, axis=1)
-    faces = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-    areas = np.zeros(mesh.element_count)
-    for f in faces:
-        u = verts[:, f[1]] - verts[:, f[0]]
-        w = verts[:, f[2]] - verts[:, f[0]]
-        areas += 0.5 * np.linalg.norm(np.cross(u, w), axis=1)
-    inr = 3.0 * vol / areas
-    return _frozen_metrics(vol, edge_sq, h, circum, inr, None, None)
-
-
-def _frozen_metrics(*arrays) -> ElementMetrics:
-    for arr in arrays:
-        if arr is not None:
-            arr.setflags(write=False)
-    return ElementMetrics(*arrays)
+    return vertex_metrics(mesh.element_vertices(), _measures(mesh))
 
 
 def quality(mesh: SimplicialMesh) -> MeshQuality:
@@ -338,12 +271,10 @@ def quality(mesh: SimplicialMesh) -> MeshQuality:
 def _quality(mesh: SimplicialMesh) -> MeshQuality:
     em = element_metrics(mesh)
     sigma = float((em.h / (2.0 * em.inradius)).max())
+    theta0 = nonblunt = None
     if mesh.dim == 2:
         theta0 = float(em.min_angle.min())
         nonblunt = bool((em.max_angle <= math.pi / 2.0 + NONBLUNT_TOL).all())
-    else:
-        theta0 = None
-        nonblunt = None
     return MeshQuality(
         dim=mesh.dim,
         h=float(em.h.max()),
@@ -358,12 +289,8 @@ def _quality(mesh: SimplicialMesh) -> MeshQuality:
 
 def edge_count(mesh: SimplicialMesh) -> int:
     """Unique edges, for Euler-formula style checks."""
-    el = mesh.elements
-    if mesh.dim == 2:
-        pairs = np.concatenate([el[:, [0, 1]], el[:, [1, 2]], el[:, [0, 2]]], axis=0)
-    else:
-        idx = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        pairs = np.concatenate([el[:, list(i)] for i in idx], axis=0)
+    i, j = EDGES[mesh.dim]
+    pairs = np.stack([mesh.elements[:, i], mesh.elements[:, j]], axis=-1).reshape(-1, 2)
     pairs.sort(axis=1)
     return _unique_rows(pairs, mesh.node_count)[0].shape[0]
 

@@ -262,6 +262,13 @@ class DiskStudyRow:
     iterations: int
 
 
+def _check_poincare(mesh: meshmod.SimplicialMesh, sol: femmod.FemSolution, diameter: float, where: str) -> None:
+    """The discrete Poincare inequality must hold for every computed solution."""
+    lhs, rhs = femmod.poincare_residual(mesh, sol, diameter)
+    if lhs > rhs * (1.0 + 1e-10):
+        raise BoundViolationError(f"discrete Poincare inequality violated at {where}: {lhs} > {rhs}")
+
+
 def disk_study_row(
     m: int,
     refine_levels: int | None = None,
@@ -282,20 +289,17 @@ def disk_study_row(
     if mesh is None:
         mesh = meshmod.generate_fan_refined(poly, refine_levels)
     meshmod.check_boundary_on_poly(mesh, poly)
-    sol, _ = femmod.solve_poisson(mesh, exact.f, fh_mode)
+    sol, fh = femmod.solve_poisson(mesh, exact.f, fh_mode)
     if not sol.converged:
         raise CertifemError(f"solver failed to converge at m={m}")
 
-    # discrete Poincare inequality must hold for every computed solution
-    lhs, rhs = femmod.poincare_residual(mesh, sol, dom.diameter)
-    if lhs > rhs * (1.0 + 1e-10):
-        raise BoundViolationError(f"discrete Poincare inequality violated at m={m}: {lhs} > {rhs}")
+    _check_poincare(mesh, sol, dom.diameter, f"m={m}")
 
     qual = meshmod.quality(mesh)
     em = meshmod.element_metrics(mesh)
     a_m = float(icmod._kobayashi_batch_2d(em.edge_sq, em.measures).max())
     predicted = math.sqrt(math.pi) * (a_m * a_m + 2.0 * math.sin(math.pi / (2.0 * m)) ** 2)
-    certified = estmod.certify(dom, poly, mesh, exact.f, fh_mode, strategy, validate=False)
+    certified = estmod.certify(dom, poly, mesh, exact.f, fh_mode, strategy, validate=False, fh=fh)
     actual = actual_l2_error(exact, poly, mesh, sol)
     if actual > predicted:
         raise BoundViolationError(f"m={m}: measured error {actual} exceeds predicted bound {predicted}")
@@ -379,16 +383,10 @@ def structured_square_mesh(n: int) -> meshmod.SimplicialMesh:
     xs = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     nodes = np.stack([xx.ravel(), yy.ravel()], axis=1)
-
-    def nid(i, j):
-        return i * (n + 1) + j
-
-    elements = []
-    for i in range(n):
-        for j in range(n):
-            a, b, c, d = nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)
-            elements.append([a, b, c])
-            elements.append([a, c, d])
+    idx = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)  # node (i, j) of the grid
+    a, b, c, d = idx[:-1, :-1].ravel(), idx[1:, :-1].ravel(), idx[1:, 1:].ravel(), idx[:-1, 1:].ravel()
+    # cell by cell, lower triangle (a, b, c) before upper (a, c, d)
+    elements = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
     return meshmod.build_mesh(2, nodes, elements)
 
 
@@ -422,9 +420,7 @@ def convergence_study(grid_sizes: Sequence[int] = (8, 16, 32), fh_mode: str = "n
         sol, _ = femmod.solve_poisson(mesh, exact.f, fh_mode)
         if not sol.converged:
             raise CertifemError(f"solver failed to converge at n={n}")
-        lhs, rhs = femmod.poincare_residual(mesh, sol, exact.domain.diameter)
-        if lhs > rhs * (1.0 + 1e-10):
-            raise BoundViolationError(f"discrete Poincare inequality violated at n={n}")
+        _check_poincare(mesh, sol, exact.domain.diameter, f"n={n}")
         err = actual_l2_error(exact, poly, mesh, sol)
         bound = estmod.certify_closed_form_2d(exact.domain, poly, mesh, exact.f)
         if err > bound:

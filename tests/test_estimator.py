@@ -10,6 +10,7 @@ from certifem import (
     NotNonBluntError,
     SourceTerm,
     StrategyInapplicableError,
+    build_fh,
     build_mesh,
     certify,
     certify_closed_form_2d,
@@ -18,6 +19,7 @@ from certifem import (
     poincare_bound,
     poly_approx_of_polygon,
     registry,
+    solve_poisson,
     structured_square_mesh,
 )
 from certifem.estimator import (
@@ -225,3 +227,26 @@ def test_certify_3d_regularity():
     assert reg_bound.metadata["rho_convention"] == "radius"
     diam = certify(ball, poly, mesh, f3, "barycentric", "regularity", rho_convention="diameter")
     assert diam.term_fem == pytest.approx(reg_bound.term_fem / 4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["exact", "barycentric", "nodal"])
+def test_certify_reuses_the_solve_fh(mode):
+    poly = inscribed_regular_polygon(DISK.domain, 12)
+    mesh = generate_fan_refined(poly, 2)
+    _, fh = solve_poisson(mesh, DISK.f, mode)
+    with_fh = certify(DISK.domain, poly, mesh, DISK.f, mode, fh=fh)
+    assert with_fh.to_json() == certify(DISK.domain, poly, mesh, DISK.f, mode).to_json()
+
+
+def test_certify_rejects_fh_of_another_problem():
+    poly = inscribed_regular_polygon(DISK.domain, 12)
+    mesh = generate_fan_refined(poly, 1)
+    twin = generate_fan_refined(poly, 1)  # equal arrays, another mesh
+    wrong = [
+        build_fh(twin, DISK.f, "nodal"),
+        build_fh(mesh, SourceTerm.constant(1.0), "nodal"),
+        build_fh(mesh, DISK.f, "barycentric"),
+    ]
+    for fh in wrong:
+        with pytest.raises(ValueError, match="another mesh, source or f_h mode"):
+            certify(DISK.domain, poly, mesh, DISK.f, "nodal", fh=fh)

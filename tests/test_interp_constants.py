@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -251,3 +252,80 @@ def test_corner_apexes_stay_in_region():
     for a, b in nonblunt_corner_apexes():
         assert (a + 0.5) ** 2 + b * b <= 1.0 + 1e-12
         assert a * a + b * b >= 0.25 - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the scalar API is the pipeline kernel on one element
+
+NEEDLE = triangle([0, 0], [1, 0], [0.5, 1e-9])
+
+
+@pytest.mark.filterwarnings("error")
+def test_needle_liu_is_inf_without_warning():
+    """Every angle of this needle rounds Liu's sin(theta) to 0: its Liu bound
+    is +inf, still an upper bound, and Kobayashi's finite value wins."""
+    mesh = build_mesh(2, NEEDLE.vertices, [[0, 1, 2]])
+    gc = mesh_constants(mesh)
+    assert liu_bound(NEEDLE) == math.inf
+    assert _liu_batch(element_metrics(mesh).edge_sq)[0] == math.inf
+    assert gc.elementwise == kobayashi_bound_2d(NEEDLE) == pytest.approx(1.25e8, rel=1e-12)
+    assert element_constants(NEEDLE).h1_best == gc.elementwise
+    assert gc.minangle is None  # the arccos minimum angle rounds to 0
+
+
+def _needle_mesh(rng, count):
+    """`count` disjoint needles of aspect 1e3..1e8, rotated, scaled and translated."""
+    tris = []
+    for _ in range(count):
+        base = 10 ** rng.uniform(-3, 1)
+        apex = [rng.uniform(-0.5, 1.5) * base, base / 10 ** rng.uniform(3, 8)]
+        corners = np.array([[0.0, 0.0], [base, 0.0], apex])
+        tris.append(corners @ random_rotation(rng, 2).T + rng.uniform(-3, 3, 2))
+    nodes = np.vstack(tris)
+    return build_mesh(2, nodes, np.arange(len(nodes)).reshape(-1, 3))
+
+
+def _kuhn_cube(n, rng, jitter=0.1):
+    """n^3 cells of the unit cube, six Kuhn tetrahedra each, interior nodes jittered."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    nodes = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
+    inner = ((nodes > 0.0) & (nodes < 1.0)).all(axis=1)
+    nodes[inner] += (jitter / n) * rng.uniform(-1.0, 1.0, (int(inner.sum()), 3))
+    idx = np.arange((n + 1) ** 3).reshape(n + 1, n + 1, n + 1)
+    elements = []
+    for cell in itertools.product(range(n), repeat=3):
+        for order in itertools.permutations(range(3)):
+            corner = list(cell)
+            path = [idx[tuple(corner)]]
+            for axis in order:
+                corner[axis] += 1
+                path.append(idx[tuple(corner)])
+            elements.append(path)
+    return build_mesh(3, nodes, elements)
+
+
+def test_scalar_constants_equal_pipeline_kernels_bit_for_bit():
+    rng = np.random.default_rng(3)
+    fans = [inscribed_regular_polygon(Disk(1.0), m) for m in range(10, 51, 10)]
+    meshes = [generate_fan_refined(poly, k) for poly in fans for k in range(3)]
+    meshes.append(_needle_mesh(rng, 200))
+    for mesh in meshes:
+        em = element_metrics(mesh)
+        best = np.minimum(_liu_batch(em.edge_sq), _kobayashi_batch_2d(em.edge_sq, em.measures))
+        assert mesh_constants(mesh).elementwise == best.max()
+        scalar = [element_constants(Simplex(v)).h1_best for v in mesh.element_vertices()]
+        np.testing.assert_array_equal(scalar, best)
+
+
+def test_scalar_3d_bounds_equal_pipeline_kernel_bit_for_bit():
+    from certifem import inradius
+    from certifem.interp_constants import _kobayashi_batch_3d
+
+    mesh = _kuhn_cube(3, np.random.default_rng(4))
+    em = element_metrics(mesh)
+    simplices = [Simplex(v) for v in mesh.element_vertices()]
+    np.testing.assert_array_equal([inradius(s) for s in simplices], em.inradius)
+    for conv in ("radius", "diameter"):
+        kernel = _kobayashi_batch_3d(em, conv)
+        np.testing.assert_array_equal([kobayashi_bound_3d(s, conv) for s in simplices], kernel)
+        assert mesh_constants(mesh, rho_convention=conv).elementwise == kernel.max()

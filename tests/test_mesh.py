@@ -30,7 +30,7 @@ from certifem import (
     refine_uniform,
     save,
 )
-from certifem import Ball, ConvexPolygon, Simplex, make_poly_approx
+from certifem import Ball, ConvexPolygon, DegenerateSimplexError, Simplex, make_poly_approx, measure
 from conftest import sample_triangle
 
 UNIT_SQUARE_POLY = poly_approx_of_polygon(ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]]))
@@ -485,3 +485,13 @@ def test_check_boundary_on_poly_matches_facet_loop(case):
     else:
         with pytest.raises(NotInscribedError, match=re.escape(f"mesh boundary facet {first} not contained")):
             check_boundary_on_poly(mesh, poly)
+
+
+def test_build_mesh_and_measure_share_the_degeneracy_test():
+    # The longest edge (1 to 2) does not touch vertex 0, so a test that
+    # measured only the edges at vertex 0 (length 0.5) would accept this sliver.
+    verts = [[0.5, 1e-14], [0.0, 0.0], [1.0, 0.0]]
+    with pytest.raises(DegenerateSimplexError):
+        measure(Simplex(verts))
+    with pytest.raises(InvertedElementError):
+        build_mesh(2, verts, [[0, 1, 2]])

@@ -296,3 +296,19 @@ def test_nodal_disk_study_row_assembles_mass_once(monkeypatch):
     mass = assemble_mass(meshes[0])
     assert len(meshes) == 1
     assert not any(a.flags.writeable for a in (mass.data, mass.indices, mass.indptr))
+
+
+@pytest.mark.parametrize("mode", ["exact", "barycentric", "nodal"])
+def test_disk_study_row_builds_fh_once(monkeypatch, mode):
+    from certifem import fem as femmod
+
+    modes = []
+    build = femmod.build_fh
+
+    def spy(mesh, f, fh_mode="exact"):
+        modes.append(fh_mode)
+        return build(mesh, f, fh_mode)
+
+    monkeypatch.setattr(femmod, "build_fh", spy)
+    disk_study_row(10, 1, mode)
+    assert modes == [mode]
