@@ -25,6 +25,7 @@ from .errors import (
     DegenerateSimplexError,
     InvalidDirectionError,
     InvalidPolygonError,
+    InvalidSourceError,
     InvertedElementError,
     MeshParseError,
     MissingNormMetadata,

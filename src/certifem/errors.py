@@ -45,6 +45,10 @@ class MissingNormMetadata(CertifemError):
     """Source term lacks the norm required by the chosen bound."""
 
 
+class InvalidSourceError(CertifemError):
+    """Source-term coefficients are not finite numbers."""
+
+
 class SupNormViolationError(CertifemError):
     """Source term exceeded its declared sup norm at a quadrature point."""
 

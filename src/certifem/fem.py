@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import mesh as meshmod
-from .errors import CertifemError, MissingNormMetadata, SupNormViolationError
+from .errors import CertifemError, InvalidSourceError, MissingNormMetadata, SupNormViolationError
 from .interp_constants import global_l2_bound
 from .quadrature import simplex_rule
 
@@ -61,6 +61,8 @@ class SourceTerm:
 
     @staticmethod
     def constant(value: float, dim: int = 2) -> "SourceTerm":
+        _check_finite("constant source", [value])
+
         def f(pts):
             pts = np.asarray(pts, dtype=float)
             return np.full(pts.shape[:-1], float(value))
@@ -104,6 +106,7 @@ class SourceTerm:
         c = [float(x) for x in coeffs]
         if len(c) != 6:
             raise ValueError("quadratic source needs 6 coefficients")
+        _check_finite("quadratic source", c)
 
         def f(pts):
             pts = np.asarray(pts, dtype=float)
@@ -125,9 +128,16 @@ class SourceTerm:
         )
 
 
+def _check_finite(what: str, coeffs) -> None:
+    bad = [x for x in coeffs if not math.isfinite(float(x))]
+    if bad:
+        raise InvalidSourceError(f"{what} needs finite coefficients, got {bad[0]}")
+
+
 def _check_sup(f: SourceTerm, values: np.ndarray) -> None:
     worst = float(np.abs(values).max(initial=0.0))
-    if worst > f.sup_norm + SUP_SLACK:
+    # NaN compares false with everything, so it is caught as not finite
+    if not math.isfinite(worst) or worst > f.sup_norm + SUP_SLACK:
         raise SupNormViolationError(
             f"source exceeded declared sup norm: |f| reached {worst:.6g} > {f.sup_norm:.6g}"
         )
@@ -142,6 +152,9 @@ class DiscreteSource:
     source: SourceTerm
     element_values: np.ndarray | None = None  # barycentric mode
     nodal_values: np.ndarray | None = None  # nodal mode
+    # exact mode: the quadrature ||f||, stored by `assemble_load`, which
+    # evaluates f at the same points
+    quadrature_l2: float | None = field(default=None, repr=False)
 
     def l2_norm(self) -> float:
         """||f_h|| over the meshed region: exact for barycentric/nodal modes,
@@ -153,10 +166,12 @@ class DiscreteSource:
             m_full = assemble_mass(mesh)
             v = self.nodal_values
             return math.sqrt(max(float(v @ (m_full @ v)), 0.0))
-        bary, w = simplex_rule(mesh.dim)
-        vals = self.source.evaluate(_quadrature_points(mesh, bary))
-        _check_sup(self.source, vals)
-        return _quadrature_l2(mesh, vals, w)
+        if self.quadrature_l2 is None:
+            bary, w = simplex_rule(mesh.dim)
+            vals = self.source.evaluate(_quadrature_points(mesh, bary))
+            _check_sup(self.source, vals)
+            self.quadrature_l2 = _quadrature_l2(mesh, vals, w)
+        return self.quadrature_l2
 
 
 def build_fh(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str = "exact") -> DiscreteSource:
@@ -200,16 +215,31 @@ def _quadrature_points(mesh: meshmod.SimplicialMesh, bary: np.ndarray) -> np.nda
 
 
 def _gradients(mesh: meshmod.SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Physical P1 basis gradients per element: (M, dim, dim+1) and measures."""
+    """Physical P1 basis gradients per element: (M, dim, dim+1) and measures.
+
+    The rows of B are the edge vectors e_i = corner_i - corner_0, so grad
+    lambda_i (i >= 1) is column i-1 of B^{-1} = adj(B) / det(B), and grad
+    lambda_0 is minus their sum.  det(B) = dim! |T| from the cached
+    measures (exact in 2D, where the factor is 2); `build_mesh` orients
+    every element positively, and a wrong sign would flip all gradients of
+    an element, which its stiffness block g g^T does not see.
+    """
     verts = mesh.element_vertices()
     n = mesh.dim
-    b = verts[:, 1:, :] - verts[:, :1, :]  # rows are edge vectors
-    ref = np.zeros((n, n + 1))
-    ref[:, 0] = -1.0
-    ref[:, 1:] = np.eye(n)
-    rhs = np.broadcast_to(ref, (mesh.element_count, n, n + 1))
-    grads = np.linalg.solve(b, rhs)  # grad of lambda_i in column i
-    return grads, meshmod._measures(mesh)
+    e = verts[:, 1:, :] - verts[:, :1, :]
+    meas = meshmod._measures(mesh)
+    det = math.factorial(n) * meas
+    grads = np.empty((mesh.element_count, n, n + 1))
+    if n == 2:
+        # adj(B) = [[d, -b], [-c, a]] for B = [[a, b], [c, d]]
+        (a, b), (c, d) = e[:, 0].T, e[:, 1].T
+        adj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
+    else:
+        # column j of adj(B) is the cross product of the other two edges
+        adj = np.stack([np.cross(e[:, 1], e[:, 2]), np.cross(e[:, 2], e[:, 0]), np.cross(e[:, 0], e[:, 1])], axis=2)
+    np.divide(adj, det[:, None, None], out=grads[:, :, 1:])
+    np.negative(grads[:, :, 1:].sum(axis=2), out=grads[:, :, 0])
+    return grads, meas
 
 
 def assemble_stiffness(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
@@ -267,7 +297,8 @@ def assemble_load(mesh: meshmod.SimplicialMesh, fh: DiscreteSource) -> np.ndarra
     """Load vector over all nodes for the given discrete source.
 
     Barycentric and nodal modes integrate exactly; exact mode uses the
-    degree-4 rule.
+    degree-4 rule, and stores the same rule's ||f|| on `fh` for
+    `fh.l2_norm`, so f is evaluated once per solve.
     """
     n = mesh.dim
     meas = meshmod._measures(mesh)
@@ -282,6 +313,8 @@ def assemble_load(mesh: meshmod.SimplicialMesh, fh: DiscreteSource) -> np.ndarra
     bary, w = simplex_rule(n)
     vals = np.asarray(fh.source.evaluate(_quadrature_points(mesh, bary)), dtype=float)
     _check_sup(fh.source, vals)
+    if fh.mesh is mesh:
+        fh.quadrature_l2 = _quadrature_l2(mesh, vals, w)
     contrib = np.einsum("mq,q,qk->mk", vals, w, bary) * meas[:, None]
     for j in range(n + 1):
         np.add.at(b, mesh.elements[:, j], contrib[:, j])

@@ -218,23 +218,34 @@ def generate_fan_refined(poly: PolyApprox, refine_levels: int = 0) -> Simplicial
     nodes = np.vstack([centroid[None, :], v])
     elements = np.array([[0, 1 + i, 1 + (i + 1) % m] for i in range(m)], dtype=np.int64)
     mesh = build_mesh(2, nodes, elements)
+    if refine_levels == 0:
+        return mesh
+    # Children keep their parent's orientation and every facet stays shared
+    # by at most two of them, so the levels in between need no validation:
+    # the last level is validated once, in full.
+    nodes, elements = mesh.nodes, mesh.elements
     for _ in range(refine_levels):
-        mesh = refine_uniform(mesh)
-    return mesh
+        nodes, elements = _refine(nodes, elements)
+    return build_mesh(2, nodes, elements)
 
 
 def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
     """Edge-midpoint refinement: every triangle into four similar children."""
     if mesh.dim != 2:
         raise NotImplementedError("uniform refinement implemented for 2D meshes")
-    el = mesh.elements
+    return build_mesh(2, *_refine(mesh.nodes, mesh.elements))
+
+
+def _refine(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and elements of the edge-midpoint refinement of a triangle mesh,
+    unvalidated: the midpoints follow the old nodes, and each child keeps its
+    parent's orientation."""
+    el = elements
     pairs = np.concatenate([el[:, [0, 1]], el[:, [1, 2]], el[:, [0, 2]]], axis=0)
     pairs.sort(axis=1)
-    uniq, inverse, _ = _unique_rows(pairs, mesh.node_count, return_inverse=True)
-    mid = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
-    offset = mesh.node_count
-    mid_idx = inverse.reshape(3, -1).T + offset  # columns: m01, m12, m02
-    nodes = np.vstack([mesh.nodes, mid])
+    uniq, inverse, _ = _unique_rows(pairs, nodes.shape[0], return_inverse=True)
+    mid = 0.5 * (nodes[uniq[:, 0]] + nodes[uniq[:, 1]])
+    mid_idx = inverse.reshape(3, -1).T + nodes.shape[0]  # columns: m01, m12, m02
     a, b, c = el[:, 0], el[:, 1], el[:, 2]
     m01, m12, m02 = mid_idx[:, 0], mid_idx[:, 1], mid_idx[:, 2]
     children = np.concatenate(
@@ -246,7 +257,7 @@ def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
         ],
         axis=0,
     )
-    return build_mesh(2, nodes, children)
+    return np.vstack([nodes, mid]), children
 
 
 # ---------------------------------------------------------------------------

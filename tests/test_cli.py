@@ -49,6 +49,14 @@ def test_mesh_io_error_codes(tmp_path):
     assert run_cli("mesh", "stats", "--mesh", str(bad)) == 1
 
 
+@pytest.mark.parametrize("spec", ["const:nan", "const:inf", "poly:nan,0,0,0,0,0"])
+def test_certify_non_finite_source_exits_2(tmp_path, spec):
+    report = tmp_path / "report.json"
+    rc = run_cli("certify", "--domain", "disk", "--generate", "10,1", "--f", spec, "--out", str(report))
+    assert rc == 2
+    assert not report.exists()
+
+
 def test_certify_disk_exact_mode(tmp_path):
     report = str(tmp_path / "report.json")
     rc = run_cli(

@@ -7,10 +7,12 @@ import pytest
 import scipy.sparse as sp
 
 from certifem import fem
+from certifem import mesh as meshmod
 from certifem import (
     ConvexPolygon,
     Disk,
     FemSolution,
+    InvalidSourceError,
     LinearSystem,
     MissingNormMetadata,
     SourceTerm,
@@ -284,6 +286,50 @@ def test_sup_norm_runtime_check():
         assemble_load(mesh, build_fh(mesh, lying, "exact"))
 
 
+def test_check_sup_rejects_nan_and_inf():
+    f = SourceTerm.constant(1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(SupNormViolationError):
+            fem._check_sup(f, np.array([[0.5, bad], [1.0, 0.0]]))
+    fem._check_sup(f, np.array([[0.5, -1.0]]))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sources_reject_non_finite_coefficients(value):
+    dom = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+    with pytest.raises(InvalidSourceError):
+        SourceTerm.constant(value)
+    with pytest.raises(InvalidSourceError):
+        SourceTerm.quadratic([1.0, 0.0, 0.0, value, 0.0, 0.0], dom)
+
+
+def test_exact_source_is_evaluated_once_per_solve(monkeypatch):
+    """`assemble_load` stores the quadrature ||f||, so an exact-mode row runs
+    the quadrature points twice (load, measured error), not three times."""
+    calls = []
+    points = fem._quadrature_points
+    monkeypatch.setattr(fem, "_quadrature_points", lambda *a: calls.append(1) or points(*a))
+    disk_study_row(30, 3)
+    assert len(calls) == 2
+
+    mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 30), 3)
+    f = SourceTerm(evaluate=lambda p: np.cos(np.asarray(p)[..., 0]), sup_norm=1.0)
+    fh = build_fh(mesh, f, "exact")
+    assemble_load(mesh, fh)
+    calls.clear()
+    stored = fh.l2_norm()
+    assert not calls
+    fresh = build_fh(mesh, f, "exact").l2_norm()
+    assert len(calls) == 1
+    assert stored == fresh
+
+    lying = build_fh(mesh, SourceTerm(evaluate=f.evaluate, sup_norm=0.5), "exact")
+    with pytest.raises(SupNormViolationError):
+        assemble_load(mesh, lying)
+    with pytest.raises(SupNormViolationError):
+        lying.l2_norm()
+
+
 def test_3d_mass_and_stiffness():
     mesh = build_mesh(3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2, 3]])
     m = assemble_mass(mesh)
@@ -344,6 +390,67 @@ def test_stiffness_blocks_match_einsum(name):
     got, ref = fem._assemble_stiffness(mesh), _einsum_stiffness(mesh)
     assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.data, ref.data)
+
+
+def _solved_gradients(mesh):
+    """The P1 gradients by a batched LAPACK solve of B G = [-1 | I]."""
+    n = mesh.dim
+    verts = mesh.element_vertices()
+    b = verts[:, 1:, :] - verts[:, :1, :]
+    ref = np.hstack([-np.ones((n, 1)), np.eye(n)])
+    return np.linalg.solve(b, np.broadcast_to(ref, (mesh.element_count, n, n + 1)))
+
+
+def _needles(dim, count, seed):
+    """`count` disjoint elements of aspect 1..1e8: thin in one direction,
+    then rotated, scaled by 1e-3..10 and translated by up to 3."""
+    rng = np.random.default_rng(seed)
+    thin = 10.0 ** -rng.uniform(0.0, 8.0, count)
+    local = np.zeros((count, dim + 1, dim))
+    local[:, 1, 0] = 1.0
+    local[:, 2, 0] = rng.uniform(0.0, 1.0, count)
+    local[:, 2, 1] = thin
+    if dim == 3:
+        local[:, 3] = np.stack([rng.uniform(0.0, 1.0, count), rng.uniform(-1.0, 1.0, count) * thin, np.ones(count)], 1)
+    rot = np.linalg.qr(rng.normal(size=(count, dim, dim)))[0]
+    scale = 10.0 ** rng.uniform(-3.0, 1.0, count)
+    shift = rng.uniform(-3.0, 3.0, (count, 1, dim))
+    verts = scale[:, None, None] * np.einsum("mkd,med->mke", local, rot) + shift
+    return build_mesh(dim, verts.reshape(-1, dim), np.arange(count * (dim + 1)).reshape(count, dim + 1))
+
+
+GRADIENT_MESHES = {
+    **KERNEL_MESHES,
+    "needles-2d": lambda: _needles(2, 2000, seed=11),
+    "needles-3d": lambda: _needles(3, 2000, seed=12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENT_MESHES))
+def test_closed_form_gradients_match_lapack_solve(name):
+    """Per element, the closed-form gradients agree with a LAPACK solve to
+    1e-13 of the largest entry.  (On a needle thin in two directions the
+    solve and the closed form are both up to ~3e-13 from the exact inverse,
+    so there the solve is no reference.)"""
+    mesh = GRADIENT_MESHES[name]()
+    grads, meas = fem._gradients(mesh)
+    ref = _solved_gradients(mesh)
+    assert grads.shape == ref.shape == (mesh.element_count, mesh.dim, mesh.dim + 1)
+    scale = np.abs(ref).max(axis=(1, 2))
+    assert np.all(np.abs(grads - ref).max(axis=(1, 2)) <= 1e-13 * scale)
+    assert meas is meshmod._measures(mesh)
+    # every local stiffness row sums to ~0: constants lie in its kernel
+    local = np.einsum("mki,mkj->mij", grads, grads) * meas[:, None, None]
+    assert np.all(np.abs(local.sum(axis=2)) <= 1e-14 * np.abs(local).max(axis=(1, 2))[:, None])
+
+
+def test_gradients_use_no_linear_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for name in ("fan-one-block", "jittered-kuhn-cube"):
+        fem._gradients(KERNEL_MESHES[name]())
 
 
 @pytest.mark.parametrize("name", ["jittered-square", "jittered-kuhn-cube"])

@@ -134,6 +134,34 @@ def test_refinement_preserves_polygon_and_gap():
     assert delta == pytest.approx(1 - math.cos(math.pi / 10), rel=1e-13)
 
 
+@pytest.mark.parametrize("m", [3, 7, 50])
+def test_generated_fan_is_validated_once_and_matches_refine_chain(monkeypatch, m):
+    """The generator validates the fan and the final level only, and gives
+    the same mesh, bit for bit, as validating every level."""
+    from certifem import mesh as meshmod
+
+    poly = inscribed_regular_polygon(Disk(1.0), m)
+    v = poly.vertices
+    fan_nodes = np.vstack([v.mean(axis=0)[None, :], v])
+    fan_elements = [[0, 1 + i, 1 + (i + 1) % m] for i in range(m)]
+    calls = []
+    build = meshmod.build_mesh
+    for k in range(5):
+        chain = build_mesh(2, fan_nodes, fan_elements)
+        for _ in range(k):
+            chain = refine_uniform(chain)
+        calls.clear()
+        monkeypatch.setattr(meshmod, "build_mesh", lambda *a: calls.append(1) or build(*a))
+        got = generate_fan_refined(poly, k)
+        monkeypatch.setattr(meshmod, "build_mesh", build)
+        assert len(calls) == (2 if k else 1)
+        for name in ("nodes", "elements", "boundary_facets", "boundary_nodes"):
+            a, b = getattr(got, name), getattr(chain, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert not a.flags.writeable
+        assert np.array_equal(meshmod._measures(got), meshmod._measures(chain))
+
+
 def test_euler_formula():
     for m, k in ((6, 0), (9, 1), (12, 2)):
         mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), m), k)
