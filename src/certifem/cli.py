@@ -86,8 +86,8 @@ def _domain_poly_mesh(args):
     elif args.mesh:
         mesh = meshmod.load(args.mesh)
         if isinstance(domain, Disk):
-            raise CertifemError("loading a mesh for a disk domain needs --generate to fix the polygon; "
-                                "use certifem disk-study --mesh for the m-gon pipeline")
+            raise CertifemError("a disk domain needs --generate m,refine to fix its polygon; to check an "
+                                "external m-gon mesh, call certifem.verify.disk_study_row(m, mesh=...)")
         poly = poly_approx_of_polygon(domain)
     else:
         raise CertifemError("need either --generate or --mesh")
@@ -119,19 +119,15 @@ def cmd_mesh(args) -> int:
         return EXIT_OK
     if args.mesh_cmd == "convert":
         mesh = meshmod.load(getattr(args, "in"), args.in_format)
-        meshmod.save(mesh, args.out, args.out_format or _format_of(args.out))
+        meshmod.save(mesh, args.out, args.out_format)
         return EXIT_OK
     raise CertifemError(f"unknown mesh subcommand {args.mesh_cmd!r}")
-
-
-def _format_of(path: str) -> str:
-    return "node_ele" if path.endswith((".node", ".ele")) else "json"
 
 
 def cmd_certify(args) -> int:
     domain, poly, mesh = _domain_poly_mesh(args)
     source = _parse_source(args.f, domain)
-    bound = estmod.certify(domain, poly, mesh, source, args.fh_mode, args.strategy, args.rho_convention)
+    bound = estmod.certify(domain, poly, mesh, source, args.fh_mode, args.strategy)
     _write_or_print(bound.to_json(), args.out)
     return EXIT_OK
 
@@ -157,9 +153,7 @@ def cmd_verify(args) -> int:
                 for lv in report.levels
             ],
         }
-        _write_or_print(json.dumps(payload, sort_keys=True), args.out)
-        return EXIT_OK
-    if args.exact == "disk2d":
+    else:  # disk2d, the registry's other entry
         row = vermod.disk_study_row(args.m, args.refine)
         payload = {
             "exact": "disk2d",
@@ -169,9 +163,8 @@ def cmd_verify(args) -> int:
             "certified": row.certified.total,
             "ratio": row.predicted / row.actual,
         }
-        _write_or_print(json.dumps(payload, sort_keys=True), args.out)
-        return EXIT_OK
-    raise CertifemError(f"no verification pipeline for {args.exact!r}")
+    _write_or_print(json.dumps(payload, sort_keys=True), args.out)
+    return EXIT_OK
 
 
 def cmd_disk_study(args) -> int:
@@ -229,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--f", default="const:1", help="const:C | sinsin | poly:c0,...,c5")
     p_cert.add_argument("--fh-mode", dest="fh_mode", default="exact", choices=femmod.FH_MODES)
     p_cert.add_argument("--strategy", default="elementwise")
-    p_cert.add_argument("--rho-convention", dest="rho_convention", default="radius", choices=("radius", "diameter"))
     p_cert.add_argument("--out", default=None)
 
     p_ver = sub.add_parser("verify", help="measured error against certified bounds")

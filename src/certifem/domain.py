@@ -31,7 +31,6 @@ class ConvexDomain:
     accepted because certified bounds need exact geometric data.
     """
 
-    kind: str
     dim: int
     diameter: float
     measure: float
@@ -58,45 +57,21 @@ class ConvexDomain:
         raise NotImplementedError
 
 
-class Disk(ConvexDomain):
-    kind = "disk"
-    dim = 2
-
-    def __init__(self, radius: float, center=(0.0, 0.0)) -> None:
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
-        self.center = np.array(center, dtype=float)
-        self.diameter = 2.0 * self.radius
-        self.measure = math.pi * self.radius**2
-
-    def _support_unit(self, d: np.ndarray) -> float:
-        return self.radius + float(np.dot(d, self.center))
-
-    def contains(self, points, tol: float = 1e-12):
-        p = np.asarray(points, dtype=float)
-        r = np.linalg.norm(p - self.center, axis=-1)
-        return r <= self.radius + tol
-
-    def boundary_point(self, t: float) -> np.ndarray:
-        a = 2.0 * math.pi * t
-        return self.center + self.radius * np.array([math.cos(a), math.sin(a)])
-
-    def boundary_distance(self, point) -> float:
-        return abs(self.radius - float(np.linalg.norm(np.asarray(point, float) - self.center)))
-
-
 class Ball(ConvexDomain):
-    kind = "ball"
+    """Euclidean ball of `dim` dimensions; `Disk` is its 2D case."""
+
     dim = 3
 
-    def __init__(self, radius: float, center=(0.0, 0.0, 0.0)) -> None:
+    def __init__(self, radius: float, center=None) -> None:
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
-        self.center = np.array(center, dtype=float)
+        self.center = np.zeros(self.dim) if center is None else np.array(center, dtype=float)
         self.diameter = 2.0 * self.radius
-        self.measure = 4.0 / 3.0 * math.pi * self.radius**3
+
+    @property
+    def measure(self) -> float:
+        return 4.0 / 3.0 * math.pi * self.radius**3
 
     def _support_unit(self, d: np.ndarray) -> float:
         return self.radius + float(np.dot(d, self.center))
@@ -117,8 +92,19 @@ class Ball(ConvexDomain):
         return abs(self.radius - float(np.linalg.norm(np.asarray(point, float) - self.center)))
 
 
+class Disk(Ball):
+    dim = 2
+
+    @property
+    def measure(self) -> float:
+        return math.pi * self.radius**2
+
+    def boundary_point(self, t: float) -> np.ndarray:
+        a = 2.0 * math.pi * t
+        return self.center + self.radius * np.array([math.cos(a), math.sin(a)])
+
+
 class ConvexPolygon(ConvexDomain):
-    kind = "polygon"
     dim = 2
 
     def __init__(self, vertices) -> None:

@@ -78,7 +78,7 @@ class CertifiedBound:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
 def _guard(value: float, ops: int) -> float:
@@ -105,7 +105,6 @@ def certify(
     fh_mode: str = "exact",
     strategy: str = "elementwise",
     rho_convention: str = "radius",
-    validate: bool = True,
     fh: femmod.DiscreteSource | None = None,
 ) -> CertifiedBound:
     """Assemble the certified three-term L2 error bound.
@@ -114,14 +113,13 @@ def certify(
     `solve_poisson` returns); it must have been built on `mesh` from `f` in
     `fh_mode`, else ValueError.  Raises StrategyInapplicableError when the
     chosen mesh-wide constant does not apply (naming the worst element for
-    the non-obtuse strategy), and NotInscribedError when the mesh boundary
-    leaves the polytope.
+    the non-obtuse strategy), NotInscribedError when the mesh boundary
+    leaves the polytope, and CertifemError when the bound overflows.
     """
     # identity, not ==: comparing meshes would compare their arrays
     if fh is not None and not (fh.mesh is mesh and fh.source is f and fh.mode == fh_mode):
         raise ValueError("fh was built for another mesh, source or f_h mode")
-    if validate:
-        meshmod.check_boundary_on_poly(mesh, poly)
+    meshmod.check_boundary_on_poly(mesh, poly)
     qual = meshmod.quality(mesh)
     if strategy == "nonblunt" and mesh.dim == 2 and not qual.nonblunt:
         idx, ang = _worst_angle_element(mesh)
@@ -140,13 +138,20 @@ def certify(
 
     if fh is None:
         fh = femmod.build_fh(mesh, f, fh_mode)
-    fh_norm = fh.l2_norm()
+    # a huge source overflows ||f_h|| to inf, which the check below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        fh_norm = fh.l2_norm()
     pert = femmod.fh_perturbation_bound(mesh, f, fh_mode, qual)
 
     term_boundary = _boundary_term(dom, poly, f)
     term_source = _guard(c_p * c_p * pert, 2)
     term_fem = _guard(a_h * a_h * fh_norm, 2)
     total = term_boundary + term_source + term_fem
+    # the terms are nonnegative, so the total is finite exactly when each is
+    if not math.isfinite(total):
+        raise CertifemError(
+            f"certified bound is not finite: boundary {term_boundary}, source {term_source}, fem {term_fem}"
+        )
 
     metadata = {
         "dim": mesh.dim,

@@ -429,13 +429,12 @@ def _line_jacobi(a_mat: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray], Non
     starts = np.flatnonzero(np.r_[True, line_label[1:] != line_label[:-1]])
     stops = np.r_[starts[1:], order.size]
 
-    key = i.astype(np.int64) * n + j
-    sort = np.argsort(key)
-    key, link_value = key[sort], a[sort]
-
     def value(u, v):
-        lo, hi = np.minimum(u, v).astype(np.int64), np.maximum(u, v)
-        return link_value[np.searchsorted(key, lo * n + hi)]
+        # a kept link's value is A's upper-triangle entry, as `_line_links`
+        # read it; scipy returns no value array for empty index arrays
+        if not u.size:
+            return np.zeros(0)
+        return np.asarray(a_mat[np.minimum(u, v), np.maximum(u, v)]).ravel()
 
     d = diag[order]
     e = np.zeros(order.size - 1)

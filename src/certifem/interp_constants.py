@@ -197,7 +197,9 @@ def _kobayashi_batch_2d(edge_sq: np.ndarray, area: np.ndarray) -> np.ndarray:
 
 
 def _kobayashi_batch_3d(em: meshmod.ElementMetrics, rho_convention: str) -> np.ndarray:
-    return TET_COEFF * em.h**2 / _rho(em.inradius, rho_convention)
+    # (h / rho) * h, not h**2 / rho: rounded products are monotone, so the
+    # closed form TET_COEFF * max(h / rho) * max(h) dominates every element
+    return TET_COEFF * (em.h / _rho(em.inradius, rho_convention)) * em.h
 
 
 def mesh_constants(

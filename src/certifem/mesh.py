@@ -308,6 +308,8 @@ def edge_count(mesh: SimplicialMesh) -> int:
 
 def check_boundary_on_poly(mesh: SimplicialMesh, poly: PolyApprox, tol: float = 1e-10) -> None:
     """Every boundary facet of the mesh must lie inside some facet of `poly`."""
+    if mesh.dim != poly.dim:
+        raise NotInscribedError(f"a {mesh.dim}D mesh cannot lie in a {poly.dim}D polytope")
     normals = poly.facet_normals
     offsets = np.einsum("fd,fd->f", normals, poly.facet_barycenters)
     bnodes = mesh.boundary_nodes

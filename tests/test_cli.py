@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -55,6 +56,49 @@ def test_certify_non_finite_source_exits_2(tmp_path, spec):
     rc = run_cli("certify", "--domain", "disk", "--generate", "10,1", "--f", spec, "--out", str(report))
     assert rc == 2
     assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, mode",
+    [("const:1e308", "exact"), ("const:1e200", "exact"), ("const:1e308", "barycentric"), ("const:1e308", "nodal")],
+)
+def test_certify_overflowing_source_exits_2(tmp_path, capsys, spec, mode):
+    report = tmp_path / "report.json"
+    rc = run_cli("certify", "--domain", "disk:1", "--generate", "10,1", "--f", spec, "--fh-mode", mode, "--out", str(report))
+    assert rc == 2
+    assert not report.exists()
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_certify_large_finite_source_certifies(tmp_path):
+    report = tmp_path / "report.json"
+    assert run_cli("certify", "--domain", "disk:1", "--generate", "10,1", "--f", "const:1e150", "--out", str(report)) == 0
+    total = json.loads(report.read_text())["total"]
+    assert 1e149 < total < 1e150
+
+
+def test_certify_disk_with_mesh_names_only_existing_options(tmp_path, capsys):
+    from certifem import mesh as meshmod
+
+    mesh_path = str(tmp_path / "m.json")
+    meshmod.save(meshmod.build_mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]]), mesh_path)
+    assert run_cli("certify", "--domain", "disk:1", "--mesh", mesh_path) == 2
+    err = capsys.readouterr().err
+    assert "disk_study_row" in err
+    for opt in re.findall(r"--[a-z][a-z-]*", err):
+        cli.build_parser().parse_args(["certify", "--domain", "disk:1", opt, "10,1"])  # unknown: SystemExit
+
+
+def test_certify_3d_mesh_on_polygon_names_both_dimensions(tmp_path, capsys):
+    from certifem import mesh as meshmod
+
+    poly_path = str(tmp_path / "sq.json")
+    json.dump({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, open(poly_path, "w"))
+    mesh_path = str(tmp_path / "tet.node")
+    meshmod.save(meshmod.build_mesh(3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2, 3]]), mesh_path)
+    assert run_cli("certify", "--domain", f"polygon:{poly_path}", "--mesh", mesh_path) == 2
+    err = capsys.readouterr().err
+    assert "3D mesh" in err and "2D polytope" in err
 
 
 def test_certify_disk_exact_mode(tmp_path):
@@ -131,6 +175,24 @@ def test_disk_study_csv(tmp_path, capsys):
         assert float(fields[5]) > 1.0  # predicted always above actual
     err = capsys.readouterr().err
     assert "reference(delaunay)" in err
+
+
+def test_disk_study_refine_override_json(tmp_path, capsys):
+    out = tmp_path / "rows.json"
+    assert run_cli("disk-study", "--m", "10,20", "--refine", "1", "--json", str(out)) == 0
+    rows = json.loads(out.read_text())
+    assert [row["m"] for row in rows] == [10, 20]
+    assert [row["refine_levels"] for row in rows] == [1, 1]
+    assert capsys.readouterr().out == ""  # with --json, no CSV on stdout
+
+
+@pytest.mark.parametrize("raw, threads", [(None, 1), ("", 1), ("abc", 1), ("0", 1), ("-3", 1), ("2", 2)])
+def test_threads_from_environment(monkeypatch, raw, threads):
+    if raw is None:
+        monkeypatch.delenv("CERTIFEM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("CERTIFEM_THREADS", raw)
+    assert cli._threads() == threads
 
 
 def test_reports_byte_identical(tmp_path):

@@ -362,6 +362,17 @@ def _jittered_kuhn_cube(n, seed):
     return build_mesh(3, nodes, cube.elements)
 
 
+def test_3d_regularity_dominates_elementwise_bit_for_bit():
+    from certifem import mesh_constants
+
+    for n in (2, 3, 4):
+        for seed in range(60):
+            mesh = _jittered_kuhn_cube(n, seed)
+            for conv in ("radius", "diameter"):
+                gc = mesh_constants(mesh, rho_convention=conv)
+                assert gc.regularity >= gc.elementwise, (n, seed, conv)
+
+
 KERNEL_MESHES = {
     "fan-one-block": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 7), 2),
     "fan-partial-block": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 50), 5),

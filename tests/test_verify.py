@@ -47,11 +47,10 @@ def segment_quadrature_oracle(m: int, n_theta: int = 120, n_r: int = 24) -> floa
 
 def test_registry_contents():
     reg = registry()
-    assert set(reg) >= {"disk2d", "ball3d", "square2d"}
+    assert set(reg) >= {"disk2d", "square2d"}
     assert reg["disk2d"].u_l2_norm == pytest.approx(math.sqrt(math.pi / 48.0), rel=1e-14)
     assert reg["disk2d"].u_l2_norm == pytest.approx(0.2558317, abs=1e-7)
     assert reg["square2d"].u_l2_norm == 0.5
-    assert float(reg["ball3d"].u(np.zeros(3))) == pytest.approx(1.0 / 6.0, rel=1e-14)
 
 
 def test_registry_solutions_vanish_on_boundary():
@@ -203,6 +202,25 @@ def test_disk_study_external_mesh_matches_generated(tmp_path):
     assert row_ext.actual == pytest.approx(row_gen.actual, rel=1e-12)
     assert row_ext.a_m == pytest.approx(row_gen.a_m, rel=1e-12)
     assert row_ext.predicted == pytest.approx(row_gen.predicted, rel=1e-12)
+
+
+def test_disk_study_row_rejects_mesh_outside_polygon():
+    from certifem import NotInscribedError
+
+    # a 12-gon fan inside the 10-gon's disk: its boundary is no 10-gon edge
+    mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 12), 1)
+    with pytest.raises(NotInscribedError):
+        disk_study_row(10, mesh=mesh)
+
+
+def test_run_disk_study_threads_match_serial():
+    serial = run_disk_study([10, 20, 30], threads=1)
+    pooled = run_disk_study([10, 20, 30], threads=2)
+    assert [r.m for r in pooled] == [10, 20, 30]
+    for a, b in zip(serial, pooled):
+        assert a.actual == b.actual
+        assert a.iterations == b.iterations
+        assert a.certified.to_json() == b.certified.to_json()
 
 
 def test_run_disk_study_empty_raises():
