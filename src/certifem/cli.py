@@ -57,7 +57,7 @@ def _parse_domain(spec: str):
 def _parse_source(spec: str, domain) -> femmod.SourceTerm:
     kind, _, arg = spec.partition(":")
     if kind == "const":
-        return femmod.SourceTerm.constant(float(arg or 1.0), dim=domain.dim)
+        return femmod.SourceTerm.constant(float(arg or 1.0))
     if kind == "sinsin":
         if not (isinstance(domain, ConvexPolygon) and domain.vertices.shape[0] == 4):
             raise CertifemError("sinsin source is defined for the unit-square polygon domain")
@@ -84,10 +84,10 @@ def _domain_poly_mesh(args):
             poly = poly_approx_of_polygon(domain)
         mesh = meshmod.generate_fan_refined(poly, k)
     elif args.mesh:
-        mesh = meshmod.load(args.mesh)
         if isinstance(domain, Disk):
             raise CertifemError("a disk domain needs --generate m,refine to fix its polygon; to check an "
                                 "external m-gon mesh, call certifem.verify.disk_study_row(m, mesh=...)")
+        mesh = meshmod.load(args.mesh)
         poly = poly_approx_of_polygon(domain)
     else:
         raise CertifemError("need either --generate or --mesh")

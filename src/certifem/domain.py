@@ -20,15 +20,13 @@ ON_BOUNDARY_TOL = 1e-10
 CONVEXITY_TOL = 1e-12
 INSCRIBED_TOL = 1e-10
 
-_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
 
 class ConvexDomain:
     """Base class for the built-in convex domain registry.
 
-    Subclasses provide exact diameter, measure, support values and a
-    boundary parametrization; arbitrary user support functions are not
-    accepted because certified bounds need exact geometric data.
+    Subclasses provide exact diameter, measure and support values, the 2D
+    ones also a boundary parametrization; arbitrary user support functions
+    are not accepted because certified bounds need exact geometric data.
     """
 
     dim: int
@@ -80,13 +78,6 @@ class Ball(ConvexDomain):
         p = np.asarray(points, dtype=float)
         r = np.linalg.norm(p - self.center, axis=-1)
         return r <= self.radius + tol
-
-    def boundary_point(self, t: float) -> np.ndarray:
-        # Continuous Fibonacci-spiral sweep of the sphere.
-        z = 1.0 - 2.0 * (t % 1.0)
-        rho = math.sqrt(max(0.0, 1.0 - z * z))
-        phi = 2.0 * math.pi * (t % 1.0) * _GOLDEN * 137.0
-        return self.center + self.radius * np.array([rho * math.cos(phi), rho * math.sin(phi), z])
 
     def boundary_distance(self, point) -> float:
         return abs(self.radius - float(np.linalg.norm(np.asarray(point, float) - self.center)))

@@ -60,7 +60,7 @@ class SourceTerm:
     name: str = ""
 
     @staticmethod
-    def constant(value: float, dim: int = 2) -> "SourceTerm":
+    def constant(value: float) -> "SourceTerm":
         _check_finite("constant source", [value])
 
         def f(pts):
@@ -118,7 +118,7 @@ class SourceTerm:
         sup = abs(c[0]) + abs(c[1]) * xmax + abs(c[2]) * ymax + abs(c[3]) * xmax**2 + abs(c[4]) * xmax * ymax + abs(c[5]) * ymax**2
         gx = abs(c[1]) + 2 * abs(c[3]) * xmax + abs(c[4]) * ymax
         gy = abs(c[2]) + abs(c[4]) * xmax + 2 * abs(c[5]) * ymax
-        h2 = math.sqrt((4 * c[3] ** 2 + 2 * c[4] ** 2 + 4 * c[5] ** 2) * domain.measure)
+        h2 = math.sqrt((4 * c[3] * c[3] + 2 * c[4] * c[4] + 4 * c[5] * c[5]) * domain.measure)
         return SourceTerm(
             evaluate=f,
             sup_norm=sup,

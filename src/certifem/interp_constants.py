@@ -5,8 +5,11 @@ a P1 element are provided: an angle-based formula (Liu) evaluated at every
 interior angle, and an edge/area formula (Kobayashi) that stays sharp on
 thin triangles.  A tetrahedral bound covers 3D.  Mesh-wide constants come
 either from element-wise evaluation (sharpest) or from closed forms in the
-global quality metrics.  A dense generalized-eigenvalue probe yields certified
-*lower* bounds used to sanity-check the upper bounds in tests.
+global quality metrics.  A dense generalized eigen-solve yields *lower*
+bounds, used to sanity-check the upper bounds in tests.  They are certified
+in exact arithmetic; in floating point their error grows with the triangle's
+conditioning, so tests apply them to triangles with angles >= 5 degrees or
+area >= 1e-3.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import eigh
 
 from . import mesh as meshmod
 from .errors import (
@@ -242,72 +245,17 @@ def mesh_constants(
 # spectral lower-bound probe
 
 
-def _monomial_exponents(degree: int) -> list[tuple[int, int]]:
-    return [(i, j) for total in range(degree + 1) for i in range(total + 1) for j in [total - i]]
-
-
-def _grad_monomial(i: int, j: int) -> list[tuple[float, int, int]]:
-    out = []
-    out.append((float(i), i - 1, j) if i > 0 else (0.0, 0, 0))
-    out.append((float(j), i, j - 1) if j > 0 else (0.0, 0, 0))
-    return out
-
-
-def _hess_monomial(i: int, j: int) -> list[list[tuple[float, int, int]]]:
-    def d(coef, a, b, var):
-        if coef == 0.0:
-            return (0.0, 0, 0)
-        if var == 0:
-            return (coef * a, a - 1, b) if a > 0 else (0.0, 0, 0)
-        return (coef * b, a, b - 1) if b > 0 else (0.0, 0, 0)
-
-    gx = d(1.0, i, j, 0)
-    gy = d(1.0, i, j, 1)
-    return [
-        [d(*gx, 0), d(*gx, 1)],
-        [d(*gy, 0), d(*gy, 1)],
-    ]
-
-
-def _pair_integral(m1: tuple[float, int, int], m2: tuple[float, int, int]) -> float:
-    c = m1[0] * m2[0]
-    if c == 0.0:
-        return 0.0
-    return c * reference_monomial_integral((m1[1] + m2[1], m1[2] + m2[2]))
-
-
-def _power_iteration(s_matvec, n: int, tol: float = 1e-10, maxiter: int = 10000, shift: float = 0.0):
-    """Largest eigenvalue of a symmetric PSD operator by (shifted) power iteration.
-
-    Returns the final Rayleigh quotient, which for a PSD operator is always a
-    lower bound of the true largest eigenvalue regardless of convergence.
-    """
-    w = np.ones(n) + 1e-3 * np.arange(n)  # deterministic start
-    w /= np.linalg.norm(w)
-    lam = 0.0
-    for _ in range(maxiter):
-        z = s_matvec(w) + shift * w
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return 0.0
-        w = z / nz
-        lam_new = float(w @ (s_matvec(w) + shift * w))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new - shift
-        lam = lam_new
-    return lam - shift
-
-
 def rayleigh_lower_bound(t: Simplex, degree: int = 4) -> float:
-    """Certified lower bound for the element H1 interpolation constant.
+    """Lower bound for the element H1 interpolation constant.
 
     Maximizes |v|_1 / |v|_2 over polynomials of total degree <= `degree`
-    vanishing at the vertices.  Quadratic forms are assembled exactly from
-    closed-form monomial integrals on the reference triangle; the largest
-    generalized eigenvalue is found by power iteration on the Cholesky-
-    transformed system.  Any Rayleigh quotient of an admissible polynomial
-    bounds the true supremum from below, so the result is certified even
-    if the iteration stops early.
+    vanishing at the vertices: both forms come from derivative matrices on the
+    monomial coefficients and the exact reference-triangle Gram matrix, and one
+    generalized eigen-solve gives the top eigenvector.  The result is the square
+    root of its Rayleigh quotient, which bounds the supremum from below in exact
+    arithmetic.  In floating point its error grows with the triangle's
+    conditioning (on a needle it can exceed a certified upper bound), so tests
+    use it on triangles with angles >= 5 degrees or area >= 1e-3.
     """
     if t.dim != 2:
         raise ValueError("rayleigh_lower_bound applies to triangles")
@@ -319,53 +267,32 @@ def rayleigh_lower_bound(t: Simplex, degree: int = 4) -> float:
     h2 = max(float(((v[i] - v[j]) ** 2).sum()) for i in range(3) for j in range(i))
     if abs(det) <= 1e-13 * h2:
         raise ConstraintRankError("degenerate vertex placement")
-    c_mat = np.linalg.inv(b_map @ b_map.T)
 
-    exps = _monomial_exponents(degree)
+    exps = [(i, total - i) for total in range(degree + 1) for i in range(total + 1)]
+    index = {e: k for k, e in enumerate(exps)}
     n = len(exps)
-    grads = [_grad_monomial(i, j) for i, j in exps]
-    hesses = [_hess_monomial(i, j) for i, j in exps]
-
-    g1 = np.zeros((n, n))
-    g2 = np.zeros((n, n))
-    for p in range(n):
-        for q in range(p, n):
-            acc1 = 0.0
-            for k in range(2):
-                for l in range(2):
-                    acc1 += c_mat[k, l] * _pair_integral(grads[p][k], grads[q][l])
-            acc2 = 0.0
-            for i in range(2):
-                for j in range(2):
-                    for k in range(2):
-                        for l in range(2):
-                            acc2 += c_mat[i, j] * c_mat[k, l] * _pair_integral(
-                                hesses[p][j][k], hesses[q][l][i]
-                            )
-            g1[p, q] = g1[q, p] = abs(det) * acc1
-            g2[p, q] = g2[q, p] = abs(det) * acc2
-
-    # Constraints: vanish at reference vertices (0,0), (1,0), (0,1).
-    rows = np.zeros((3, n))
-    for idx, (i, j) in enumerate(exps):
-        rows[0, idx] = 1.0 if (i, j) == (0, 0) else 0.0
-        rows[1, idx] = 1.0 if j == 0 else 0.0
-        rows[2, idx] = 1.0 if i == 0 else 0.0
-    u_svd, sing, vt = np.linalg.svd(rows)
-    if np.min(sing) <= 1e-12 * np.max(sing):
-        raise ConstraintRankError("vertex constraints are rank deficient")
-    z_basis = vt[3:].T  # orthonormal nullspace basis
-
-    a_proj = z_basis.T @ g1 @ z_basis
-    m_proj = z_basis.T @ g2 @ z_basis
+    d_ref = np.zeros((2, n, n))  # d/dxi, d/deta on monomial coefficients
+    for k, (i, j) in enumerate(exps):
+        if i:
+            d_ref[0, index[i - 1, j], k] = i
+        if j:
+            d_ref[1, index[i, j - 1], k] = j
+    gram = np.array([[reference_monomial_integral((i + p, j + q)) for p, q in exps] for i, j in exps])
+    # polynomials vanishing at the reference vertices (0,0), (1,0), (0,1):
+    # the monomials of degree >= 2, pure powers of xi (eta) minus xi (eta)
+    basis = np.eye(n)[:, 3:]
+    basis[index[1, 0]] = [-float(j == 0) for _, j in exps[3:]]
+    basis[index[0, 1]] = [-float(i == 0) for i, _ in exps[3:]]
+    grad = np.einsum("ab,bmn->amn", np.linalg.inv(b_map), d_ref)  # grad_x = B^-1 grad_xi
+    first = grad @ basis
+    second = (grad[:, None] @ first[None]).reshape(4, n, n - 3)
+    # the Jacobian |det B| scales both forms alike and cancels in the quotient
+    a_form = sum(f.T @ gram @ f for f in first)
+    m_form = sum(s.T @ gram @ s for s in second)
     try:
-        chol = np.linalg.cholesky(m_proj)
+        _, vec = eigh(a_form, m_form, subset_by_index=[n - 4, n - 4])
     except np.linalg.LinAlgError as exc:
-        raise ConstraintRankError(f"H2 form singular on constrained space: {exc}") from exc
-
-    def s_matvec(w):
-        y = solve_triangular(chol, a_proj @ solve_triangular(chol, w, lower=True, trans="T"), lower=True)
-        return y
-
-    lam = _power_iteration(s_matvec, a_proj.shape[0])
+        raise ConstraintRankError(f"H2 form not positive definite on constrained space: {exc}") from exc
+    w = vec[:, 0]
+    lam = float(w @ a_form @ w) / float(w @ m_form @ w)
     return math.sqrt(max(lam, 0.0))

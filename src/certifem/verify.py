@@ -58,7 +58,7 @@ def _disk2d() -> ExactSolution:
         name="disk2d",
         domain=dom,
         u=u,
-        f=femmod.SourceTerm.constant(1.0, dim=2),
+        f=femmod.SourceTerm.constant(1.0),
         u_l2_norm=math.sqrt(math.pi / 48.0),
         minus_laplacian=lambda pts: np.ones(np.asarray(pts).shape[:-1]),
     )

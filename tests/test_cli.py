@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -75,6 +76,29 @@ def test_certify_large_finite_source_certifies(tmp_path):
     assert run_cli("certify", "--domain", "disk:1", "--generate", "10,1", "--f", "const:1e150", "--out", str(report)) == 0
     total = json.loads(report.read_text())["total"]
     assert 1e149 < total < 1e150
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["exact", "barycentric", "nodal"])
+def test_certify_quadratic_source_with_overflowing_square_exits_2(tmp_path, capsys, mode):
+    """1e200**2 overflows to inf, not to an OverflowError; the finiteness check rejects the bound."""
+    report = tmp_path / "report.json"
+    args = ["--generate", "10,1", "--f", "poly:0,0,0,1e200,0,0", "--fh-mode", mode, "--out", str(report)]
+    assert run_cli("certify", "--domain", "disk:1", *args) == 2
+    assert not report.exists()
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_certify_large_quadratic_source_certifies(tmp_path):
+    report = tmp_path / "report.json"
+    args = ["--generate", "10,1", "--f", "poly:0,0,0,1e150,0,0", "--out", str(report)]
+    assert run_cli("certify", "--domain", "disk:1", *args) == 0
+    assert math.isfinite(json.loads(report.read_text())["total"])
+
+
+def test_certify_disk_with_mesh_is_rejected_before_loading(tmp_path, capsys):
+    assert run_cli("certify", "--domain", "disk:1", "--mesh", str(tmp_path / "missing.node")) == 2
+    assert "--generate" in capsys.readouterr().err
 
 
 def test_certify_disk_with_mesh_names_only_existing_options(tmp_path, capsys):

@@ -220,7 +220,7 @@ def test_certify_3d_regularity():
     nodes = np.vstack([[[0, 0, 0]], verts])
     els = [[0, a + 1, b + 1, c + 1] for a, b, c in facets]
     mesh = build_mesh(3, nodes, els)
-    f3 = SourceTerm.constant(1.0, dim=3)
+    f3 = SourceTerm.constant(1.0)
     reg_bound = certify(ball, poly, mesh, f3, "barycentric", "regularity")
     ew_bound = certify(ball, poly, mesh, f3, "barycentric", "elementwise")
     assert ew_bound.total <= reg_bound.total * (1 + 1e-12)

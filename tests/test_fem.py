@@ -336,7 +336,7 @@ def test_3d_mass_and_stiffness():
     assert m.sum() == pytest.approx(1.0 / 6.0, rel=1e-13)
     k = assemble_stiffness(mesh)
     assert np.abs(np.asarray(k.sum(axis=1))).max() <= 1e-14
-    fh = build_fh(mesh, SourceTerm.constant(1.0, dim=3), "barycentric")
+    fh = build_fh(mesh, SourceTerm.constant(1.0), "barycentric")
     b = assemble_load(mesh, fh)
     assert b == pytest.approx(np.full(4, 1.0 / 24.0), rel=1e-13)
 

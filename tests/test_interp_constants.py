@@ -231,6 +231,15 @@ def test_rayleigh_equilateral_bracket():
     assert v == pytest.approx(0.3182923, abs=5e-6)
 
 
+def test_rayleigh_equilateral_matches_exact_arithmetic():
+    # reference: the same Rayleigh-Ritz problem (monomials vanishing at the
+    # vertices, exact Gram integrals) in mpmath at mp.dps = 40, solved by
+    # mpmath.cholesky of the H2 form and mpmath.eigsy; degree 2 is 1/sqrt(12)
+    exact = {2: 0.288675134594812882, 4: 0.318292312340125958}
+    for degree, value in exact.items():
+        assert rayleigh_lower_bound(EQUILATERAL, degree) == pytest.approx(value, rel=1e-12)
+
+
 def test_rayleigh_below_upper_bounds(rng):
     for _ in range(20):
         t = sample_triangle(rng, min_area=1e-3)
