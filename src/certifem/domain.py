@@ -18,6 +18,7 @@ from .errors import InvalidDirectionError, InvalidPolygonError, NotInscribedErro
 UNIT_TOL = 1e-12
 ON_BOUNDARY_TOL = 1e-10
 CONVEXITY_TOL = 1e-12
+REPEATED_VERTEX_TOL = 1e-8
 INSCRIBED_TOL = 1e-10
 
 
@@ -96,6 +97,9 @@ class Disk(Ball):
 
 
 class ConvexPolygon(ConvexDomain):
+    """Convex polygon, stored counterclockwise with one outward half-plane
+    `normals[i] . x <= offsets[i]` per edge i -> i+1."""
+
     dim = 2
 
     def __init__(self, vertices) -> None:
@@ -104,25 +108,19 @@ class ConvexPolygon(ConvexDomain):
             raise InvalidPolygonError("polygon needs at least 3 planar vertices")
         if _shoelace(v) < 0:
             v = v[::-1].copy()  # normalize to counterclockwise
-        cross = _edge_crosses(v)
-        if np.any(cross < -CONVEXITY_TOL):
-            raise InvalidPolygonError("polygon is not convex")
-        if np.any(np.isclose(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1), 0.0)):
-            raise InvalidPolygonError("polygon has repeated vertices")
+        dist = _distinct_vertex_distances(v)
+        self.normals, self.offsets = _polygon_halfplanes(v)
+        _check_halfspaces(v, self.normals, self.offsets)
+        self.measure = _shoelace(v)
         v.setflags(write=False)
         self.vertices = v
-        self.measure = _shoelace(v)
-        diffs = v[:, None, :] - v[None, :, :]
-        self.diameter = float(np.sqrt((diffs**2).sum(-1)).max())
-        self._edge_normals, self._edge_offsets = _polygon_halfplanes(v)
+        self.diameter = float(dist.max())
 
     def _support_unit(self, d: np.ndarray) -> float:
         return float((self.vertices @ d).max())
 
     def contains(self, points, tol: float = 1e-12):
-        p = np.asarray(points, dtype=float)
-        s = p @ self._edge_normals.T - self._edge_offsets
-        return np.all(s <= tol, axis=-1)
+        return _max_excess(points, self.normals, self.offsets) <= tol
 
     def boundary_point(self, t: float) -> np.ndarray:
         v = self.vertices
@@ -152,18 +150,19 @@ def _shoelace(v: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _edge_crosses(v: np.ndarray) -> np.ndarray:
+def _polygon_halfplanes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit outward edge normals of a counterclockwise polygon and their
+    offsets at the edge midpoints."""
     e = np.roll(v, -1, axis=0) - v
-    en = np.roll(e, -1, axis=0)
-    return e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0]
-
-
-def _polygon_halfplanes(v: np.ndarray):
-    e = np.roll(v, -1, axis=0) - v
-    normals = np.stack([e[:, 1], -e[:, 0]], axis=1)  # outward for CCW order
+    normals = np.stack([e[:, 1], -e[:, 0]], axis=1)
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    offsets = np.einsum("ij,ij->i", normals, v)
-    return normals, offsets
+    return normals, _row_dots(normals, 0.5 * (v + np.roll(v, -1, axis=0)))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_F . b_F per row, rounded like `np.dot` on each row; `einsum` or a
+    row sum differ in the last bit, which would move every gap."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _point_segment_distance(p, a, b) -> float:
@@ -173,39 +172,49 @@ def _point_segment_distance(p, a, b) -> float:
     return float(np.linalg.norm(p - (a + t * ab)))
 
 
-@dataclass(frozen=True)
-class Facet:
-    indices: tuple[int, ...]
-    normal: np.ndarray
-    barycenter: np.ndarray
+def _max_excess(points, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """max_F (n_F . x - o_F) for each point; > 0 means outside."""
+    p = np.asarray(points, dtype=float)
+    return (np.einsum("...d,fd->...f", p, normals) - offsets).max(axis=-1)
+
+
+def _distinct_vertex_distances(v: np.ndarray) -> np.ndarray:
+    """Pairwise vertex distances; raises when two vertices coincide, which
+    also catches a boundary that winds around more than once."""
+    diffs = v[:, None, :] - v[None, :, :]
+    dist = np.sqrt((diffs**2).sum(-1))
+    if np.any(dist[np.triu_indices(len(v), 1)] <= REPEATED_VERTEX_TOL):
+        raise InvalidPolygonError("polytope has repeated vertices")
+    return dist
+
+
+def _check_halfspaces(v: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> None:
+    """Every vertex must lie in every facet half-space, else not convex."""
+    if float(_max_excess(v, normals, offsets).max()) > CONVEXITY_TOL:
+        raise InvalidPolygonError("vertex lies outside a facet half-space; polytope not convex")
 
 
 @dataclass(frozen=True)
 class PolyApprox:
-    """Convex polytope inscribed in a domain, with per-facet boundary gaps."""
+    """Convex polytope inscribed in a domain, with per-facet boundary gaps.
+
+    Facet F has vertex indices `facets[F]` and the outward half-space
+    `normals[F] . x <= offsets[F]`; 2D facets are the edges i -> i+1 of the
+    counterclockwise vertex list.
+    """
 
     dim: int
     vertices: np.ndarray
-    facets: list[Facet]
+    facets: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
     gap_per_facet: np.ndarray
     gap: float
     meta: dict = field(default_factory=dict)
 
-    @property
-    def facet_normals(self) -> np.ndarray:
-        return np.array([f.normal for f in self.facets])
-
-    @property
-    def facet_barycenters(self) -> np.ndarray:
-        return np.array([f.barycenter for f in self.facets])
-
     def signed_facet_distances(self, points) -> np.ndarray:
-        """max_F n_F.(x - g_F) for each point; > 0 means outside."""
-        p = np.asarray(points, dtype=float)
-        s = np.einsum("...d,fd->...f", p, self.facet_normals) - np.einsum(
-            "fd,fd->f", self.facet_normals, self.facet_barycenters
-        )
-        return s.max(axis=-1)
+        """max_F n_F.x - o_F for each point; > 0 means outside."""
+        return _max_excess(points, self.normals, self.offsets)
 
     def contains(self, points, tol: float = 1e-12):
         return self.signed_facet_distances(points) <= tol
@@ -213,7 +222,7 @@ class PolyApprox:
     def to_json_dict(self) -> dict:
         obj = {"dim": self.dim, "vertices": self.vertices.tolist()}
         if self.dim == 3:
-            obj["facets"] = [list(f.indices) for f in self.facets]
+            obj["facets"] = self.facets.tolist()
         return obj
 
 
@@ -221,7 +230,15 @@ def gap_delta(dom: ConvexDomain, poly: PolyApprox) -> tuple[float, np.ndarray]:
     """Boundary gap: per facet, the farthest the true boundary extends past
     the facet plane.  Exact through the support function.
     """
-    return gap_delta_from_parts(dom, poly.facets)
+    return _facet_gaps(dom, poly.normals, poly.offsets)
+
+
+def _facet_gaps(dom: ConvexDomain, normals: np.ndarray, offsets: np.ndarray) -> tuple[float, np.ndarray]:
+    gaps = np.array([dom.support(n) - o for n, o in zip(normals, offsets)])
+    if np.any(gaps < -INSCRIBED_TOL):
+        worst = int(np.argmin(gaps))
+        raise NotInscribedError(f"facet {worst} lies outside the domain by {-gaps[worst]:.3e}")
+    return max(0.0, float(gaps.max())), gaps
 
 
 def _validate_vertices_on_boundary(dom: ConvexDomain, vertices: np.ndarray) -> None:
@@ -232,62 +249,54 @@ def _validate_vertices_on_boundary(dom: ConvexDomain, vertices: np.ndarray) -> N
             raise NotInscribedError(f"vertex {i} does not lie on the domain boundary")
 
 
-def _validate_convexity(vertices: np.ndarray, facets: list[Facet]) -> None:
-    for f in facets:
-        s = vertices @ f.normal - float(np.dot(f.normal, f.barycenter))
-        if float(s.max()) > CONVEXITY_TOL:
-            raise InvalidPolygonError("vertex lies outside a facet half-space; polytope not convex")
+def _triangle_facets(v: np.ndarray, facet_indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated (F, 3) facet triples of a 3D polytope with their unit
+    outward normals and plane offsets."""
+    try:
+        facets = np.array(facet_indices)  # no cast, which would truncate 1.5 to 1
+    except ValueError:  # ragged
+        facets = np.zeros((0, 0), dtype=np.int64)
+    valid = facets.dtype.kind in "iu" and facets.size and 0 <= facets.min() and facets.max() < len(v)
+    if facets.ndim != 2 or facets.shape[1:] != (3,) or not valid:
+        raise InvalidPolygonError("facets must be a nonempty list of integer vertex index triples")
+    a, b, c = v[facets[:, 0]], v[facets[:, 1]], v[facets[:, 2]]
+    normals = np.cross(b - a, c - a)
+    lengths = np.sqrt(_row_dots(normals, normals))
+    if lengths.min() == 0.0:
+        raise InvalidPolygonError(f"degenerate facet {facets[lengths.argmin()].tolist()}")
+    normals /= lengths[:, None]
+    barycenters = (a + b + c) / 3.0
+    outward = np.einsum("fd,fd->f", normals, barycenters - v.mean(axis=0))
+    if outward.min() <= 0.0:
+        raise InvalidPolygonError(f"facet {facets[outward.argmin()].tolist()} is not oriented outward")
+    return facets, normals, _row_dots(normals, barycenters)
 
 
 def make_poly_approx(dom: ConvexDomain, vertices, facet_indices=None, meta=None) -> PolyApprox:
     """Build and validate an inscribed polytope approximation.
 
-    2D: vertices in counterclockwise order, facets are consecutive pairs.
-    3D: explicit facet index triples with outward orientation.
+    2D: vertices in either orientation (stored counterclockwise), facets are
+    consecutive pairs.  3D: explicit facet index triples with outward
+    orientation.  Rejects repeated vertices and any vertex outside a facet
+    half-space, which covers non-convex and multiply wound boundaries.
     """
-    v = np.array(vertices, dtype=float)
     if dom.dim == 2:
-        if _shoelace(v) < 0:
-            v = v[::-1].copy()
-        poly_check = ConvexPolygon(v)  # reuses convexity validation
-        v = poly_check.vertices.copy()
-        normals, _ = _polygon_halfplanes(v)
-        facets = []
-        for i in range(len(v)):
-            j = (i + 1) % len(v)
-            facets.append(Facet((i, j), normals[i].copy(), 0.5 * (v[i] + v[j])))
+        hull = ConvexPolygon(vertices)
+        v = hull.vertices
+        facets = np.stack([np.arange(len(v)), np.roll(np.arange(len(v)), -1)], axis=1)
+        normals, offsets = hull.normals, hull.offsets
     else:
-        if facet_indices is None:
-            raise InvalidPolygonError("3D polytopes need an explicit facet list")
-        centroid = v.mean(axis=0)
-        facets = []
-        for tri in facet_indices:
-            idx = tuple(int(i) for i in tri)
-            if len(idx) != 3 or max(idx) >= len(v) or min(idx) < 0:
-                raise InvalidPolygonError(f"bad facet {tri}")
-            a, b, c = v[idx[0]], v[idx[1]], v[idx[2]]
-            n = np.cross(b - a, c - a)
-            nn = np.linalg.norm(n)
-            if nn == 0.0:
-                raise InvalidPolygonError(f"degenerate facet {tri}")
-            n = n / nn
-            g = (a + b + c) / 3.0
-            if float(np.dot(n, g - centroid)) <= 0.0:
-                raise InvalidPolygonError(f"facet {tri} is not oriented outward")
-            facets.append(Facet(idx, n, g))
+        v = np.array(vertices, dtype=float)
+        if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 4:
+            raise InvalidPolygonError("a 3D polytope needs at least 4 vertices with 3 coordinates")
+        facets, normals, offsets = _triangle_facets(v, facet_indices)
+        _distinct_vertex_distances(v)
+        _check_halfspaces(v, normals, offsets)
     _validate_vertices_on_boundary(dom, v)
-    _validate_convexity(v, facets)
-    v.setflags(write=False)
-    gap, gaps = gap_delta_from_parts(dom, facets)
-    return PolyApprox(dom.dim, v, facets, gaps, gap, dict(meta or {}))
-
-
-def gap_delta_from_parts(dom: ConvexDomain, facets: list[Facet]) -> tuple[float, np.ndarray]:
-    gaps = np.array([dom.support(f.normal) - float(np.dot(f.normal, f.barycenter)) for f in facets])
-    if np.any(gaps < -INSCRIBED_TOL):
-        worst = int(np.argmin(gaps))
-        raise NotInscribedError(f"facet {worst} lies outside the domain by {-gaps[worst]:.3e}")
-    return max(0.0, float(gaps.max())), gaps
+    gap, gaps = _facet_gaps(dom, normals, offsets)
+    for a in (v, facets, normals, offsets, gaps):
+        a.setflags(write=False)
+    return PolyApprox(dom.dim, v, facets, normals, offsets, gaps, gap, dict(meta or {}))
 
 
 def inscribed_regular_polygon(dom: Disk, m: int) -> PolyApprox:

@@ -126,10 +126,6 @@ def certify(
         raise StrategyInapplicableError(
             f"nonblunt strategy needs a mesh without obtuse angles; element {idx} has max angle {ang:.6f} rad"
         )
-    if strategy == "minangle" and mesh.dim != 2:
-        raise StrategyInapplicableError("minangle strategy is 2D only")
-    if strategy == "regularity" and mesh.dim != 3:
-        raise StrategyInapplicableError("regularity strategy is 3D only")
 
     constants = icmod.mesh_constants(mesh, qual, rho_convention)
     a_h = constants.value(strategy)

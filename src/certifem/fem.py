@@ -30,6 +30,8 @@ FH_MODES = ("barycentric", "nodal", "exact")
 
 SUP_SLACK = 1e-10
 
+CG_TOL = 1e-12  # relative residual at which `solve_cg` stops
+
 # Elements per block in `_quadrature_points`: the (q, block, dim) scratch
 # buffers stay small while each numpy call still covers thousands of elements.
 _QUAD_BLOCK = 4096
@@ -355,7 +357,6 @@ class FemSolution:
     iterations: int
     residual: float
     converged: bool
-    mesh: meshmod.SimplicialMesh | None = field(repr=False, default=None)
 
 
 def _line_links(a_mat: sp.csr_matrix, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -469,10 +470,10 @@ def _line_jacobi(a_mat: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray], Non
     return apply
 
 
-def solve_cg(system: LinearSystem, tol: float = 1e-12, maxiter: int | None = None) -> tuple[np.ndarray, int, float, bool]:
+def solve_cg(system: LinearSystem, maxiter: int | None = None) -> tuple[np.ndarray, int, float, bool]:
     """Line-Jacobi-preconditioned conjugate gradients (see `_line_jacobi`).
 
-    Stops when ||b - A x|| / ||b|| <= tol; returns the best iterate with a
+    Stops when ||b - A x|| / ||b|| <= CG_TOL; returns the best iterate with a
     convergence flag when the iteration cap is reached.  Deterministic.
     """
     a_mat, b = system.matrix, system.rhs
@@ -502,7 +503,7 @@ def solve_cg(system: LinearSystem, tol: float = 1e-12, maxiter: int | None = Non
         if res < best_res:
             best_res = res
             np.copyto(best_x, x)
-        if res <= tol:
+        if res <= CG_TOL:
             return x, it, res, True
         precondition(r, z)
         rz_new = float(r @ z)
@@ -516,17 +517,16 @@ def solve_poisson(
     mesh: meshmod.SimplicialMesh,
     f: SourceTerm,
     fh_mode: str = "exact",
-    tol: float = 1e-12,
     maxiter: int | None = None,
 ) -> tuple[FemSolution, DiscreteSource]:
     fh = build_fh(mesh, f, fh_mode)
     stiffness = assemble_stiffness(mesh)
     load = assemble_load(mesh, fh)
     system = dirichlet_system(mesh, stiffness, load)
-    x, iters, res, ok = solve_cg(system, tol=tol, maxiter=maxiter)
+    x, iters, res, ok = solve_cg(system, maxiter=maxiter)
     full = np.zeros(mesh.node_count)
     full[system.interior] = x
-    return FemSolution(full, iters, res, ok, mesh), fh
+    return FemSolution(full, iters, res, ok), fh
 
 
 # ---------------------------------------------------------------------------

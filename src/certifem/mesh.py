@@ -310,14 +310,12 @@ def check_boundary_on_poly(mesh: SimplicialMesh, poly: PolyApprox, tol: float = 
     """Every boundary facet of the mesh must lie inside some facet of `poly`."""
     if mesh.dim != poly.dim:
         raise NotInscribedError(f"a {mesh.dim}D mesh cannot lie in a {poly.dim}D polytope")
-    normals = poly.facet_normals
-    offsets = np.einsum("fd,fd->f", normals, poly.facet_barycenters)
     bnodes = mesh.boundary_nodes
     points = mesh.nodes[bnodes]
     # each boundary facet as positions in `bnodes`
     local = np.searchsorted(bnodes, mesh.boundary_facets)
     contained = np.zeros(local.shape[0], dtype=bool)
-    for normal, offset in zip(normals, offsets):
+    for normal, offset in zip(poly.normals, poly.offsets):
         on_plane = np.abs(points @ normal - offset) <= tol
         contained |= on_plane[local].all(axis=1)
     outside = np.flatnonzero(~contained)

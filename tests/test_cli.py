@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from certifem import cli
@@ -150,6 +151,21 @@ def test_certify_square_polygon(tmp_path):
     obj = json.load(open(report))
     assert obj["terms"]["boundary"] == 0.0
     assert obj["terms"]["source"] > 0.0
+
+
+@pytest.mark.parametrize("step, reason", [(1, "repeated vertices"), (2, "not convex")])
+def test_certify_multiply_wound_polygon_exits_2(tmp_path, capsys, step, reason):
+    # a doubled pentagon (step 1) and a pentagram (step 2), both winding twice
+    turns = np.arange(10 if step == 1 else 5) * step / 5.0
+    verts = np.stack([np.cos(2 * math.pi * turns), np.sin(2 * math.pi * turns)], axis=1)
+    poly_path = tmp_path / "wound.json"
+    poly_path.write_text(json.dumps({"vertices": verts.tolist()}))
+    report = tmp_path / "report.json"
+    rc = run_cli("certify", "--domain", f"polygon:{poly_path}", "--generate", "1",
+                 "--f", "poly:1,0,0,1,0,0", "--out", str(report))
+    assert rc == 2
+    assert reason in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_certify_nonblunt_on_blunt_mesh_exits_2(tmp_path, capsys):

@@ -84,8 +84,8 @@ def test_regular_polygon_vertices_and_facets():
     got = sorted(map(tuple, np.round(sq.vertices, 12)))
     assert got == sorted([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (-0.0, -1.0)])
     tri = inscribed_regular_polygon(disk, 3)
-    for f in tri.facets:
-        assert float(np.dot(f.normal, f.barycenter)) == pytest.approx(0.5, rel=1e-12)
+    assert tri.facets.tolist() == [[0, 1], [1, 2], [2, 0]]
+    assert tri.offsets == pytest.approx(np.full(3, 0.5), rel=1e-12)
     with pytest.raises(InvalidPolygonError):
         inscribed_regular_polygon(disk, 2)
 
@@ -93,10 +93,8 @@ def test_regular_polygon_vertices_and_facets():
 def test_poly_approx_invariants():
     disk = Disk(1.0)
     poly = inscribed_regular_polygon(disk, 12)
-    for f in poly.facets:
-        assert np.linalg.norm(f.normal) == pytest.approx(1.0, abs=1e-12)
-        s = poly.vertices @ f.normal - float(np.dot(f.normal, f.barycenter))
-        assert s.max() <= 1e-12
+    assert np.linalg.norm(poly.normals, axis=1) == pytest.approx(np.ones(12), abs=1e-12)
+    assert (poly.vertices @ poly.normals.T - poly.offsets).max() <= 1e-12
     for v in poly.vertices:
         assert disk.boundary_distance(v) <= 1e-10
     assert poly.gap >= 0.0
@@ -135,6 +133,56 @@ def test_nonconvex_rejected():
         ConvexPolygon([[0, 0], [2, 0], [1, 0.2], [2, 2], [0, 2]])
 
 
+def _star_pentagon(step):
+    """Five points of the unit circle visited `step` fifths of a turn apart,
+    repeated until the boundary closes: step 2 is a pentagram; a doubled
+    pentagon lists the pentagon twice."""
+    turns = np.arange(10 if step == 1 else 5) * step / 5.0
+    return np.stack([np.cos(2 * math.pi * turns), np.sin(2 * math.pi * turns)], axis=1)
+
+
+@pytest.mark.parametrize("step, reason", [(1, "repeated vertices"), (2, "not convex")])
+def test_multiply_wound_polygons_rejected(step, reason):
+    verts = _star_pentagon(step)
+    for build in (ConvexPolygon, lambda v: make_poly_approx(Disk(1.0), v)):
+        with pytest.raises(InvalidPolygonError, match=reason):
+            build(verts)
+        with pytest.raises(InvalidPolygonError, match=reason):
+            build(verts[::-1])
+
+
+def test_repeated_vertices_rejected():
+    for verts in ([[0, 0], [1, 0], [1, 0], [0, 1]], [[0, 0], [1, 0], [0, 1], [1e-9, 0]]):
+        with pytest.raises(InvalidPolygonError, match="repeated vertices"):
+            ConvexPolygon(verts)
+
+
+def test_polygon_halfplanes_match_polytope():
+    pent = ConvexPolygon([[0.0, 0.0], [2.0, 0.1], [2.6, 1.3], [1.1, 2.2], [-0.4, 1.1]])
+    poly = poly_approx_of_polygon(pent)
+    assert np.array_equal(poly.normals, pent.normals)
+    assert np.array_equal(poly.offsets, pent.offsets)
+    # offsets are taken at the edge midpoints
+    mid = 0.5 * (pent.vertices + np.roll(pent.vertices, -1, axis=0))
+    assert np.abs((pent.normals * mid).sum(1) - pent.offsets).max() <= 1e-15
+
+
+def test_polytope_3d_convexity_checks():
+    ball = Ball(1.0)
+    with pytest.raises(InvalidPolygonError, match="repeated vertices"):
+        make_poly_approx(ball, OCTA_VERTS + [OCTA_VERTS[0]], OCTA_FACETS)
+    # a vertex that no facet uses, outside their hull
+    with pytest.raises(InvalidPolygonError, match="not convex"):
+        make_poly_approx(ball, OCTA_VERTS + [[0, 0, 2]], OCTA_FACETS)
+    for facets in (None, [], [[0, 2]] * 8):
+        with pytest.raises(InvalidPolygonError, match="index triples"):
+            make_poly_approx(ball, OCTA_VERTS, facets)
+    # first facet ragged, out of range, negative, fractional
+    for first in ([0, 2, 4, 1], [0, 2, 6], [-1, 2, 4], [0.9, 2, 4]):
+        with pytest.raises(InvalidPolygonError, match="index triples"):
+            make_poly_approx(ball, OCTA_VERTS, [first] + OCTA_FACETS[1:])
+
+
 def test_polygon_contains_and_boundary():
     assert bool(UNIT_SQUARE.contains(np.array([0.5, 0.5])))
     assert not bool(UNIT_SQUARE.contains(np.array([1.5, 0.5])))
@@ -147,8 +195,7 @@ def test_ball_polytope_ingestion():
     ball = Ball(1.0)
     poly = make_poly_approx(ball, OCTA_VERTS, OCTA_FACETS)
     assert poly.gap == pytest.approx(1 - 1 / math.sqrt(3), rel=1e-12)
-    for f in poly.facets:
-        assert np.linalg.norm(f.normal) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(poly.normals, axis=1) == pytest.approx(np.ones(8), abs=1e-12)
     # inward-oriented facet rejected
     bad = [list(reversed(OCTA_FACETS[0]))] + OCTA_FACETS[1:]
     with pytest.raises(InvalidPolygonError):

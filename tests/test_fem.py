@@ -468,7 +468,7 @@ def test_gradients_use_no_linear_solve(monkeypatch):
 def test_matrix_free_l2_norm_matches_mass_matrix(name):
     mesh = KERNEL_MESHES[name]()
     v = np.random.default_rng(7).uniform(-1.0, 1.0, mesh.node_count)
-    sol = FemSolution(v, 0, 0.0, True, mesh)
+    sol = FemSolution(v, 0, 0.0, True)
     assert fem_l2_norm(mesh, sol) == pytest.approx(math.sqrt(v @ (assemble_mass(mesh) @ v)), rel=1e-13)
 
 
@@ -656,4 +656,4 @@ def test_fan_line_cg_iterations_and_solution():
     full = np.zeros(mesh.node_count)
     full[system.interior] = x
     assert ok
-    assert row.actual == pytest.approx(actual_l2_error(disk, poly, mesh, FemSolution(full, 0, 0.0, True, mesh)), rel=1e-9)
+    assert row.actual == pytest.approx(actual_l2_error(disk, poly, mesh, FemSolution(full, 0, 0.0, True)), rel=1e-9)

@@ -462,10 +462,8 @@ def test_node_ele_save_bytes(tmp_path):
 
 
 def _first_facet_outside(mesh, poly, tol=1e-10):
-    normals = poly.facet_normals
-    offsets = np.einsum("fd,fd->f", normals, poly.facet_barycenters)
     for facet in mesh.boundary_facets:
-        dist = mesh.nodes[facet] @ normals.T - offsets
+        dist = mesh.nodes[facet] @ poly.normals.T - poly.offsets
         if not np.all(np.abs(dist) <= tol, axis=0).any():
             return facet.tolist()
     return None
