@@ -20,6 +20,8 @@ ON_BOUNDARY_TOL = 1e-10
 CONVEXITY_TOL = 1e-12
 REPEATED_VERTEX_TOL = 1e-8
 INSCRIBED_TOL = 1e-10
+# A polygon whose measure is at or below MEASURE_TOL * diameter^2 is degenerate.
+MEASURE_TOL = 1e-12
 
 
 class ConvexDomain:
@@ -108,13 +110,16 @@ class ConvexPolygon(ConvexDomain):
             raise InvalidPolygonError("polygon needs at least 3 planar vertices")
         if _shoelace(v) < 0:
             v = v[::-1].copy()  # normalize to counterclockwise
-        dist = _distinct_vertex_distances(v)
+        self.diameter = float(_distinct_vertex_distances(v).max())
+        self.measure = _shoelace(v)
+        if self.measure <= MEASURE_TOL * self.diameter**2:
+            raise InvalidPolygonError(
+                f"polygon measure {self.measure:.3e} is at most {MEASURE_TOL:g} * diameter^2; the outline is degenerate"
+            )
         self.normals, self.offsets = _polygon_halfplanes(v)
         _check_halfspaces(v, self.normals, self.offsets)
-        self.measure = _shoelace(v)
         v.setflags(write=False)
         self.vertices = v
-        self.diameter = float(dist.max())
 
     def _support_unit(self, d: np.ndarray) -> float:
         return float((self.vertices @ d).max())
@@ -272,13 +277,28 @@ def _triangle_facets(v: np.ndarray, facet_indices) -> tuple[np.ndarray, np.ndarr
     return facets, normals, _row_dots(normals, barycenters)
 
 
+def _check_closed_surface(facets: np.ndarray, vertex_count: int) -> None:
+    """The facets must close the surface: every vertex lies on a facet and
+    every edge bounds exactly two facets."""
+    unused = np.setdiff1d(np.arange(vertex_count), facets)
+    if unused.size:
+        raise InvalidPolygonError(f"vertex {unused[0]} lies on no facet")
+    edges = np.sort(np.concatenate([facets[:, [0, 1]], facets[:, [1, 2]], facets[:, [2, 0]]]), axis=1)
+    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    bad = np.flatnonzero(counts != 2)
+    if bad.size:
+        edge = uniq[bad[0]].tolist()
+        raise InvalidPolygonError(f"edge {edge} bounds {counts[bad[0]]} facet(s), not 2; the surface is not closed")
+
+
 def make_poly_approx(dom: ConvexDomain, vertices, facet_indices=None, meta=None) -> PolyApprox:
     """Build and validate an inscribed polytope approximation.
 
     2D: vertices in either orientation (stored counterclockwise), facets are
     consecutive pairs.  3D: explicit facet index triples with outward
-    orientation.  Rejects repeated vertices and any vertex outside a facet
-    half-space, which covers non-convex and multiply wound boundaries.
+    orientation, closing the surface.  Rejects repeated vertices and any
+    vertex outside a facet half-space, which covers non-convex and multiply
+    wound boundaries.
     """
     if dom.dim == 2:
         hull = ConvexPolygon(vertices)
@@ -292,6 +312,7 @@ def make_poly_approx(dom: ConvexDomain, vertices, facet_indices=None, meta=None)
         facets, normals, offsets = _triangle_facets(v, facet_indices)
         _distinct_vertex_distances(v)
         _check_halfspaces(v, normals, offsets)
+        _check_closed_surface(facets, len(v))
     _validate_vertices_on_boundary(dom, v)
     gap, gaps = _facet_gaps(dom, normals, offsets)
     for a in (v, facets, normals, offsets, gaps):

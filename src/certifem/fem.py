@@ -197,22 +197,26 @@ def _quadrature_points(mesh: meshmod.SimplicialMesh, bary: np.ndarray) -> np.nda
     """(M, q, dim) physical quadrature points, `sum_k bary[q, k] * corner_k`.
 
     Bit-identical to `np.einsum("qk,mkd->mqd", bary, mesh.element_vertices())`:
-    the same products summed over k in the same order, but in broadcast
-    kernels over a (q, block, dim) buffer instead of numpy's generic einsum
-    loop, one block of elements at a time.
+    the same products summed over k in the same order, but one coordinate
+    and one point at a time on contiguous corner columns, one block of
+    elements at a time.
     """
     nodes, elements = mesh.nodes, mesh.elements
     nq, dim = bary.shape[0], mesh.dim
     out = np.empty((mesh.element_count, nq, dim))
-    acc = np.empty((nq, min(_QUAD_BLOCK, mesh.element_count), dim))
-    term = np.empty_like(acc)
+    acc = np.empty((nq, min(_QUAD_BLOCK, mesh.element_count)))
+    term = np.empty(acc.shape[1])
     for start in range(0, mesh.element_count, _QUAD_BLOCK):
-        corners = nodes[elements[start : start + _QUAD_BLOCK].T]  # (dim+1, block, dim)
-        size = corners.shape[1]
-        np.multiply(bary[:, 0, None, None], corners[0], out=acc[:, :size])
-        for k in range(1, dim + 1):
-            acc[:, :size] += np.multiply(bary[:, k, None, None], corners[k], out=term[:, :size])
-        out[start : start + size] = acc[:, :size].transpose(1, 0, 2)
+        block = elements[start : start + _QUAD_BLOCK].T
+        size = block.shape[1]
+        for c in range(dim):
+            corners = nodes[block, c]  # (dim+1, block): coordinate c of each corner
+            for p in range(nq):
+                point = acc[p, :size]
+                np.multiply(bary[p, 0], corners[0], out=point)
+                for k in range(1, dim + 1):
+                    point += np.multiply(bary[p, k], corners[k], out=term[:size])
+            out[start : start + size, :, c] = acc[:, :size].T
     return out
 
 
@@ -224,21 +228,31 @@ def _gradients(mesh: meshmod.SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
     lambda_0 is minus their sum.  det(B) = dim! |T| from the cached
     measures (exact in 2D, where the factor is 2); `build_mesh` orients
     every element positively, and a wrong sign would flip all gradients of
-    an element, which its stiffness block g g^T does not see.
+    an element, which its stiffness block g g^T does not see.  In 2D the
+    gradients are built from the four edge-difference columns into a
+    (2, 3, M) array, returned as its transpose, so each component of each
+    gradient is one contiguous column.
     """
-    verts = mesh.element_vertices()
     n = mesh.dim
-    e = verts[:, 1:, :] - verts[:, :1, :]
     meas = meshmod._measures(mesh)
     det = math.factorial(n) * meas
-    grads = np.empty((mesh.element_count, n, n + 1))
     if n == 2:
-        # adj(B) = [[d, -b], [-c, a]] for B = [[a, b], [c, d]]
-        (a, b), (c, d) = e[:, 0].T, e[:, 1].T
-        adj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
-    else:
-        # column j of adj(B) is the cross product of the other two edges
-        adj = np.stack([np.cross(e[:, 1], e[:, 2]), np.cross(e[:, 2], e[:, 0]), np.cross(e[:, 0], e[:, 1])], axis=2)
+        # B = [[a, b], [c, d]], adj(B) = [[d, -b], [-c, a]]; -(b / det) is
+        # (-b) / det bit for bit
+        el = mesh.elements
+        (a, c), (b, d) = ((x[el[:, 1]] - x[el[:, 0]], x[el[:, 2]] - x[el[:, 0]]) for x in mesh.nodes.T)
+        cols = np.empty((2, 3, mesh.element_count))
+        np.divide(d, det, out=cols[0, 1])
+        np.negative(np.divide(b, det, out=cols[0, 2]), out=cols[0, 2])
+        np.negative(np.divide(c, det, out=cols[1, 1]), out=cols[1, 1])
+        np.divide(a, det, out=cols[1, 2])
+        np.negative(np.add(cols[:, 1], cols[:, 2], out=cols[:, 0]), out=cols[:, 0])
+        return cols.transpose(2, 0, 1), meas
+    verts = mesh.element_vertices()
+    e = verts[:, 1:, :] - verts[:, :1, :]
+    grads = np.empty((mesh.element_count, n, n + 1))
+    # column j of adj(B) is the cross product of the other two edges
+    adj = np.stack([np.cross(e[:, 1], e[:, 2]), np.cross(e[:, 2], e[:, 0]), np.cross(e[:, 0], e[:, 1])], axis=2)
     np.divide(adj, det[:, None, None], out=grads[:, :, 1:])
     np.negative(grads[:, :, 1:].sum(axis=2), out=grads[:, :, 0])
     return grads, meas
@@ -253,14 +267,24 @@ def assemble_stiffness(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
 
 
 def _assemble_stiffness(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
-    grads, meas = _gradients(mesh)
-    # local[m, i, j] = meas[m] * sum_k grads[m, k, i] * grads[m, k, j], summed
-    # over k in order (bit-identical to the einsum "mki,mkj->mij").
-    local = grads[:, 0, :, None] * grads[:, 0, None, :]
-    for k in range(1, mesh.dim):
-        local += grads[:, k, :, None] * grads[:, k, None, :]
-    local *= meas[:, None, None]
-    return _scatter(mesh, local)
+    return _scatter(mesh, _local_stiffness(*_gradients(mesh)))
+
+
+def _local_stiffness(grads: np.ndarray, meas: np.ndarray) -> np.ndarray:
+    """(M, k, k) blocks meas * sum_c grads[:, c, i] * grads[:, c, j], summed
+    over c in order (bit-identical to the einsum "mki,mkj->mij"), one entry
+    at a time for i <= j and mirrored."""
+    count, dim, k = grads.shape
+    local = np.empty((count, k, k))
+    for i in range(k):
+        for j in range(i, k):
+            entry = grads[:, 0, i] * grads[:, 0, j]
+            for c in range(1, dim):
+                entry += grads[:, c, i] * grads[:, c, j]
+            entry *= meas
+            local[:, i, j] = entry
+            local[:, j, i] = entry
+    return local
 
 
 def assemble_mass(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
@@ -317,9 +341,15 @@ def assemble_load(mesh: meshmod.SimplicialMesh, fh: DiscreteSource) -> np.ndarra
     _check_sup(fh.source, vals)
     if fh.mesh is mesh:
         fh.quadrature_l2 = _quadrature_l2(mesh, vals, w)
-    contrib = np.einsum("mq,q,qk->mk", vals, w, bary) * meas[:, None]
+    # contrib_j = sum_q (vals_q * w_q) * bary[q, j], summed over q in order,
+    # times the measure: the einsum "mq,q,qk->mk" one column at a time
+    weighted = vals * w
     for j in range(n + 1):
-        np.add.at(b, mesh.elements[:, j], contrib[:, j])
+        contrib = weighted[:, 0] * bary[0, j]
+        for q in range(1, w.size):
+            contrib += weighted[:, q] * bary[q, j]
+        contrib *= meas
+        np.add.at(b, mesh.elements[:, j], contrib)
     return b
 
 
@@ -459,9 +489,14 @@ def _line_jacobi(a_mat: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray], Non
     kappa = 1.0 / (1.0 + w[first] + v_last * w[last])
     line_of = np.repeat(np.arange(starts.size), stops - starts)
     s_line = np.zeros(starts.size)
+    # only the nodes on no line take the Jacobi step
+    on_line = np.zeros(n, dtype=bool)
+    on_line[order] = True
+    off_line = np.flatnonzero(~on_line)
+    inv_off_line = inv_diag[off_line]
 
     def apply(r, out):
-        np.multiply(inv_diag, r, out=out)
+        out[off_line] = inv_off_line * r[off_line]
         y = dpttrs(d, e, r[order])[0]
         s_line[cycles] = (y[first] + v_last * y[last]) * kappa
         y -= w * s_line[line_of]
@@ -555,8 +590,25 @@ def l2_error_interior(mesh: meshmod.SimplicialMesh, sol: FemSolution, exact: Cal
     """|| u_exact - u_h || over the meshed region by the degree-4 rule."""
     bary, w = simplex_rule(mesh.dim)
     u_ex = np.asarray(exact(_quadrature_points(mesh, bary)), dtype=float)
-    u_h = np.einsum("qk,mk->mq", bary, sol.nodal_values[mesh.elements])
-    return _quadrature_l2(mesh, u_ex - u_h, w)
+    return _quadrature_l2(mesh, u_ex - _p1_at_points(mesh, bary, sol.nodal_values), w)
+
+
+def _p1_at_points(mesh: meshmod.SimplicialMesh, bary: np.ndarray, nodal: np.ndarray) -> np.ndarray:
+    """(M, q) values at the rule's points of the P1 function with `nodal`
+    values, sum_k bary[q, k] * nodal[corner_k].
+
+    Bit-identical to `np.einsum("qk,mk->mq", bary, nodal[mesh.elements])`,
+    which sums the products on two SIMD lanes: the even k, the odd k, then
+    both; here one point at a time on contiguous corner columns.
+    """
+    corners = [nodal[mesh.elements[:, k]] for k in range(mesh.dim + 1)]
+    out = np.empty((mesh.element_count, bary.shape[0]))
+    for q, weights in enumerate(bary):
+        lanes = [weights[0] * corners[0], weights[1] * corners[1]]
+        for k in range(2, mesh.dim + 1):
+            lanes[k % 2] += weights[k] * corners[k]
+        out[:, q] = lanes[0] + lanes[1]
+    return out
 
 
 def fh_error_measured(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str) -> float:
@@ -569,7 +621,7 @@ def fh_error_measured(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str) ->
     if mode == "barycentric":
         fh_vals = fh.element_values[:, None] * np.ones_like(fvals)
     else:
-        fh_vals = np.einsum("qk,mk->mq", bary, fh.nodal_values[mesh.elements])
+        fh_vals = _p1_at_points(mesh, bary, fh.nodal_values)
     return _quadrature_l2(mesh, fvals - fh_vals, w)
 
 

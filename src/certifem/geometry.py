@@ -74,23 +74,57 @@ def signed_measures(verts: np.ndarray) -> np.ndarray:
     return np.linalg.det(edges) / _FACTORIAL[verts.shape[2]]
 
 
+def _row_reduce(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """`ufunc.reduce(a, axis=1)` of an (M, k) array, one column at a time
+    from the left: the order in which numpy reduces such short rows, without
+    its slow per-row loop."""
+    out = ufunc(a[:, 0], a[:, 1])
+    for k in range(2, a.shape[1]):
+        ufunc(out, a[:, k], out=out)
+    return out
+
+
 def degenerate(measures: np.ndarray, edge_sq: np.ndarray, dim: int) -> np.ndarray:
     """Mask of measures at or below DEGENERACY_TOL * h^dim, h the longest edge."""
-    return measures <= DEGENERACY_TOL * np.sqrt(edge_sq.max(axis=1)) ** dim
+    return measures <= DEGENERACY_TOL * np.sqrt(_row_reduce(np.maximum, edge_sq)) ** dim
 
 
 def squared_edges(verts: np.ndarray) -> np.ndarray:
-    """(M, 3) or (M, 6) squared edge lengths, in `EDGES` order."""
-    i, j = EDGES[verts.shape[2]]
-    return ((verts[:, i] - verts[:, j]) ** 2).sum(-1)
+    """(M, 3) or (M, 6) squared edge lengths, in `EDGES` order.
+
+    One edge and one coordinate at a time, dx*dx + dy*dy (+ dz*dz): the
+    products and sums of `((verts[:, i] - verts[:, j])**2).sum(-1)` in the
+    same order, without its (M, edges, dim) copies and short-axis reduction.
+    Column-major like that expression's result, so each edge is one
+    contiguous column for the column-wise kernels that read it.
+    """
+    dim = verts.shape[2]
+    out = np.empty((len(EDGES[dim][0]), verts.shape[0]))
+    for e, (i, j) in enumerate(zip(*EDGES[dim])):
+        sq = np.subtract(verts[:, i, 0], verts[:, j, 0], out=out[e])
+        sq *= sq
+        for c in range(1, dim):
+            d = np.subtract(verts[:, i, c], verts[:, j, c])
+            d *= d
+            sq += d
+    return out.T
 
 
 def edge_cosines(edge_sq: np.ndarray) -> np.ndarray:
     """(M, 3) law-of-cosines cosines of the triangle angles, column i at
-    vertex i, from 2D `squared_edges`; not clipped to [-1, 1]."""
+    vertex i, from 2D `squared_edges`; not clipped to [-1, 1].  Column i is
+    (e_next + e_prev - e_i) / (2 l_next l_prev), computed one column at a
+    time."""
     lengths = np.sqrt(edge_sq)
-    nxt, prev = [1, 2, 0], [2, 0, 1]
-    return (edge_sq[:, nxt] + edge_sq[:, prev] - edge_sq) / (2.0 * lengths[:, nxt] * lengths[:, prev])
+    out = np.empty_like(edge_sq)
+    for i in range(3):
+        nxt, prev = (i + 1) % 3, (i + 2) % 3
+        num = edge_sq[:, nxt] + edge_sq[:, prev]
+        num -= edge_sq[:, i]
+        den = 2.0 * lengths[:, nxt]
+        den *= lengths[:, prev]
+        np.divide(num, den, out=out[:, i])
+    return out
 
 
 def _circumcenter_offsets(verts: np.ndarray) -> np.ndarray:
@@ -104,28 +138,28 @@ def _circumcenter_offsets(verts: np.ndarray) -> np.ndarray:
 def inradii(verts: np.ndarray, measures: np.ndarray, edge_sq: np.ndarray) -> np.ndarray:
     """(M,) inscribed-ball radii: dim * measure / (facet measure sum)."""
     if verts.shape[2] == 2:
-        facets = np.sqrt(edge_sq).sum(axis=1)
+        facets = _row_reduce(np.add, np.sqrt(edge_sq))
     else:
         a, b, c = (verts[:, list(k)] for k in zip(*FACETS[3]))  # (M, 4, 3) corners of the faces
         facets = (0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=-1)).sum(axis=1)
     return verts.shape[2] * measures / facets
 
 
-def vertex_metrics(verts: np.ndarray, measures: np.ndarray) -> ElementMetrics:
-    """Per-element geometry of (M, dim+1, dim) vertex arrays and their
-    (unsigned) `measures`, kept as given; the arrays are made read-only."""
-    edge_sq = squared_edges(verts)
-    h = np.sqrt(edge_sq.max(axis=1))
+def vertex_metrics(verts: np.ndarray, measures: np.ndarray, edge_sq: np.ndarray) -> ElementMetrics:
+    """Per-element geometry of (M, dim+1, dim) vertex arrays, their
+    (unsigned) `measures` and `squared_edges`, kept as given; the arrays are
+    made read-only.  Row reductions over edges and angles run column-wise
+    (`_row_reduce`)."""
+    h = np.sqrt(_row_reduce(np.maximum, edge_sq))
     if verts.shape[2] == 2:
-        lengths = np.sqrt(edge_sq)
-        circum = lengths.prod(axis=1) / (4.0 * measures)
+        circum = _row_reduce(np.multiply, np.sqrt(edge_sq)) / (4.0 * measures)
         # Two angle formulas stay on purpose.  `angles` uses atan2, whose three
         # angles sum to pi within 1e-12 (arccos drifts by ~5e-12); the mesh keeps
         # arccos because the `minangle` bound and the worst-element ties in
         # reports were computed with it.  They differ by up to 4.4e-8 relative
         # on thin triangles.
         ang = np.arccos(np.clip(edge_cosines(edge_sq), -1.0, 1.0))
-        min_angle, max_angle = ang.min(axis=1), ang.max(axis=1)
+        min_angle, max_angle = _row_reduce(np.minimum, ang), _row_reduce(np.maximum, ang)
     else:
         circum = np.linalg.norm(_circumcenter_offsets(verts), axis=1)
         min_angle = max_angle = None

@@ -115,7 +115,7 @@ def kobayashi_bound_3d(t: Simplex, rho_convention: str = "radius") -> float:
     """
     if t.dim != 3:
         raise ValueError("kobayashi_bound_3d applies to tetrahedra")
-    return float(_kobayashi_batch_3d(vertex_metrics(*as_batch(t)[:2]), rho_convention)[0])
+    return float(_kobayashi_batch_3d(vertex_metrics(*as_batch(t)), rho_convention)[0])
 
 
 def _rho(inr, convention: str):

@@ -84,9 +84,27 @@ class MeshQuality:
 
 def _all_facets(elements: np.ndarray, dim: int) -> np.ndarray:
     """Facets of every element as sorted index tuples, (M * (dim+1), dim)."""
+    if dim == 2:
+        return _sorted_pairs(elements, *zip(*FACETS[2]))
     fac = np.concatenate([elements[:, list(i)] for i in FACETS[dim]], axis=0)
     fac.sort(axis=1)
     return fac
+
+
+def _sorted_pairs(elements: np.ndarray, first, second) -> np.ndarray:
+    """(len(first) * M, 2) sorted index pairs (elements[:, first[p]],
+    elements[:, second[p]]), all elements for p = 0 first.
+
+    `np.minimum`/`np.maximum` sort them into the two rows of a (2, n) array,
+    and the result is its transpose, whose columns `_unique_rows` reads
+    contiguously; a row-wise `sort(axis=1)` gives the same pairs, slower.
+    """
+    a = np.concatenate([elements[:, k] for k in first])
+    b = np.concatenate([elements[:, k] for k in second])
+    pairs = np.empty((2, a.size), dtype=elements.dtype)
+    np.minimum(a, b, out=pairs[0])
+    np.maximum(a, b, out=pairs[1])
+    return pairs.T
 
 
 def _unique_rows(rows: np.ndarray, n: int, return_inverse: bool = False) -> tuple:
@@ -176,7 +194,8 @@ def build_mesh(dim: int, nodes, elements) -> SimplicialMesh:
         el[flip, -2], el[flip, -1] = el[flip, -1].copy(), el[flip, -2].copy()
         verts = nd[el]
         sm = signed_measures(verts)
-    bad = np.flatnonzero(degenerate(sm, squared_edges(verts), dim))
+    edge_sq = squared_edges(verts)
+    bad = np.flatnonzero(degenerate(sm, edge_sq, dim))
     if bad.size:
         raise InvertedElementError(f"element {bad[0]} has nonpositive measure after orientation fix")
 
@@ -187,11 +206,13 @@ def build_mesh(dim: int, nodes, elements) -> SimplicialMesh:
         raise NonConformingMeshError(f"facet {bad.tolist()} shared by {counts.max()} elements")
     bfac = uniq[counts == 1]
     bnodes = np.unique(bfac)
-    for arr in (nd, el, bfac, bnodes, sm):
+    for arr in (nd, el, bfac, bnodes, sm, edge_sq):
         arr.setflags(write=False)
     mesh = SimplicialMesh(dim, nd, el, bfac, bnodes)
-    # Every signed measure is positive here, so it equals the measure.
+    # Every signed measure is positive here, so it equals the measure; the
+    # squared edges are kept for `element_metrics`, one pass per mesh.
     mesh._cache["measures"] = sm
+    mesh._cache["edge_sq"] = edge_sq
     return mesh
 
 
@@ -241,8 +262,7 @@ def _refine(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.nda
     unvalidated: the midpoints follow the old nodes, and each child keeps its
     parent's orientation."""
     el = elements
-    pairs = np.concatenate([el[:, [0, 1]], el[:, [1, 2]], el[:, [0, 2]]], axis=0)
-    pairs.sort(axis=1)
+    pairs = _sorted_pairs(el, (0, 1, 0), (1, 2, 2))
     uniq, inverse, _ = _unique_rows(pairs, nodes.shape[0], return_inverse=True)
     mid = 0.5 * (nodes[uniq[:, 0]] + nodes[uniq[:, 1]])
     mid_idx = inverse.reshape(3, -1).T + nodes.shape[0]  # columns: m01, m12, m02
@@ -270,7 +290,9 @@ def element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
 
 
 def _element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
-    return vertex_metrics(mesh.element_vertices(), _measures(mesh))
+    verts = mesh.element_vertices()
+    edge_sq = _cached(mesh, "edge_sq", lambda m: squared_edges(verts))
+    return vertex_metrics(verts, _measures(mesh), edge_sq)
 
 
 def quality(mesh: SimplicialMesh) -> MeshQuality:
@@ -300,10 +322,7 @@ def _quality(mesh: SimplicialMesh) -> MeshQuality:
 
 def edge_count(mesh: SimplicialMesh) -> int:
     """Unique edges, for Euler-formula style checks."""
-    i, j = EDGES[mesh.dim]
-    pairs = np.stack([mesh.elements[:, i], mesh.elements[:, j]], axis=-1).reshape(-1, 2)
-    pairs.sort(axis=1)
-    return _unique_rows(pairs, mesh.node_count)[0].shape[0]
+    return _unique_rows(_sorted_pairs(mesh.elements, *EDGES[mesh.dim]), mesh.node_count)[0].shape[0]
 
 
 def check_boundary_on_poly(mesh: SimplicialMesh, poly: PolyApprox, tol: float = 1e-10) -> None:

@@ -168,6 +168,16 @@ def test_certify_multiply_wound_polygon_exits_2(tmp_path, capsys, step, reason):
     assert not report.exists()
 
 
+def test_certify_degenerate_polygon_exits_2(tmp_path, capsys):
+    poly_path = tmp_path / "flat.json"
+    poly_path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [2, 0]]}))
+    report = tmp_path / "report.json"
+    rc = run_cli("certify", "--domain", f"polygon:{poly_path}", "--generate", "1", "--out", str(report))
+    assert rc == 2
+    assert "degenerate" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_certify_nonblunt_on_blunt_mesh_exits_2(tmp_path, capsys):
     rc = run_cli(
         "certify", "--domain", "disk:1.0", "--generate", "3,0",

@@ -157,6 +157,30 @@ def test_repeated_vertices_rejected():
             ConvexPolygon(verts)
 
 
+@pytest.mark.parametrize(
+    "verts",
+    [
+        [[0, 0], [1, 0], [2, 0]],
+        [[0, 0], [2, 0], [1, 0]],
+        [[0, 0], [1, 1], [2, 2], [3, 3]],
+        [[0, 0], [1, 0], [0.5, 1e-13]],
+    ],
+    ids=["collinear", "collinear-unordered", "collinear-quad", "flat"],
+)
+def test_degenerate_polygons_rejected(verts):
+    for build in (ConvexPolygon, lambda v: make_poly_approx(Disk(10.0), np.asarray(v) / 10.0)):
+        with pytest.raises(InvalidPolygonError, match="degenerate"):
+            build(verts)
+
+
+def test_thin_polygon_measure_is_relative_to_diameter():
+    for scale in (1e-6, 1.0, 1e6):
+        thin = ConvexPolygon(scale * np.array([[0, 0], [1, 0], [0.5, 1e-9]]))
+        assert thin.measure == pytest.approx(0.5e-9 * scale**2, rel=1e-9)
+        with pytest.raises(InvalidPolygonError, match="degenerate"):
+            ConvexPolygon(scale * np.array([[0, 0], [1, 0], [0.5, 1e-13]]))
+
+
 def test_polygon_halfplanes_match_polytope():
     pent = ConvexPolygon([[0.0, 0.0], [2.0, 0.1], [2.6, 1.3], [1.1, 2.2], [-0.4, 1.1]])
     poly = poly_approx_of_polygon(pent)
@@ -181,6 +205,20 @@ def test_polytope_3d_convexity_checks():
     for first in ([0, 2, 4, 1], [0, 2, 6], [-1, 2, 4], [0.9, 2, 4]):
         with pytest.raises(InvalidPolygonError, match="index triples"):
             make_poly_approx(ball, OCTA_VERTS, [first] + OCTA_FACETS[1:])
+
+
+@pytest.mark.parametrize(
+    "vertices, facets, reason",
+    [
+        (OCTA_VERTS, OCTA_FACETS[:4], "vertex 5 lies on no facet"),
+        (OCTA_VERTS, OCTA_FACETS[:7], r"edge \[0, 3\] bounds 1 facet"),
+        (OCTA_VERTS, OCTA_FACETS + OCTA_FACETS[:1], r"edge \[0, 2\] bounds 3 facet"),
+    ],
+    ids=["upper-half", "one-missing", "one-doubled"],
+)
+def test_polytope_3d_surface_must_be_closed(vertices, facets, reason):
+    with pytest.raises(InvalidPolygonError, match=reason):
+        make_poly_approx(Ball(1.0), vertices, facets)
 
 
 def test_polygon_contains_and_boundary():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from certifem import fem
+from certifem import fem, geometry
 from certifem import mesh as meshmod
 from certifem import (
     ConvexPolygon,
@@ -48,6 +48,7 @@ from certifem.quadrature import (
     reference_monomial_integral,
     simplex_rule,
 )
+from certifem.geometry import EDGES, FACETS, edge_cosines, squared_edges
 from test_mesh import _jittered_square, _kuhn_cube
 
 REF_TRIANGLE = build_mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
@@ -472,6 +473,153 @@ def test_matrix_free_l2_norm_matches_mass_matrix(name):
     assert fem_l2_norm(mesh, sol) == pytest.approx(math.sqrt(v @ (assemble_mass(mesh) @ v)), rel=1e-13)
 
 
+# ---------------------------------------------------------------------------
+# column-wise kernels against the array expressions they replace, bit for bit
+
+
+def _oracle_squared_edges(verts):
+    i, j = EDGES[verts.shape[2]]
+    return ((verts[:, i] - verts[:, j]) ** 2).sum(-1)
+
+
+def _oracle_metrics(measures, edge_sq):
+    """h, and in 2D the cosines, circumradius, inradius and angle extremes,
+    by array reductions over the (M, 3) edge and angle arrays."""
+    h = np.sqrt(edge_sq.max(axis=1))
+    if edge_sq.shape[1] != 3:
+        return {"h": h}
+    lengths = np.sqrt(edge_sq)
+    nxt, prev = [1, 2, 0], [2, 0, 1]
+    cos = (edge_sq[:, nxt] + edge_sq[:, prev] - edge_sq) / (2.0 * lengths[:, nxt] * lengths[:, prev])
+    ang = np.arccos(np.clip(cos, -1.0, 1.0))
+    return {
+        "h": h,
+        "cosines": cos,
+        "circumradius": lengths.prod(axis=1) / (4.0 * measures),
+        "inradius": 2 * measures / lengths.sum(axis=1),
+        "min_angle": ang.min(axis=1),
+        "max_angle": ang.max(axis=1),
+    }
+
+
+def _oracle_facets(elements, dim):
+    fac = np.concatenate([elements[:, list(i)] for i in FACETS[dim]], axis=0)
+    fac.sort(axis=1)
+    return fac
+
+
+def _oracle_gradients(mesh):
+    """The closed-form gradients from an (M, dim, dim) adjugate stack."""
+    verts = mesh.element_vertices()
+    n = mesh.dim
+    e = verts[:, 1:, :] - verts[:, :1, :]
+    det = math.factorial(n) * meshmod._measures(mesh)
+    grads = np.empty((mesh.element_count, n, n + 1))
+    if n == 2:
+        (a, b), (c, d) = e[:, 0].T, e[:, 1].T
+        adj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
+    else:
+        adj = np.stack([np.cross(e[:, 1], e[:, 2]), np.cross(e[:, 2], e[:, 0]), np.cross(e[:, 0], e[:, 1])], axis=2)
+    np.divide(adj, det[:, None, None], out=grads[:, :, 1:])
+    np.negative(grads[:, :, 1:].sum(axis=2), out=grads[:, :, 0])
+    return grads
+
+
+def _oracle_stiffness_blocks(grads, meas):
+    """Local stiffness blocks as broadcast outer products."""
+    local = grads[:, 0, :, None] * grads[:, 0, None, :]
+    for k in range(1, grads.shape[1]):
+        local += grads[:, k, :, None] * grads[:, k, None, :]
+    local *= meas[:, None, None]
+    return local
+
+
+def _oracle_load(mesh, vals, w, bary):
+    b = np.zeros(mesh.node_count)
+    contrib = np.einsum("mq,q,qk->mk", vals, w, bary) * meshmod._measures(mesh)[:, None]
+    for j in range(mesh.dim + 1):
+        np.add.at(b, mesh.elements[:, j], contrib[:, j])
+    return b
+
+
+def _oracle_p1_at_points(mesh, bary, nodal):
+    return np.einsum("qk,mk->mq", bary, nodal[mesh.elements])
+
+
+def _wavy(pts):
+    pts = np.asarray(pts)
+    return np.cos(3.0 * pts[..., 0]) + np.sin(2.0 * pts[..., 1])
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENT_MESHES))
+def test_mesh_kernels_match_oracles(name):
+    mesh = GRADIENT_MESHES[name]()
+    verts = mesh.element_vertices()
+    edge_sq = _oracle_squared_edges(verts)
+    assert np.array_equal(squared_edges(verts), edge_sq)
+    em = meshmod.element_metrics(mesh)
+    assert np.array_equal(em.edge_sq, edge_sq)
+    for field, ref in _oracle_metrics(em.measures, edge_sq).items():
+        got = edge_cosines(edge_sq) if field == "cosines" else getattr(em, field)
+        assert np.array_equal(got, ref), field
+    facets = meshmod._all_facets(mesh.elements, mesh.dim)
+    assert facets.shape == (mesh.element_count * (mesh.dim + 1), mesh.dim)
+    assert np.array_equal(facets, _oracle_facets(mesh.elements, mesh.dim))
+    i, j = EDGES[mesh.dim]
+    edges = np.concatenate([mesh.elements[:, [a, b]] for a, b in zip(i, j)])
+    edges.sort(axis=1)
+    assert np.array_equal(meshmod._sorted_pairs(mesh.elements, i, j), edges)
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENT_MESHES))
+def test_fem_kernels_match_oracles(name):
+    mesh = GRADIENT_MESHES[name]()
+    grads, meas = fem._gradients(mesh)
+    assert grads.shape == (mesh.element_count, mesh.dim, mesh.dim + 1)
+    assert np.array_equal(grads, _oracle_gradients(mesh))
+    assert np.array_equal(fem._local_stiffness(grads, meas), _oracle_stiffness_blocks(grads, meas))
+
+    bary, w = simplex_rule(mesh.dim)
+    f = SourceTerm(evaluate=_wavy, sup_norm=2.0)
+    vals = _wavy(fem._quadrature_points(mesh, bary))
+    assert np.array_equal(assemble_load(mesh, build_fh(mesh, f, "exact")), _oracle_load(mesh, vals, w, bary))
+
+    nodal = np.random.default_rng(3).uniform(-1.0, 1.0, mesh.node_count)
+    assert np.array_equal(fem._p1_at_points(mesh, bary, nodal), _oracle_p1_at_points(mesh, bary, nodal))
+    error = fem._quadrature_l2(mesh, vals - _oracle_p1_at_points(mesh, bary, nodal), w)
+    assert l2_error_interior(mesh, FemSolution(nodal, 0, 0.0, True), _wavy) == error
+
+
+def test_disk_solution_matches_oracle():
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, (1000, 6, 2))
+    assert np.array_equal(registry()["disk2d"].u(pts), 0.25 * (1.0 - (pts**2).sum(axis=-1)))
+
+
+def test_squared_edges_run_once_per_built_mesh(monkeypatch):
+    """The degeneracy check's squared edges are the element metrics' ones."""
+    calls = {"edges": 0, "build": 0}
+    edges, build = squared_edges, meshmod.build_mesh
+
+    def counted_edges(verts):
+        calls["edges"] += 1
+        return edges(verts)
+
+    def counted_build(*args):
+        calls["build"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(geometry, "squared_edges", counted_edges)
+    monkeypatch.setattr(meshmod, "squared_edges", counted_edges)
+    monkeypatch.setattr(meshmod, "build_mesh", counted_build)
+    disk_study_row(20, 2)
+    assert calls["build"] == 2 and calls["edges"] == calls["build"]
+
+    mesh = build(2, TWO_TRI_SQUARE.nodes, TWO_TRI_SQUARE.elements)
+    calls["edges"] = 0
+    meshmod.element_metrics(mesh)
+    assert calls["edges"] == 0
+
+
 def test_quadrature_points_peak_memory_below_einsum():
     mesh = KERNEL_MESHES["fan-partial-block"]()
     bary, _ = simplex_rule(2)
@@ -590,11 +738,15 @@ def test_line_preconditioner_is_exact_solve_of_kept_matrix(name):
     m_dense, paths, cycles = _kept_line_matrix(a_mat)
     assert (paths, cycles) == ((0, 3) if name == "fan-cycles" else (7, 0))
     apply = fem._line_jacobi(a_mat)
+    # nodes on no line (the fan's centre) get their Jacobi step bit for bit
+    off_line = np.flatnonzero(np.count_nonzero(m_dense, axis=1) == 1)
+    assert off_line.size == (1 if name == "fan-cycles" else 0)
     for seed in range(3):
         r = np.random.default_rng(seed).normal(size=a_mat.shape[0])
-        z = np.empty_like(r)
+        z = np.full_like(r, np.nan)  # every entry must be written
         apply(r, z)
         assert z == pytest.approx(np.linalg.solve(m_dense, r), rel=1e-12)
+        assert np.array_equal(z[off_line], (1.0 / a_mat.diagonal()[off_line]) * r[off_line])
 
 
 @pytest.mark.parametrize("name", sorted(LINE_MESHES))
