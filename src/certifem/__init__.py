@@ -14,7 +14,6 @@ from .domain import (
     PolyApprox,
     gap_delta,
     inscribed_regular_polygon,
-    load_poly_approx,
     make_poly_approx,
     poly_approx_of_polygon,
 )
@@ -113,6 +112,7 @@ from .verify import (
     registry,
     run_disk_study,
     structured_square_mesh,
+    verify_case,
 )
 
 __version__ = "0.1.0"

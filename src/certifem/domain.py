@@ -7,9 +7,8 @@ the maximum of a linear functional over a convex body IS the support value.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,7 +214,6 @@ class PolyApprox:
     offsets: np.ndarray
     gap_per_facet: np.ndarray
     gap: float
-    meta: dict = field(default_factory=dict)
 
     def signed_facet_distances(self, points) -> np.ndarray:
         """max_F n_F.x - o_F for each point; > 0 means outside."""
@@ -223,12 +221,6 @@ class PolyApprox:
 
     def contains(self, points, tol: float = 1e-12):
         return self.signed_facet_distances(points) <= tol
-
-    def to_json_dict(self) -> dict:
-        obj = {"dim": self.dim, "vertices": self.vertices.tolist()}
-        if self.dim == 3:
-            obj["facets"] = self.facets.tolist()
-        return obj
 
 
 def gap_delta(dom: ConvexDomain, poly: PolyApprox) -> tuple[float, np.ndarray]:
@@ -291,7 +283,7 @@ def _check_closed_surface(facets: np.ndarray, vertex_count: int) -> None:
         raise InvalidPolygonError(f"edge {edge} bounds {counts[bad[0]]} facet(s), not 2; the surface is not closed")
 
 
-def make_poly_approx(dom: ConvexDomain, vertices, facet_indices=None, meta=None) -> PolyApprox:
+def make_poly_approx(dom: ConvexDomain, vertices, facet_indices=None) -> PolyApprox:
     """Build and validate an inscribed polytope approximation.
 
     2D: vertices in either orientation (stored counterclockwise), facets are
@@ -317,7 +309,7 @@ def make_poly_approx(dom: ConvexDomain, vertices, facet_indices=None, meta=None)
     gap, gaps = _facet_gaps(dom, normals, offsets)
     for a in (v, facets, normals, offsets, gaps):
         a.setflags(write=False)
-    return PolyApprox(dom.dim, v, facets, normals, offsets, gaps, gap, dict(meta or {}))
+    return PolyApprox(dom.dim, v, facets, normals, offsets, gaps, gap)
 
 
 def inscribed_regular_polygon(dom: Disk, m: int) -> PolyApprox:
@@ -329,29 +321,9 @@ def inscribed_regular_polygon(dom: Disk, m: int) -> PolyApprox:
     k = np.arange(m)
     ang = 2.0 * math.pi * k / m
     verts = dom.center + dom.radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return make_poly_approx(dom, verts, meta={"kind": "regular_polygon", "m": m, "radius": dom.radius})
+    return make_poly_approx(dom, verts)
 
 
 def poly_approx_of_polygon(dom: ConvexPolygon) -> PolyApprox:
     """A convex polygon domain approximated by itself (gap 0)."""
-    return make_poly_approx(dom, dom.vertices, meta={"kind": "exact_polygon"})
-
-
-def load_poly_approx(path_or_obj, dom: ConvexDomain) -> PolyApprox:
-    """Read a polytope from JSON ({"dim", "vertices"[, "facets"]}) and validate
-    it against the given domain."""
-    if isinstance(path_or_obj, (str,)):
-        with open(path_or_obj, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    else:
-        obj = path_or_obj
-    dim = int(obj["dim"])
-    if dim != dom.dim:
-        raise InvalidPolygonError(f"polytope dim {dim} does not match domain dim {dom.dim}")
-    return make_poly_approx(dom, obj["vertices"], obj.get("facets"))
-
-
-def save_poly_approx(poly: PolyApprox, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(poly.to_json_dict(), fh)
-        fh.write("\n")
+    return make_poly_approx(dom, dom.vertices)

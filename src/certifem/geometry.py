@@ -135,23 +135,23 @@ def _circumcenter_offsets(verts: np.ndarray) -> np.ndarray:
     return np.linalg.solve(2.0 * d, rhs[..., None])[..., 0]
 
 
-def inradii(verts: np.ndarray, measures: np.ndarray, edge_sq: np.ndarray) -> np.ndarray:
-    """(M,) inscribed-ball radii: dim * measure / (facet measure sum)."""
-    if verts.shape[2] == 2:
-        facets = _row_reduce(np.add, np.sqrt(edge_sq))
-    else:
-        a, b, c = (verts[:, list(k)] for k in zip(*FACETS[3]))  # (M, 4, 3) corners of the faces
-        facets = (0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=-1)).sum(axis=1)
-    return verts.shape[2] * measures / facets
+def inradii(verts: np.ndarray | None, measures: np.ndarray, edge_sq: np.ndarray) -> np.ndarray:
+    """(M,) inscribed-ball radii: dim * measure / (facet measure sum).
+    Triangles (three edges per row of `edge_sq`) do not read `verts`."""
+    if edge_sq.shape[1] == 3:
+        return 2 * measures / _row_reduce(np.add, np.sqrt(edge_sq))
+    a, b, c = (verts[:, list(k)] for k in zip(*FACETS[3]))  # (M, 4, 3) corners of the faces
+    return 3 * measures / (0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=-1)).sum(axis=1)
 
 
-def vertex_metrics(verts: np.ndarray, measures: np.ndarray, edge_sq: np.ndarray) -> ElementMetrics:
+def vertex_metrics(verts: np.ndarray | None, measures: np.ndarray, edge_sq: np.ndarray) -> ElementMetrics:
     """Per-element geometry of (M, dim+1, dim) vertex arrays, their
     (unsigned) `measures` and `squared_edges`, kept as given; the arrays are
-    made read-only.  Row reductions over edges and angles run column-wise
+    made read-only.  Triangles (three edges per row of `edge_sq`) need no
+    `verts`.  Row reductions over edges and angles run column-wise
     (`_row_reduce`)."""
     h = np.sqrt(_row_reduce(np.maximum, edge_sq))
-    if verts.shape[2] == 2:
+    if edge_sq.shape[1] == 3:
         circum = _row_reduce(np.multiply, np.sqrt(edge_sq)) / (4.0 * measures)
         # Two angle formulas stay on purpose.  `angles` uses atan2, whose three
         # angles sum to pi within 1e-12 (arccos drifts by ~5e-12); the mesh keeps

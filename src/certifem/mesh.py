@@ -290,8 +290,10 @@ def element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
 
 
 def _element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
-    verts = mesh.element_vertices()
-    edge_sq = _cached(mesh, "edge_sq", lambda m: squared_edges(verts))
+    # 2D metrics read only the measures and squared edges, which build_mesh
+    # leaves in the cache, so the vertices are gathered only in 3D
+    verts = mesh.element_vertices() if mesh.dim == 3 else None
+    edge_sq = _cached(mesh, "edge_sq", lambda m: squared_edges(m.element_vertices()))
     return vertex_metrics(verts, _measures(mesh), edge_sq)
 
 

@@ -1,4 +1,4 @@
-"""Quadrature rules on reference simplices plus 1D adaptive integration."""
+"""Quadrature rules on reference simplices and the 1D Gauss-Legendre rule."""
 
 from __future__ import annotations
 
@@ -84,33 +84,3 @@ def reference_monomial_integral(exponents) -> float:
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre rule on [-1, 1]."""
     return np.polynomial.legendre.leggauss(n)
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-14, max_depth: int = 60) -> float:
-    """Adaptive Simpson quadrature with Richardson correction.
-
-    `tol` is an absolute tolerance on the whole interval.
-    """
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        delta = left + right - whole
-        if depth >= max_depth or abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        return recurse(x0, xm, f0, fl, f1, left, 0.5 * eps, depth + 1) + recurse(
-            xm, x2, f1, fr, f2, right, 0.5 * eps, depth + 1
-        )
-
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 0)

@@ -1,9 +1,11 @@
 """Measured errors against exact solutions and end-to-end bound validation.
 
-The flagship pipeline approximates the unit disk by regular m-gons, solves
-with f = 1, and compares the measured L2 error (including the exact gap-
-region contribution) against the certified bound.  A measured error above
-a certified bound is the one fatal scientific failure and raises.
+Every check runs through `verify_case`: solve on a mesh of a polytope
+inscribed in the exact solution's domain, certify, and compare the measured
+L2 error (interior quadrature plus the solution's own gap-region integral)
+against the certified bound.  The flagship pipeline approximates the unit
+disk by regular m-gons with f = 1.  A measured error above a certified
+bound is the one fatal scientific failure and raises.
 """
 
 from __future__ import annotations
@@ -22,15 +24,17 @@ from . import fem as femmod
 from . import interp_constants as icmod
 from . import mesh as meshmod
 from .domain import (
+    ON_BOUNDARY_TOL,
     ConvexDomain,
     ConvexPolygon,
     Disk,
     PolyApprox,
+    gap_delta,
     inscribed_regular_polygon,
     poly_approx_of_polygon,
 )
-from .errors import BoundViolationError, CertifemError
-from .quadrature import adaptive_simpson
+from .errors import BoundViolationError, CertifemError, NotInscribedError
+from .quadrature import gauss_legendre
 
 # First zero of the Bessel function J0; the reciprocal is the exact Poincare
 # constant of the unit disk, documented against the sqrt(2)/pi bound.
@@ -39,11 +43,35 @@ BESSEL_J0_FIRST_ZERO = 2.404825557695773
 
 @dataclass(frozen=True)
 class ExactSolution:
+    """A problem with a closed-form solution `u` on `domain`.
+
+    `gap_l2_sq(poly)` is the squared L2 norm of `u` over the region between
+    `domain` and a polytope inscribed in it; it raises NotInscribedError
+    when the polytope is not inscribed in `domain`.
+    """
+
     name: str
     domain: ConvexDomain
     u: Callable
     f: femmod.SourceTerm
     u_l2_norm: float
+    gap_l2_sq: Callable[[PolyApprox], float]
+
+
+_SEGMENT_RULE = gauss_legendre(16)
+
+
+def _segment_l2_sq(alpha):
+    """Integral of u^2, u = (1 - r^2)/4, over the unit-disk segment beyond a
+    chord of half-angle alpha in (0, pi): (1/15) int_0^alpha sin^6 t dt.
+
+    Integrating across the chord gives (1/15) int_cos(alpha)^1 (1 - s^2)^(5/2) ds,
+    and s = cos t turns that into the sine integral.  The integrand is entire,
+    so the 16-point rule is exact to rounding for every alpha in (0, pi).
+    """
+    x, w = _SEGMENT_RULE
+    half = 0.5 * np.asarray(alpha, dtype=float)[..., None]
+    return half[..., 0] / 15.0 * (np.sin(half * (x + 1.0)) ** 6 @ w)
 
 
 def _disk2d() -> ExactSolution:
@@ -54,12 +82,23 @@ def _disk2d() -> ExactSolution:
         x, y = pts[..., 0], pts[..., 1]
         return 0.25 * (1.0 - (x * x + y * y))
 
+    def gap_l2_sq(poly: PolyApprox) -> float:
+        """One circular segment per facet: the disk minus an inscribed convex
+        polygon is the union of the segments beyond its edges."""
+        v = poly.vertices
+        if poly.dim != 2 or np.abs(np.hypot(v[:, 0], v[:, 1]) - 1.0).max() > ON_BOUNDARY_TOL:
+            raise NotInscribedError("polygon vertices do not lie on the unit circle")
+        edges = v[poly.facets[:, 1]] - v[poly.facets[:, 0]]
+        alpha = np.arctan2(0.5 * np.hypot(edges[:, 0], edges[:, 1]), poly.offsets)
+        return float(_segment_l2_sq(alpha).sum())
+
     return ExactSolution(
         name="disk2d",
         domain=dom,
         u=u,
         f=femmod.SourceTerm.constant(1.0),
         u_l2_norm=math.sqrt(math.pi / 48.0),
+        gap_l2_sq=gap_l2_sq,
     )
 
 
@@ -70,12 +109,18 @@ def _square2d() -> ExactSolution:
         pts = np.asarray(pts, dtype=float)
         return np.sin(math.pi * pts[..., 0]) * np.sin(math.pi * pts[..., 1])
 
+    def gap_l2_sq(poly: PolyApprox) -> float:
+        if poly.dim != 2 or gap_delta(dom, poly)[0] > 0.0:
+            raise CertifemError("square2d has a gap-region integral only for the square itself")
+        return 0.0
+
     return ExactSolution(
         name="square2d",
         domain=dom,
         u=u,
         f=femmod.SourceTerm.sin_product(),
         u_l2_norm=0.5,
+        gap_l2_sq=gap_l2_sq,
     )
 
 
@@ -85,28 +130,12 @@ def registry() -> dict[str, ExactSolution]:
     return {e.name: e for e in entries}
 
 
-# ---------------------------------------------------------------------------
-# gap-region error integral for the disk
-
-
-def gap_error_term(m: int, tol: float = 1e-14) -> float:
-    """Squared L2 norm of the exact solution over the gap between the unit
-    disk and the inscribed regular m-gon.
-
-    The radial integral has the closed form (1 - c^2/cos^2 t)^3 / 96 with
-    c = cos(pi/m); the angular integral uses adaptive Simpson quadrature.
-    """
+def gap_error_term(m: int) -> float:
+    """Squared L2 norm of the disk solution over the gap between the unit
+    disk and the inscribed regular m-gon: m segments of half-angle pi/m."""
     if m < 3:
         raise ValueError("need m >= 3")
-    c = math.cos(math.pi / m)
-    c2 = c * c
-
-    def g(theta: float) -> float:
-        val = 1.0 - c2 / math.cos(theta) ** 2
-        return val**3
-
-    integral = adaptive_simpson(g, -math.pi / m, math.pi / m, tol=tol)
-    return m * integral / 96.0
+    return m * float(_segment_l2_sq(math.pi / m))
 
 
 def actual_l2_error(
@@ -116,17 +145,9 @@ def actual_l2_error(
     sol: femmod.FemSolution,
 ) -> float:
     """Measured || u - u_h || over the full domain: interior quadrature plus
-    the gap contribution (closed form for the disk, zero for exact polygons)."""
+    the exact solution's gap-region integral."""
     interior = femmod.l2_error_interior(mesh, sol, exact.u)
-    if poly.gap <= 0.0:
-        gap_sq = 0.0
-    elif exact.name == "disk2d" and poly.meta.get("kind") == "regular_polygon":
-        gap_sq = gap_error_term(int(poly.meta["m"]))
-    else:
-        raise CertifemError(
-            f"no gap-region integral available for exact={exact.name!r} with this polytope"
-        )
-    return math.sqrt(interior * interior + gap_sq)
+    return math.sqrt(interior * interior + exact.gap_l2_sq(poly))
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +172,14 @@ def barrier_check(exact: ExactSolution, poly: PolyApprox, n_samples: int = 10000
     uniform sampling would miss at any realistic sample count.
     """
     dom = exact.domain
-    delta = poly.gap
+    if poly.dim != dom.dim or not np.all(dom.contains(poly.vertices, tol=ON_BOUNDARY_TOL)):
+        raise NotInscribedError(f"polytope is not inscribed in the domain of {exact.name}")
+    delta, gaps = gap_delta(dom, poly)
     bound = 0.5 * dom.diameter * delta * exact.f.sup_norm
     if delta <= 0.0:
         return BarrierReport(0.0, bound, True, 0, None)
 
-    reach = np.outer(np.maximum(poly.gap_per_facet, 0.0), [0.0, 0.25, 0.5, 0.75, 0.999])
+    reach = np.outer(np.maximum(gaps, 0.0), [0.0, 0.25, 0.5, 0.75, 0.999])
     barycenters = poly.vertices[poly.facets].mean(axis=1)
     probes = (barycenters[:, None, :] + reach[:, :, None] * poly.normals[:, None, :]).reshape(-1, dom.dim)
 
@@ -238,11 +261,31 @@ class DiskStudyRow:
     iterations: int
 
 
-def _check_poincare(mesh: meshmod.SimplicialMesh, sol: femmod.FemSolution, diameter: float, where: str) -> None:
-    """The discrete Poincare inequality must hold for every computed solution."""
-    lhs, rhs = femmod.poincare_residual(mesh, sol, diameter)
+def verify_case(
+    exact: ExactSolution,
+    poly: PolyApprox,
+    mesh: meshmod.SimplicialMesh,
+    fh_mode: str = "exact",
+    strategy: str = "elementwise",
+) -> tuple[femmod.FemSolution, float, estmod.CertifiedBound]:
+    """Solve on `mesh` (which meshes `poly`), certify, and measure the error
+    against `exact`: returns (solution, measured error, certified bound).
+
+    Raises BoundViolationError when the discrete Poincare inequality fails
+    or the measured error exceeds the certified total.
+    """
+    where = f"{exact.name} on {mesh.node_count} nodes"
+    sol, fh = femmod.solve_poisson(mesh, exact.f, fh_mode)
+    if not sol.converged:
+        raise CertifemError(f"solver failed to converge: {where}")
+    lhs, rhs = femmod.poincare_residual(mesh, sol, exact.domain.diameter)
     if lhs > rhs * (1.0 + 1e-10):
-        raise BoundViolationError(f"discrete Poincare inequality violated at {where}: {lhs} > {rhs}")
+        raise BoundViolationError(f"discrete Poincare inequality violated: {where}: {lhs} > {rhs}")
+    certified = estmod.certify(exact.domain, poly, mesh, exact.f, fh_mode, strategy, fh=fh)
+    measured = actual_l2_error(exact, poly, mesh, sol)
+    if measured > certified.total:
+        raise BoundViolationError(f"{where}: measured error {measured} exceeds certified bound {certified.total}")
+    return sol, measured, certified
 
 
 def disk_study_row(
@@ -252,35 +295,27 @@ def disk_study_row(
     strategy: str = "elementwise",
     mesh: meshmod.SimplicialMesh | None = None,
 ) -> DiskStudyRow:
-    """One pipeline run: m-gon in the unit disk, f = 1, measured vs certified.
+    """One pipeline run: m-gon in the unit disk, f = 1, measured vs certified
+    and vs the predicted bound sqrt(pi) (A_m^2 + 2 sin^2(pi / 2m)).
 
     `mesh` overrides the built-in generator (externally meshed m-gon);
     `certify` rejects it, after the solve, when its boundary leaves the
     polygon.
     """
     exact = _disk2d()
-    dom = exact.domain
-    poly = inscribed_regular_polygon(dom, m)
+    poly = inscribed_regular_polygon(exact.domain, m)
     if refine_levels is None:
         refine_levels = default_refine_rule(m)
     if mesh is None:
         mesh = meshmod.generate_fan_refined(poly, refine_levels)
-    sol, fh = femmod.solve_poisson(mesh, exact.f, fh_mode)
-    if not sol.converged:
-        raise CertifemError(f"solver failed to converge at m={m}")
-
-    _check_poincare(mesh, sol, dom.diameter, f"m={m}")
+    sol, actual, certified = verify_case(exact, poly, mesh, fh_mode, strategy)
 
     qual = meshmod.quality(mesh)
     em = meshmod.element_metrics(mesh)
     a_m = float(icmod._kobayashi_batch_2d(em.edge_sq, em.measures).max())
     predicted = math.sqrt(math.pi) * (a_m * a_m + 2.0 * math.sin(math.pi / (2.0 * m)) ** 2)
-    certified = estmod.certify(dom, poly, mesh, exact.f, fh_mode, strategy, fh=fh)
-    actual = actual_l2_error(exact, poly, mesh, sol)
     if actual > predicted:
         raise BoundViolationError(f"m={m}: measured error {actual} exceeds predicted bound {predicted}")
-    if actual > certified.total:
-        raise BoundViolationError(f"m={m}: measured error {actual} exceeds certified bound {certified.total}")
     return DiskStudyRow(
         m=m,
         h=qual.h,
@@ -385,19 +420,15 @@ class ConvergenceReport:
 def convergence_study(grid_sizes: Sequence[int] = (8, 16, 32), fh_mode: str = "nodal") -> ConvergenceReport:
     """Structured-mesh refinement sweep for the unit-square problem.
 
-    Checks the closed-form bound at every level and fits the L2 convergence
-    slope; a bound violation raises.
+    Checks the non-obtuse certified bound and the closed-form bound at every
+    level and fits the L2 convergence slope; a bound violation raises.
     """
     exact = _square2d()
     poly = poly_approx_of_polygon(exact.domain)
     levels = []
     for n in grid_sizes:
         mesh = structured_square_mesh(n)
-        sol, _ = femmod.solve_poisson(mesh, exact.f, fh_mode)
-        if not sol.converged:
-            raise CertifemError(f"solver failed to converge at n={n}")
-        _check_poincare(mesh, sol, exact.domain.diameter, f"n={n}")
-        err = actual_l2_error(exact, poly, mesh, sol)
+        sol, err, _ = verify_case(exact, poly, mesh, fh_mode, "nonblunt")
         bound = estmod.certify_closed_form_2d(exact.domain, poly, mesh, exact.f)
         if err > bound:
             raise BoundViolationError(f"n={n}: measured error {err} exceeds closed-form bound {bound}")

@@ -12,11 +12,9 @@ from certifem import (
     NotInscribedError,
     gap_delta,
     inscribed_regular_polygon,
-    load_poly_approx,
     make_poly_approx,
     poly_approx_of_polygon,
 )
-from certifem.domain import save_poly_approx
 from conftest import random_rotation
 
 UNIT_SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -240,25 +238,6 @@ def test_ball_polytope_ingestion():
         make_poly_approx(ball, OCTA_VERTS, bad)
     with pytest.raises(InvalidPolygonError):
         make_poly_approx(ball, OCTA_VERTS, None)
-
-
-def test_poly_json_round_trip(tmp_path):
-    disk = Disk(1.0)
-    poly = inscribed_regular_polygon(disk, 7)
-    path = tmp_path / "poly.json"
-    save_poly_approx(poly, str(path))
-    loaded = load_poly_approx(str(path), disk)
-    assert np.array_equal(loaded.vertices, poly.vertices)
-    assert loaded.gap == pytest.approx(poly.gap, rel=1e-14)
-
-    ball = Ball(1.0)
-    poly3 = make_poly_approx(ball, OCTA_VERTS, OCTA_FACETS)
-    path3 = tmp_path / "octa.json"
-    save_poly_approx(poly3, str(path3))
-    loaded3 = load_poly_approx(str(path3), ball)
-    assert loaded3.gap == pytest.approx(poly3.gap, rel=1e-14)
-    with pytest.raises(InvalidPolygonError):
-        load_poly_approx({"dim": 3, "vertices": OCTA_VERTS, "facets": OCTA_FACETS}, disk)
 
 
 def test_domain_measures_and_diameters():

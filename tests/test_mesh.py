@@ -226,6 +226,26 @@ def test_element_metrics_match_scalar_geometry(rng):
         assert em.min_angle[i] == pytest.approx(min(angles(t)), rel=1e-10)
 
 
+
+def test_2d_element_metrics_gather_no_vertices(monkeypatch):
+    import dataclasses
+
+    from certifem.geometry import signed_measures, squared_edges, vertex_metrics
+    from certifem.mesh import SimplicialMesh
+
+    mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 9), 2)
+    verts = mesh.element_vertices()
+    gathers = []
+    gather = SimplicialMesh.element_vertices
+    monkeypatch.setattr(SimplicialMesh, "element_vertices", lambda self: gathers.append(self) or gather(self))
+    em = element_metrics(mesh)
+    assert gathers == []
+    # bit for bit the metrics of the gathered vertices
+    ref = vertex_metrics(verts, np.abs(signed_measures(verts)), squared_edges(verts))
+    for f in dataclasses.fields(em):
+        assert np.array_equal(getattr(em, f.name), getattr(ref, f.name)), f.name
+
+
 # ---------------------------------------------------------------------------
 # integer-key dedupe against np.unique(axis=0)
 

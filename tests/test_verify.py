@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from certifem import (
+    BoundViolationError,
     CertifemError,
     Disk,
+    NotInscribedError,
     FemSolution,
     actual_l2_error,
     barrier_check,
@@ -19,15 +21,20 @@ from certifem import (
     generate_fan_refined,
     inscribed_regular_polygon,
     l2_error_interior,
+    make_poly_approx,
     poly_approx_of_polygon,
     quality,
     registry,
     run_disk_study,
     solve_poisson,
     structured_square_mesh,
+    verify_case,
 )
+from certifem import estimator as estmod
 from certifem.quadrature import gauss_legendre
-from certifem.verify import BESSEL_J0_FIRST_ZERO, REFERENCE_DELAUNAY
+from certifem.verify import BESSEL_J0_FIRST_ZERO, REFERENCE_DELAUNAY, _segment_l2_sq
+
+mpmath = pytest.importorskip("mpmath")
 
 
 def segment_quadrature_oracle(m: int, n_theta: int = 120, n_r: int = 24) -> float:
@@ -116,18 +123,90 @@ def test_gap_error_term_against_oracle():
         assert abs(ours - oracle) <= 1e-10 * oracle
 
 
-def test_gap_error_term_symmetry():
-    from certifem.quadrature import adaptive_simpson
+def _mp_segment_l2_sq(alpha):
+    """(1/15) int_0^alpha sin^6 t dt in 40-digit arithmetic, written as
+    alpha^7 / 15 int_0^1 (sin(alpha s) / alpha)^6 ds so that the quadrature
+    sees an integrand of size ~1 at every alpha."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        return a**7 / 15 * mpmath.quad(lambda s: (mpmath.sin(a * s) / a) ** 6, [0, 1])
 
-    m = 7
-    c2 = math.cos(math.pi / m) ** 2
 
-    def g(theta):
-        return (1.0 - c2 / math.cos(theta) ** 2) ** 3
+def test_segment_rule_against_mpmath():
+    alphas = np.concatenate([[1e-6, 1e-3, 1e-2], np.linspace(0.05, math.pi - 1e-3, 60), [math.pi - 1e-9]])
+    ours = _segment_l2_sq(alphas)
+    for alpha, got in zip(alphas, ours):
+        ref = _mp_segment_l2_sq(alpha)
+        assert abs(got - ref) <= 1e-14 * ref, alpha
 
-    full = adaptive_simpson(g, -math.pi / m, math.pi / m, tol=1e-15)
-    half = adaptive_simpson(g, 0.0, math.pi / m, tol=1e-15)
-    assert abs(full - 2.0 * half) <= 1e-14
+
+def test_disk_gap_of_regular_polygons_against_mpmath():
+    exact = registry()["disk2d"]
+    for m in range(3, 101):
+        ref = m * _mp_segment_l2_sq(mpmath.pi / m)
+        got = exact.gap_l2_sq(inscribed_regular_polygon(exact.domain, m))
+        assert abs(got - ref) <= 1e-14 * ref, m
+
+
+def test_gap_error_term_large_m_against_mpmath():
+    for m in (64, 100):
+        ref = m * _mp_segment_l2_sq(mpmath.pi / m)
+        assert abs(gap_error_term(m) - ref) <= 1e-13 * ref, m
+
+
+def _random_inscribed_polygons(count=20, seed=12):
+    """Seeded polygons with random vertices on the unit circle; the first
+    two keep every vertex on an arc shorter than a half circle."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = int(rng.integers(3, 13))
+        span = rng.uniform(0.5, 0.9) * math.pi if i < 2 else 2.0 * math.pi
+        ang = np.sort(rng.uniform(0.0, span, k)) + rng.uniform(0.0, 2.0 * math.pi)
+        yield make_poly_approx(Disk(1.0), np.stack([np.cos(ang), np.sin(ang)], axis=1))
+
+
+def test_random_inscribed_polygons_verify():
+    exact = registry()["disk2d"]
+    polys = list(_random_inscribed_polygons())
+    assert sum(not bool(p.contains(np.zeros(2))) for p in polys) >= 2
+    for poly in polys:
+        # independent oracle: ||u||^2 over the disk minus the degree-4 rule,
+        # exact for u^2, over the polygon
+        coarse = generate_fan_refined(poly, 0)
+        inside = _squared_norm_on(coarse, exact)
+        assert exact.gap_l2_sq(poly) == pytest.approx(exact.u_l2_norm**2 - inside, abs=1e-14)
+        _, measured, certified = verify_case(exact, poly, generate_fan_refined(poly, 2))
+        assert 0.0 < measured <= certified.total
+
+
+def test_verify_case_raises_when_measured_exceeds_certified(monkeypatch):
+    import dataclasses
+
+    certify = estmod.certify
+    monkeypatch.setattr(estmod, "certify", lambda *a, **k: dataclasses.replace(certify(*a, **k), total=1e-12))
+    exact = registry()["disk2d"]
+    poly = inscribed_regular_polygon(exact.domain, 8)
+    with pytest.raises(BoundViolationError):
+        verify_case(exact, poly, generate_fan_refined(poly, 1))
+
+
+def test_gap_and_barrier_reject_polygon_of_another_disk():
+    exact = registry()["disk2d"]
+    poly = inscribed_regular_polygon(Disk(2.0), 8)
+    mesh = generate_fan_refined(poly, 0)
+    sol, _ = solve_poisson(mesh, exact.f, "exact")
+    with pytest.raises(NotInscribedError):
+        actual_l2_error(exact, poly, mesh, sol)
+    with pytest.raises(NotInscribedError):
+        barrier_check(exact, poly)
+
+
+def test_square_gap_rejects_polygon_inside_square():
+    exact = registry()["square2d"]
+    assert exact.gap_l2_sq(poly_approx_of_polygon(exact.domain)) == 0.0
+    diamond = make_poly_approx(exact.domain, [[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]])
+    with pytest.raises(CertifemError):
+        exact.gap_l2_sq(diamond)
 
 
 def test_actual_error_square_is_pure_interior():
@@ -282,6 +361,19 @@ def test_convergence_study_report():
     for lv in report.levels:
         assert lv.error <= lv.closed_form_bound
     assert 1.8 <= report.slope <= 2.2
+
+
+def test_convergence_study_certifies_once_per_level(monkeypatch):
+    strategies = []
+    certify = estmod.certify
+
+    def spy(dom, poly, mesh, f, fh_mode="exact", strategy="elementwise", **kwargs):
+        strategies.append(strategy)
+        return certify(dom, poly, mesh, f, fh_mode, strategy, **kwargs)
+
+    monkeypatch.setattr(estmod, "certify", spy)
+    convergence_study((4, 8, 16))
+    assert strategies == ["nonblunt"] * 3
 
 
 def test_disk_poincare_constant_documented():
