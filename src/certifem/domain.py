@@ -52,8 +52,9 @@ class ConvexDomain:
         """Point on the boundary for a parameter in [0, 1)."""
         raise NotImplementedError
 
-    def boundary_distance(self, point) -> float:
-        """Distance from a point to the boundary."""
+    def boundary_distance(self, points):
+        """Distance to the boundary of a single point (a float) or of each
+        point of an (N, dim) array (an (N,) array)."""
         raise NotImplementedError
 
 
@@ -81,8 +82,11 @@ class Ball(ConvexDomain):
         r = np.linalg.norm(p - self.center, axis=-1)
         return r <= self.radius + tol
 
-    def boundary_distance(self, point) -> float:
-        return abs(self.radius - float(np.linalg.norm(np.asarray(point, float) - self.center)))
+    def boundary_distance(self, points):
+        p = np.asarray(points, dtype=float)
+        if p.ndim == 1:
+            return abs(self.radius - float(np.linalg.norm(p - self.center)))
+        return np.abs(self.radius - np.linalg.norm(p - self.center, axis=-1))
 
 
 class Disk(Ball):
@@ -139,14 +143,10 @@ class ConvexPolygon(ConvexDomain):
             acc += ell
         raise AssertionError("unreachable")
 
-    def boundary_distance(self, point) -> float:
-        p = np.asarray(point, dtype=float)
-        v = self.vertices
-        best = math.inf
-        for i in range(len(v)):
-            a, b = v[i], v[(i + 1) % len(v)]
-            best = min(best, _point_segment_distance(p, a, b))
-        return best
+    def boundary_distance(self, points):
+        p = np.asarray(points, dtype=float)
+        dist = _segment_distances(p.reshape(-1, 2), self.vertices, np.roll(self.vertices, -1, axis=0)).min(axis=1)
+        return float(dist[0]) if p.ndim == 1 else dist
 
 
 def _shoelace(v: np.ndarray) -> float:
@@ -169,11 +169,12 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _point_segment_distance(p, a, b) -> float:
+def _segment_distances(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, E) distances from each point p_i to each segment a_j b_j."""
     ab = b - a
-    t = float(np.dot(p - a, ab) / np.dot(ab, ab))
-    t = min(1.0, max(0.0, t))
-    return float(np.linalg.norm(p - (a + t * ab)))
+    ap = p[:, None, :] - a[None, :, :]
+    t = np.clip((ap * ab).sum(axis=-1) / (ab * ab).sum(axis=-1), 0.0, 1.0)
+    return np.linalg.norm(ap - t[:, :, None] * ab, axis=-1)
 
 
 def _max_excess(points, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -239,11 +240,16 @@ def _facet_gaps(dom: ConvexDomain, normals: np.ndarray, offsets: np.ndarray) -> 
 
 
 def _validate_vertices_on_boundary(dom: ConvexDomain, vertices: np.ndarray) -> None:
-    for i, v in enumerate(vertices):
-        if not bool(np.asarray(dom.contains(v, tol=ON_BOUNDARY_TOL))):
+    """The first vertex that lies outside the domain or off its boundary
+    raises, naming the first of the two that it fails."""
+    outside = ~np.asarray(dom.contains(vertices, tol=ON_BOUNDARY_TOL))
+    off = dom.boundary_distance(vertices) > ON_BOUNDARY_TOL
+    bad = np.flatnonzero(outside | off)
+    if bad.size:
+        i = int(bad[0])
+        if outside[i]:
             raise NotInscribedError(f"vertex {i} lies outside the domain")
-        if dom.boundary_distance(v) > ON_BOUNDARY_TOL:
-            raise NotInscribedError(f"vertex {i} does not lie on the domain boundary")
+        raise NotInscribedError(f"vertex {i} does not lie on the domain boundary")
 
 
 def _triangle_facets(v: np.ndarray, facet_indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -46,6 +46,7 @@ class SimplicialMesh:
     boundary_nodes: np.ndarray  # sorted unique node indices
     # Derived geometry (and the stiffness matrix), filled on first use by
     # `_cached`; the arrays above are read-only, so entries never go stale.
+    # A refined mesh also keeps its refinement levels here (`_hierarchy`).
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -245,22 +246,45 @@ def generate_fan_refined(poly: PolyApprox, refine_levels: int = 0) -> Simplicial
     # by at most two of them, so the levels in between need no validation:
     # the last level is validated once, in full.
     nodes, elements = mesh.nodes, mesh.elements
+    levels = []
     for _ in range(refine_levels):
-        nodes, elements = _refine(nodes, elements)
-    return build_mesh(2, nodes, elements)
+        coarse_count = nodes.shape[0]
+        nodes, elements, parents = _refine(nodes, elements)
+        levels.append((coarse_count, parents))
+    return _with_hierarchy(build_mesh(2, nodes, elements), levels)
 
 
 def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
     """Edge-midpoint refinement: every triangle into four similar children."""
     if mesh.dim != 2:
         raise NotImplementedError("uniform refinement implemented for 2D meshes")
-    return build_mesh(2, *_refine(mesh.nodes, mesh.elements))
+    nodes, elements, parents = _refine(mesh.nodes, mesh.elements)
+    return _with_hierarchy(build_mesh(2, nodes, elements), [*_hierarchy(mesh), (mesh.node_count, parents)])
 
 
-def _refine(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hierarchy(mesh: SimplicialMesh) -> tuple:
+    """The refinement levels that produced `mesh`, coarsest first: one
+    `(coarse_count, parents)` record per level.  The level's first
+    `coarse_count` nodes are the nodes of the mesh it refined, node
+    `coarse_count + e` is the midpoint of nodes `parents[e]`, and every later
+    level keeps these nodes as its prefix.  Refinement keeps the boundary, so
+    a node is on the boundary at every level that has it or at none.  Empty
+    for meshes that were built, loaded or are 3D."""
+    return mesh._cache.get("hierarchy", ())
+
+
+def _with_hierarchy(mesh: SimplicialMesh, levels) -> SimplicialMesh:
+    for _, parents in levels:
+        parents.setflags(write=False)
+    mesh._cache["hierarchy"] = tuple(levels)
+    return mesh
+
+
+def _refine(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes and elements of the edge-midpoint refinement of a triangle mesh,
-    unvalidated: the midpoints follow the old nodes, and each child keeps its
-    parent's orientation."""
+    unvalidated, and the (E, 2) int32 parent pair of each midpoint: the
+    midpoints follow the old nodes, and each child keeps its parent's
+    orientation."""
     el = elements
     pairs = _sorted_pairs(el, (0, 1, 0), (1, 2, 2))
     uniq, inverse, _ = _unique_rows(pairs, nodes.shape[0], return_inverse=True)
@@ -277,7 +301,7 @@ def _refine(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.nda
         ],
         axis=0,
     )
-    return np.vstack([nodes, mid]), children
+    return np.vstack([nodes, mid]), children, uniq.astype(np.int32)
 
 
 # ---------------------------------------------------------------------------

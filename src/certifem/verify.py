@@ -312,7 +312,7 @@ def disk_study_row(
 
     qual = meshmod.quality(mesh)
     em = meshmod.element_metrics(mesh)
-    a_m = float(icmod._kobayashi_batch_2d(em.edge_sq, em.measures).max())
+    a_m = icmod._blockwise_max(icmod._kobayashi_batch_2d, em.edge_sq, em.measures)
     predicted = math.sqrt(math.pi) * (a_m * a_m + 2.0 * math.sin(math.pi / (2.0 * m)) ** 2)
     if actual > predicted:
         raise BoundViolationError(f"m={m}: measured error {actual} exceeds predicted bound {predicted}")

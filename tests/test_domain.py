@@ -126,6 +126,37 @@ def test_not_inscribed_detection():
         make_poly_approx(Disk(1.0), [[0.5, 0], [0, 0.5], [-0.5, 0]])
 
 
+@pytest.mark.parametrize(
+    "domain", [Disk(1.0), ConvexPolygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])], ids=["disk", "square"]
+)
+def test_boundary_validation_names_the_first_bad_vertex(domain):
+    """All vertices are checked at once; the error names the first vertex
+    that fails, and whether it lies outside or only off the boundary."""
+    on = [domain.boundary_point(t) for t in (0.05, 0.3, 0.55, 0.8)]
+    outside, inside = 1.5 * on[2], 0.5 * on[1]
+    with pytest.raises(NotInscribedError, match=r"^vertex 2 lies outside the domain$"):
+        make_poly_approx(domain, [on[0], on[1], outside, on[3]])
+    with pytest.raises(NotInscribedError, match=r"^vertex 1 does not lie on the domain boundary$"):
+        make_poly_approx(domain, [on[0], inside, on[2], on[3]])
+    # the first failing vertex decides, whichever check it fails
+    with pytest.raises(NotInscribedError, match=r"^vertex 1 does not lie on the domain boundary$"):
+        make_poly_approx(domain, [on[0], inside, outside, on[3]])
+    with pytest.raises(NotInscribedError, match=r"^vertex 1 lies outside the domain$"):
+        make_poly_approx(domain, [on[0], 1.5 * on[1], inside, on[3]])
+
+
+@pytest.mark.parametrize(
+    "domain", [Disk(1.0), Ball(2.0, center=[0.5, 0, 0]), UNIT_SQUARE], ids=["disk", "ball", "square"]
+)
+def test_boundary_distance_of_many_points_matches_one_at_a_time(domain, rng):
+    points = rng.uniform(-2.0, 2.0, (40, domain.dim))
+    many = domain.boundary_distance(points)
+    assert many.shape == (40,)
+    single = [domain.boundary_distance(p) for p in points]
+    assert all(isinstance(d, float) for d in single)
+    assert many == pytest.approx(single, rel=1e-15, abs=1e-15)
+
+
 def test_nonconvex_rejected():
     with pytest.raises(InvalidPolygonError):
         ConvexPolygon([[0, 0], [2, 0], [1, 0.2], [2, 2], [0, 2]])

@@ -404,6 +404,28 @@ def test_stiffness_blocks_match_einsum(name):
     assert np.array_equal(got.data, ref.data)
 
 
+def _coo_scatter(mesh, local):
+    """The global matrix by scipy's COO-to-CSR conversion."""
+    el = mesh.elements
+    k = el.shape[1]
+    rows, cols = np.repeat(el, k, axis=1).ravel(), np.tile(el, (1, k)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.node_count,) * 2).tocsr()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MESHES))
+def test_scatter_matches_coo_conversion_bit_for_bit(name):
+    mesh = KERNEL_MESHES[name]()
+    stiffness_blocks = fem._local_stiffness(*fem._gradients(mesh))
+    # unsymmetric random blocks: every entry must reach its own row and column
+    random_blocks = np.random.default_rng(6).normal(size=stiffness_blocks.shape)
+    for local in (stiffness_blocks, random_blocks):
+        got, ref = fem._scatter(mesh, local), _coo_scatter(mesh, local)
+        assert got.has_canonical_format and ref.has_canonical_format
+        for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices), (got.data, ref.data)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert not a.flags.writeable
+
+
 def _solved_gradients(mesh):
     """The P1 gradients by a batched LAPACK solve of B G = [-1 | I]."""
     n = mesh.dim
@@ -809,3 +831,179 @@ def test_fan_line_cg_iterations_and_solution():
     full[system.interior] = x
     assert ok
     assert row.actual == pytest.approx(actual_l2_error(disk, poly, mesh, FemSolution(full, 0, 0.0, True)), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# V-cycle preconditioner, forced on small meshes through its private builders
+
+
+def _with_prolongations(mesh, f=None):
+    system = _poisson_system(mesh, f)
+    return dataclasses.replace(system, prolongations=fem._prolongations(mesh, system.interior))
+
+
+def _dense_vcycle(system):
+    cycle = fem._VCycle(system.matrix, system.prolongations)
+    n = system.size
+    b_dense = np.empty((n, n))
+    for i, e in enumerate(np.eye(n)):
+        cycle(e, b_dense[:, i])
+    return b_dense
+
+
+VCYCLE_MESHES = {
+    "fan-12-3": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 12), 3),
+    "jittered-refined": lambda: meshmod.refine_uniform(meshmod.refine_uniform(_jittered_square(6, seed=3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VCYCLE_MESHES))
+def test_vcycle_is_symmetric_positive_definite(monkeypatch, name):
+    monkeypatch.setattr(fem, "_COARSE_MAX_SIZE", 30)
+    system = _with_prolongations(VCYCLE_MESHES[name]())
+    assert len(system.prolongations) == 2  # three levels, the coarsest dense
+    b_dense = _dense_vcycle(system)
+    assert np.abs(b_dense - b_dense.T).max() <= 1e-13 * np.abs(b_dense).max()
+    assert np.linalg.eigvalsh(0.5 * (b_dense + b_dense.T)).min() > 0.0
+    # the cycle's error map I - BA is A-nonnegative and A-contracting, so
+    # every eigenvalue of BA lies in (0, 1]
+    mu = np.linalg.eigvals(b_dense @ system.matrix.toarray()).real
+    assert mu.min() > 0.1 and mu.max() <= 1.0 + 1e-12
+
+
+def test_vcycle_iterations_do_not_grow_with_refinement(monkeypatch):
+    """Line-Jacobi CG roughly doubles its iterations per level; the V-cycle
+    holds them within 20% of their mean from 3 levels on (a fan refined once
+    or twice has a shallower cycle, which needs no more)."""
+    monkeypatch.setattr(fem, "_COARSE_MAX_SIZE", 10)  # every fan coarsens to its centre
+    disk = Disk(1.0)
+    for f in (SourceTerm.constant(1.0), SourceTerm.quadratic([1, 2, -1, 3, 0.5, -2], disk)):
+        vcycle, line = [], []
+        for k in range(2, 6):
+            system = _with_prolongations(generate_fan_refined(inscribed_regular_polygon(disk, 30), k), f)
+            assert len(system.prolongations) == k
+            vcycle.append(solve_cg(system)[1])
+            line.append(solve_cg(dataclasses.replace(system, prolongations=()))[1])
+        mean = np.mean(vcycle[1:])
+        assert all(abs(it - mean) <= 0.2 * mean for it in vcycle[1:]), vcycle
+        assert vcycle[0] <= max(vcycle[1:]), vcycle
+        assert line[-1] >= 3 * line[1], line
+
+
+@pytest.mark.parametrize("name", sorted(VCYCLE_MESHES))
+def test_vcycle_solution_matches_line_cg(monkeypatch, name):
+    monkeypatch.setattr(fem, "_COARSE_MAX_SIZE", 30)
+    system = _with_prolongations(VCYCLE_MESHES[name](), registry()["square2d"].f)
+    x, iters, res, ok = solve_cg(system)
+    ref, _, _, ref_ok = solve_cg(dataclasses.replace(system, prolongations=()))
+    assert ok and ref_ok and res <= fem.CG_TOL
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_prolongation_interpolates_p1_functions():
+    """P maps the interior values of a coarse P1 function that vanishes on
+    the boundary to the interior values of the same function on the fine
+    mesh: old nodes keep theirs, midpoints take their parents' mean."""
+    mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 20), 3)
+    interior = mesh.interior_nodes
+    prolongations = fem._prolongations(mesh, interior)
+    assert [p.shape for p in prolongations] == [(561, 121)]  # 121 <= _COARSE_MAX_SIZE
+    coarse_count, parents = meshmod._hierarchy(mesh)[-1]
+    coarse_interior = interior[interior < coarse_count]
+    values = np.zeros(mesh.node_count)
+    values[coarse_interior] = np.random.default_rng(8).normal(size=coarse_interior.size)
+    values[coarse_count:] = 0.5 * (values[parents[:, 0]] + values[parents[:, 1]])
+    assert np.array_equal(prolongations[0] @ values[coarse_interior], values[interior])
+
+
+def test_below_threshold_solve_is_the_line_jacobi_path():
+    """Systems below _VCYCLE_MIN_SIZE carry no prolongations, and solve_cg
+    runs line-Jacobi CG on them bit for bit."""
+    mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 50), 5)
+    system = _poisson_system(mesh)
+    assert system.size < fem._VCYCLE_MIN_SIZE and system.prolongations == ()
+    x, iters, res, ok = solve_cg(system)
+    ref_x, ref_iters, ref_res, ref_ok = _reference_pcg(system, fem._line_jacobi(system.matrix))
+    assert (iters, res, ok) == (ref_iters, ref_res, ref_ok) == (44, res, True)
+    assert np.array_equal(x, ref_x)
+
+
+def _reference_pcg(system, precondition):
+    """The CG loop of `solve_cg`, with the preconditioner given."""
+    a_mat, b = system.matrix, system.rhs
+    n = b.size
+    norm_b = float(np.linalg.norm(b))
+    x, r, z = np.zeros(n), b.copy(), np.empty(n)
+    precondition(r, z)
+    p = z.copy()
+    step = np.empty(n)
+    rz = float(r @ z)
+    for it in range(1, max(100, 20 * n) + 1):
+        ap = a_mat @ p
+        alpha = rz / float(p @ ap)
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
+        res = float(np.linalg.norm(r)) / norm_b
+        if res <= fem.CG_TOL:
+            return x, it, res, True
+        precondition(r, z)
+        rz_new = float(r @ z)
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
+    raise AssertionError("reference CG did not converge")
+
+
+def test_prolongations_need_a_hierarchy_that_reaches_the_coarse_size(tmp_path):
+    fan = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 50), 3)
+    assert [p.shape for p in fem._prolongations(fan, fan.interior_nodes)] == [(1401, 301)]
+    path = str(tmp_path / "fan.json")
+    meshmod.save(fan, path)
+    loaded = meshmod.load(path)
+    assert fem._prolongations(loaded, loaded.interior_nodes) == ()
+    # one refinement of a 40 x 40 grid leaves 1,521 > 400 unknowns below
+    refined = meshmod.refine_uniform(structured_square_mesh(40))
+    assert len(meshmod._hierarchy(refined)) == 1
+    assert fem._prolongations(refined, refined.interior_nodes) == ()
+
+
+def test_blocked_error_quadrature_is_bit_identical_and_smaller():
+    """`l2_error_interior` and the exact-mode `l2_norm` go block by block and
+    still equal the whole-array quadrature bit for bit, with a lower peak."""
+    mesh = KERNEL_MESHES["fan-partial-block"]()
+    bary, w = simplex_rule(2)
+    nodal = np.random.default_rng(5).uniform(-1.0, 1.0, mesh.node_count)
+    sol = FemSolution(nodal, 0, 0.0, True)
+    f = SourceTerm(evaluate=_wavy, sup_norm=2.0)
+
+    def whole():
+        pts = fem._quadrature_points(mesh, bary)
+        return fem._quadrature_l2(mesh, _wavy(pts) - fem._p1_at_points(mesh, bary, nodal), w)
+
+    assert l2_error_interior(mesh, sol, _wavy) == whole()
+    whole_norm = fem._quadrature_l2(mesh, _wavy(fem._quadrature_points(mesh, bary)), w)
+    assert build_fh(mesh, f, "exact").l2_norm() == whole_norm
+
+    def peak(run):
+        run()  # warm up
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    points_bytes = mesh.element_count * bary.shape[0] * 2 * 8
+    assert peak(lambda: l2_error_interior(mesh, sol, _wavy)) < 1.5 * points_bytes < peak(whole)
+
+
+def test_blocked_norm_reports_the_largest_value_over_all_blocks():
+    mesh = KERNEL_MESHES["fan-partial-block"]()
+    assert mesh.element_count > 2 * fem._QUAD_BLOCK
+    # |f| = 1 + x grows to 2 on the right, far from the first block's elements
+    lying = SourceTerm(evaluate=lambda p: 1.0 + np.asarray(p)[..., 0], sup_norm=1.5)
+    with pytest.raises(SupNormViolationError) as err:
+        build_fh(mesh, lying, "exact").l2_norm()
+    bary, _ = simplex_rule(2)
+    worst = float(np.abs(lying.evaluate(fem._quadrature_points(mesh, bary))).max())
+    assert f"|f| reached {worst:.6g} > 1.5" in str(err.value)

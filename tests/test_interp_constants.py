@@ -338,3 +338,25 @@ def test_scalar_3d_bounds_equal_pipeline_kernel_bit_for_bit():
         kernel = _kobayashi_batch_3d(em, conv)
         np.testing.assert_array_equal([kobayashi_bound_3d(s, conv) for s in simplices], kernel)
         assert mesh_constants(mesh, rho_convention=conv).elementwise == kernel.max()
+
+
+def test_blockwise_elementwise_maximum_matches_whole_arrays():
+    """`mesh_constants` takes the element-wise maximum one block of elements
+    at a time: bit for bit the whole-array maximum wherever the worst element
+    lies, and a bad radicand is named by its index in the whole mesh."""
+    from certifem import interp_constants as icmod
+
+    block = icmod._BLOCK
+    mesh = _needle_mesh(np.random.default_rng(5), 2 * block + 100)
+    em = element_metrics(mesh)
+    whole = np.minimum(_liu_batch(em.edge_sq), _kobayashi_batch_2d(em.edge_sq, em.measures))
+    worst = int(np.argmax(whole))
+    for position in (0, block + 7, mesh.element_count - 1):
+        rolled = build_mesh(2, mesh.nodes, np.roll(mesh.elements, position - worst, axis=0))
+        assert mesh_constants(rolled).elementwise == float(whole.max())
+
+    edge_sq = np.ones((2 * block, 3))
+    area = np.full(2 * block, math.sqrt(3.0) / 4.0)
+    area[block + 3] = 1.0  # no triangle with unit edges has unit area
+    with pytest.raises(NegativeRadicandError, match=rf"^element {block + 3}: "):
+        icmod._blockwise_max(_kobayashi_batch_2d, edge_sq, area)

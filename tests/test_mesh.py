@@ -162,6 +162,42 @@ def test_generated_fan_is_validated_once_and_matches_refine_chain(monkeypatch, m
         assert np.array_equal(meshmod._measures(got), meshmod._measures(chain))
 
 
+def test_refined_meshes_carry_their_hierarchy(tmp_path):
+    """`generate_fan_refined(poly, k)` carries k level records and
+    `refine_uniform` adds one; the coarse nodes are a prefix of the fine
+    ones with the same boundary, and each midpoint lies halfway between its
+    parents.  Built, loaded and structured meshes carry none."""
+    from certifem import mesh as meshmod
+    from certifem.verify import structured_square_mesh
+
+    poly = inscribed_regular_polygon(Disk(1.0), 7)
+    meshes = [generate_fan_refined(poly, k) for k in range(4)]
+    for k, mesh in enumerate(meshes):
+        levels = meshmod._hierarchy(mesh)
+        assert len(levels) == k
+        for level, (coarse_count, parents) in enumerate(levels):
+            coarse = meshes[level]
+            assert coarse_count == coarse.node_count
+            assert not parents.flags.writeable
+            fine_count = meshes[level + 1].node_count
+            assert parents.shape == (fine_count - coarse_count, 2)
+            assert np.array_equal(mesh.nodes[:coarse_count], coarse.nodes)
+            midpoints = 0.5 * (mesh.nodes[parents[:, 0]] + mesh.nodes[parents[:, 1]])
+            assert np.array_equal(mesh.nodes[coarse_count:fine_count], midpoints)
+            assert np.array_equal(mesh.boundary_nodes[mesh.boundary_nodes < coarse_count], coarse.boundary_nodes)
+    refined = refine_uniform(meshes[2])
+    assert len(meshmod._hierarchy(refined)) == 3
+    for (c1, p1), (c2, p2) in zip(meshmod._hierarchy(refined), meshmod._hierarchy(meshes[3])):
+        assert c1 == c2 and np.array_equal(p1, p2)
+
+    path = str(tmp_path / "fan.node")
+    save(meshes[3], path)
+    assert meshmod._hierarchy(load(path)) == ()
+    assert meshmod._hierarchy(structured_square_mesh(4)) == ()
+    assert meshmod._hierarchy(build_mesh(2, meshes[3].nodes, meshes[3].elements)) == ()
+    assert len(meshmod._hierarchy(refine_uniform(load(path)))) == 1
+
+
 def test_euler_formula():
     for m, k in ((6, 0), (9, 1), (12, 2)):
         mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), m), k)

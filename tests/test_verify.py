@@ -453,3 +453,19 @@ def test_disk_study_row_builds_fh_once(monkeypatch, mode):
     monkeypatch.setattr(femmod, "build_fh", spy)
     disk_study_row(10, 1, mode)
     assert modes == [mode]
+
+
+def test_run_disk_study_threads_match_serial_with_vcycle(monkeypatch):
+    from certifem import fem
+
+    monkeypatch.setattr(fem, "_VCYCLE_MIN_SIZE", 500)  # the m=30 and m=50 rows
+    built = []
+    cycle = fem._VCycle
+    monkeypatch.setattr(fem, "_VCycle", lambda *a: built.append(1) or cycle(*a))
+    serial = run_disk_study([20, 30, 50], threads=1)
+    assert len(built) == 2
+    pooled = run_disk_study([20, 30, 50], threads=2)
+    assert len(built) == 4
+    for a, b in zip(serial, pooled):
+        assert (a.m, a.actual, a.iterations) == (b.m, b.actual, b.iterations)
+        assert a.certified.to_json() == b.certified.to_json()
