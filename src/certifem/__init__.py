@@ -108,7 +108,6 @@ from .verify import (
     disk_study_csv,
     disk_study_json,
     disk_study_row,
-    gap_error_term,
     registry,
     run_disk_study,
     structured_square_mesh,

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import InvalidDirectionError, InvalidPolygonError, NotInscribedError
 
 UNIT_TOL = 1e-12
+# Geometric tolerances are relative: each is multiplied by the diameter of the
+# domain or polytope it is applied to, so a scaled input keeps its verdict.
 ON_BOUNDARY_TOL = 1e-10
 CONVEXITY_TOL = 1e-12
 REPEATED_VERTEX_TOL = 1e-8
@@ -64,8 +66,8 @@ class Ball(ConvexDomain):
     dim = 3
 
     def __init__(self, radius: float, center=None) -> None:
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"radius must be positive and finite, got {radius}")
         self.radius = float(radius)
         self.center = np.zeros(self.dim) if center is None else np.array(center, dtype=float)
         self.diameter = 2.0 * self.radius
@@ -113,14 +115,14 @@ class ConvexPolygon(ConvexDomain):
             raise InvalidPolygonError("polygon needs at least 3 planar vertices")
         if _shoelace(v) < 0:
             v = v[::-1].copy()  # normalize to counterclockwise
-        self.diameter = float(_distinct_vertex_distances(v).max())
+        self.diameter = _diameter(v)
         self.measure = _shoelace(v)
         if self.measure <= MEASURE_TOL * self.diameter**2:
             raise InvalidPolygonError(
                 f"polygon measure {self.measure:.3e} is at most {MEASURE_TOL:g} * diameter^2; the outline is degenerate"
             )
         self.normals, self.offsets = _polygon_halfplanes(v)
-        _check_halfspaces(v, self.normals, self.offsets)
+        _check_halfspaces(v, self.normals, self.offsets, self.diameter)
         v.setflags(write=False)
         self.vertices = v
 
@@ -183,19 +185,21 @@ def _max_excess(points, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return (np.einsum("...d,fd->...f", p, normals) - offsets).max(axis=-1)
 
 
-def _distinct_vertex_distances(v: np.ndarray) -> np.ndarray:
-    """Pairwise vertex distances; raises when two vertices coincide, which
-    also catches a boundary that winds around more than once."""
+def _diameter(v: np.ndarray) -> float:
+    """Largest distance between two vertices; raises when two vertices lie
+    within REPEATED_VERTEX_TOL * diameter, which also catches a boundary that
+    winds around more than once."""
     diffs = v[:, None, :] - v[None, :, :]
     dist = np.sqrt((diffs**2).sum(-1))
-    if np.any(dist[np.triu_indices(len(v), 1)] <= REPEATED_VERTEX_TOL):
+    diameter = float(dist.max())
+    if np.any(dist[np.triu_indices(len(v), 1)] <= REPEATED_VERTEX_TOL * diameter):
         raise InvalidPolygonError("polytope has repeated vertices")
-    return dist
+    return diameter
 
 
-def _check_halfspaces(v: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> None:
+def _check_halfspaces(v: np.ndarray, normals: np.ndarray, offsets: np.ndarray, diameter: float) -> None:
     """Every vertex must lie in every facet half-space, else not convex."""
-    if float(_max_excess(v, normals, offsets).max()) > CONVEXITY_TOL:
+    if float(_max_excess(v, normals, offsets).max()) > CONVEXITY_TOL * diameter:
         raise InvalidPolygonError("vertex lies outside a facet half-space; polytope not convex")
 
 
@@ -233,7 +237,7 @@ def gap_delta(dom: ConvexDomain, poly: PolyApprox) -> tuple[float, np.ndarray]:
 
 def _facet_gaps(dom: ConvexDomain, normals: np.ndarray, offsets: np.ndarray) -> tuple[float, np.ndarray]:
     gaps = np.array([dom.support(n) - o for n, o in zip(normals, offsets)])
-    if np.any(gaps < -INSCRIBED_TOL):
+    if np.any(gaps < -INSCRIBED_TOL * dom.diameter):
         worst = int(np.argmin(gaps))
         raise NotInscribedError(f"facet {worst} lies outside the domain by {-gaps[worst]:.3e}")
     return max(0.0, float(gaps.max())), gaps
@@ -242,8 +246,9 @@ def _facet_gaps(dom: ConvexDomain, normals: np.ndarray, offsets: np.ndarray) -> 
 def _validate_vertices_on_boundary(dom: ConvexDomain, vertices: np.ndarray) -> None:
     """The first vertex that lies outside the domain or off its boundary
     raises, naming the first of the two that it fails."""
-    outside = ~np.asarray(dom.contains(vertices, tol=ON_BOUNDARY_TOL))
-    off = dom.boundary_distance(vertices) > ON_BOUNDARY_TOL
+    tol = ON_BOUNDARY_TOL * dom.diameter
+    outside = ~np.asarray(dom.contains(vertices, tol=tol))
+    off = dom.boundary_distance(vertices) > tol
     bad = np.flatnonzero(outside | off)
     if bad.size:
         i = int(bad[0])
@@ -308,8 +313,7 @@ def make_poly_approx(dom: ConvexDomain, vertices, facet_indices=None) -> PolyApp
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 4:
             raise InvalidPolygonError("a 3D polytope needs at least 4 vertices with 3 coordinates")
         facets, normals, offsets = _triangle_facets(v, facet_indices)
-        _distinct_vertex_distances(v)
-        _check_halfspaces(v, normals, offsets)
+        _check_halfspaces(v, normals, offsets, _diameter(v))
         _check_closed_surface(facets, len(v))
     _validate_vertices_on_boundary(dom, v)
     gap, gaps = _facet_gaps(dom, normals, offsets)

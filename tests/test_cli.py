@@ -343,3 +343,43 @@ def test_certify_mesh_with_non_integer_indices_exits_1(tmp_path, capsys, element
     mesh_path.write_text('{"dim": 2, "nodes": [[0, 0], [1, 0], [1, 1], [0, 1]], "elements": %s}' % elements)
     assert run_cli("certify", "--domain", f"polygon:{poly_path}", "--mesh", str(mesh_path)) == 1
     assert "element indices" in capsys.readouterr().err
+
+
+def _certified_total(tmp_path, *args):
+    report = tmp_path / "report.json"
+    assert run_cli("certify", *args, "--out", str(report)) == 0
+    return json.loads(report.read_text())["total"]
+
+
+@pytest.mark.parametrize("radius", [1e-12, 1e-9, 1e-6, 1e4, 1e6, 1e8])
+def test_certify_scaled_disk_scales_as_radius_cubed(tmp_path, radius):
+    """With f = 1 every term is a length cubed (boundary D |Omega|^(1/2)
+    delta, fem A_h^2 ||f_h||), so a disk of radius R certifies R^3 times the
+    unit disk's total: the geometric checks must not depend on the scale."""
+    unit = _certified_total(tmp_path, "--domain", "disk:1", "--generate", "10,1")
+    scaled = _certified_total(tmp_path, "--domain", f"disk:{radius!r}", "--generate", "10,1")
+    assert scaled == pytest.approx(radius**3 * unit, rel=1e-12)
+
+
+SCALED_POLYGONS = {
+    "square": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+    # a rotated 13-gon: its facet offsets round, unlike the square's
+    "13-gon": [[math.cos(0.3 + 2 * math.pi * k / 13), math.sin(0.3 + 2 * math.pi * k / 13)] for k in range(13)],
+}
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6, 1e8])
+@pytest.mark.parametrize("shape", sorted(SCALED_POLYGONS))
+def test_certify_scaled_polygon_scales_as_size_cubed(tmp_path, shape, scale):
+    totals = []
+    for size in (1.0, scale):
+        poly_path = tmp_path / "polygon.json"
+        poly_path.write_text(json.dumps({"vertices": (size * np.array(SCALED_POLYGONS[shape])).tolist()}))
+        totals.append(_certified_total(tmp_path, "--domain", f"polygon:{poly_path}", "--generate", "2"))
+    assert totals[1] == pytest.approx(scale**3 * totals[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_certify_non_finite_radius_exits_2(capsys, radius):
+    assert run_cli("certify", "--domain", f"disk:{radius}", "--generate", "10,1") == 2
+    assert f"radius must be positive and finite, got {radius}" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -305,11 +306,11 @@ def test_sources_reject_non_finite_coefficients(value):
 
 
 def test_exact_source_is_evaluated_once_per_solve(monkeypatch):
-    """`assemble_load` stores the quadrature ||f||, so an exact-mode row runs
+    """`assemble_load` stores the quadrature ||f||, so an exact-mode row walks
     the quadrature points twice (load, measured error), not three times."""
     calls = []
-    points = fem._quadrature_points
-    monkeypatch.setattr(fem, "_quadrature_points", lambda *a: calls.append(1) or points(*a))
+    blocks = fem._quadrature_blocks
+    monkeypatch.setattr(fem, "_quadrature_blocks", lambda *a: calls.append(1) or blocks(*a))
     disk_study_row(30, 3)
     assert len(calls) == 2
 
@@ -350,6 +351,18 @@ def _einsum_quadrature_points(mesh, bary):
     return np.einsum("qk,mkd->mqd", bary, mesh.element_vertices())
 
 
+def _einsum_quadrature_blocks(mesh):
+    """`fem._quadrature_blocks` with each block's points by `einsum`."""
+    bary, _ = simplex_rule(mesh.dim)
+    for rows in meshmod._blocks(mesh.element_count):
+        yield rows, np.einsum("qk,mkd->mqd", bary, mesh.nodes[mesh.elements[rows]])
+
+
+def _blocked_points(mesh):
+    """The points of `fem._quadrature_blocks`, joined over all blocks."""
+    return np.concatenate([points for _, points in fem._quadrature_blocks(mesh)])
+
+
 def _einsum_stiffness(mesh):
     grads, meas = fem._gradients(mesh)
     return fem._scatter(mesh, np.einsum("mki,mkj->mij", grads, grads) * meas[:, None, None])
@@ -386,12 +399,17 @@ KERNEL_MESHES = {
 def test_quadrature_points_match_einsum(name):
     mesh = KERNEL_MESHES[name]()
     bary, _ = simplex_rule(mesh.dim)
-    got = fem._quadrature_points(mesh, bary)
-    assert got.shape == (mesh.element_count, bary.shape[0], mesh.dim)
-    assert got.flags.c_contiguous
-    assert np.array_equal(got, _einsum_quadrature_points(mesh, bary))
+    start = 0
+    for rows, points in fem._quadrature_blocks(mesh):
+        # consecutive blocks of at most _BLOCK elements, in element order
+        assert rows.start == start and 0 < points.shape[0] <= meshmod._BLOCK
+        start += points.shape[0]
+        assert points.shape == (points.shape[0], bary.shape[0], mesh.dim)
+        assert points.flags.c_contiguous
+    assert start == mesh.element_count
+    assert np.array_equal(_blocked_points(mesh), _einsum_quadrature_points(mesh, bary))
     if name == "fan-partial-block":
-        assert mesh.element_count > 2 * fem._QUAD_BLOCK and mesh.element_count % fem._QUAD_BLOCK
+        assert mesh.element_count > 2 * meshmod._BLOCK and mesh.element_count % meshmod._BLOCK
     if name == "jittered-kuhn-cube":
         assert bary.shape == (11, 4)
 
@@ -568,6 +586,12 @@ def _oracle_p1_at_points(mesh, bary, nodal):
     return np.einsum("qk,mk->mq", bary, nodal[mesh.elements])
 
 
+def _whole_quadrature_l2(mesh, vals, w):
+    """L2 norm by the rule with weights `w` of (M, q) values at its points,
+    from whole-mesh arrays."""
+    return math.sqrt(max(float((((vals**2) @ w) * meshmod._measures(mesh)).sum()), 0.0))
+
+
 def _wavy(pts):
     pts = np.asarray(pts)
     return np.cos(3.0 * pts[..., 0]) + np.sin(2.0 * pts[..., 1])
@@ -603,12 +627,13 @@ def test_fem_kernels_match_oracles(name):
 
     bary, w = simplex_rule(mesh.dim)
     f = SourceTerm(evaluate=_wavy, sup_norm=2.0)
-    vals = _wavy(fem._quadrature_points(mesh, bary))
+    vals = _wavy(_einsum_quadrature_points(mesh, bary))
     assert np.array_equal(assemble_load(mesh, build_fh(mesh, f, "exact")), _oracle_load(mesh, vals, w, bary))
 
     nodal = np.random.default_rng(3).uniform(-1.0, 1.0, mesh.node_count)
-    assert np.array_equal(fem._p1_at_points(mesh, bary, nodal), _oracle_p1_at_points(mesh, bary, nodal))
-    error = fem._quadrature_l2(mesh, vals - _oracle_p1_at_points(mesh, bary, nodal), w)
+    p1 = np.concatenate([fem._p1_at_points(mesh, nodal, rows) for rows in meshmod._blocks(mesh.element_count)])
+    assert np.array_equal(p1, _oracle_p1_at_points(mesh, bary, nodal))
+    error = _whole_quadrature_l2(mesh, vals - _oracle_p1_at_points(mesh, bary, nodal), w)
     assert l2_error_interior(mesh, FemSolution(nodal, 0, 0.0, True), _wavy) == error
 
 
@@ -647,15 +672,18 @@ def test_quadrature_points_peak_memory_below_einsum():
     bary, _ = simplex_rule(2)
 
     def peak(kernel):
-        kernel(mesh, bary)  # warm up
+        kernel()  # warm up
         tracemalloc.start()
         try:
-            kernel(mesh, bary)
+            kernel()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(fem._quadrature_points) < peak(_einsum_quadrature_points)
+    # walking the blocks holds the points of a block or two at a time
+    points_bytes = mesh.element_count * bary.shape[0] * 2 * 8
+    assert peak(lambda: sum(1 for _ in fem._quadrature_blocks(mesh))) < 0.5 * points_bytes
+    assert points_bytes <= peak(lambda: _einsum_quadrature_points(mesh, bary))
 
 
 def _square_certify_json():
@@ -672,7 +700,7 @@ def test_reported_numbers_do_not_depend_on_quadrature_kernel(monkeypatch):
 
     rows, report = run()
     calls = []
-    monkeypatch.setattr(fem, "_quadrature_points", lambda *a: calls.append(1) or _einsum_quadrature_points(*a))
+    monkeypatch.setattr(fem, "_quadrature_blocks", lambda *a: calls.append(1) or _einsum_quadrature_blocks(*a))
     ref_rows, ref_report = run()
     assert calls
     for row, ref in zip(rows, ref_rows):
@@ -977,11 +1005,11 @@ def test_blocked_error_quadrature_is_bit_identical_and_smaller():
     f = SourceTerm(evaluate=_wavy, sup_norm=2.0)
 
     def whole():
-        pts = fem._quadrature_points(mesh, bary)
-        return fem._quadrature_l2(mesh, _wavy(pts) - fem._p1_at_points(mesh, bary, nodal), w)
+        pts = _einsum_quadrature_points(mesh, bary)
+        return _whole_quadrature_l2(mesh, _wavy(pts) - _oracle_p1_at_points(mesh, bary, nodal), w)
 
     assert l2_error_interior(mesh, sol, _wavy) == whole()
-    whole_norm = fem._quadrature_l2(mesh, _wavy(fem._quadrature_points(mesh, bary)), w)
+    whole_norm = _whole_quadrature_l2(mesh, _wavy(_einsum_quadrature_points(mesh, bary)), w)
     assert build_fh(mesh, f, "exact").l2_norm() == whole_norm
 
     def peak(run):
@@ -999,11 +1027,163 @@ def test_blocked_error_quadrature_is_bit_identical_and_smaller():
 
 def test_blocked_norm_reports_the_largest_value_over_all_blocks():
     mesh = KERNEL_MESHES["fan-partial-block"]()
-    assert mesh.element_count > 2 * fem._QUAD_BLOCK
+    assert mesh.element_count > 2 * meshmod._BLOCK
     # |f| = 1 + x grows to 2 on the right, far from the first block's elements
     lying = SourceTerm(evaluate=lambda p: 1.0 + np.asarray(p)[..., 0], sup_norm=1.5)
     with pytest.raises(SupNormViolationError) as err:
         build_fh(mesh, lying, "exact").l2_norm()
     bary, _ = simplex_rule(2)
-    worst = float(np.abs(lying.evaluate(fem._quadrature_points(mesh, bary))).max())
+    worst = float(np.abs(lying.evaluate(_einsum_quadrature_points(mesh, bary))).max())
     assert f"|f| reached {worst:.6g} > 1.5" in str(err.value)
+    # the load's pass reports the same maximum
+    with pytest.raises(SupNormViolationError, match=re.escape(f"|f| reached {worst:.6g} > 1.5")):
+        assemble_load(mesh, build_fh(mesh, lying, "exact"))
+
+
+# ---------------------------------------------------------------------------
+# the element-block pass against the whole-mesh array forms it replaced
+
+BLOCK_MESHES = {
+    "below-a-block": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 7), 2),
+    "one-block": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 16), 4),
+    "ragged-blocks": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 13), 5),
+    "ragged-blocks-3d": lambda: _jittered_kuhn_cube(9, seed=8),
+}
+
+
+def _whole_source_pass(mesh, f):
+    """The exact-mode load vector and quadrature ||f|| from whole-mesh arrays:
+    einsum points, (M, q) values, corner contributions summed over q in
+    order and scattered by one `np.add.at` per corner."""
+    bary, w = simplex_rule(mesh.dim)
+    vals = np.asarray(f.evaluate(_einsum_quadrature_points(mesh, bary)), dtype=float)
+    meas = meshmod._measures(mesh)
+    weighted = vals * w
+    b = np.zeros(mesh.node_count)
+    for j in range(mesh.dim + 1):
+        contrib = weighted[:, 0] * bary[0, j]
+        for q in range(1, w.size):
+            contrib += weighted[:, q] * bary[q, j]
+        contrib *= meas
+        np.add.at(b, mesh.elements[:, j], contrib)
+    return b, _whole_quadrature_l2(mesh, vals, w)
+
+
+def _whole_load(mesh, fh):
+    if fh.mode == "exact":
+        return _whole_source_pass(mesh, fh.source)[0]
+    if fh.mode == "nodal":
+        return assemble_mass(mesh) @ fh.nodal_values
+    b = np.zeros(mesh.node_count)
+    contrib = fh.element_values * meshmod._measures(mesh) / (mesh.dim + 1)
+    for j in range(mesh.dim + 1):
+        np.add.at(b, mesh.elements[:, j], contrib)
+    return b
+
+
+def _whole_fh_error(mesh, f, mode):
+    bary, w = simplex_rule(mesh.dim)
+    fh = build_fh(mesh, f, mode)
+    fvals = np.asarray(f.evaluate(_einsum_quadrature_points(mesh, bary)), dtype=float)
+    if mode == "barycentric":
+        fh_vals = fh.element_values[:, None] * np.ones_like(fvals)
+    else:
+        fh_vals = _oracle_p1_at_points(mesh, bary, fh.nodal_values)
+    return _whole_quadrature_l2(mesh, fvals - fh_vals, w)
+
+
+def test_block_meshes_cover_the_block_cases():
+    counts = {name: make().element_count for name, make in BLOCK_MESHES.items()}
+    assert counts["below-a-block"] < meshmod._BLOCK == counts["one-block"]
+    for name in ("ragged-blocks", "ragged-blocks-3d"):
+        assert counts[name] > meshmod._BLOCK and counts[name] % meshmod._BLOCK, name
+    assert counts["ragged-blocks"] > 3 * meshmod._BLOCK
+
+
+@pytest.mark.parametrize("mode", fem.FH_MODES)
+@pytest.mark.parametrize("name", sorted(BLOCK_MESHES))
+def test_block_pass_load_matches_whole_arrays(name, mode):
+    mesh = BLOCK_MESHES[name]()
+    f = SourceTerm(evaluate=_wavy, sup_norm=2.0, grad_sup_norm=3.7, h2_seminorm=100.0)
+    fh = build_fh(mesh, f, mode)
+    assert np.array_equal(assemble_load(mesh, fh), _whole_load(mesh, fh))
+    if mode == "exact":
+        # the load's pass stores the same rule's ||f||
+        assert fh.quadrature_l2 == _whole_source_pass(mesh, f)[1]
+    else:
+        assert fh_error_measured(mesh, f, mode) == _whole_fh_error(mesh, f, mode)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_MESHES))
+def test_block_pass_norms_match_whole_arrays(name):
+    mesh = BLOCK_MESHES[name]()
+    bary, w = simplex_rule(mesh.dim)
+    f = SourceTerm(evaluate=_wavy, sup_norm=2.0)
+    # without a load first, `l2_norm` runs the pass without corner sums
+    assert build_fh(mesh, f, "exact").l2_norm() == _whole_source_pass(mesh, f)[1]
+    nodal = np.random.default_rng(9).uniform(-1.0, 1.0, mesh.node_count)
+    points = _einsum_quadrature_points(mesh, bary)
+    whole = _whole_quadrature_l2(mesh, _wavy(points) - _oracle_p1_at_points(mesh, bary, nodal), w)
+    assert l2_error_interior(mesh, FemSolution(nodal, 0, 0.0, True), _wavy) == whole
+
+
+@pytest.mark.parametrize("name", ["below-a-block", "one-block", "ragged-blocks"])
+def test_block_pass_maxima_match_whole_arrays(name):
+    from certifem import interp_constants as icmod
+    from certifem import mesh_constants
+
+    mesh = BLOCK_MESHES[name]()
+    em = meshmod.element_metrics(mesh)
+    whole = icmod._min_liu_kobayashi_2d(em.edge_sq, em.measures).max()
+    assert mesh_constants(mesh).elementwise == float(whole)
+    # disk_study_row's A_m
+    whole_kobayashi = icmod._kobayashi_batch_2d(em.edge_sq, em.measures).max()
+    assert icmod._blockwise_max(icmod._kobayashi_batch_2d, em.edge_sq, em.measures) == float(whole_kobayashi)
+
+
+def test_block_pass_catches_nan_in_the_last_block():
+    mesh = BLOCK_MESHES["ragged-blocks"]()
+    bary, _ = simplex_rule(2)
+    # a quadrature point lies inside its element, so only the last block has it
+    target = _einsum_quadrature_points(mesh, bary)[-1, 0]
+
+    def evaluate(p):
+        return np.where((np.asarray(p) == target).all(axis=-1), np.nan, 1.0)
+
+    f = SourceTerm(evaluate=evaluate, sup_norm=1.0)
+    with pytest.raises(SupNormViolationError, match="reached nan"):
+        assemble_load(mesh, build_fh(mesh, f, "exact"))
+    with pytest.raises(SupNormViolationError, match="reached nan"):
+        build_fh(mesh, f, "exact").l2_norm()
+
+
+def test_block_pass_rejects_huge_values_without_squaring_them():
+    """A block past the sup norm is not squared: |f| = 1e200 would overflow
+    (a RuntimeWarning, an error here) before the check names it."""
+    mesh = BLOCK_MESHES["ragged-blocks"]()
+    f = SourceTerm(evaluate=lambda p: 1e200 * np.asarray(p)[..., 0], sup_norm=1.0)
+    with pytest.raises(SupNormViolationError, match=r"reached 9\.\d+e\+199 > 1$"):
+        assemble_load(mesh, build_fh(mesh, f, "exact"))
+    with pytest.raises(SupNormViolationError, match=r"reached 9\.\d+e\+199 > 1$"):
+        build_fh(mesh, f, "exact").l2_norm()
+
+
+def test_block_pass_peak_memory_below_whole_arrays():
+    mesh = KERNEL_MESHES["fan-partial-block"]()
+    f = SourceTerm(evaluate=_wavy, sup_norm=2.0)
+
+    def peak(run):
+        run()  # warm up
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole = peak(lambda: _whole_source_pass(mesh, f))
+    assert peak(lambda: assemble_load(mesh, build_fh(mesh, f, "exact"))) < whole
+    assert peak(lambda: build_fh(mesh, f, "exact").l2_norm()) < whole
+    bary, w = simplex_rule(2)
+    whole_norm = peak(lambda: _whole_quadrature_l2(mesh, _wavy(_einsum_quadrature_points(mesh, bary)), w))
+    assert peak(lambda: build_fh(mesh, f, "exact").l2_norm()) < whole_norm

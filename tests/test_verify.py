@@ -17,7 +17,6 @@ from certifem import (
     disk_study_csv,
     disk_study_json,
     disk_study_row,
-    gap_error_term,
     generate_fan_refined,
     inscribed_regular_polygon,
     l2_error_interior,
@@ -87,12 +86,18 @@ def test_registry_laplacian_matches_source(rng):
         assert np.abs(-lap / (h * h) - f).max() <= 1e-5 * np.abs(f).max(), name
 
 
+def disk_gap(m: int) -> float:
+    """The squared L2 norm of the disk solution over the gap between the unit
+    disk and the inscribed regular m-gon."""
+    return registry()["disk2d"].gap_l2_sq(inscribed_regular_polygon(Disk(1.0), m))
+
+
 def _squared_norm_disk2d(exact):
     # the degree-4 rule integrates u^2 exactly on the m-gon; the closed-form
     # gap term adds the segments between the m-gon and the circle
     for m in (3, 7, 20):
         mesh = generate_fan_refined(inscribed_regular_polygon(exact.domain, m), 2)
-        yield _squared_norm_on(mesh, exact) + gap_error_term(m)
+        yield _squared_norm_on(mesh, exact) + disk_gap(m)
 
 
 def _squared_norm_square2d(exact):
@@ -113,12 +118,12 @@ def test_registry_u_l2_norm_matches_quadrature(name):
 
 
 def test_gap_error_term_monotone():
-    assert gap_error_term(100) < gap_error_term(50) < gap_error_term(10)
+    assert disk_gap(100) < disk_gap(50) < disk_gap(10)
 
 
 def test_gap_error_term_against_oracle():
     for m in (4, 10):
-        ours = gap_error_term(m)
+        ours = disk_gap(m)
         oracle = segment_quadrature_oracle(m)
         assert abs(ours - oracle) <= 1e-10 * oracle
 
@@ -151,7 +156,7 @@ def test_disk_gap_of_regular_polygons_against_mpmath():
 def test_gap_error_term_large_m_against_mpmath():
     for m in (64, 100):
         ref = m * _mp_segment_l2_sq(mpmath.pi / m)
-        assert abs(gap_error_term(m) - ref) <= 1e-13 * ref, m
+        assert abs(disk_gap(m) - ref) <= 1e-13 * ref, m
 
 
 def _random_inscribed_polygons(count=20, seed=12):
