@@ -28,6 +28,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import mesh as meshmod
 from .errors import CertifemError, InvalidSourceError, MissingNormMetadata, SupNormViolationError
+from .geometry import _blocks
 from .interp_constants import global_l2_bound
 from .quadrature import simplex_rule
 
@@ -204,7 +205,7 @@ def build_fh(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str = "exact") -
 
 
 def _quadrature_blocks(mesh: meshmod.SimplicialMesh) -> Iterator[tuple[slice, np.ndarray]]:
-    """`(rows, points)` for each block of elements (`meshmod._blocks`): the
+    """`(rows, points)` for each block of elements (`geometry._blocks`): the
     (block, q, dim) physical points `sum_k bary[q, k] * corner_k` of the
     degree-4 rule on the elements `rows`.
 
@@ -214,7 +215,7 @@ def _quadrature_blocks(mesh: meshmod.SimplicialMesh) -> Iterator[tuple[slice, np
     """
     bary, _ = simplex_rule(mesh.dim)
     nodes, nq, dim = mesh.nodes, bary.shape[0], mesh.dim
-    for rows in meshmod._blocks(mesh.element_count):
+    for rows in _blocks(mesh.element_count):
         block = mesh.elements[rows].T
         acc = np.empty((nq, block.shape[1]))
         term = np.empty(block.shape[1])
@@ -278,13 +279,14 @@ def _gradients(mesh: meshmod.SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
 
     The rows of B are the edge vectors e_i = corner_i - corner_0, so grad
     lambda_i (i >= 1) is column i-1 of B^{-1} = adj(B) / det(B), and grad
-    lambda_0 is minus their sum.  det(B) = dim! |T| from the cached
-    measures (exact in 2D, where the factor is 2); `build_mesh` orients
-    every element positively, and a wrong sign would flip all gradients of
-    an element, which its stiffness block g g^T does not see.  In 2D the
-    gradients are built from the four edge-difference columns into a
-    (2, 3, M) array, returned as its transpose, so each component of each
-    gradient is one contiguous column.
+    lambda_0 is minus their sum.  det(B) = dim! |T| from the cached closed-form
+    measures (`geometry._element_geometry`): a d - b c itself in 2D, e1 . (e2
+    x e3) within two roundings in 3D.  `build_mesh` orients every element
+    positively, and a wrong sign would flip all gradients of an element,
+    which its stiffness block g g^T does not see.  In 2D the gradients are
+    built from the four edge-difference columns into a (2, 3, M) array,
+    returned as its transpose, so each component of each gradient is one
+    contiguous column.
     """
     n = mesh.dim
     meas = meshmod._measures(mesh)
@@ -432,11 +434,12 @@ class LinearSystem:
 
 def dirichlet_system(mesh: meshmod.SimplicialMesh, stiffness: sp.csr_matrix, load: np.ndarray) -> LinearSystem:
     """Eliminate boundary rows/columns; validates the full-matrix kernel
-    (row sums ~ 0) and positive interior diagonal.  A system of at least
+    (row sums within 1e-10 of the largest entry, which scales with the
+    element size in 3D) and positive interior diagonal.  A system of at least
     _VCYCLE_MIN_SIZE unknowns also gets the prolongations of the mesh's
     refinement levels."""
     row_sums = np.abs(np.asarray(stiffness.sum(axis=1)).ravel())
-    if row_sums.size and row_sums.max() > 1e-10:
+    if row_sums.size and row_sums.max() > 1e-10 * np.abs(stiffness.data).max(initial=0.0):
         raise CertifemError(f"stiffness row sums reach {row_sums.max():.3e}; assembly broken")
     interior = mesh.interior_nodes
     mat = stiffness[interior][:, interior].tocsr()

@@ -1,7 +1,8 @@
 """Metric primitives on simplices (triangles in 2D, tetrahedra in 3D).
 
-The kernels take (M, dim+1, dim) vertex arrays; mesh metrics call them on
-every element, and the `Simplex` functions on one.  All operations are pure
+Measures and squared edges of meshes, (M, dim+1, dim) vertex arrays and
+single `Simplex`es all come from one kernel (`_element_geometry`); the other
+kernels take vertex arrays or its results.  All operations are pure
 functions on immutable values; degenerate inputs raise instead of silently
 producing huge constants.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -22,6 +24,16 @@ _FACTORIAL = (1.0, 1.0, 2.0, 6.0)
 
 # Angle at or below pi/2 + NONBLUNT_TOL counts as non-obtuse.
 NONBLUNT_TOL = 1e-12
+
+# Elements per block of `_blocks`: each numpy call still covers thousands of
+# elements, while per-block temporaries stay small.
+_BLOCK = 4096
+
+
+def _blocks(count: int) -> Iterator[slice]:
+    """Slices of _BLOCK consecutive elements covering `count` elements: the
+    one way per-element kernels, integrals and maxima walk a mesh."""
+    return (slice(start, start + _BLOCK) for start in range(0, count, _BLOCK))
 
 
 class Simplex:
@@ -68,10 +80,45 @@ class ElementMetrics:
     max_angle: np.ndarray | None  # 2D only
 
 
+def _element_geometry(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed measures (M,) and column-major squared edges (M, 3) or (M, 6),
+    in `EDGES` order, of the elements (M, dim+1) of `nodes` (N, dim), from
+    gathered coordinate columns, one block of elements at a time (`_blocks`)
+    so that the temporaries stay small.  With the rows e_k = corner_k -
+    corner_0 of B, det(B) is a d - b c in 2D and e1 . (e2 x e3) in 3D, which
+    a swap of two corners negates exactly.  A squared edge is dx*dx + dy*dy
+    (+ dz*dz), bit for bit `((verts[:, i] - verts[:, j])**2).sum(-1)`."""
+    dim = nodes.shape[1]
+    det = np.empty(elements.shape[0])
+    out = np.empty((len(EDGES[dim][0]), elements.shape[0]))
+    for rows in _blocks(elements.shape[0]):
+        corners = [[nodes[:, c][elements[rows, k]] for c in range(dim)] for k in range(dim + 1)]
+        e = [[p - q for p, q in zip(corner, corners[0])] for corner in corners[1:]]
+        if dim == 2:
+            (a, b), (c, d) = e
+            det[rows] = a * d - b * c
+        else:
+            (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = e
+            det[rows] = x1 * (y2 * z3 - z2 * y3) + y1 * (z2 * x3 - x2 * z3) + z1 * (x2 * y3 - y2 * x3)
+        for sq, (i, j) in zip(out[:, rows], zip(*EDGES[dim])):
+            # corner 0 - corner j is -e_j, which squares to the same bits
+            diff = e[j - 1] if i == 0 else [p - q for p, q in zip(corners[i], corners[j])]
+            np.multiply(diff[0], diff[0], out=sq)
+            for d in diff[1:]:
+                sq += d * d
+    det /= _FACTORIAL[dim]
+    return det, out.T
+
+
+def _vertex_geometry(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_element_geometry` of an (M, dim+1, dim) vertex array, its rows as nodes."""
+    m, k, dim = verts.shape
+    return _element_geometry(verts.reshape(-1, dim), np.arange(m * k).reshape(m, k))
+
+
 def signed_measures(verts: np.ndarray) -> np.ndarray:
     """(M,) signed measures (orientation-sensitive); no degeneracy check."""
-    edges = verts[:, 1:, :] - verts[:, :1, :]
-    return np.linalg.det(edges) / _FACTORIAL[verts.shape[2]]
+    return _vertex_geometry(verts)[0]
 
 
 def _row_reduce(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
@@ -90,24 +137,8 @@ def degenerate(measures: np.ndarray, edge_sq: np.ndarray, dim: int) -> np.ndarra
 
 
 def squared_edges(verts: np.ndarray) -> np.ndarray:
-    """(M, 3) or (M, 6) squared edge lengths, in `EDGES` order.
-
-    One edge and one coordinate at a time, dx*dx + dy*dy (+ dz*dz): the
-    products and sums of `((verts[:, i] - verts[:, j])**2).sum(-1)` in the
-    same order, without its (M, edges, dim) copies and short-axis reduction.
-    Column-major like that expression's result, so each edge is one
-    contiguous column for the column-wise kernels that read it.
-    """
-    dim = verts.shape[2]
-    out = np.empty((len(EDGES[dim][0]), verts.shape[0]))
-    for e, (i, j) in enumerate(zip(*EDGES[dim])):
-        sq = np.subtract(verts[:, i, 0], verts[:, j, 0], out=out[e])
-        sq *= sq
-        for c in range(1, dim):
-            d = np.subtract(verts[:, i, c], verts[:, j, c])
-            d *= d
-            sq += d
-    return out.T
+    """(M, 3) or (M, 6) squared edge lengths, in `EDGES` order."""
+    return _vertex_geometry(verts)[1]
 
 
 def edge_cosines(edge_sq: np.ndarray) -> np.ndarray:
@@ -179,8 +210,8 @@ def as_batch(s: Simplex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`s` as kernel input: its (1, dim+1, dim) vertex array, measure and
     squared edges; raises on degenerate vertex sets."""
     verts = s.vertices[None]
-    meas = np.abs(signed_measures(verts))
-    edge_sq = squared_edges(verts)
+    signed, edge_sq = _vertex_geometry(verts)
+    meas = np.abs(signed)
     if degenerate(meas, edge_sq, s.dim)[0]:
         raise DegenerateSimplexError(f"simplex measure {meas[0]:.3e} below degeneracy threshold")
     return verts, meas, edge_sq

@@ -29,6 +29,8 @@ from .errors import (
 )
 from .geometry import (
     Simplex,
+    _blocks,
+    _vertex_geometry,
     as_batch,
     edge_cosines,
     edge_lengths,
@@ -201,18 +203,27 @@ def _kobayashi_batch_2d(edge_sq: np.ndarray, area: np.ndarray, first: int = 0) -
     return np.sqrt(_clamp_radicand(rad, edge_sq.max(axis=1), first))
 
 
-def _min_liu_kobayashi_2d(edge_sq: np.ndarray, area: np.ndarray, first: int = 0) -> np.ndarray:
-    return np.minimum(_liu_batch(edge_sq), _kobayashi_batch_2d(edge_sq, area, first))
+def _liu_kobayashi_2d(edge_sq: np.ndarray, area: np.ndarray, first: int = 0) -> np.ndarray:
+    """(2, M): min(Liu, Kobayashi) and Kobayashi per element."""
+    kob = _kobayashi_batch_2d(edge_sq, area, first)
+    return np.stack([np.minimum(_liu_batch(edge_sq), kob), kob])
 
 
-def _blockwise_max(kernel: Callable, edge_sq: np.ndarray, area: np.ndarray) -> float:
-    """max over the elements of a row-wise 2D kernel, called as
-    `kernel(edge_sq, area, first)` on one block of elements at a time
-    (`meshmod._blocks`; `first`, the block's first element, names elements
-    in errors): bit for bit the maximum over the whole arrays, with (block,
-    3) temporaries instead of (M, 3) ones (~44 MB for the Liu kernel on a
-    204,800-element mesh)."""
-    return float(np.max([kernel(edge_sq[rows], area[rows], rows.start).max() for rows in meshmod._blocks(area.size)]))
+def _blockwise_max(kernel: Callable, edge_sq: np.ndarray, area: np.ndarray):
+    """max over the elements of a row-wise 2D kernel (k maxima for (k, block)
+    rows), called as `kernel(edge_sq, area, first)` on one block of elements
+    at a time (`_blocks`; `first` names elements in errors): bit for
+    bit the whole-array maximum, with (block, 3) temporaries, not (M, 3)
+    ones (~44 MB for the Liu kernel on a 204,800-element mesh)."""
+    return np.max([kernel(edge_sq[rows], area[rows], rows.start).max(axis=-1) for rows in _blocks(area.size)], axis=0)
+
+
+def _liu_kobayashi_maxima(mesh: meshmod.SimplicialMesh) -> tuple[float, float]:
+    """The element maxima of min(Liu, Kobayashi), the `elementwise` constant,
+    and of Kobayashi, `disk_study_row`'s A_m: one pass per 2D mesh, shared."""
+    em = meshmod.element_metrics(mesh)
+    maxima = lambda _: tuple(map(float, _blockwise_max(_liu_kobayashi_2d, em.edge_sq, em.measures)))  # noqa: E731
+    return meshmod._cached(mesh, "liu_kobayashi_maxima", maxima)
 
 
 def _kobayashi_batch_3d(em: meshmod.ElementMetrics, rho_convention: str) -> np.ndarray:
@@ -229,12 +240,10 @@ def mesh_constants(
     """Mesh-wide constants: element-wise maximum plus all closed forms."""
     if qual is None:
         qual = meshmod.quality(mesh)
-    em = meshmod.element_metrics(mesh)
     if mesh.dim == 2:
-        elementwise = _blockwise_max(_min_liu_kobayashi_2d, em.edge_sq, em.measures)
         return GlobalConstants(
             dim=2,
-            elementwise=elementwise,
+            elementwise=_liu_kobayashi_maxima(mesh)[0],
             circumradius=qual.max_circumradius,
             minangle=min_angle_global(qual.min_angle, qual.h) if qual.min_angle > 0.0 else None,
             nonblunt=NONBLUNT_COEFF * qual.h if qual.nonblunt else None,
@@ -242,6 +251,7 @@ def mesh_constants(
             l2_global=global_l2_bound(2, qual.h),
             rho_convention=rho_convention,
         )
+    em = meshmod.element_metrics(mesh)
     sigma_conv = float((em.h / _rho(em.inradius, rho_convention)).max())
     return GlobalConstants(
         dim=3,
@@ -275,11 +285,9 @@ def rayleigh_lower_bound(t: Simplex, degree: int = 4) -> float:
         raise ValueError("rayleigh_lower_bound applies to triangles")
     if not 2 <= degree <= 6:
         raise ValueError("degree must be between 2 and 6")
-    v = t.vertices
-    b_map = v[1:] - v[0]  # rows are edge vectors; x = v0 + B^T xi
-    det = float(np.linalg.det(b_map))
-    h2 = max(float(((v[i] - v[j]) ** 2).sum()) for i in range(3) for j in range(i))
-    if abs(det) <= 1e-13 * h2:
+    b_map = t.vertices[1:] - t.vertices[0]  # rows are edge vectors; x = v0 + B^T xi
+    signed, edge_sq = _vertex_geometry(t.vertices[None])  # det(B) = 2 * signed measure
+    if abs(2.0 * signed[0]) <= 1e-13 * edge_sq.max():
         raise ConstraintRankError("degenerate vertex placement")
 
     exps = [(i, total - i) for total in range(degree + 1) for i in range(total + 1)]

@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -30,15 +30,10 @@ from .geometry import (
     FACETS,
     NONBLUNT_TOL,
     ElementMetrics,
+    _element_geometry,
     degenerate,
-    signed_measures,
-    squared_edges,
     vertex_metrics,
 )
-
-# Elements per block of `_blocks`: each numpy call still covers thousands of
-# elements, while per-block temporaries stay small.
-_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -146,19 +141,13 @@ def _cached(mesh: SimplicialMesh, key: str, build: Callable[[SimplicialMesh], ob
     return cache[key]
 
 
-def _blocks(count: int) -> Iterator[slice]:
-    """Slices of _BLOCK consecutive elements covering `count` elements: the
-    one way per-element integrals and maxima walk a mesh."""
-    return (slice(start, start + _BLOCK) for start in range(0, count, _BLOCK))
-
-
 def _measures(mesh: SimplicialMesh) -> np.ndarray:
     """(M,) element measures, read-only and shared."""
     return _cached(mesh, "measures", _build_measures)
 
 
 def _build_measures(mesh: SimplicialMesh) -> np.ndarray:
-    meas = np.abs(signed_measures(mesh.element_vertices()))
+    meas = np.abs(_element_geometry(mesh.nodes, mesh.elements)[0])
     meas.setflags(write=False)
     return meas
 
@@ -197,15 +186,14 @@ def build_mesh(dim: int, nodes, elements) -> SimplicialMesh:
     if el.size and (el.min() < 0 or el.max() >= nd.shape[0]):
         raise MeshParseError("element index out of range")
 
-    # Orientation fix: swap the last two vertices of inverted elements.
-    verts = nd[el]
-    sm = signed_measures(verts)
+    # Orientation fix: swap the last two vertices of inverted elements, which
+    # negates their closed-form measures exactly and swaps edge columns.
+    sm, edge_sq = _element_geometry(nd, el)
     flip = sm < 0
     if np.any(flip):
         el[flip, -2], el[flip, -1] = el[flip, -1].copy(), el[flip, -2].copy()
-        verts = nd[el]
-        sm = signed_measures(verts)
-    edge_sq = squared_edges(verts)
+        np.negative(sm, out=sm, where=flip)
+        edge_sq[flip] = edge_sq[flip][:, [0, 2, 1] if dim == 2 else [0, 2, 1, 4, 3, 5]]
     bad = np.flatnonzero(degenerate(sm, edge_sq, dim))
     if bad.size:
         raise InvertedElementError(f"element {bad[0]} has nonpositive measure after orientation fix")
@@ -327,7 +315,7 @@ def _element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
     # 2D metrics read only the measures and squared edges, which build_mesh
     # leaves in the cache, so the vertices are gathered only in 3D
     verts = mesh.element_vertices() if mesh.dim == 3 else None
-    edge_sq = _cached(mesh, "edge_sq", lambda m: squared_edges(m.element_vertices()))
+    edge_sq = _cached(mesh, "edge_sq", lambda m: _element_geometry(m.nodes, m.elements)[1])
     return vertex_metrics(verts, _measures(mesh), edge_sq)
 
 

@@ -303,8 +303,7 @@ def disk_study_row(
     sol, actual, certified = verify_case(exact, poly, mesh, fh_mode, strategy)
 
     qual = meshmod.quality(mesh)
-    em = meshmod.element_metrics(mesh)
-    a_m = icmod._blockwise_max(icmod._kobayashi_batch_2d, em.edge_sq, em.measures)
+    a_m = icmod._liu_kobayashi_maxima(mesh)[1]  # from certify's element-wise pass
     predicted = math.sqrt(math.pi) * (a_m * a_m + 2.0 * math.sin(math.pi / (2.0 * m)) ** 2)
     if actual > predicted:
         raise BoundViolationError(f"m={m}: measured error {actual} exceeds predicted bound {predicted}")

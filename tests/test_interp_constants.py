@@ -344,10 +344,10 @@ def test_blockwise_elementwise_maximum_matches_whole_arrays():
     """`mesh_constants` takes the element-wise maximum one block of elements
     at a time: bit for bit the whole-array maximum wherever the worst element
     lies, and a bad radicand is named by its index in the whole mesh."""
+    from certifem import geometry
     from certifem import interp_constants as icmod
-    from certifem import mesh as meshmod
 
-    block = meshmod._BLOCK
+    block = geometry._BLOCK
     mesh = _needle_mesh(np.random.default_rng(5), 2 * block + 100)
     em = element_metrics(mesh)
     whole = np.minimum(_liu_batch(em.edge_sq), _kobayashi_batch_2d(em.edge_sq, em.measures))

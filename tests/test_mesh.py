@@ -266,20 +266,60 @@ def test_element_metrics_match_scalar_geometry(rng):
 def test_2d_element_metrics_gather_no_vertices(monkeypatch):
     import dataclasses
 
+    from certifem import geometry
+    from certifem import mesh as meshmod
     from certifem.geometry import signed_measures, squared_edges, vertex_metrics
     from certifem.mesh import SimplicialMesh
 
+    kernel_calls = []
+    kernel = geometry._element_geometry
+    monkeypatch.setattr(meshmod, "_element_geometry", lambda *a: kernel_calls.append(a) or kernel(*a))
     mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 9), 2)
+    assert len(kernel_calls) == 2  # the fan, then the refined mesh
     verts = mesh.element_vertices()
     gathers = []
     gather = SimplicialMesh.element_vertices
     monkeypatch.setattr(SimplicialMesh, "element_vertices", lambda self: gathers.append(self) or gather(self))
     em = element_metrics(mesh)
-    assert gathers == []
+    assert gathers == [] and len(kernel_calls) == 2
     # bit for bit the metrics of the gathered vertices
     ref = vertex_metrics(verts, np.abs(signed_measures(verts)), squared_edges(verts))
     for f in dataclasses.fields(em):
         assert np.array_equal(getattr(em, f.name), getattr(ref, f.name)), f.name
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_build_mesh_uses_no_lapack_and_gathers_no_vertices(monkeypatch, dim):
+    from certifem.mesh import SimplicialMesh
+
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    monkeypatch.setattr(SimplicialMesh, "element_vertices", refuse)
+    mesh = _jittered_square(6, seed=3) if dim == 2 else _kuhn_cube(2)
+    # inverted elements too, so the orientation fix runs
+    elements = np.array(mesh.elements)
+    flip = np.arange(mesh.element_count) % 3 == 0
+    elements[flip, -2:] = elements[flip, :-3:-1]
+    build_mesh(dim, mesh.nodes, elements)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_orientation_fix_negates_measures_and_permutes_edges(dim):
+    """Swapping back the last two corners of inverted elements gives the
+    measures and squared edges of the positively oriented input bit for bit,
+    without recomputing them."""
+    from certifem.mesh import _measures
+
+    mesh = _jittered_square(6, seed=3) if dim == 2 else _kuhn_cube(2)
+    elements = np.array(mesh.elements)
+    flip = np.random.default_rng(2).random(mesh.element_count) < 0.5
+    elements[flip, -2:] = elements[flip, :-3:-1]
+    fixed = build_mesh(dim, mesh.nodes, elements)
+    assert np.array_equal(fixed.elements, mesh.elements)
+    assert np.array_equal(_measures(fixed), _measures(mesh))
+    assert np.array_equal(element_metrics(fixed).edge_sq, element_metrics(mesh).edge_sq)
 
 
 # ---------------------------------------------------------------------------

@@ -430,6 +430,23 @@ def test_disk_study_row_builds_each_mesh_quantity_once(monkeypatch):
     assert em.measures is meshmod._measures(final)
 
 
+def test_disk_study_row_takes_a_m_from_the_elementwise_pass(monkeypatch):
+    """A_m is the Kobayashi maximum of `mesh_constants`' element-wise pass,
+    bit for bit the whole-array maximum: one Kobayashi call per block of
+    elements, none for A_m alone."""
+    from certifem import element_metrics
+    from certifem import interp_constants as icmod
+
+    mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 20), 2)
+    blocks = []
+    kobayashi = icmod._kobayashi_batch_2d
+    monkeypatch.setattr(icmod, "_kobayashi_batch_2d", lambda *a: blocks.append(a) or kobayashi(*a))
+    row = disk_study_row(20, 2, mesh=mesh)
+    assert len(blocks) == 1 and mesh.element_count == 320
+    em = element_metrics(mesh)
+    assert row.a_m == float(kobayashi(em.edge_sq, em.measures).max())
+
+
 def test_nodal_disk_study_row_assembles_mass_once(monkeypatch):
     from certifem import assemble_mass
     from certifem import fem as femmod
