@@ -221,9 +221,12 @@ def _blockwise_max(kernel: Callable, edge_sq: np.ndarray, area: np.ndarray):
 def _liu_kobayashi_maxima(mesh: meshmod.SimplicialMesh) -> tuple[float, float]:
     """The element maxima of min(Liu, Kobayashi), the `elementwise` constant,
     and of Kobayashi, `disk_study_row`'s A_m: one pass per 2D mesh, shared."""
-    em = meshmod.element_metrics(mesh)
-    maxima = lambda _: tuple(map(float, _blockwise_max(_liu_kobayashi_2d, em.edge_sq, em.measures)))  # noqa: E731
-    return meshmod._cached(mesh, "liu_kobayashi_maxima", maxima)
+
+    def build(mesh):
+        em = meshmod.element_metrics(mesh)
+        return tuple(map(float, _blockwise_max(_liu_kobayashi_2d, em.edge_sq, em.measures)))
+
+    return meshmod._cached(mesh, "liu_kobayashi_maxima", build)
 
 
 def _kobayashi_batch_3d(em: meshmod.ElementMetrics, rho_convention: str) -> np.ndarray:
