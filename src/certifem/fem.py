@@ -280,13 +280,13 @@ def _gradients(mesh: meshmod.SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
     The rows of B are the edge vectors e_i = corner_i - corner_0, so grad
     lambda_i (i >= 1) is column i-1 of B^{-1} = adj(B) / det(B), and grad
     lambda_0 is minus their sum.  det(B) = dim! |T| from the cached closed-form
-    measures (`geometry._element_geometry`): a d - b c itself in 2D, e1 . (e2
-    x e3) within two roundings in 3D.  `build_mesh` orients every element
-    positively, and a wrong sign would flip all gradients of an element,
-    which its stiffness block g g^T does not see.  In 2D the gradients are
-    built from the four edge-difference columns into a (2, 3, M) array,
-    returned as its transpose, so each component of each gradient is one
-    contiguous column.
+    measures (`geometry._element_geometry`): a d - b c itself in 2D, within
+    two roundings of the compensated e1 . (e2 x e3) in 3D.  `build_mesh`
+    orients every element positively, and a wrong sign would flip all
+    gradients of an element, which its stiffness block g g^T does not see.
+    In 2D the gradients are built from the four edge-difference columns into
+    a (2, 3, M) array, returned as its transpose, so each component of each
+    gradient is one contiguous column.
     """
     n = mesh.dim
     meas = meshmod._measures(mesh)

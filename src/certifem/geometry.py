@@ -20,8 +20,6 @@ from .errors import DegenerateSimplexError
 # A simplex with measure below DEGENERACY_TOL * h_T^dim is rejected.
 DEGENERACY_TOL = 1e-14
 
-_FACTORIAL = (1.0, 1.0, 2.0, 6.0)
-
 # Angle at or below pi/2 + NONBLUNT_TOL counts as non-obtuse.
 NONBLUNT_TOL = 1e-12
 
@@ -80,14 +78,33 @@ class ElementMetrics:
     max_angle: np.ndarray | None  # 2D only
 
 
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fl(a b) and its exact rounding error, without FMA: Dekker's
+    TwoProduct on the factors split into halves of at most 26 bits."""
+    p = a * b
+    ah, bh = ((c := 134217729.0 * x) - (c - x) for x in (a, b))  # c = (2^27 + 1) x
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fl(a + b) and its exact rounding error (Knuth's TwoSum)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
 def _element_geometry(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signed measures (M,) and column-major squared edges (M, 3) or (M, 6),
     in `EDGES` order, of the elements (M, dim+1) of `nodes` (N, dim), from
     gathered coordinate columns, one block of elements at a time (`_blocks`)
     so that the temporaries stay small.  With the rows e_k = corner_k -
-    corner_0 of B, det(B) is a d - b c in 2D and e1 . (e2 x e3) in 3D, which
-    a swap of two corners negates exactly.  A squared edge is dx*dx + dy*dy
-    (+ dz*dz), bit for bit `((verts[:, i] - verts[:, j])**2).sum(-1)`."""
+    corner_0 of B, det(B) is a d - b c in 2D and e1 . (e2 x e3) in 3D, the
+    latter as if computed in twice the working precision, then rounded
+    (Ogita, Rump and Oishi, "Accurate sum and dot product", 2005): the plain
+    triple product is less accurate than an LU solve on thin tetrahedra.  A
+    squared edge is dx*dx + dy*dy (+ dz*dz), bit for bit
+    `((verts[:, i] - verts[:, j])**2).sum(-1)`."""
     dim = nodes.shape[1]
     det = np.empty(elements.shape[0])
     out = np.empty((len(EDGES[dim][0]), elements.shape[0]))
@@ -98,27 +115,29 @@ def _element_geometry(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarr
             (a, b), (c, d) = e
             det[rows] = a * d - b * c
         else:
-            (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = e
-            det[rows] = x1 * (y2 * z3 - z2 * y3) + y1 * (z2 * x3 - x2 * z3) + z1 * (x2 * y3 - y2 * x3)
+            total = err = 0.0
+            for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):  # (e2 x e3)_k = p - q
+                (p, p_err), (q, q_err) = _two_product(e[1][i], e[2][j]), _two_product(e[1][j], e[2][i])
+                s, s_err = _two_sum(p, -q)
+                h, h_err = _two_product(e[0][k], s)
+                total, t_err = _two_sum(total, h)
+                err = err + (t_err + h_err + e[0][k] * (s_err + (p_err - q_err)))
+            det[rows] = total + err
         for sq, (i, j) in zip(out[:, rows], zip(*EDGES[dim])):
             # corner 0 - corner j is -e_j, which squares to the same bits
             diff = e[j - 1] if i == 0 else [p - q for p, q in zip(corners[i], corners[j])]
             np.multiply(diff[0], diff[0], out=sq)
             for d in diff[1:]:
                 sq += d * d
-    det /= _FACTORIAL[dim]
+    det /= math.factorial(dim)
     return det, out.T
 
 
 def _vertex_geometry(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_element_geometry` of an (M, dim+1, dim) vertex array, its rows as nodes."""
+    """`_element_geometry` of an (M, dim+1, dim) vertex array, its rows as
+    nodes: signed measures (no degeneracy check) and squared edges."""
     m, k, dim = verts.shape
     return _element_geometry(verts.reshape(-1, dim), np.arange(m * k).reshape(m, k))
-
-
-def signed_measures(verts: np.ndarray) -> np.ndarray:
-    """(M,) signed measures (orientation-sensitive); no degeneracy check."""
-    return _vertex_geometry(verts)[0]
 
 
 def _row_reduce(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
@@ -132,18 +151,15 @@ def _row_reduce(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
 
 
 def degenerate(measures: np.ndarray, edge_sq: np.ndarray, dim: int) -> np.ndarray:
-    """Mask of measures at or below DEGENERACY_TOL * h^dim, h the longest edge."""
-    return measures <= DEGENERACY_TOL * np.sqrt(_row_reduce(np.maximum, edge_sq)) ** dim
-
-
-def squared_edges(verts: np.ndarray) -> np.ndarray:
-    """(M, 3) or (M, 6) squared edge lengths, in `EDGES` order."""
-    return _vertex_geometry(verts)[1]
+    """Mask of measures at or below DEGENERACY_TOL * h^dim, h the longest
+    edge, or not finite (closed forms overflow to inf - inf on huge
+    coordinates)."""
+    return ~(measures > DEGENERACY_TOL * np.sqrt(_row_reduce(np.maximum, edge_sq)) ** dim)
 
 
 def edge_cosines(edge_sq: np.ndarray) -> np.ndarray:
     """(M, 3) law-of-cosines cosines of the triangle angles, column i at
-    vertex i, from 2D `squared_edges`; not clipped to [-1, 1].  Column i is
+    vertex i, from 2D squared edges; not clipped to [-1, 1].  Column i is
     (e_next + e_prev - e_i) / (2 l_next l_prev), computed one column at a
     time."""
     lengths = np.sqrt(edge_sq)
@@ -177,7 +193,7 @@ def inradii(verts: np.ndarray | None, measures: np.ndarray, edge_sq: np.ndarray)
 
 def vertex_metrics(verts: np.ndarray | None, measures: np.ndarray, edge_sq: np.ndarray) -> ElementMetrics:
     """Per-element geometry of (M, dim+1, dim) vertex arrays, their
-    (unsigned) `measures` and `squared_edges`, kept as given; the arrays are
+    (unsigned) `measures` and squared edges, kept as given; the arrays are
     made read-only.  Triangles (three edges per row of `edge_sq`) need no
     `verts`.  Row reductions over edges and angles run column-wise
     (`_row_reduce`)."""
@@ -203,7 +219,7 @@ def vertex_metrics(verts: np.ndarray | None, measures: np.ndarray, edge_sq: np.n
 
 def signed_measure(s: Simplex) -> float:
     """Signed measure (orientation-sensitive); no degeneracy check."""
-    return float(signed_measures(s.vertices[None])[0])
+    return float(_vertex_geometry(s.vertices[None])[0][0])
 
 
 def as_batch(s: Simplex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,7 +240,7 @@ def measure(s: Simplex) -> float:
 
 def edge_lengths(s: Simplex) -> list[float]:
     """All edge lengths, sorted in descending order (first entry = h_T)."""
-    return sorted(np.sqrt(squared_edges(s.vertices[None])[0]).tolist(), reverse=True)
+    return sorted(np.sqrt(_vertex_geometry(s.vertices[None])[1][0]).tolist(), reverse=True)
 
 
 def circumcenter(s: Simplex) -> np.ndarray:

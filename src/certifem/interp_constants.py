@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh
@@ -203,28 +202,20 @@ def _kobayashi_batch_2d(edge_sq: np.ndarray, area: np.ndarray, first: int = 0) -
     return np.sqrt(_clamp_radicand(rad, edge_sq.max(axis=1), first))
 
 
-def _liu_kobayashi_2d(edge_sq: np.ndarray, area: np.ndarray, first: int = 0) -> np.ndarray:
-    """(2, M): min(Liu, Kobayashi) and Kobayashi per element."""
-    kob = _kobayashi_batch_2d(edge_sq, area, first)
-    return np.stack([np.minimum(_liu_batch(edge_sq), kob), kob])
-
-
-def _blockwise_max(kernel: Callable, edge_sq: np.ndarray, area: np.ndarray):
-    """max over the elements of a row-wise 2D kernel (k maxima for (k, block)
-    rows), called as `kernel(edge_sq, area, first)` on one block of elements
-    at a time (`_blocks`; `first` names elements in errors): bit for
-    bit the whole-array maximum, with (block, 3) temporaries, not (M, 3)
-    ones (~44 MB for the Liu kernel on a 204,800-element mesh)."""
-    return np.max([kernel(edge_sq[rows], area[rows], rows.start).max(axis=-1) for rows in _blocks(area.size)], axis=0)
-
-
 def _liu_kobayashi_maxima(mesh: meshmod.SimplicialMesh) -> tuple[float, float]:
     """The element maxima of min(Liu, Kobayashi), the `elementwise` constant,
-    and of Kobayashi, `disk_study_row`'s A_m: one pass per 2D mesh, shared."""
+    and of Kobayashi, `disk_study_row`'s A_m: one pass per 2D mesh, shared.
+    It walks one block of elements at a time (`_blocks`; a bad radicand is
+    named by its element index): bit for bit the whole-array maxima, with
+    (block, 3) temporaries, not (M, 3) ones (~44 MB for the Liu kernel on a
+    204,800-element mesh)."""
 
     def build(mesh):
-        em = meshmod.element_metrics(mesh)
-        return tuple(map(float, _blockwise_max(_liu_kobayashi_2d, em.edge_sq, em.measures)))
+        em, maxima = meshmod.element_metrics(mesh), []
+        for rows in _blocks(mesh.element_count):
+            kob = _kobayashi_batch_2d(em.edge_sq[rows], em.measures[rows], rows.start)
+            maxima.append((np.minimum(_liu_batch(em.edge_sq[rows]), kob).max(), kob.max()))
+        return tuple(map(float, np.max(maxima, axis=0)))
 
     return meshmod._cached(mesh, "liu_kobayashi_maxima", build)
 

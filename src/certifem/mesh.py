@@ -43,8 +43,9 @@ class SimplicialMesh:
     elements: np.ndarray  # (M, dim+1), positively oriented
     boundary_facets: np.ndarray  # (K, dim), sorted node tuples
     boundary_nodes: np.ndarray  # sorted unique node indices
-    # Derived geometry (and the stiffness matrix), filled on first use by
-    # `_cached`; the arrays above are read-only, so entries never go stale.
+    # Derived geometry (and the stiffness matrix): `build_mesh` stores the
+    # measures and squared edges, `_cached` fills the rest on first use; the
+    # arrays above are read-only, so entries never go stale.
     # A refined mesh also keeps its refinement levels here (`_hierarchy`).
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -142,14 +143,8 @@ def _cached(mesh: SimplicialMesh, key: str, build: Callable[[SimplicialMesh], ob
 
 
 def _measures(mesh: SimplicialMesh) -> np.ndarray:
-    """(M,) element measures, read-only and shared."""
-    return _cached(mesh, "measures", _build_measures)
-
-
-def _build_measures(mesh: SimplicialMesh) -> np.ndarray:
-    meas = np.abs(_element_geometry(mesh.nodes, mesh.elements)[0])
-    meas.setflags(write=False)
-    return meas
+    """(M,) element measures, read-only and shared; `build_mesh` stores them."""
+    return mesh._cache["measures"]
 
 
 def _as_array(values, dtype, name: str) -> np.ndarray:
@@ -186,15 +181,15 @@ def build_mesh(dim: int, nodes, elements) -> SimplicialMesh:
     if el.size and (el.min() < 0 or el.max() >= nd.shape[0]):
         raise MeshParseError("element index out of range")
 
-    # Orientation fix: swap the last two vertices of inverted elements, which
-    # negates their closed-form measures exactly and swaps edge columns.
-    sm, edge_sq = _element_geometry(nd, el)
-    flip = sm < 0
-    if np.any(flip):
-        el[flip, -2], el[flip, -1] = el[flip, -1].copy(), el[flip, -2].copy()
-        np.negative(sm, out=sm, where=flip)
-        edge_sq[flip] = edge_sq[flip][:, [0, 2, 1] if dim == 2 else [0, 2, 1, 4, 3, 5]]
-    bad = np.flatnonzero(degenerate(sm, edge_sq, dim))
+    # Orientation fix: swap the last two vertices of inverted elements.  Huge
+    # coordinates overflow to inf or NaN measures, which count as degenerate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sm, edge_sq = _element_geometry(nd, el)
+        flip = sm < 0
+        if np.any(flip):
+            el[flip, -2], el[flip, -1] = el[flip, -1].copy(), el[flip, -2].copy()
+            sm[flip], edge_sq[flip] = _element_geometry(nd, el[flip])
+        bad = np.flatnonzero(degenerate(sm, edge_sq, dim))
     if bad.size:
         raise InvertedElementError(f"element {bad[0]} has nonpositive measure after orientation fix")
 
@@ -315,8 +310,7 @@ def _element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
     # 2D metrics read only the measures and squared edges, which build_mesh
     # leaves in the cache, so the vertices are gathered only in 3D
     verts = mesh.element_vertices() if mesh.dim == 3 else None
-    edge_sq = _cached(mesh, "edge_sq", lambda m: _element_geometry(m.nodes, m.elements)[1])
-    return vertex_metrics(verts, _measures(mesh), edge_sq)
+    return vertex_metrics(verts, _measures(mesh), mesh._cache["edge_sq"])
 
 
 def quality(mesh: SimplicialMesh) -> MeshQuality:

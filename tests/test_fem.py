@@ -52,7 +52,7 @@ from certifem.quadrature import (
     reference_monomial_integral,
     simplex_rule,
 )
-from certifem.geometry import EDGES, FACETS, edge_cosines, squared_edges
+from certifem.geometry import EDGES, FACETS, edge_cosines
 from test_mesh import _jittered_square, _kuhn_cube
 
 REF_TRIANGLE = build_mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
@@ -536,10 +536,12 @@ def _exact_gradients(mesh):
     Column i >= 1 is a / D, with a an entry of adj(B) and D = det(B).  The
     computed a carries k_a roundings per Leibniz term (2D: one difference;
     3D: two differences, a product and the subtraction of the cross
-    product); the computed D = dim! |T| carries k_d (2D: the 4 of the
-    closed-form measure; 3D: its 9 and the product by 6).  With
-    e_a = gamma_{k_a} s and e_d = gamma_{k_d} S, s and S the sums of the
-    absolute Leibniz terms, the rounded quotient is off by at most
+    product), so it is off by at most e_a = gamma_{k_a} s.  The computed
+    D = dim! |T| is off by at most e_d: in 2D gamma_4 S, the closed-form
+    measure's bound; in 3D gamma_3 |D| + gamma_5 S, the compensated
+    measure's u |D| + gamma_4 S (`test_closed_form_measures_within_rounding_bound`)
+    with the division and the product by 6.  With s and S the sums of the
+    absolute Leibniz terms of a and D, the rounded quotient is off by at most
     (1 + u) (e_a |D| + |a| e_d) / (|D| (|D| - e_d)) + u |a / D|.  Column 0
     is minus the sum of the others: their bounds plus gamma_{dim-1} times
     the sum of their magnitudes, exact plus bound.
@@ -547,7 +549,7 @@ def _exact_gradients(mesh):
     n = mesh.dim
     e = _exact_edges(mesh)
     det, det_sum = _leibniz(e)
-    err_d = _gamma({2: 4, 3: 10}[n]) * det_sum
+    err_d = _gamma(4) * det_sum if n == 2 else _gamma(3) * np.abs(det) + _gamma(5) * det_sum
     grads = np.empty((mesh.element_count, n, n + 1), dtype=object)
     bound = np.empty_like(grads)
     for i in range(n):
@@ -580,24 +582,39 @@ MEASURE_MESHES = {
 
 @pytest.mark.parametrize("name", sorted(MEASURE_MESHES))
 def test_closed_form_measures_within_rounding_bound(name):
-    """Each measure is within gamma_k S / dim! of the exact measure of the
-    same float vertices, S the sum of the absolute Leibniz terms of det(B)
-    (Higham's forward-error bound for a sum of products, ch. 3).
+    """Each measure is within its forward-error bound of the exact measure
+    D / dim! of the same float vertices, D = det(B) and S the sum of the
+    absolute Leibniz terms of D (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3).
 
     2D: each term of a d - b c carries two differences, one product and the
-    subtraction, k = 4; the division by 2 is exact.  3D: each term of
-    x1 (y2 z3 - z2 y3) + y1 (z2 x3 - x2 z3) + z1 (x2 y3 - y2 x3) carries
-    three differences, the inner product and subtraction, the outer product
-    and at most two additions, 8 roundings; the division by 6 adds one,
-    k = 9.  Vertex arrays go through the same kernel, bit for bit.
+    subtraction, so the error is at most gamma_4 S / 2; the division by 2 is
+    exact.  3D: rounding the three differences of a term moves it by at most
+    gamma_3 of it.  The compensated triple product is within u |D'| + c u^2 S'
+    of the determinant D' of the rounded edges (Ogita, Rump and Oishi,
+    "Accurate sum and dot product", 2005; c, a count of roundings in the
+    error terms, is far below 1/u), so within u |D| + gamma_4 S of D.  The
+    division by 6 adds one rounding: (gamma_2 |D| + gamma_5 S) / 6.  Vertex
+    arrays go through the same kernel, bit for bit.
     """
     mesh = MEASURE_MESHES[name]()
     n = mesh.dim
     det, abs_sum = _leibniz(_exact_edges(mesh))
     meas = meshmod._measures(mesh)
     err = np.abs(_fractions(meas) - det / math.factorial(n))
-    assert np.all(err <= _gamma({2: 4, 3: 9}[n]) * abs_sum / math.factorial(n))
-    assert np.array_equal(geometry.signed_measures(mesh.element_vertices()), meas)
+    assert np.all(err <= (_gamma(4) * abs_sum / 2 if n == 2 else (_gamma(2) * np.abs(det) + _gamma(5) * abs_sum) / 6))
+    assert np.array_equal(geometry._vertex_geometry(mesh.element_vertices())[0], meas)
+
+
+def test_error_free_transformations_are_exact():
+    """`_two_product` and `_two_sum` return the rounded result and its exact
+    rounding error: p + e = a b and s + t = a + b in exact arithmetic."""
+    rng = np.random.default_rng(15)
+    a, b = (rng.uniform(-1.0, 1.0, 2000) * 10.0 ** rng.uniform(-30.0, 30.0, 2000) for _ in range(2))
+    (p, e), (s, t) = geometry._two_product(a, b), geometry._two_sum(a, b)
+    assert np.array_equal(p, a * b) and np.array_equal(s, a + b)
+    assert np.all(_fractions(p) + _fractions(e) == _fractions(a) * _fractions(b))
+    assert np.all(_fractions(s) + _fractions(t) == _fractions(a) + _fractions(b))
 
 
 def _worst_relative_error(grads, exact):
@@ -614,10 +631,9 @@ def test_closed_form_gradients_match_lapack_solve(name):
     closed-form measures and the LU-based solve differ by up to ~7e-9
     relative, so there the solve is no reference: both are compared with
     the exact gradients of the same float vertices.  The closed form stays
-    within its rounding bound (`_exact_gradients`), and in 2D its worst
-    relative error is no larger than the solve's (3.7e-9 against 7.2e-9).
-    In 3D the LU solve's is smaller (4.9e-9 against the triple product's
-    7.2e-9), so only the bound is asserted there."""
+    within its rounding bound (`_exact_gradients`), and its worst relative
+    error is no larger than the solve's (2D: 3.7e-9 against 7.2e-9; 3D:
+    1.5e-9 against 4.9e-9)."""
     mesh = GRADIENT_MESHES[name]()
     grads, meas = fem._gradients(mesh)
     ref = _solved_gradients(mesh)
@@ -625,8 +641,7 @@ def test_closed_form_gradients_match_lapack_solve(name):
     if name.startswith("needles"):
         exact, bound = _exact_gradients(mesh)
         assert np.all(np.abs(_fractions(grads) - exact) <= bound)
-        if mesh.dim == 2:
-            assert _worst_relative_error(grads, exact) <= _worst_relative_error(ref, exact)
+        assert _worst_relative_error(grads, exact) <= _worst_relative_error(ref, exact)
     else:
         scale = np.abs(ref).max(axis=(1, 2))
         assert np.all(np.abs(grads - ref).max(axis=(1, 2)) <= 1e-13 * scale)
@@ -742,7 +757,7 @@ def test_mesh_kernels_match_oracles(name):
     mesh = GRADIENT_MESHES[name]()
     verts = mesh.element_vertices()
     edge_sq = _oracle_squared_edges(verts)
-    assert np.array_equal(squared_edges(verts), edge_sq)
+    assert np.array_equal(geometry._vertex_geometry(verts)[1], edge_sq)
     em = meshmod.element_metrics(mesh)
     assert np.array_equal(em.edge_sq, edge_sq)
     for field, ref in _oracle_metrics(em.measures, edge_sq).items():
@@ -1280,7 +1295,6 @@ def test_block_pass_maxima_match_whole_arrays(name):
     assert mesh_constants(mesh).elementwise == float(whole)
     # disk_study_row's A_m, from the same pass
     assert icmod._liu_kobayashi_maxima(mesh) == (float(whole), float(whole_kobayashi.max()))
-    assert icmod._blockwise_max(icmod._kobayashi_batch_2d, em.edge_sq, em.measures) == whole_kobayashi.max()
 
 
 def test_block_pass_catches_nan_in_the_last_block():

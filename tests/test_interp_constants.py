@@ -340,12 +340,15 @@ def test_scalar_3d_bounds_equal_pipeline_kernel_bit_for_bit():
         assert mesh_constants(mesh, rho_convention=conv).elementwise == kernel.max()
 
 
-def test_blockwise_elementwise_maximum_matches_whole_arrays():
+def test_blockwise_elementwise_maximum_matches_whole_arrays(monkeypatch):
     """`mesh_constants` takes the element-wise maximum one block of elements
     at a time: bit for bit the whole-array maximum wherever the worst element
     lies, and a bad radicand is named by its index in the whole mesh."""
+    from types import SimpleNamespace
+
     from certifem import geometry
     from certifem import interp_constants as icmod
+    from certifem import mesh as meshmod
 
     block = geometry._BLOCK
     mesh = _needle_mesh(np.random.default_rng(5), 2 * block + 100)
@@ -356,8 +359,9 @@ def test_blockwise_elementwise_maximum_matches_whole_arrays():
         rolled = build_mesh(2, mesh.nodes, np.roll(mesh.elements, position - worst, axis=0))
         assert mesh_constants(rolled).elementwise == float(whole.max())
 
-    edge_sq = np.ones((2 * block, 3))
-    area = np.full(2 * block, math.sqrt(3.0) / 4.0)
+    edge_sq = np.ones((mesh.element_count, 3))
+    area = np.full(mesh.element_count, math.sqrt(3.0) / 4.0)
     area[block + 3] = 1.0  # no triangle with unit edges has unit area
+    monkeypatch.setattr(meshmod, "element_metrics", lambda m: SimpleNamespace(edge_sq=edge_sq, measures=area))
     with pytest.raises(NegativeRadicandError, match=rf"^element {block + 3}: "):
-        icmod._blockwise_max(_kobayashi_batch_2d, edge_sq, area)
+        icmod._liu_kobayashi_maxima(build_mesh(2, mesh.nodes, mesh.elements))

@@ -73,6 +73,16 @@ def test_orientation_autofix_and_inverted():
         build_mesh(2, [[0, 0], [1, 0], [2, 0]], [[0, 1, 2]])
 
 
+@pytest.mark.parametrize("dim, scale", [(2, 1e155), (3, 1e103)])
+def test_overflowing_measures_are_rejected(dim, scale):
+    """Finite coordinates whose closed-form measure overflows (inf - inf is
+    NaN) are refused, not built with NaN measures."""
+    verts = [[0, 0], [1, 0.5], [0.5, 1]] if dim == 2 else [[0, 0, 0], [1, 0.5, 0.25], [0.25, 1, 0.5], [0.5, 0.25, 1]]
+    with pytest.raises(InvertedElementError):
+        build_mesh(dim, scale * np.array(verts), [list(range(dim + 1))])
+    assert build_mesh(dim, 1e-3 * scale * np.array(verts), [list(range(dim + 1))]).element_count == 1
+
+
 def test_fan_generator_counts():
     sq = generate_fan_refined(UNIT_SQUARE_POLY, 0)
     assert sq.element_count == 4
@@ -268,7 +278,7 @@ def test_2d_element_metrics_gather_no_vertices(monkeypatch):
 
     from certifem import geometry
     from certifem import mesh as meshmod
-    from certifem.geometry import signed_measures, squared_edges, vertex_metrics
+    from certifem.geometry import vertex_metrics
     from certifem.mesh import SimplicialMesh
 
     kernel_calls = []
@@ -283,7 +293,8 @@ def test_2d_element_metrics_gather_no_vertices(monkeypatch):
     em = element_metrics(mesh)
     assert gathers == [] and len(kernel_calls) == 2
     # bit for bit the metrics of the gathered vertices
-    ref = vertex_metrics(verts, np.abs(signed_measures(verts)), squared_edges(verts))
+    signed, edge_sq = geometry._vertex_geometry(verts)
+    ref = vertex_metrics(verts, np.abs(signed), edge_sq)
     for f in dataclasses.fields(em):
         assert np.array_equal(getattr(em, f.name), getattr(ref, f.name)), f.name
 
@@ -308,8 +319,8 @@ def test_build_mesh_uses_no_lapack_and_gathers_no_vertices(monkeypatch, dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_orientation_fix_negates_measures_and_permutes_edges(dim):
     """Swapping back the last two corners of inverted elements gives the
-    measures and squared edges of the positively oriented input bit for bit,
-    without recomputing them."""
+    measures and squared edges of the positively oriented input bit for
+    bit."""
     from certifem.mesh import _measures
 
     mesh = _jittered_square(6, seed=3) if dim == 2 else _kuhn_cube(2)
