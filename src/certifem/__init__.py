@@ -20,7 +20,6 @@ from .domain import (
 from .errors import (
     BoundViolationError,
     CertifemError,
-    ConstraintRankError,
     DegenerateSimplexError,
     InvalidDirectionError,
     InvalidPolygonError,
@@ -80,7 +79,6 @@ from .interp_constants import (
     mesh_constants,
     min_angle_global,
     nonblunt_profile_bound,
-    rayleigh_lower_bound,
 )
 from .mesh import (
     MeshQuality,

@@ -23,6 +23,7 @@ REPEATED_VERTEX_TOL = 1e-8
 INSCRIBED_TOL = 1e-10
 # A polygon whose measure is at or below MEASURE_TOL * diameter^2 is degenerate.
 MEASURE_TOL = 1e-12
+_PAIR_BLOCK = 1 << 16  # vertex pairs per block of `_diameter`
 
 
 class ConvexDomain:
@@ -188,18 +189,34 @@ def _max_excess(points, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def _diameter(v: np.ndarray) -> float:
     """Largest distance between two vertices; raises when two vertices lie
     within REPEATED_VERTEX_TOL * diameter, which also catches a boundary that
-    winds around more than once."""
-    diffs = v[:, None, :] - v[None, :, :]
-    dist = np.sqrt((diffs**2).sum(-1))
-    diameter = float(dist.max())
-    if np.any(dist[np.triu_indices(len(v), 1)] <= REPEATED_VERTEX_TOL * diameter):
+    winds around more than once.
+
+    The pairs i < j are walked a block of rows at a time, at most about
+    _PAIR_BLOCK of them per block, so memory stays O(m) rather than the
+    (m, m, dim) array of all differences; (v_i - v_j)^2 is (v_j - v_i)^2
+    bit for bit, so every distance, and the result, is that array's.
+    """
+    m = len(v)
+    step = max(1, _PAIR_BLOCK // m)
+    longest, closest = [], []
+    for start in range(0, m, step):
+        diffs = v[start : start + step, None, :] - v[None, start:, :]
+        dist = np.sqrt((diffs**2).sum(-1))
+        longest.append(dist.max())
+        closest.append(dist[np.triu_indices(dist.shape[0], 1, dist.shape[1])].min(initial=np.inf))
+    diameter = float(np.max(longest))
+    if np.min(closest) <= REPEATED_VERTEX_TOL * diameter:
         raise InvalidPolygonError("polytope has repeated vertices")
     return diameter
 
 
 def _check_halfspaces(v: np.ndarray, normals: np.ndarray, offsets: np.ndarray, diameter: float) -> None:
-    """Every vertex must lie in every facet half-space, else not convex."""
-    if float(_max_excess(v, normals, offsets).max()) > CONVEXITY_TOL * diameter:
+    """Every vertex must lie in every facet half-space, else not convex.
+    Checked a block of vertices at a time, with about _PAIR_BLOCK
+    vertex-facet pairs per block, so no (m, F) array is formed."""
+    step = max(1, _PAIR_BLOCK // len(normals))
+    blocks = [_max_excess(v[i : i + step], normals, offsets).max() for i in range(0, len(v), step)]
+    if float(np.max(blocks)) > CONVEXITY_TOL * diameter:
         raise InvalidPolygonError("vertex lies outside a facet half-space; polytope not convex")
 
 

@@ -37,10 +37,6 @@ class NegativeRadicandError(CertifemError):
     """Interpolation-constant radicand is negative beyond tolerance."""
 
 
-class ConstraintRankError(CertifemError):
-    """Vertex constraints of the eigenvalue probe are rank deficient."""
-
-
 class MissingNormMetadata(CertifemError):
     """Source term lacks the norm required by the chosen bound."""
 

@@ -13,24 +13,30 @@ its refinement levels is instead preconditioned by a V-cycle over those
 levels, with line Jacobi as its smoother (`_VCycle`): line-Jacobi CG needs
 about twice the iterations per refinement, the V-cycle about the same
 number at every depth.
+
+This is the one module that uses scipy, and it imports it inside the
+functions that build a sparse matrix or call LAPACK, never at module level:
+scipy.sparse and scipy.linalg are most of the cost of `import certifem`, and
+neither the `mesh` commands nor `certify` need them, except that nodal f_h
+mode assembles the mass matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import mesh as meshmod
 from .errors import CertifemError, InvalidSourceError, MissingNormMetadata, SupNormViolationError
 from .geometry import _blocks
 from .interp_constants import global_l2_bound
 from .quadrature import simplex_rule
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 FH_MODES = ("barycentric", "nodal", "exact")
 
@@ -370,6 +376,8 @@ def _scatter(mesh: meshmod.SimplicialMesh, local: np.ndarray) -> sp.csr_matrix:
     k*k) row and column index arrays are built (~15 MB less at peak on a
     204,800-triangle mesh).
     """
+    import scipy.sparse as sp
+
     el = mesh.elements.astype(np.int32)
     count, k = el.shape
     n = mesh.node_count
@@ -460,6 +468,8 @@ def _prolongations(mesh: meshmod.SimplicialMesh, interior: np.ndarray) -> tuple[
     are zero, so a boundary parent contributes nothing and its column is
     dropped.
     """
+    import scipy.sparse as sp
+
     out = []
     fine = interior  # sorted interior nodes of the finer level
     for coarse_count, parents in reversed(meshmod._hierarchy(mesh)):
@@ -541,7 +551,8 @@ def _line_jacobi(a_mat: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray], Non
     if not np.any(degree == 2):
         return lambda r, out: np.multiply(inv_diag, r, out=out)
 
-    # ~2 MiB and ~18 ms of imports, paid only by matrices that form lines
+    import scipy.sparse as sp
+    from scipy.linalg.lapack import dpttrf, dpttrs
     from scipy.sparse import csgraph
 
     links = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n))
@@ -627,6 +638,8 @@ class _VCycle:
     """
 
     def __init__(self, a_mat: sp.csr_matrix, prolongations: tuple[sp.csr_matrix, ...]) -> None:
+        from scipy.linalg import cho_factor
+
         self.prolong = list(reversed(prolongations))  # finest first
         self.restrict = [p.T.tocsr() for p in self.prolong]
         self.mats, self.smooth = [a_mat], []
@@ -636,6 +649,8 @@ class _VCycle:
         self.coarse = cho_factor(self.mats[-1].toarray())
 
     def __call__(self, r: np.ndarray, out: np.ndarray) -> None:
+        from scipy.linalg import cho_solve
+
         w = _SMOOTHING_WEIGHT
         rhs, iterates = [r], []
         for a, smooth, pt in zip(self.mats, self.smooth, self.restrict):

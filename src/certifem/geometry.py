@@ -224,12 +224,19 @@ def signed_measure(s: Simplex) -> float:
 
 def as_batch(s: Simplex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`s` as kernel input: its (1, dim+1, dim) vertex array, measure and
-    squared edges; raises on degenerate vertex sets."""
+    squared edges; raises on degenerate vertex sets, and on coordinates so
+    large that the closed forms overflow to inf or NaN."""
     verts = s.vertices[None]
-    signed, edge_sq = _vertex_geometry(verts)
-    meas = np.abs(signed)
-    if degenerate(meas, edge_sq, s.dim)[0]:
-        raise DegenerateSimplexError(f"simplex measure {meas[0]:.3e} below degeneracy threshold")
+    with np.errstate(over="ignore", invalid="ignore"):
+        signed, edge_sq = _vertex_geometry(verts)
+        meas = np.abs(signed)
+        if not (np.isfinite(meas[0]) and np.isfinite(edge_sq).all()):
+            raise DegenerateSimplexError(
+                f"simplex measure {meas[0]:.3e} (longest squared edge {edge_sq.max():.3e}) is not finite: "
+                "the coordinates overflow its closed form"
+            )
+        if degenerate(meas, edge_sq, s.dim)[0]:
+            raise DegenerateSimplexError(f"simplex measure {meas[0]:.3e} below degeneracy threshold")
     return verts, meas, edge_sq
 
 

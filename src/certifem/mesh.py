@@ -436,11 +436,21 @@ def load(path: str, fmt: str | None = None) -> SimplicialMesh:
     raise MeshParseError(f"unknown mesh format {fmt!r}")
 
 
+_WRITE_CHUNK = 1024  # rows per `%` call of `_write_rows`
+
+
 def _write_rows(path: str, header: str, row_fmt: str, columns: list[np.ndarray]) -> None:
     """Write `header`, then one `row_fmt % row` line per row of `columns`,
-    in a single write."""
-    rows = zip(*(col.tolist() for col in columns))
-    text = header + "".join(row_fmt % row for row in rows)
+    in a single write.  The rows are formatted _WRITE_CHUNK at a time, by
+    `row_fmt * chunk` on one flat row-major tuple: the same conversions as
+    one `%` per row, at a fraction of the per-call cost."""
+    k = len(columns)
+    flat = [None] * (k * len(columns[0]))
+    for j, col in enumerate(columns):
+        flat[j::k] = col.tolist()
+    step = _WRITE_CHUNK * k
+    chunks = (flat[i : i + step] for i in range(0, len(flat), step))
+    text = header + "".join(row_fmt * (len(chunk) // k) % tuple(chunk) for chunk in chunks)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

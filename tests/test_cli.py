@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -272,6 +273,55 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.load(open(out))["dim"] == 2
+
+
+COLD_START = """
+import json, os, sys
+
+def loaded():
+    return {name: name in sys.modules for name in ("scipy.sparse", "scipy.linalg")}
+
+import certifem
+from certifem import cli
+
+tmp = sys.argv[1]
+steps = [("import", 0, loaded())]
+for argv in (
+    ["certify", "--domain", "disk:1", "--generate", "10,1", "--out", os.path.join(tmp, "exact.json")],
+    ["certify", "--domain", "disk:1", "--generate", "10,1", "--fh-mode", "barycentric",
+     "--out", os.path.join(tmp, "barycentric.json")],
+    ["mesh", "gen", "--m", "12", "--refine", "1", "--out", os.path.join(tmp, "fan.node")],
+    ["mesh", "stats", "--mesh", os.path.join(tmp, "fan.node"), "--out", os.path.join(tmp, "stats.json")],
+    ["mesh", "convert", "--in", os.path.join(tmp, "fan.node"), "--out", os.path.join(tmp, "fan.json")],
+    ["verify", "--exact", "disk2d", "--m", "20", "--out", os.path.join(tmp, "verify.json")],
+):
+    steps.append((" ".join(argv[:2]), cli.main(argv), loaded()))
+print(json.dumps(steps))
+"""
+
+
+def test_cold_start_loads_scipy_only_to_solve(tmp_path):
+    """A fresh interpreter runs `import certifem`, `certify` (exact and
+    barycentric f_h) and the `mesh` commands without loading scipy.sparse or
+    scipy.linalg; `verify`, which solves, loads both (at m=20 the fan's rings
+    make line-Jacobi call LAPACK; an m=10 fan has no lines, and its plain
+    Jacobi solve needs scipy.sparse only)."""
+    import certifem
+
+    src = os.path.dirname(os.path.dirname(certifem.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert [step[0] for step in steps] == [
+        "import", "certify --domain", "certify --domain", "mesh gen", "mesh stats", "mesh convert", "verify --exact"
+    ]
+    assert all(code == 0 for _, code, _ in steps)
+    for name, _, loaded in steps[:-1]:
+        assert loaded == {"scipy.sparse": False, "scipy.linalg": False}, name
+    assert steps[-1][2] == {"scipy.sparse": True, "scipy.linalg": True}
 
 
 @pytest.mark.parametrize("source", ["mesh", "generate"])

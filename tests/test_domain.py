@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from certifem import domain as dommod
 from certifem import (
     Ball,
     ConvexPolygon,
@@ -184,6 +186,47 @@ def test_repeated_vertices_rejected():
     for verts in ([[0, 0], [1, 0], [1, 0], [0, 1]], [[0, 0], [1, 0], [0, 1], [1e-9, 0]]):
         with pytest.raises(InvalidPolygonError, match="repeated vertices"):
             ConvexPolygon(verts)
+
+
+def _all_pairs_diameter(v):
+    """The (m, m, dim) form that `domain._diameter` walks in row blocks."""
+    diffs = v[:, None, :] - v[None, :, :]
+    dist = np.sqrt((diffs**2).sum(-1))
+    diameter = float(dist.max())
+    return diameter, bool(np.any(dist[np.triu_indices(len(v), 1)] <= dommod.REPEATED_VERTEX_TOL * diameter))
+
+
+@pytest.mark.parametrize("pair_block", [1, 7, 64, 1 << 16])
+def test_blocked_diameter_matches_all_pairs(monkeypatch, pair_block):
+    """Bit for bit the all-pairs diameter and the same repeated-vertex
+    verdict, whether the blocks hold one row, a few rows or all of them; the
+    blocked half-space check keeps its verdict too."""
+    monkeypatch.setattr(dommod, "_PAIR_BLOCK", pair_block)
+    rng = np.random.default_rng(3)
+    for m, dim in ((3, 2), (11, 2), (40, 3), (97, 2)):
+        for v in (rng.normal(size=(m, dim)) * 10.0 ** rng.uniform(-3, 3), _star_pentagon(1)):
+            diameter, repeated = _all_pairs_diameter(v)
+            if repeated:
+                with pytest.raises(InvalidPolygonError, match="repeated vertices"):
+                    dommod._diameter(v)
+            else:
+                assert dommod._diameter(v) == diameter
+    assert inscribed_regular_polygon(Disk(1.0), 50).vertices.shape == (50, 2)
+    with pytest.raises(InvalidPolygonError, match="not convex"):
+        ConvexPolygon(_star_pentagon(2))
+
+
+def test_many_vertex_polygon_memory_is_bounded():
+    """A 3000-gon is validated without the O(m^2) arrays of all vertex pairs
+    (343 MiB traced when they were formed whole)."""
+    tracemalloc.start()
+    try:
+        poly = inscribed_regular_polygon(Disk(1.0), 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert poly.vertices.shape == (3000, 2)
 
 
 @pytest.mark.parametrize(

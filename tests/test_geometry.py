@@ -39,6 +39,17 @@ def test_measure_rejects_degenerate():
         measure(triangle([0, 0], [1, 0], [0.5, 1e-16]))
 
 
+@pytest.mark.parametrize("dim, scale", [(2, 1e155), (3, 1e103)])
+def test_overflowing_simplex_is_rejected_by_name(dim, scale):
+    """Finite coordinates whose closed-form measure overflows raise a typed
+    error that names the non-finite measure, with no RuntimeWarning (an
+    error under the suite's filter); 1e-3 of the scale still measures."""
+    verts = [[0, 0], [1, 0.5], [0.5, 1]] if dim == 2 else [[0, 0, 0], [1, 0.5, 0.25], [0.25, 1, 0.5], [0.5, 0.25, 1]]
+    with pytest.raises(DegenerateSimplexError, match=r"measure (nan|inf) .* is not finite"):
+        measure(Simplex(scale * np.array(verts)))
+    assert math.isfinite(measure(Simplex(1e-3 * scale * np.array(verts))))
+
+
 def test_signed_measure_orientation():
     assert signed_measure(RIGHT_ISO) > 0
     assert signed_measure(triangle([0, 0], [0, 1], [1, 0])) < 0

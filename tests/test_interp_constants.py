@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from certifem import (
-    ConstraintRankError,
     Disk,
     NegativeRadicandError,
     Simplex,
@@ -20,7 +19,6 @@ from certifem import (
     mesh_constants,
     min_angle_global,
     nonblunt_profile_bound,
-    rayleigh_lower_bound,
     triangle,
 )
 from certifem.interp_constants import _clamp_radicand, _kobayashi_batch_2d, _liu_batch
@@ -33,6 +31,7 @@ from conftest import (
     sample_triangle,
     triangle_from_angles,
 )
+from spectral_probe import ConstraintRankError, rayleigh_lower_bound
 
 EQUILATERAL = triangle([0, 0], [1, 0], [0.5, math.sqrt(3) / 2])
 RIGHT_ISO = triangle([0, 0], [1, 0], [0, 1])

@@ -564,6 +564,39 @@ def test_node_ele_save_bytes(tmp_path):
     assert (tmp_path / "two.ele").read_bytes() == b"2 3 0\n1 1 2 3\n2 1 3 4\n"
 
 
+def _row_by_row_node_ele(mesh):
+    """`.node` and `.ele` bytes formatted by one `%` per row."""
+    marker = np.zeros(mesh.node_count, dtype=int)
+    marker[mesh.boundary_nodes] = 1
+    node_fmt = "%d" + " %.17g" * mesh.dim + " %d\n"
+    node = f"{mesh.node_count} {mesh.dim} 0 1\n" + "".join(
+        node_fmt % (i + 1, *x, b) for i, (x, b) in enumerate(zip(mesh.nodes.tolist(), marker.tolist()))
+    )
+    ele_fmt = " ".join(["%d"] * (mesh.dim + 2)) + "\n"
+    ele = f"{mesh.element_count} {mesh.dim + 1} 0\n" + "".join(
+        ele_fmt % (i + 1, *(c + 1 for c in row)) for i, row in enumerate(mesh.elements.tolist())
+    )
+    return node.encode(), ele.encode()
+
+
+@pytest.mark.parametrize("chunk", [5, 100, None], ids=["chunk-5", "chunk-100", "default"])
+def test_node_ele_writer_matches_row_by_row_formatting(tmp_path, monkeypatch, chunk):
+    """The writer formats a chunk of rows per `%`; over several full chunks
+    and a partial one its files equal one `%` per row, byte for byte."""
+    from certifem import mesh as meshmod
+
+    if chunk is not None:
+        monkeypatch.setattr(meshmod, "_WRITE_CHUNK", chunk)
+    size = meshmod._WRITE_CHUNK
+    for mesh in (_jittered_square(48, seed=2), _kuhn_cube(13)):
+        for count in (mesh.node_count, mesh.element_count):
+            assert count > 2 * size and count % size
+        save(mesh, str(tmp_path / "m.node"))
+        node, ele = _row_by_row_node_ele(mesh)
+        assert (tmp_path / "m.node").read_bytes() == node
+        assert (tmp_path / "m.ele").read_bytes() == ele
+
+
 # ---------------------------------------------------------------------------
 # boundary containment against the per-facet loop it replaced
 
