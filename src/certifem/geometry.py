@@ -153,8 +153,11 @@ def _row_reduce(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
 def degenerate(measures: np.ndarray, edge_sq: np.ndarray, dim: int) -> np.ndarray:
     """Mask of measures at or below DEGENERACY_TOL * h^dim, h the longest
     edge, or not finite (closed forms overflow to inf - inf on huge
-    coordinates)."""
-    return ~(measures > DEGENERACY_TOL * np.sqrt(_row_reduce(np.maximum, edge_sq)) ** dim)
+    coordinates); tested as measure / h^(dim-1) > DEGENERACY_TOL * h, as
+    h^dim overflows before a finite measure does."""
+    h = np.sqrt(_row_reduce(np.maximum, edge_sq))
+    with np.errstate(divide="ignore", invalid="ignore"):  # h = 0 or inf: NaN or 0, degenerate
+        return ~(measures / h ** (dim - 1) > DEGENERACY_TOL * h)
 
 
 def edge_cosines(edge_sq: np.ndarray) -> np.ndarray:
@@ -217,27 +220,34 @@ def vertex_metrics(verts: np.ndarray | None, measures: np.ndarray, edge_sq: np.n
     return ElementMetrics(*arrays)
 
 
+def _finite_geometry(s: Simplex) -> tuple[np.ndarray, np.ndarray]:
+    """`_vertex_geometry` of `s`: signed measure (1,) and squared edges
+    (1, k); raises on coordinates so large that the closed forms overflow to
+    inf or NaN, with no degeneracy check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        signed, edge_sq = _vertex_geometry(s.vertices[None])
+    if not (np.isfinite(signed[0]) and np.isfinite(edge_sq).all()):
+        raise DegenerateSimplexError(
+            f"simplex measure {abs(signed[0]):.3e} (longest squared edge {edge_sq.max():.3e}) is not finite: "
+            "the coordinates overflow its closed form"
+        )
+    return signed, edge_sq
+
+
 def signed_measure(s: Simplex) -> float:
     """Signed measure (orientation-sensitive); no degeneracy check."""
-    return float(_vertex_geometry(s.vertices[None])[0][0])
+    return float(_finite_geometry(s)[0][0])
 
 
 def as_batch(s: Simplex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`s` as kernel input: its (1, dim+1, dim) vertex array, measure and
     squared edges; raises on degenerate vertex sets, and on coordinates so
     large that the closed forms overflow to inf or NaN."""
-    verts = s.vertices[None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        signed, edge_sq = _vertex_geometry(verts)
-        meas = np.abs(signed)
-        if not (np.isfinite(meas[0]) and np.isfinite(edge_sq).all()):
-            raise DegenerateSimplexError(
-                f"simplex measure {meas[0]:.3e} (longest squared edge {edge_sq.max():.3e}) is not finite: "
-                "the coordinates overflow its closed form"
-            )
-        if degenerate(meas, edge_sq, s.dim)[0]:
-            raise DegenerateSimplexError(f"simplex measure {meas[0]:.3e} below degeneracy threshold")
-    return verts, meas, edge_sq
+    signed, edge_sq = _finite_geometry(s)
+    meas = np.abs(signed)
+    if degenerate(meas, edge_sq, s.dim)[0]:
+        raise DegenerateSimplexError(f"simplex measure {meas[0]:.3e} below degeneracy threshold")
+    return s.vertices[None], meas, edge_sq
 
 
 def measure(s: Simplex) -> float:
@@ -247,7 +257,7 @@ def measure(s: Simplex) -> float:
 
 def edge_lengths(s: Simplex) -> list[float]:
     """All edge lengths, sorted in descending order (first entry = h_T)."""
-    return sorted(np.sqrt(_vertex_geometry(s.vertices[None])[1][0]).tolist(), reverse=True)
+    return sorted(np.sqrt(_finite_geometry(s)[1][0]).tolist(), reverse=True)
 
 
 def circumcenter(s: Simplex) -> np.ndarray:

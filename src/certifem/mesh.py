@@ -30,6 +30,7 @@ from .geometry import (
     FACETS,
     NONBLUNT_TOL,
     ElementMetrics,
+    _blocks,
     _element_geometry,
     degenerate,
     vertex_metrics,
@@ -83,53 +84,36 @@ class MeshQuality:
         return asdict(self)
 
 
-def _all_facets(elements: np.ndarray, dim: int) -> np.ndarray:
-    """Facets of every element as sorted index tuples, (M * (dim+1), dim)."""
-    if dim == 2:
-        return _sorted_pairs(elements, *zip(*FACETS[2]))
-    fac = np.concatenate([elements[:, list(i)] for i in FACETS[dim]], axis=0)
-    fac.sort(axis=1)
-    return fac
-
-
-def _sorted_pairs(elements: np.ndarray, first, second) -> np.ndarray:
-    """(len(first) * M, 2) sorted index pairs (elements[:, first[p]],
-    elements[:, second[p]]), all elements for p = 0 first.
-
-    `np.minimum`/`np.maximum` sort them into the two rows of a (2, n) array,
-    and the result is its transpose, whose columns `_unique_rows` reads
-    contiguously; a row-wise `sort(axis=1)` gives the same pairs, slower.
-    """
-    a = np.concatenate([elements[:, k] for k in first])
-    b = np.concatenate([elements[:, k] for k in second])
-    pairs = np.empty((2, a.size), dtype=elements.dtype)
-    np.minimum(a, b, out=pairs[0])
-    np.maximum(a, b, out=pairs[1])
-    return pairs.T
-
-
-def _unique_rows(rows: np.ndarray, n: int, return_inverse: bool = False) -> tuple:
-    """`np.unique(rows, axis=0, return_inverse=..., return_counts=True)` for
-    rows of node indices in [0, n): returns (unique, [inverse,] counts).
-
-    Each row becomes one int64 key, the row read as a base-n number, so the
-    sorted keys list the rows in the same lexicographic order.
-    """
-    width = rows.shape[1]
+def _keys(elements: np.ndarray, n: int, corners) -> np.ndarray:
+    """One int64 key per element and tuple of local vertices in `corners`
+    (such as `FACETS[dim]`): the tuple's node indices, sorted, read as a
+    base-n number, so sorted keys list the sorted tuples in lexicographic
+    order; the first tuple's keys of all elements come first.  Formed
+    `_blocks` of elements at a time: the keys are the one large array."""
+    width = len(corners[0])
     if n**width > 2**63:  # the largest key, n**width - 1, must fit in int64
         raise MeshParseError(
             f"int64 keys of {width}-index rows need nodes**{width} <= 2**63; the mesh has {n} nodes"
         )
-    keys = np.zeros(rows.shape[0], dtype=np.int64)
-    for col in rows.T:
-        keys *= n
-        keys += col
-    keys, *rest = np.unique(keys, return_inverse=return_inverse, return_counts=True)
-    uniq = np.empty((keys.size, width), dtype=np.int64)
+    m = elements.shape[0]
+    keys = np.empty(len(corners) * m, dtype=np.int64)
+    for t, local in enumerate(corners):
+        for rows in _blocks(m):
+            a, b, *c = (elements[rows, k] for k in local)
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            if c:  # lo takes the leading two digits; the median of a, b, c is c clipped to [lo, hi]
+                lo, hi = np.minimum(lo, c[0]) * n + np.clip(c[0], lo, hi), np.maximum(hi, c[0])
+            keys[t * m : (t + 1) * m][rows] = lo * n + hi
+    return keys
+
+
+def _decode(keys: np.ndarray, n: int, width: int) -> np.ndarray:
+    """(K, width) node indices of the keys (K,) that `_keys` formed."""
+    rows = np.empty((keys.size, width), dtype=np.int64)
     for j in range(width - 1, 0, -1):
-        keys, uniq[:, j] = np.divmod(keys, n)
-    uniq[:, 0] = keys
-    return (uniq, *rest)
+        keys, rows[:, j] = np.divmod(keys, n)
+    rows[:, 0] = keys
+    return rows
 
 
 def _cached(mesh: SimplicialMesh, key: str, build: Callable[[SimplicialMesh], object]):
@@ -193,12 +177,17 @@ def build_mesh(dim: int, nodes, elements) -> SimplicialMesh:
     if bad.size:
         raise InvertedElementError(f"element {bad[0]} has nonpositive measure after orientation fix")
 
-    fac = _all_facets(el, dim)
-    uniq, counts = _unique_rows(fac, nd.shape[0])
-    if np.any(counts > 2):
-        bad = uniq[np.argmax(counts)]
+    # In the sorted facet keys, a facet of three or more elements equals the
+    # key two places on, and a boundary facet differs from both neighbours.
+    keys = _keys(el, nd.shape[0], FACETS[dim])
+    keys.sort()
+    if np.any(keys[2:] == keys[:-2]):
+        uniq, counts = np.unique(keys, return_counts=True)
+        bad = _decode(uniq[np.argmax(counts)], nd.shape[0], dim)[0]
         raise NonConformingMeshError(f"facet {bad.tolist()} shared by {counts.max()} elements")
-    bfac = uniq[counts == 1]
+    new = np.ones(keys.size + 1, dtype=bool)  # new[i]: keys[i] differs from keys[i - 1]
+    np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
+    bfac = _decode(keys[new[:-1] & new[1:]], nd.shape[0], dim)
     bnodes = np.unique(bfac)
     for arr in (nd, el, bfac, bnodes, sm, edge_sq):
         arr.setflags(write=False)
@@ -278,23 +267,16 @@ def _refine(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.nda
     unvalidated, and the (E, 2) int32 parent pair of each midpoint: the
     midpoints follow the old nodes, and each child keeps its parent's
     orientation."""
-    el = elements
-    pairs = _sorted_pairs(el, (0, 1, 0), (1, 2, 2))
-    uniq, inverse, _ = _unique_rows(pairs, nodes.shape[0], return_inverse=True)
-    mid = 0.5 * (nodes[uniq[:, 0]] + nodes[uniq[:, 1]])
-    mid_idx = inverse.reshape(3, -1).T + nodes.shape[0]  # columns: m01, m12, m02
-    a, b, c = el[:, 0], el[:, 1], el[:, 2]
-    m01, m12, m02 = mid_idx[:, 0], mid_idx[:, 1], mid_idx[:, 2]
-    children = np.concatenate(
-        [
-            np.stack([a, m01, m02], axis=1),
-            np.stack([m01, b, m12], axis=1),
-            np.stack([m02, m12, c], axis=1),
-            np.stack([m01, m12, m02], axis=1),
-        ],
-        axis=0,
-    )
-    return np.vstack([nodes, mid]), children, uniq.astype(np.int32)
+    n, m = nodes.shape[0], elements.shape[0]
+    keys, inverse = np.unique(_keys(elements, n, ((0, 1), (1, 2), (0, 2))), return_inverse=True)
+    parents = _decode(keys, n, 2)
+    mid = 0.5 * (nodes[parents[:, 0]] + nodes[parents[:, 1]])
+    m01, m12, m02 = inverse.reshape(3, m) + n
+    a, b, c = elements.T
+    children = np.empty((4, m, 3), dtype=np.int64)
+    for child, corners in zip(children, ((a, m01, m02), (m01, b, m12), (m02, m12, c), (m01, m12, m02))):
+        child.T[...] = corners
+    return np.vstack([nodes, mid]), children.reshape(-1, 3), parents.astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +322,7 @@ def _quality(mesh: SimplicialMesh) -> MeshQuality:
 
 def edge_count(mesh: SimplicialMesh) -> int:
     """Unique edges, for Euler-formula style checks."""
-    return _unique_rows(_sorted_pairs(mesh.elements, *EDGES[mesh.dim]), mesh.node_count)[0].shape[0]
+    return np.unique(_keys(mesh.elements, mesh.node_count, list(zip(*EDGES[mesh.dim])))).size
 
 
 def check_boundary_on_poly(mesh: SimplicialMesh, poly: PolyApprox, tol: float = 1e-10) -> None:
@@ -378,30 +360,34 @@ def save(mesh: SimplicialMesh, path: str, fmt: str | None = None) -> None:
     if fmt is None:
         fmt = _infer_format(path)
     if fmt == "json":
-        obj = {
-            "dim": mesh.dim,
-            "nodes": mesh.nodes.tolist(),
-            "elements": mesh.elements.tolist(),
-        }
+        # `json.dump` of {"dim", "nodes", "elements"} with compact separators,
+        # _WRITE_CHUNK rows per `json.dumps`
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(f'{{"dim":{mesh.dim}')
+            for key, rows in (("nodes", mesh.nodes), ("elements", mesh.elements)):
+                fh.write(f',"{key}":[')
+                for start in range(0, rows.shape[0], _WRITE_CHUNK):
+                    text = json.dumps(rows[start : start + _WRITE_CHUNK].tolist(), separators=(",", ":"))
+                    fh.write(text[1:-1] if start == 0 else "," + text[1:-1])
+                fh.write("]")
+            fh.write("}\n")
         return
     if fmt == "node_ele":
         base = _node_ele_base(path)
-        bmark = np.zeros(mesh.node_count, dtype=int)
+        bmark = np.zeros(mesh.node_count, dtype=np.int8)
         bmark[mesh.boundary_nodes] = 1
         _write_rows(
             base + ".node",
             f"{mesh.node_count} {mesh.dim} 0 1\n",
             "%d" + " %.17g" * mesh.dim + " %d\n",
-            [np.arange(1, mesh.node_count + 1), *mesh.nodes.T, bmark],
+            [*mesh.nodes.T, bmark],
         )
         _write_rows(
             base + ".ele",
             f"{mesh.element_count} {mesh.dim + 1} 0\n",
             " ".join(["%d"] * (mesh.dim + 2)) + "\n",
-            [np.arange(1, mesh.element_count + 1), *(mesh.elements + 1).T],
+            list(mesh.elements.T),
+            shift=1,
         )
         return
     raise MeshParseError(f"unknown mesh format {fmt!r}")
@@ -436,23 +422,25 @@ def load(path: str, fmt: str | None = None) -> SimplicialMesh:
     raise MeshParseError(f"unknown mesh format {fmt!r}")
 
 
-_WRITE_CHUNK = 1024  # rows per `%` call of `_write_rows`
+_WRITE_CHUNK = 1024  # rows formatted and written per step of `save`
 
 
-def _write_rows(path: str, header: str, row_fmt: str, columns: list[np.ndarray]) -> None:
-    """Write `header`, then one `row_fmt % row` line per row of `columns`,
-    in a single write.  The rows are formatted _WRITE_CHUNK at a time, by
-    `row_fmt * chunk` on one flat row-major tuple: the same conversions as
-    one `%` per row, at a fraction of the per-call cost."""
-    k = len(columns)
-    flat = [None] * (k * len(columns[0]))
-    for j, col in enumerate(columns):
-        flat[j::k] = col.tolist()
-    step = _WRITE_CHUNK * k
-    chunks = (flat[i : i + step] for i in range(0, len(flat), step))
-    text = header + "".join(row_fmt * (len(chunk) // k) % tuple(chunk) for chunk in chunks)
+def _write_rows(path: str, header: str, row_fmt: str, columns: list[np.ndarray], shift: int = 0) -> None:
+    """Write `header`, then line i = 1, 2, ... as `row_fmt % (i, *row)`, the
+    row of `columns` plus `shift` (0 leaves float columns untouched).  Each
+    step formats _WRITE_CHUNK rows, by `row_fmt * chunk` on one flat
+    row-major list of their column slices (the same conversions as one `%`
+    per row, at a fraction of the per-call cost), and writes them."""
+    k, count = len(columns) + 1, len(columns[0])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(header)
+        for start in range(0, count, _WRITE_CHUNK):
+            stop = min(start + _WRITE_CHUNK, count)
+            flat = [None] * (k * (stop - start))
+            flat[::k] = range(start + 1, stop + 1)
+            for j, col in enumerate(columns, 1):
+                flat[j::k] = (col[start:stop] + shift if shift else col[start:stop]).tolist()
+            fh.write(row_fmt * (stop - start) % tuple(flat))
 
 
 def _infer_format(path: str) -> str:

@@ -763,13 +763,14 @@ def test_mesh_kernels_match_oracles(name):
     for field, ref in _oracle_metrics(em.measures, edge_sq).items():
         got = edge_cosines(edge_sq) if field == "cosines" else getattr(em, field)
         assert np.array_equal(got, ref), field
-    facets = meshmod._all_facets(mesh.elements, mesh.dim)
+    n = mesh.node_count
+    facets = meshmod._decode(meshmod._keys(mesh.elements, n, FACETS[mesh.dim]), n, mesh.dim)
     assert facets.shape == (mesh.element_count * (mesh.dim + 1), mesh.dim)
     assert np.array_equal(facets, _oracle_facets(mesh.elements, mesh.dim))
     i, j = EDGES[mesh.dim]
     edges = np.concatenate([mesh.elements[:, [a, b]] for a, b in zip(i, j)])
     edges.sort(axis=1)
-    assert np.array_equal(meshmod._sorted_pairs(mesh.elements, i, j), edges)
+    assert np.array_equal(meshmod._decode(meshmod._keys(mesh.elements, n, list(zip(i, j))), n, 2), edges)
 
 
 @pytest.mark.parametrize("name", sorted(GRADIENT_MESHES))

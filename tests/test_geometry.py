@@ -5,12 +5,15 @@ import pytest
 
 from certifem import (
     DegenerateSimplexError,
+    InvertedElementError,
     Simplex,
     angles,
     barycenter,
+    build_mesh,
     circumcenter,
     circumradius,
     edge_lengths,
+    element_constants,
     inradius,
     is_nonblunt,
     measure,
@@ -39,15 +42,51 @@ def test_measure_rejects_degenerate():
         measure(triangle([0, 0], [1, 0], [0.5, 1e-16]))
 
 
+OVERFLOW_VERTS = {2: [[0, 0], [1, 0.5], [0.5, 1]], 3: [[0, 0, 0], [1, 0.5, 0.25], [0.25, 1, 0.5], [0.5, 0.25, 1]]}
+
+
 @pytest.mark.parametrize("dim, scale", [(2, 1e155), (3, 1e103)])
 def test_overflowing_simplex_is_rejected_by_name(dim, scale):
     """Finite coordinates whose closed-form measure overflows raise a typed
     error that names the non-finite measure, with no RuntimeWarning (an
     error under the suite's filter); 1e-3 of the scale still measures."""
-    verts = [[0, 0], [1, 0.5], [0.5, 1]] if dim == 2 else [[0, 0, 0], [1, 0.5, 0.25], [0.25, 1, 0.5], [0.5, 0.25, 1]]
+    verts = np.array(OVERFLOW_VERTS[dim])
     with pytest.raises(DegenerateSimplexError, match=r"measure (nan|inf) .* is not finite"):
-        measure(Simplex(scale * np.array(verts)))
-    assert math.isfinite(measure(Simplex(1e-3 * scale * np.array(verts))))
+        measure(Simplex(scale * verts))
+    assert math.isfinite(measure(Simplex(1e-3 * scale * verts)))
+
+
+@pytest.mark.parametrize("entry", [edge_lengths, signed_measure, element_constants])
+@pytest.mark.parametrize("dim, scale", [(2, 1e155), (3, 1e103)])
+def test_every_entry_point_rejects_overflowing_simplex(entry, dim, scale):
+    """`edge_lengths`, `signed_measure` and `element_constants` check the
+    closed forms as `measure` does: a typed error, no RuntimeWarning."""
+    verts = np.array(OVERFLOW_VERTS[dim])
+    with pytest.raises(DegenerateSimplexError, match="is not finite"):
+        entry(Simplex(scale * verts))
+    entry(Simplex(verts))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_huge_simplex_with_finite_measure_is_not_degenerate(dim):
+    """The degeneracy test never forms h^dim, which overflows before the
+    measure does: the regular tetrahedron of edge 5.7e102 has volume
+    2.18e307 while h^3 = 1.85e308 overflows.  The 2D analogue is a right
+    triangle whose squared hypotenuse is near the largest double.  A flat
+    simplex at the same scale is still degenerate."""
+    s = 5.7e102 if dim == 3 else 9e153
+    if dim == 3:
+        simplex, volume = Simplex(s * REGULAR_TET_EDGE1.vertices), s * s * (s / (6 * math.sqrt(2)))
+        flat = Simplex(s * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, 1e-15]]))
+    else:
+        simplex, volume = triangle([0, 0], [s, 0], [0, s]), 0.5 * s * s
+        flat = triangle([0, 0], [s, 0], [0.5 * s, 1e-15 * s])
+    assert measure(simplex) == pytest.approx(volume, rel=1e-13)
+    assert build_mesh(dim, simplex.vertices, [list(range(dim + 1))]).element_count == 1
+    with pytest.raises(DegenerateSimplexError, match="below degeneracy threshold"):
+        measure(flat)
+    with pytest.raises(InvertedElementError):
+        build_mesh(dim, flat.vertices, [list(range(dim + 1))])
 
 
 def test_signed_measure_orientation():

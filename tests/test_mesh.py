@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,24 @@ def test_nonconforming_detection():
             [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0]],
             [[0, 1, 2], [1, 3, 2], [1, 4, 2]],
         )
+
+
+N2 = [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [-1, 0], [-1, 1], [2, 1]]
+N3 = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1]]
+NONCONFORMING = {
+    # facet [0, 2] is shared by 3 elements and the later [1, 2] by 4: the message names the most shared
+    "2d-most-shared": (2, N2, [[1, 2, 0], [1, 2, 3], [1, 2, 4], [1, 2, 7], [0, 2, 5], [0, 2, 6]], "[1, 2] shared by 4"),
+    # [0, 2] and [1, 2] are shared by 3 elements each: the first in sorted order is named
+    "2d-tie": (2, N2, [[0, 1, 2], [1, 3, 2], [1, 4, 2], [0, 2, 5], [0, 2, 6]], "[0, 2] shared by 3"),
+    "3d": (3, N3, [[0, 1, 2, 3], [0, 2, 1, 4], [2, 1, 0, 5]], "[0, 1, 2] shared by 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONCONFORMING))
+def test_nonconforming_message_names_the_facet_and_count(case):
+    dim, nodes, elements, named = NONCONFORMING[case]
+    with pytest.raises(NonConformingMeshError, match=re.escape(f"facet {named} elements")):
+        build_mesh(dim, nodes, elements)
 
 
 def test_orientation_autofix_and_inverted():
@@ -367,15 +386,29 @@ def _kuhn_cube(n):
     return build_mesh(3, nodes, elements)
 
 
+def _jittered_kuhn_cube(n, seed):
+    mesh = _kuhn_cube(n)
+    nodes = mesh.nodes.copy()
+    inner = ((nodes > 0.0) & (nodes < 1.0)).all(axis=1)
+    nodes[inner] += (0.1 / n) * np.random.default_rng(seed).uniform(-1.0, 1.0, (int(inner.sum()), 3))
+    # the last two corners swapped: every element goes through the orientation fix
+    return build_mesh(3, nodes, mesh.elements[:, [0, 1, 3, 2]])
+
+
 KEY_DEDUPE_MESHES = {
     "fan": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 7), 2),
+    "fan-3-4": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 3), 4),
     "jittered": lambda: _jittered_square(6, seed=3),
+    "refined-jittered": lambda: refine_uniform(refine_uniform(_jittered_square(5, seed=6))),
     "tets": lambda: _kuhn_cube(2),
+    "jittered-tets": lambda: _jittered_kuhn_cube(5, seed=7),
 }
 
 
 @pytest.mark.parametrize("name", sorted(KEY_DEDUPE_MESHES))
 def test_key_dedupe_matches_row_unique(name):
+    from certifem import mesh as meshmod
+
     mesh = KEY_DEDUPE_MESHES[name]()
     dim, el = mesh.dim, mesh.elements
     facets = np.sort(np.concatenate([np.delete(el, j, axis=1) for j in range(dim + 1)]), axis=1)
@@ -383,6 +416,7 @@ def test_key_dedupe_matches_row_unique(name):
     assert counts.max() == 2 and np.any(counts == 1)
     np.testing.assert_array_equal(mesh.boundary_facets, uniq[counts == 1])
     np.testing.assert_array_equal(mesh.boundary_nodes, np.unique(uniq[counts == 1]))
+    assert mesh.boundary_facets.dtype == mesh.boundary_nodes.dtype == np.int64
 
     corners = [(a, b) for a in range(dim + 1) for b in range(a + 1, dim + 1)]
     edges = np.sort(np.concatenate([el[:, list(c)] for c in corners]), axis=1)
@@ -396,19 +430,22 @@ def test_key_dedupe_matches_row_unique(name):
         np.testing.assert_array_equal(fine.nodes, np.vstack([mesh.nodes, mid]))
         m01, m12, m02 = (inverse.reshape(3, -1) + mesh.node_count)
         np.testing.assert_array_equal(fine.elements[3 * mesh.element_count :], np.stack([m01, m12, m02], axis=1))
+        coarse_count, parents = meshmod._hierarchy(fine)[-1]
+        assert coarse_count == mesh.node_count
+        assert parents.dtype == np.int32 and np.array_equal(parents, uniq)
 
 
 def test_key_dedupe_overflow_guard():
-    from certifem.mesh import _unique_rows
+    from certifem.mesh import _decode, _keys
 
     with pytest.raises(MeshParseError, match=r"2\*\*63"):
-        _unique_rows(np.array([[0, 1]], dtype=np.int64), 2**32)
+        _keys(np.array([[0, 1]], dtype=np.int64), 2**32, [(0, 1)])
     with pytest.raises(MeshParseError, match=r"2\*\*63"):
-        _unique_rows(np.array([[0, 1, 2]], dtype=np.int64), 2**21 + 1)
+        _keys(np.array([[0, 1, 2]], dtype=np.int64), 2**21 + 1, [(0, 1, 2)])
     # the largest admissible base still decodes its largest key exactly
     top = np.array([[2**21 - 1] * 3, [0, 0, 1], [2**21 - 1] * 3], dtype=np.int64)
-    uniq, counts = _unique_rows(top, 2**21)
-    np.testing.assert_array_equal(uniq, top[1:])
+    uniq, counts = np.unique(_keys(top, 2**21, [(0, 1, 2)]), return_counts=True)
+    np.testing.assert_array_equal(_decode(uniq, 2**21, 3), top[1:])
     assert counts.tolist() == [1, 2]
 
 
@@ -595,6 +632,56 @@ def test_node_ele_writer_matches_row_by_row_formatting(tmp_path, monkeypatch, ch
         node, ele = _row_by_row_node_ele(mesh)
         assert (tmp_path / "m.node").read_bytes() == node
         assert (tmp_path / "m.ele").read_bytes() == ele
+
+
+@pytest.mark.parametrize("chunk", [5, 100, None], ids=["chunk-5", "chunk-100", "default"])
+def test_json_writer_matches_json_dump(tmp_path, monkeypatch, chunk):
+    """The JSON writer streams _WRITE_CHUNK rows per `json.dumps`; over
+    several full chunks and a partial one its file equals one `json.dump`
+    of the whole mesh, byte for byte."""
+    from certifem import mesh as meshmod
+
+    if chunk is not None:
+        monkeypatch.setattr(meshmod, "_WRITE_CHUNK", chunk)
+    size = meshmod._WRITE_CHUNK
+    for mesh in (_jittered_square(48, seed=2), _kuhn_cube(13)):
+        assert mesh.node_count > 2 * size and mesh.node_count % size
+        save(mesh, str(tmp_path / "m.json"))
+        obj = {"dim": mesh.dim, "nodes": mesh.nodes.tolist(), "elements": mesh.elements.tolist()}
+        assert (tmp_path / "m.json").read_text() == json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def square256():
+    """131,072 triangles; building it also warms up every `build_mesh` path."""
+    return _jittered_square(256, seed=1)
+
+
+def test_build_mesh_temporaries_are_bounded(square256):
+    """Beyond its outputs, `build_mesh` allocates at most 40 bytes per
+    triangle: one int64 key per facet (24 B) and byte masks over the keys,
+    with per-block scratch elsewhere."""
+    mesh, peak = _traced_peak(lambda: build_mesh(2, square256.nodes, square256.elements))
+    outputs = (mesh.nodes, mesh.elements, mesh.boundary_facets, mesh.boundary_nodes, *mesh._cache.values())
+    assert mesh.element_count >= 100_000
+    assert peak - sum(a.nbytes for a in outputs) <= 40 * mesh.element_count
+
+
+def test_save_streams_in_bounded_memory(tmp_path, square256):
+    """`save` holds one chunk of formatted rows at a time, never the file:
+    under 8 MiB for the .node/.ele files of 131,072 triangles (a whole-file
+    writer takes 30 MiB), and under 1 MiB for the JSON of 8,192 (2 MiB)."""
+    for mesh, fmt, limit in ((square256, "node_ele", 8), (_jittered_square(64, seed=1), "json", 1)):
+        _, peak = _traced_peak(lambda: save(mesh, str(tmp_path / "sq"), fmt))
+        assert peak <= limit * 2**20, fmt
 
 
 # ---------------------------------------------------------------------------
