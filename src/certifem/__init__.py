@@ -61,7 +61,6 @@ from .geometry import (
     circumradius,
     edge_lengths,
     inradius,
-    is_nonblunt,
     measure,
     min_angle,
     signed_measure,
@@ -85,7 +84,6 @@ from .mesh import (
     SimplicialMesh,
     build_mesh,
     check_boundary_on_poly,
-    edge_count,
     element_metrics,
     generate_fan_refined,
     load,

@@ -294,10 +294,5 @@ def min_angle(t: Simplex) -> float:
     return min(angles(t))
 
 
-def is_nonblunt(t: Simplex) -> bool:
-    """True iff no interior angle exceeds pi/2 (right angles admitted)."""
-    return max(angles(t)) <= math.pi / 2.0 + NONBLUNT_TOL
-
-
 def barycenter(s: Simplex) -> np.ndarray:
     return s.vertices.mean(axis=0)

@@ -155,12 +155,27 @@ def nonblunt_profile_bound(a: float, b: float) -> float:
 # vectorized element-wise evaluation over a whole mesh
 
 
-def _liu_batch(edge_sq: np.ndarray) -> np.ndarray:
-    """Min-over-angles Liu bound per element from squared edge lengths.
+def _unit_scaled(edge_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, edge_sq * 4**-q, largest * 4**-q) with, per element, the q for
+    which its largest squared edge times 4**-q lies in [0.5, 2).  Scaling
+    lengths by 2**-q is exact, so the Liu and Kobayashi kernels below run on
+    unit-sized elements, whose fourth and sixth powers of edge lengths cannot
+    overflow, and give their result times 2**-q: bit for bit, on any element
+    whose unscaled terms stay normal numbers.  The largest edge is taken
+    column by column (numpy's max over a short row is slow)."""
+    largest = np.maximum(np.maximum(edge_sq[:, 0], edge_sq[:, 1]), edge_sq[:, 2])
+    q = np.frexp(largest)[1] // 2
+    return q, np.ldexp(edge_sq, -2 * q[:, None]), np.ldexp(largest, -2 * q)
+
+
+def _liu_batch(edge_sq: np.ndarray, scaled: tuple | None = None) -> np.ndarray:
+    """Min-over-angles Liu bound per element from squared edge lengths;
+    `scaled` is `_unit_scaled(edge_sq)` where the caller has it.
 
     Column j of edge_sq is the squared length opposite vertex j, so the
     angle at vertex j has adjacent squared lengths in the other columns.
     """
+    q, edge_sq, _ = scaled or _unit_scaled(edge_sq)
     cos_t = np.clip(edge_cosines(edge_sq), -1.0, 1.0)
     a2, b2 = edge_sq[:, [1, 2, 0]], edge_sq[:, [2, 0, 1]]
     sin_t = np.sqrt(1.0 - cos_t**2)
@@ -169,26 +184,32 @@ def _liu_batch(edge_sq: np.ndarray) -> np.ndarray:
     radical = np.sqrt((a2 + b2 + inner) / 2.0)
     # a needle can round sin_t to 0: that angle's bound is +inf, not a warning
     ratio = np.divide(LIU_COEFF * (1.0 + np.abs(cos_t)), sin_t, out=np.full_like(sin_t, np.inf), where=sin_t > 0)
-    return (ratio * radical).min(axis=1)
+    return np.ldexp((ratio * radical).min(axis=1), q)
 
 
-def _clamp_radicand(rad, scale, first: int = 0):
+def _clamp_radicand(rad, scale, first: int, q):
     """`rad` clamped at 0; raises where it is below -RADICAND_TOL * max(1, scale),
-    naming the element by its index plus `first`."""
-    if np.any(rad < -RADICAND_TOL * np.maximum(1.0, scale)):
+    naming the element by its index plus `first`.  `rad` and `scale` are in
+    units scaled by 4**-q (`q` the length exponents of `_unit_scaled`), and
+    so is the 1; the error reports the radicand in the original units."""
+    if np.any(rad < -RADICAND_TOL * np.maximum(np.ldexp(1.0, -2 * q), scale)):
+        with np.errstate(over="ignore"):
+            rad = np.ldexp(rad, 2 * q)
         worst = first + int(np.argmin(rad))
         raise NegativeRadicandError(f"element {worst}: radicand {np.min(rad):.3e} negative beyond tolerance")
     return np.maximum(rad, 0.0)
 
 
-def _kobayashi_batch_2d(edge_sq: np.ndarray, area: np.ndarray, first: int = 0) -> np.ndarray:
+def _kobayashi_batch_2d(edge_sq: np.ndarray, area: np.ndarray, first: int = 0, scaled: tuple | None = None) -> np.ndarray:
+    q, edge_sq, largest = scaled or _unit_scaled(edge_sq)
+    area = np.ldexp(area, -2 * q)
     a2, b2, c2 = edge_sq[:, 0], edge_sq[:, 1], edge_sq[:, 2]
     rad = (
         a2 * b2 * c2 / (16.0 * area * area)
         - (a2 + b2 + c2) / 30.0
         - (area * area / 5.0) * (1.0 / a2 + 1.0 / b2 + 1.0 / c2)
     )
-    return np.sqrt(_clamp_radicand(rad, edge_sq.max(axis=1), first))
+    return np.ldexp(np.sqrt(_clamp_radicand(rad, largest, first, q)), q)
 
 
 def _liu_kobayashi_maxima(mesh: meshmod.SimplicialMesh) -> tuple[float, float]:
@@ -202,8 +223,9 @@ def _liu_kobayashi_maxima(mesh: meshmod.SimplicialMesh) -> tuple[float, float]:
     def build(mesh):
         em, maxima = meshmod.element_metrics(mesh), []
         for rows in _blocks(mesh.element_count):
-            kob = _kobayashi_batch_2d(em.edge_sq[rows], em.measures[rows], rows.start)
-            maxima.append((np.minimum(_liu_batch(em.edge_sq[rows]), kob).max(), kob.max()))
+            scaled = _unit_scaled(em.edge_sq[rows])
+            kob = _kobayashi_batch_2d(em.edge_sq[rows], em.measures[rows], rows.start, scaled)
+            maxima.append((np.minimum(_liu_batch(em.edge_sq[rows], scaled), kob).max(), kob.max()))
         return tuple(map(float, np.max(maxima, axis=0)))
 
     return meshmod._cached(mesh, "liu_kobayashi_maxima", build)

@@ -26,7 +26,6 @@ from .errors import (
     NotInscribedError,
 )
 from .geometry import (
-    EDGES,
     FACETS,
     NONBLUNT_TOL,
     ElementMetrics,
@@ -44,7 +43,7 @@ class SimplicialMesh:
     elements: np.ndarray  # (M, dim+1), positively oriented
     boundary_facets: np.ndarray  # (K, dim), sorted node tuples
     boundary_nodes: np.ndarray  # sorted unique node indices
-    # Derived geometry (and the stiffness matrix): `build_mesh` stores the
+    # Derived geometry (and the mass matrix): `build_mesh` stores the
     # measures and squared edges, `_cached` fills the rest on first use; the
     # arrays above are read-only, so entries never go stale.
     # A refined mesh also keeps its refinement levels here (`_hierarchy`).
@@ -318,11 +317,6 @@ def _quality(mesh: SimplicialMesh) -> MeshQuality:
         element_count=mesh.element_count,
         node_count=mesh.node_count,
     )
-
-
-def edge_count(mesh: SimplicialMesh) -> int:
-    """Unique edges, for Euler-formula style checks."""
-    return np.unique(_keys(mesh.elements, mesh.node_count, list(zip(*EDGES[mesh.dim])))).size
 
 
 def check_boundary_on_poly(mesh: SimplicialMesh, poly: PolyApprox, tol: float = 1e-10) -> None:

@@ -140,6 +140,25 @@ def test_certify_disk_exact_mode(tmp_path):
     assert obj["total"] > 0.0
 
 
+def test_certify_huge_disk_keeps_kobayashi(tmp_path):
+    """The Liu and Kobayashi kernels run on elements scaled to unit size: at
+    radius 1e70, where the unscaled sixth powers of the edges overflow, the
+    element-wise A_h is still the unit disk's times the radius, below the
+    circumradius one, and 1e80 certifies with a finite total; no
+    RuntimeWarning (an error under the suite's filter) either way."""
+    reports = {}
+    for radius in ("1", "1e70", "1e80"):
+        report = tmp_path / f"disk-{radius}.json"
+        assert run_cli("certify", "--domain", f"disk:{radius}", "--generate", "10,1", "--out", str(report)) == 0
+        reports[radius] = json.load(open(report))
+    unit = reports["1"]["metadata"]["a_h_available"]["elementwise"]
+    for radius in ("1e70", "1e80"):
+        available = reports[radius]["metadata"]["a_h_available"]
+        assert available["elementwise"] == pytest.approx(float(radius) * unit, rel=1e-12)
+        assert available["elementwise"] < available["circumradius"]
+        assert math.isfinite(reports[radius]["total"])
+
+
 def test_certify_square_polygon(tmp_path):
     poly_path = str(tmp_path / "square.json")
     json.dump({"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, open(poly_path, "w"))

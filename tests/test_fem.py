@@ -296,6 +296,26 @@ def test_discrete_poincare():
     assert fem_h1_seminorm(mesh, sol) > 0
 
 
+H1_MESHES = {
+    "fan": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 12), 2),
+    "jittered": lambda: _jittered_square(6, seed=3),
+    "kuhn": lambda: _kuhn_cube(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(H1_MESHES))
+def test_h1_seminorm_is_the_stiffness_energy(name):
+    """The energy a solve forms from the reduced system is v^T K v bit for
+    bit, so |u_h|_1 is the same with or without it; a solve leaves no
+    stiffness matrix on the mesh."""
+    mesh = H1_MESHES[name]()
+    sol, _ = solve_poisson(mesh, SourceTerm.constant(1.0))
+    assert "stiffness" not in mesh._cache
+    v = sol.nodal_values
+    assert sol.energy == float(v @ (assemble_stiffness(mesh) @ v)) > 0.0
+    assert fem_h1_seminorm(mesh, sol) == fem_h1_seminorm(mesh, FemSolution(v, 0, 0.0, True)) == math.sqrt(sol.energy)
+
+
 def test_sup_norm_runtime_check():
     lying = SourceTerm(evaluate=lambda p: np.asarray(p)[..., 0], sup_norm=0.1)
     mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 8), 1)
@@ -384,7 +404,21 @@ def _blocked_points(mesh):
 
 def _einsum_stiffness(mesh):
     grads, meas = fem._gradients(mesh)
-    return fem._scatter(mesh, np.einsum("mki,mkj->mij", grads, grads) * meas[:, None, None])
+    return fem._scatter(mesh, _rows_of(np.einsum("mki,mkj->mij", grads, grads) * meas[:, None, None]))
+
+
+def _rows_of(local):
+    """`_scatter`'s `local_rows` for an (M, k, k) array of local matrices."""
+    return lambda e, c: local[e, c]
+
+
+def _local_blocks(grads, meas):
+    """The (M, k, k) local stiffness matrices, read row by row through
+    `fem._stiffness_rows`."""
+    count, _, k = grads.shape
+    e = np.repeat(np.arange(count, dtype=np.int32), k)
+    c = np.tile(np.arange(k, dtype=np.int8), count)
+    return fem._stiffness_rows(grads, meas)(e, c).reshape(count, k, k)
 
 
 def _jittered_kuhn_cube(n, seed):
@@ -452,11 +486,11 @@ def _coo_scatter(mesh, local):
 @pytest.mark.parametrize("name", sorted(KERNEL_MESHES))
 def test_scatter_matches_coo_conversion_bit_for_bit(name):
     mesh = KERNEL_MESHES[name]()
-    stiffness_blocks = fem._local_stiffness(*fem._gradients(mesh))
+    stiffness_blocks = _local_blocks(*fem._gradients(mesh))
     # unsymmetric random blocks: every entry must reach its own row and column
     random_blocks = np.random.default_rng(6).normal(size=stiffness_blocks.shape)
     for local in (stiffness_blocks, random_blocks):
-        got, ref = fem._scatter(mesh, local), _coo_scatter(mesh, local)
+        got, ref = fem._scatter(mesh, _rows_of(local)), _coo_scatter(mesh, local)
         assert got.has_canonical_format and ref.has_canonical_format
         for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices), (got.data, ref.data)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -779,7 +813,7 @@ def test_fem_kernels_match_oracles(name):
     grads, meas = fem._gradients(mesh)
     assert grads.shape == (mesh.element_count, mesh.dim, mesh.dim + 1)
     assert np.array_equal(grads, _oracle_gradients(mesh))
-    assert np.array_equal(fem._local_stiffness(grads, meas), _oracle_stiffness_blocks(grads, meas))
+    assert np.array_equal(_local_blocks(grads, meas), _oracle_stiffness_blocks(grads, meas))
 
     bary, w = simplex_rule(mesh.dim)
     f = SourceTerm(evaluate=_wavy, sup_norm=2.0)
@@ -966,6 +1000,54 @@ def test_line_matrix_is_symmetric_and_strictly_dominant(name):
     assert np.count_nonzero(off) == a_mat.shape[0] - (1 if name == "fan-cycles" else 0)  # all but the centre
 
 
+def _shuffled_rows(a_mat, seed):
+    """`a_mat` with the entries of each row in a random order."""
+    out, rng = a_mat.copy(), np.random.default_rng(seed)
+    for start, stop in zip(a_mat.indptr[:-1], a_mat.indptr[1:]):
+        perm = start + rng.permutation(stop - start)
+        out.indices[start:stop], out.data[start:stop] = a_mat.indices[perm], a_mat.data[perm]
+    out.has_sorted_indices = False
+    return out
+
+
+def _coarse_level(mesh):
+    """The first coarse level of the V-cycle over `mesh`: scipy's sparse
+    product P^T A P, whose rows are not sorted."""
+    system = _with_prolongations(mesh)
+    return fem._VCycle(system.matrix, system.prolongations).mats[1]
+
+
+LINE_LEVELS = {
+    "fan-cycles": (lambda: _poisson_system(LINE_MESHES["fan-cycles"]()).matrix, (0, 3)),
+    "fan-coarse": (lambda: _coarse_level(generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 20), 3)), (0, 3)),
+    "stretched-paths": (lambda: _poisson_system(LINE_MESHES["stretched-paths"]()).matrix, (7, 0)),
+    "stretched-coarse": (lambda: _coarse_level(meshmod.refine_uniform(meshmod.refine_uniform(_stretched_rectangle(4)))), (7, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_LEVELS))
+def test_line_jacobi_reads_link_values_from_rows_in_any_order(monkeypatch, name):
+    """The smoother of a finest or coarse V-cycle level solves its kept
+    matrix, and shuffling the entries within the rows of the level (a ring's
+    first node then lists its two upper links in either order) changes no
+    bit of `apply`."""
+    monkeypatch.setattr(fem, "_COARSE_MAX_SIZE", 30)
+    build, lines = LINE_LEVELS[name]
+    a_mat = build()
+    unsorted = any(np.any(np.diff(a_mat.indices[a:b]) < 0) for a, b in zip(a_mat.indptr[:-1], a_mat.indptr[1:]))
+    assert unsorted == name.endswith("coarse")
+    m_dense, *found = _kept_line_matrix(a_mat)
+    assert tuple(found) == lines
+    r = np.random.default_rng(0).normal(size=a_mat.shape[0])
+    z = np.full_like(r, np.nan)
+    fem._line_jacobi(a_mat)(r, z)
+    assert z == pytest.approx(np.linalg.solve(m_dense, r), rel=1e-12)
+    for seed in range(3):
+        shuffled = np.full_like(r, np.nan)
+        fem._line_jacobi(_shuffled_rows(a_mat, seed))(r, shuffled)
+        assert np.array_equal(shuffled, z)
+
+
 def _tridiagonal_system(diag, off, n=12):
     mat = sp.diags([np.full(n - 1, off), np.full(n, diag), np.full(n - 1, off)], [-1, 0, 1], format="csr")
     return LinearSystem(mat, np.linspace(1.0, 2.0, n), np.arange(n))
@@ -980,6 +1062,13 @@ def test_line_links_need_threshold_and_strict_dominance():
     laplace = _tridiagonal_system(2.0, -1.0)
     assert links(laplace) == 0
     assert all(np.array_equal(u, v) for u, v in zip(solve_cg(laplace), _jacobi_cg(laplace)))
+
+
+def test_line_links_pass_the_threshold_of_both_nodes():
+    """With diagonals alternating 1.0 and 1.1, |a_ij| = 0.46 passes 0.45 of
+    the smaller diagonal but not of the larger, so no pair links."""
+    mat = sp.diags([np.full(11, -0.46), np.tile([1.0, 1.1], 6), np.full(11, -0.46)], [-1, 0, 1], format="csr")
+    assert fem._line_links(mat, mat.diagonal())[0].size == 0
 
 
 @pytest.mark.parametrize("mesh", [structured_square_mesh(16), _jittered_square(32, seed=5)], ids=["square", "jittered"])
@@ -1344,3 +1433,147 @@ def test_block_pass_peak_memory_below_whole_arrays():
     bary, w = simplex_rule(2)
     whole_norm = peak(lambda: _whole_quadrature_l2(mesh, _wavy(_einsum_quadrature_points(mesh, bary)), w))
     assert peak(lambda: build_fh(mesh, f, "exact").l2_norm()) < whole_norm
+
+
+# ---------------------------------------------------------------------------
+# solve path in bounded memory: row-block scatter, one-pass Dirichlet
+# reduction, lean line-smoother set-up
+
+
+def _mass_blocks(mesh):
+    """The (M, k, k) local mass matrices as one broadcast product."""
+    n = mesh.dim
+    base = np.ones((n + 1, n + 1)) + np.eye(n + 1)
+    return base[None, :, :] * (meshmod._measures(mesh) / ((n + 1) * (n + 2)))[:, None, None]
+
+
+ROW_BLOCK_MESHES = {
+    "fan": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 12), 3),
+    "jittered-refined-twice": lambda: meshmod.refine_uniform(meshmod.refine_uniform(_jittered_square(6, seed=3))),
+    "kuhn-cube-4": lambda: _kuhn_cube(4),
+}
+
+
+@pytest.mark.parametrize("slots", [5, 64])
+@pytest.mark.parametrize("name", sorted(ROW_BLOCK_MESHES))
+def test_row_block_scatter_is_the_coo_conversion(monkeypatch, name, slots):
+    """With row blocks of a few slots the stiffness, the mass matrix and
+    unsymmetric random local matrices equal scipy's one-shot COO-to-CSR
+    conversion bit for bit; a node with more slots than a block (every node
+    at 5 slots) makes a block of its own."""
+    mesh = ROW_BLOCK_MESHES[name]()
+    monkeypatch.setattr(fem, "_SCATTER_SLOTS", slots)
+    grads, meas = fem._gradients(mesh)
+    random = np.random.default_rng(7).normal(size=(mesh.element_count,) + (mesh.dim + 1,) * 2)
+    blocks = []
+
+    def random_rows(e, c):
+        blocks.append(e.size)
+        return random[e, c]
+
+    cases = [
+        (fem._assemble_stiffness(mesh), _oracle_stiffness_blocks(grads, meas)),
+        (fem._assemble_mass(mesh), _mass_blocks(mesh)),
+        (fem._scatter(mesh, random_rows), random),
+    ]
+    for got, local in cases:
+        ref = _coo_scatter(mesh, local)
+        for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices), (got.data, ref.data)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert not a.flags.writeable
+    slots_per_node = np.bincount(mesh.elements.ravel())
+    assert sum(blocks) == mesh.elements.size and len(blocks) > 10
+    if slots == 5:
+        assert max(blocks) == slots_per_node.max() > slots
+    else:
+        assert max(blocks) <= slots
+
+
+def _random_csr(n, seed):
+    """A canonical random CSR matrix with empty rows, and sorted interior
+    nodes among which row 5 has all its off-diagonals in boundary columns."""
+    dense = np.random.default_rng(seed).normal(size=(n, n)) * (np.random.default_rng(seed + 1).random((n, n)) < 0.2)
+    boundary = np.array([0, 3, 9, 10, 21, n - 1])
+    dense[[2, 7, n - 2]] = 0.0  # empty interior rows, one of them next to last
+    dense[5] = 0.0
+    dense[5, boundary] = 1.0
+    dense[5, 5] = 4.0
+    interior = np.setdiff1d(np.arange(n), boundary)
+    return sp.csr_matrix(dense), interior
+
+
+REDUCTION_CASES = {
+    "fan": lambda: _stiffness_and_interior(generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 12), 3)),
+    "kuhn-cube-4": lambda: _stiffness_and_interior(_kuhn_cube(4)),
+    "no-interior-node": lambda: _stiffness_and_interior(TWO_TRI_SQUARE),
+    # the unrefined fan's centre is interior, all its neighbours boundary
+    "centre-only": lambda: _stiffness_and_interior(generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 6), 0)),
+    "random-with-empty-rows": lambda: _random_csr(30, 4),
+}
+
+
+def _stiffness_and_interior(mesh):
+    return assemble_stiffness(mesh), mesh.interior_nodes
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION_CASES))
+def test_one_pass_reduction_is_fancy_indexing(name):
+    mat, interior = REDUCTION_CASES[name]()
+    got, ref = fem._interior_block(mat, interior), mat[interior][:, interior].tocsr()
+    assert got.shape == ref.shape == (interior.size, interior.size)
+    for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices), (got.data, ref.data)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    if name == "centre-only":
+        assert got.nnz == 1 and mat[interior[0]].nnz == 7
+    if name == "random-with-empty-rows":
+        assert np.diff(got.indptr)[np.searchsorted(interior, [2, 5, 7, 28])].tolist() == [0, 1, 0, 0]
+
+
+@pytest.fixture(scope="module")
+def fine_fan_system():
+    """disk m=50, k=6: 204,800 triangles, 100,801 unknowns."""
+    mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 50), 6)
+    fh = build_fh(mesh, SourceTerm.constant(1.0), "exact")
+    return mesh, dirichlet_system(mesh, assemble_stiffness(mesh), assemble_load(mesh, fh))
+
+
+def _traced(run):
+    """`run()`, its traced peak and the bytes it leaves allocated, after one
+    untraced call that loads every module it imports."""
+    run()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = run()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - before, after - before
+
+
+def test_stiffness_assembly_memory_per_triangle(fine_fan_system):
+    """Above its output, the assembly holds the gradients (48 B per
+    triangle), the slot incidence and one row block: an (M, 3, 3) local
+    array alone would be 72 B per triangle."""
+    mesh = fine_fan_system[0]
+    mat, peak, _ = _traced(lambda: fem._assemble_stiffness(mesh))
+    output = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert (peak - output) / mesh.element_count < 120
+
+
+def test_dirichlet_reduction_transient_per_unknown(fine_fan_system):
+    """`dirichlet_system` holds little above what it returns: the reduced
+    matrix, right-hand side, interior nodes and prolongations."""
+    mesh, system = fine_fan_system
+    stiffness, load = assemble_stiffness(mesh), np.ones(mesh.node_count)
+    reduced, peak, kept = _traced(lambda: dirichlet_system(mesh, stiffness, load))
+    assert reduced.prolongations and kept > reduced.matrix.data.nbytes
+    assert (peak - kept) / reduced.size < 32
+
+
+def test_finest_line_smoother_setup_transient_per_unknown(fine_fan_system):
+    """The finest line-Jacobi set-up holds O(links) link arrays and a few
+    vectors above the factors it keeps."""
+    a_mat = fine_fan_system[1].matrix
+    _, peak, kept = _traced(lambda: fem._line_jacobi(a_mat))
+    assert (peak - kept) / a_mat.shape[0] < 90

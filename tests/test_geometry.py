@@ -15,12 +15,12 @@ from certifem import (
     edge_lengths,
     element_constants,
     inradius,
-    is_nonblunt,
     measure,
     signed_measure,
     triangle,
 )
 from conftest import random_rotation, sample_triangle
+from oracles import is_nonblunt
 
 EQUILATERAL = triangle([0, 0], [1, 0], [0.5, math.sqrt(3) / 2])
 RIGHT_ISO = triangle([0, 0], [1, 0], [0, 1])

@@ -165,10 +165,39 @@ def test_batch_matches_scalar(rng):
 
 
 def test_radicand_clamp():
-    assert _clamp_radicand(-1e-13, 1.0) == 0.0
-    assert _clamp_radicand(0.25, 1.0) == 0.25
+    assert _clamp_radicand(-1e-13, 1.0, 0, 0) == 0.0
+    assert _clamp_radicand(0.25, 1.0, 0, 0) == 0.25
     with pytest.raises(NegativeRadicandError):
-        _clamp_radicand(-1e-6, 1.0)
+        _clamp_radicand(-1e-6, 1.0, 0, 0)
+
+
+def test_radicand_tolerance_and_report_are_in_the_original_units():
+    """On an element scaled by 4**-q the tolerance is -RADICAND_TOL * max(4**-q,
+    h^2 4**-q), and the error names the radicand times 4**q."""
+    q = np.array([100])
+    assert _clamp_radicand(np.array([-1e-13]), np.array([1.0]), 0, q)[0] == 0.0
+    with pytest.raises(NegativeRadicandError, match=r"element 7: radicand -1\.607e\+54"):
+        _clamp_radicand(np.array([-1e-6]), np.array([1.0]), 7, q)
+
+
+HUGE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.5], [0.5, 1.0]])
+
+
+def test_liu_and_kobayashi_run_on_unit_sized_elements():
+    """Edges of 1e80 overflow their sixth power (Kobayashi) and fourth
+    power (Liu) unscaled; on elements scaled to unit size both bounds stay
+    finite, and a power-of-two scaling of the triangle scales them exactly."""
+    ref = element_constants(Simplex(HUGE_TRIANGLE))
+    huge = element_constants(Simplex(1e80 * HUGE_TRIANGLE))
+    assert math.isfinite(huge.h1_best) and huge.h1_best == pytest.approx(1e80 * ref.h1_best, rel=1e-14)
+    exact = element_constants(Simplex(2.0**260 * HUGE_TRIANGLE))
+    assert (exact.h1_liu, exact.h1_kobayashi) == (2.0**260 * ref.h1_liu, 2.0**260 * ref.h1_kobayashi)
+    unit = element_metrics(generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 12), 2))
+    for scale in (2.0**-300, 1e-3, 7.3, 2.0**300):  # sixth powers under- and overflow at the ends
+        em = element_metrics(generate_fan_refined(inscribed_regular_polygon(Disk(scale), 12), 2))
+        assert _liu_batch(em.edge_sq) == pytest.approx(scale * _liu_batch(unit.edge_sq), rel=1e-12)
+        kob = _kobayashi_batch_2d(em.edge_sq, em.measures)
+        assert kob == pytest.approx(scale * _kobayashi_batch_2d(unit.edge_sq, unit.measures), rel=1e-12)
 
 
 def test_rigid_motion_invariance(rng):

@@ -18,7 +18,6 @@ from certifem import (
     build_mesh,
     check_boundary_on_poly,
     circumradius,
-    edge_count,
     element_metrics,
     gap_delta,
     generate_fan_refined,
@@ -33,6 +32,7 @@ from certifem import (
 )
 from certifem import Ball, ConvexPolygon, DegenerateSimplexError, Simplex, make_poly_approx, measure
 from conftest import sample_triangle
+from oracles import edge_count
 
 UNIT_SQUARE_POLY = poly_approx_of_polygon(ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]]))
 
