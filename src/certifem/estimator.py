@@ -92,9 +92,14 @@ def _boundary_term(dom: ConvexDomain, poly: PolyApprox, f: femmod.SourceTerm) ->
 
 
 def _worst_angle_element(mesh: meshmod.SimplicialMesh) -> tuple[int, float]:
-    em = meshmod.element_metrics(mesh)
-    idx = int(np.argmax(em.max_angle))
-    return idx, float(em.max_angle[idx])
+    """The first element with the largest angle, and that angle."""
+    idx, widest, first = 0, -math.inf, 0
+    for em in meshmod._metric_blocks(mesh):
+        k = int(np.argmax(em.max_angle))
+        if em.max_angle[k] > widest:
+            idx, widest = first + k, float(em.max_angle[k])
+        first += em.max_angle.size
+    return idx, widest
 
 
 def certify(

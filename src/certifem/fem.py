@@ -201,8 +201,17 @@ def build_fh(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str = "exact") -
     if mode not in FH_MODES:
         raise ValueError(f"unknown f_h mode {mode!r}")
     if mode == "barycentric":
-        centers = mesh.element_vertices().mean(axis=1)
-        vals = np.asarray(f.evaluate(centers), dtype=float)
+        # (corner_0 + corner_1 + ...) / (dim + 1) per coordinate column: bit
+        # for bit `mesh.element_vertices().mean(axis=1)`, without its
+        # (M, dim + 1, dim) gather
+        el = mesh.elements
+        centers = np.empty((mesh.dim, mesh.element_count))
+        for x, out in zip(mesh.nodes.T, centers):
+            np.add(x[el[:, 0]], x[el[:, 1]], out=out)
+            for k in range(2, mesh.dim + 1):
+                out += x[el[:, k]]
+            out /= mesh.dim + 1
+        vals = np.asarray(f.evaluate(centers.T), dtype=float)
         _check_sup(f, vals)
         return DiscreteSource(mode, mesh, f, element_values=vals)
     if mode == "nodal":
@@ -215,7 +224,9 @@ def build_fh(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str = "exact") -
 def _quadrature_blocks(mesh: meshmod.SimplicialMesh) -> Iterator[tuple[slice, np.ndarray]]:
     """`(rows, points)` for each block of elements (`geometry._blocks`): the
     (block, q, dim) physical points `sum_k bary[q, k] * corner_k` of the
-    degree-4 rule on the elements `rows`.
+    degree-4 rule on the elements `rows`, as the transposed view of a
+    (dim, q, block) array, so that each coordinate of each point is one
+    contiguous column.
 
     Bit-identical to `np.einsum("qk,mkd->mqd", bary, mesh.element_vertices())[rows]`:
     the same products summed over k in the same order, but one coordinate
@@ -225,28 +236,27 @@ def _quadrature_blocks(mesh: meshmod.SimplicialMesh) -> Iterator[tuple[slice, np
     nodes, nq, dim = mesh.nodes, bary.shape[0], mesh.dim
     for rows in _blocks(mesh.element_count):
         block = mesh.elements[rows].T
-        acc = np.empty((nq, block.shape[1]))
         term = np.empty(block.shape[1])
-        points = np.empty((block.shape[1], nq, dim))
-        for c in range(dim):
+        points = np.empty((dim, nq, block.shape[1]))
+        for c, acc in enumerate(points):
             corners = nodes[block, c]  # (dim+1, block): coordinate c of each corner
             for p, point in enumerate(acc):
                 np.multiply(bary[p, 0], corners[0], out=point)
                 for k in range(1, dim + 1):
                     point += np.multiply(bary[p, k], corners[k], out=term)
-            points[:, :, c] = acc.T
-        yield rows, points
+        yield rows, points.T
 
 
 def _quadrature_norm(mesh: meshmod.SimplicialMesh, values: Callable[[slice, np.ndarray], np.ndarray]) -> float:
     """L2 norm by the degree-4 rule of a function given block by block:
     `values(rows, points)` returns its (block, q) values at the points of
     the elements `rows`.  The per-element sums fill one (M,) array, summed
-    once."""
+    once.  The values are made C-contiguous first: the product with `w` sums
+    each row in the order it takes on that layout."""
     _, w = simplex_rule(mesh.dim)
     sums = np.empty(mesh.element_count)
     for rows, points in _quadrature_blocks(mesh):
-        sums[rows] = (values(rows, points) ** 2) @ w
+        sums[rows] = (np.ascontiguousarray(values(rows, points)) ** 2) @ w
     return math.sqrt(max(float((sums * meshmod._measures(mesh)).sum()), 0.0))
 
 
@@ -664,27 +674,43 @@ def _walk_lines(i: np.ndarray, j: np.ndarray, degree: np.ndarray) -> tuple[np.nd
     the links (i, j) of `_line_links`) in walk order, each line's start and
     stop in it, and whether each line is a cycle.  The graph arrays are
     freed on return."""
-    import scipy.sparse as sp
     from scipy.sparse import csgraph
 
     n = degree.size
-    label = csgraph.connected_components(sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n)), directed=False)[1]
+    label = csgraph.connected_components(_link_graph(i, j, n), directed=False)[1]
     size = np.bincount(label)
     path_ends = np.flatnonzero((degree == 1) & (size[label] >= _LINE_MIN_NODES))
     is_cycle = size >= _LINE_MIN_NODES
     is_cycle[label[path_ends]] = False
-    cycle_entries = np.unique(label, return_index=True)[1][is_cycle]
+    first = np.full(size.size, n)  # each component's first node
+    np.minimum.at(first, label, np.arange(n))
     # depth-first from a virtual root joined to every path end and to one
     # node per cycle walks each line from end to end, one line after another
-    root_links = np.concatenate([path_ends, cycle_entries])
-    walk_i = np.concatenate([i, np.full(root_links.size, n, np.int32)])
-    walk_j = np.concatenate([j, root_links])
-    walk = sp.coo_matrix((np.ones(walk_i.size), (walk_i, walk_j)), shape=(n + 1, n + 1))
+    walk = _link_graph(i, j, n, np.sort(np.concatenate([path_ends, first[is_cycle]])))
     # intp: numpy gathers and scatters with it about twice as fast as int32
     order = csgraph.depth_first_order(walk, n, directed=False, return_predecessors=False)[1:].astype(np.intp)
     line_label = label[order]
     starts = np.flatnonzero(np.r_[True, line_label[1:] != line_label[:-1]])
     return order, starts, np.r_[starts[1:], order.size], is_cycle[line_label[starts]]
+
+
+def _link_graph(i: np.ndarray, j: np.ndarray, n: int, root_links: np.ndarray | None = None) -> sp.csr_matrix:
+    """The graph of the links (i, j), i < j, of `_line_links` as the CSR
+    matrix of ones that csgraph reads (the sorted CSR form of the COO links,
+    without the conversion's copies): row u lists the j of u's links in
+    ascending order.  Given sorted `root_links`, a virtual node n is added
+    with them as its row.  The links come row by row and no node has more
+    than two, so a row is sorted by swapping a descending pair."""
+    import scipy.sparse as sp
+
+    indices = j.astype(np.int32) if root_links is None else np.concatenate([j, root_links]).astype(np.int32)
+    swap = np.flatnonzero((i[1:] == i[:-1]) & (j[1:] < j[:-1]))
+    indices[swap], indices[swap + 1] = j[swap + 1], j[swap]
+    rows = n if root_links is None else n + 1
+    indptr = np.empty(rows + 1, dtype=np.int32)
+    indptr[0], indptr[-1] = 0, indices.size
+    indptr[1 : n + 1] = np.cumsum(np.bincount(i, minlength=n))
+    return sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(rows, rows))
 
 
 class _VCycle:

@@ -216,16 +216,17 @@ def _liu_kobayashi_maxima(mesh: meshmod.SimplicialMesh) -> tuple[float, float]:
     """The element maxima of min(Liu, Kobayashi), the `elementwise` constant,
     and of Kobayashi, `disk_study_row`'s A_m: one pass per 2D mesh, shared.
     It walks one block of elements at a time (`_blocks`; a bad radicand is
-    named by its element index): bit for bit the whole-array maxima, with
-    (block, 3) temporaries, not (M, 3) ones (~44 MB for the Liu kernel on a
+    named by its element index) over the measures and squared edges that
+    `build_mesh` caches: bit for bit the whole-array maxima, with (block, 3)
+    temporaries, not (M, 3) ones (~44 MB for the Liu kernel on a
     204,800-element mesh)."""
 
     def build(mesh):
-        em, maxima = meshmod.element_metrics(mesh), []
+        meas, edge_sq, maxima = meshmod._measures(mesh), mesh._cache["edge_sq"], []
         for rows in _blocks(mesh.element_count):
-            scaled = _unit_scaled(em.edge_sq[rows])
-            kob = _kobayashi_batch_2d(em.edge_sq[rows], em.measures[rows], rows.start, scaled)
-            maxima.append((np.minimum(_liu_batch(em.edge_sq[rows], scaled), kob).max(), kob.max()))
+            scaled = _unit_scaled(edge_sq[rows])
+            kob = _kobayashi_batch_2d(edge_sq[rows], meas[rows], rows.start, scaled)
+            maxima.append((np.minimum(_liu_batch(edge_sq[rows], scaled), kob).max(), kob.max()))
         return tuple(map(float, np.max(maxima, axis=0)))
 
     return meshmod._cached(mesh, "liu_kobayashi_maxima", build)
@@ -256,11 +257,15 @@ def mesh_constants(
             l2_global=global_l2_bound(2, qual.h),
             rho_convention=rho_convention,
         )
-    em = meshmod.element_metrics(mesh)
-    sigma_conv = float((em.h / _rho(em.inradius, rho_convention)).max())
+    # the maxima of h / rho and of the bound per block, then over the blocks
+    maxima = [
+        ((em.h / _rho(em.inradius, rho_convention)).max(), _kobayashi_batch_3d(em, rho_convention).max())
+        for em in meshmod._metric_blocks(mesh)
+    ]
+    sigma_conv, elementwise = map(float, np.max(maxima, axis=0))
     return GlobalConstants(
         dim=3,
-        elementwise=float(_kobayashi_batch_3d(em, rho_convention).max()),
+        elementwise=elementwise,
         circumradius=None,
         minangle=None,
         nonblunt=None,

@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -130,9 +130,9 @@ def _measures(mesh: SimplicialMesh) -> np.ndarray:
     return mesh._cache["measures"]
 
 
-def _as_array(values, dtype, name: str) -> np.ndarray:
+def _as_array(values, dtype, name: str, copy: bool | None = True) -> np.ndarray:
     try:
-        return np.array(values, dtype=dtype)
+        return np.array(values, dtype=dtype, copy=copy)
     except (ValueError, TypeError, OverflowError) as exc:
         raise MeshParseError(f"{name} must be a rectangular numeric array: {exc}") from exc
 
@@ -146,15 +146,22 @@ def _as_indices(values) -> np.ndarray:
         raise MeshParseError("element indices must be integers, got booleans")
     if arr.dtype.kind == "f" and not np.all((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)):
         raise MeshParseError("element indices must be whole numbers within int64 range")
-    return _as_array(arr, np.int64, "elements")
+    # an array built here from a list is new already: only the caller's is copied
+    return _as_array(arr, np.int64, "elements", copy=True if arr is values else None)
 
 
 def build_mesh(dim: int, nodes, elements) -> SimplicialMesh:
-    """Validate connectivity, fix orientation, and detect the boundary."""
+    """Validate connectivity, fix orientation, and detect the boundary.  The
+    mesh keeps copies of the caller's arrays, which stay as they were."""
     if dim not in (2, 3):
         raise MeshParseError(f"unsupported dimension {dim}")
-    nd = _as_array(nodes, float, "nodes")
-    el = _as_indices(elements)
+    return _build_mesh(dim, _as_array(nodes, float, "nodes"), _as_indices(elements))
+
+
+def _build_mesh(dim: int, nd: np.ndarray, el: np.ndarray) -> SimplicialMesh:
+    """`build_mesh` of float nodes and int64 elements, in dimension 2 or 3,
+    that no one else holds: the mesh reorients elements in place and makes
+    both read-only."""
     if nd.ndim != 2 or nd.shape[1] != dim:
         raise MeshParseError(f"node array must be (N, {dim}), got {nd.shape}")
     if not np.all(np.isfinite(nd)):
@@ -191,8 +198,8 @@ def build_mesh(dim: int, nodes, elements) -> SimplicialMesh:
     for arr in (nd, el, bfac, bnodes, sm, edge_sq):
         arr.setflags(write=False)
     mesh = SimplicialMesh(dim, nd, el, bfac, bnodes)
-    # Every signed measure is positive here, so it equals the measure; the
-    # squared edges are kept for `element_metrics`, one pass per mesh.
+    # Every signed measure is positive here, so it equals the measure.  Every
+    # per-element quantity is derived from these two, block by block.
     mesh._cache["measures"] = sm
     mesh._cache["edge_sq"] = edge_sq
     return mesh
@@ -283,7 +290,9 @@ def _refine(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
-    """Per-element geometry, computed once per mesh; the arrays are read-only."""
+    """Per-element geometry as whole-mesh arrays, computed once per mesh and
+    kept on it; the arrays are read-only.  For callers that want the arrays:
+    `quality` and `mesh_constants` reduce `_metric_blocks` instead."""
     return _cached(mesh, "metrics", _element_metrics)
 
 
@@ -294,6 +303,18 @@ def _element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
     return vertex_metrics(verts, _measures(mesh), mesh._cache["edge_sq"])
 
 
+def _metric_blocks(mesh: SimplicialMesh) -> Iterator[ElementMetrics]:
+    """`vertex_metrics` of each block of elements (`_blocks`), from the
+    measures and squared edges that `build_mesh` caches (and in 3D the
+    block's gathered vertices): per element bit for bit `element_metrics`,
+    with (block,) arrays.  Mesh-wide maxima and minima reduce these, so no
+    per-element array of the whole mesh is formed."""
+    meas, edge_sq = _measures(mesh), mesh._cache["edge_sq"]
+    for rows in _blocks(mesh.element_count):
+        verts = mesh.nodes[mesh.elements[rows]] if mesh.dim == 3 else None
+        yield vertex_metrics(verts, meas[rows], edge_sq[rows])
+
+
 def quality(mesh: SimplicialMesh) -> MeshQuality:
     """Global mesh metrics, computed once per mesh; sigma uses inscribed-ball
     diameters."""
@@ -301,18 +322,26 @@ def quality(mesh: SimplicialMesh) -> MeshQuality:
 
 
 def _quality(mesh: SimplicialMesh) -> MeshQuality:
-    em = element_metrics(mesh)
-    sigma = float((em.h / (2.0 * em.inradius)).max())
+    # the extrema of each block, then of the blocks (max and min are exact);
+    # the smallest angle is kept negated so that one maximum takes them all
+    h, circum, sigma, *angles = np.max(
+        [
+            [em.h.max(), em.circumradius.max(), (em.h / (2.0 * em.inradius)).max()]
+            + ([-em.min_angle.min(), em.max_angle.max()] if mesh.dim == 2 else [])
+            for em in _metric_blocks(mesh)
+        ],
+        axis=0,
+    )
     theta0 = nonblunt = None
     if mesh.dim == 2:
-        theta0 = float(em.min_angle.min())
-        nonblunt = bool((em.max_angle <= math.pi / 2.0 + NONBLUNT_TOL).all())
+        theta0 = -float(angles[0])
+        nonblunt = bool(angles[1] <= math.pi / 2.0 + NONBLUNT_TOL)
     return MeshQuality(
         dim=mesh.dim,
-        h=float(em.h.max()),
-        max_circumradius=float(em.circumradius.max()),
+        h=float(h),
+        max_circumradius=float(circum),
         min_angle=theta0,
-        sigma=sigma,
+        sigma=float(sigma),
         nonblunt=nonblunt,
         element_count=mesh.element_count,
         node_count=mesh.node_count,
@@ -412,7 +441,7 @@ def load(path: str, fmt: str | None = None) -> SimplicialMesh:
         base = _node_ele_base(path)
         nodes, dim = _read_node_file(base + ".node")
         elements = _read_ele_file(base + ".ele", dim)
-        return build_mesh(dim, nodes, elements)
+        return _build_mesh(dim, nodes, elements)  # parsed here, so no copies
     raise MeshParseError(f"unknown mesh format {fmt!r}")
 
 
@@ -508,7 +537,8 @@ def _read_node_file(path: str) -> tuple[np.ndarray, int]:
         raise MeshParseError(
             f"{path}: node {i + 1} is numbered {index[i]:.17g}; the index column must read 1..{count} in order"
         )
-    return rows[:, 1:], dim
+    # a copy, so that the index column is freed with `rows`
+    return rows[:, 1:].copy(), dim
 
 
 def _read_ele_file(path: str, dim: int) -> np.ndarray:

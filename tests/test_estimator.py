@@ -22,6 +22,7 @@ from certifem import (
     solve_poisson,
     structured_square_mesh,
 )
+from certifem.geometry import _BLOCK
 from certifem.estimator import (
     CLOSED_FORM_C_H4,
     CLOSED_FORM_C_L2,
@@ -250,3 +251,23 @@ def test_certify_rejects_fh_of_another_problem():
     for fh in wrong:
         with pytest.raises(ValueError, match="another mesh, source or f_h mode"):
             certify(DISK.domain, poly, mesh, DISK.f, "nodal", fh=fh)
+
+
+@pytest.mark.parametrize("position", [0, _BLOCK + 7, -1])
+def test_nonblunt_refusal_names_the_widest_element_in_any_block(position):
+    """The refusal of the non-obtuse strategy names the first element with
+    the widest angle, as the whole-array argmax does, wherever the blocks of
+    elements put it; the widest angle recurs, so ties are taken in order."""
+    import re
+
+    from certifem.mesh import element_metrics
+    from test_mesh import _jittered_square
+
+    jittered = _jittered_square(48, seed=4)
+    widest = int(np.argmax(element_metrics(jittered).max_angle))
+    mesh = build_mesh(2, jittered.nodes, np.roll(jittered.elements, position % jittered.element_count - widest, axis=0))
+    max_angle = element_metrics(mesh).max_angle
+    expected = f"element {int(np.argmax(max_angle))} has max angle {float(max_angle.max()):.6f} rad"
+    with pytest.raises(StrategyInapplicableError, match=re.escape(expected)):
+        certify(SQUARE.domain, SQUARE_POLY, mesh, SQUARE.f, "exact", "nonblunt")
+    assert mesh.element_count > _BLOCK and np.count_nonzero(max_angle == max_angle.max()) > 1

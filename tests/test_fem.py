@@ -458,13 +458,27 @@ def test_quadrature_points_match_einsum(name):
         assert rows.start == start and 0 < points.shape[0] <= geometry._BLOCK
         start += points.shape[0]
         assert points.shape == (points.shape[0], bary.shape[0], mesh.dim)
-        assert points.flags.c_contiguous
+        # the transposed view of a C-contiguous (dim, q, block) array
+        assert points.T.flags.c_contiguous
     assert start == mesh.element_count
     assert np.array_equal(_blocked_points(mesh), _einsum_quadrature_points(mesh, bary))
     if name == "fan-partial-block":
         assert mesh.element_count > 2 * geometry._BLOCK and mesh.element_count % geometry._BLOCK
     if name == "jittered-kuhn-cube":
         assert bary.shape == (11, 4)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MESHES))
+def test_barycentric_fh_is_the_vertex_mean(name):
+    """The barycentric f_h evaluates f at `element_vertices().mean(axis=1)`,
+    bit for bit, and takes its values from there."""
+    mesh = KERNEL_MESHES[name]()
+    sinsin, points = SourceTerm.sin_product(), []
+    f = dataclasses.replace(sinsin, evaluate=lambda p: points.append(np.array(p)) or sinsin.evaluate(p))
+    fh = build_fh(mesh, f, "barycentric")
+    centers = mesh.element_vertices().mean(axis=1)
+    assert len(points) == 1 and np.array_equal(points[0], centers)
+    assert np.array_equal(fh.element_values, sinsin.evaluate(centers))
 
 
 @pytest.mark.parametrize("name", ["jittered-square", "jittered-kuhn-cube"])
@@ -1046,6 +1060,72 @@ def test_line_jacobi_reads_link_values_from_rows_in_any_order(monkeypatch, name)
         shuffled = np.full_like(r, np.nan)
         fem._line_jacobi(_shuffled_rows(a_mat, seed))(r, shuffled)
         assert np.array_equal(shuffled, z)
+
+
+def _walk_lines_coo(i, j, degree):
+    """`fem._walk_lines` as written on COO graphs, with each component's
+    first node from `np.unique`: the reference for the walk on CSR graphs."""
+    from scipy.sparse import csgraph
+
+    n = degree.size
+    label = csgraph.connected_components(sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n)), directed=False)[1]
+    size = np.bincount(label)
+    path_ends = np.flatnonzero((degree == 1) & (size[label] >= fem._LINE_MIN_NODES))
+    is_cycle = size >= fem._LINE_MIN_NODES
+    is_cycle[label[path_ends]] = False
+    cycle_entries = np.unique(label, return_index=True)[1][is_cycle]
+    root_links = np.concatenate([path_ends, cycle_entries])
+    walk_i = np.concatenate([i, np.full(root_links.size, n, np.int32)])
+    walk_j = np.concatenate([j, root_links])
+    walk = sp.coo_matrix((np.ones(walk_i.size), (walk_i, walk_j)), shape=(n + 1, n + 1))
+    order = csgraph.depth_first_order(walk, n, directed=False, return_predecessors=False)[1:].astype(np.intp)
+    line_label = label[order]
+    starts = np.flatnonzero(np.r_[True, line_label[1:] != line_label[:-1]])
+    return order, starts, np.r_[starts[1:], order.size], is_cycle[line_label[starts]]
+
+
+# meshes whose V-cycle levels have lines, and the line threshold: a jittered
+# square has none at the default one
+WALK_MESHES = {
+    "fan": (lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 20), 4), fem._LINE_THETA),
+    "jittered-square": (lambda: _refined(_jittered_square(4, seed=3), 3), 0.2),
+    "stretched-paths": (lambda: _refined(_stretched_rectangle(4), 3), fem._LINE_THETA),
+}
+
+
+def _refined(mesh, levels):
+    for _ in range(levels):
+        mesh = meshmod.refine_uniform(mesh)
+    return mesh
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MESHES))
+def test_walk_on_csr_link_graphs_is_the_coo_walk(monkeypatch, name):
+    """On every V-cycle level, the line walk equals the walk on COO graphs,
+    array for array, and the link graph is the CSR form of the COO links,
+    also when the rows of the level are shuffled."""
+    make, theta = WALK_MESHES[name]
+    monkeypatch.setattr(fem, "_COARSE_MAX_SIZE", 30)
+    monkeypatch.setattr(fem, "_LINE_THETA", theta)
+    walk, levels = fem._walk_lines, []
+
+    def compared(i, j, degree):
+        got, ref = walk(i, j, degree), _walk_lines_coo(i, j, degree)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, ref))
+        n = degree.size
+        graph, coo = fem._link_graph(i, j, n), sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n)).tocsr()
+        for a, b in ((graph.indptr, coo.indptr), (graph.indices, coo.indices), (graph.data, coo.data)):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+        levels.append(got[1].size)
+        return got
+
+    monkeypatch.setattr(fem, "_walk_lines", compared)
+    system = _with_prolongations(make())
+    cycle = fem._VCycle(system.matrix, system.prolongations)
+    assert len(levels) == len(cycle.mats) - 1 == len(system.prolongations) >= 2 and min(levels) >= 1
+    for seed in range(2):
+        fem._line_jacobi(_shuffled_rows(cycle.mats[1], seed))
+    assert len(levels) == len(cycle.mats) + 1
 
 
 def _tridiagonal_system(diag, off, n=12):

@@ -21,8 +21,10 @@ from certifem import (
     nonblunt_profile_bound,
     triangle,
 )
-from certifem.interp_constants import _clamp_radicand, _kobayashi_batch_2d, _liu_batch
-from certifem.mesh import element_metrics
+from certifem import geometry
+from certifem.geometry import NONBLUNT_TOL
+from certifem.interp_constants import TET_COEFF, _clamp_radicand, _kobayashi_batch_2d, _liu_batch
+from certifem.mesh import MeshQuality, element_metrics, quality
 from conftest import (
     nonblunt_corner_apexes,
     nonblunt_triangle,
@@ -32,6 +34,7 @@ from conftest import (
     triangle_from_angles,
 )
 from spectral_probe import ConstraintRankError, rayleigh_lower_bound
+from test_mesh import _jittered_square
 
 EQUILATERAL = triangle([0, 0], [1, 0], [0.5, math.sqrt(3) / 2])
 RIGHT_ISO = triangle([0, 0], [1, 0], [0, 1])
@@ -368,15 +371,64 @@ def test_scalar_3d_bounds_equal_pipeline_kernel_bit_for_bit():
         assert mesh_constants(mesh, rho_convention=conv).elementwise == kernel.max()
 
 
-def test_blockwise_elementwise_maximum_matches_whole_arrays(monkeypatch):
+def _whole_array_quality(mesh):
+    """`quality` from the whole-mesh arrays of `element_metrics`."""
+    em = element_metrics(mesh)
+    two_d = mesh.dim == 2
+    return MeshQuality(
+        dim=mesh.dim,
+        h=float(em.h.max()),
+        max_circumradius=float(em.circumradius.max()),
+        min_angle=float(em.min_angle.min()) if two_d else None,
+        sigma=float((em.h / (2.0 * em.inradius)).max()),
+        nonblunt=bool((em.max_angle <= math.pi / 2.0 + NONBLUNT_TOL).all()) if two_d else None,
+        element_count=mesh.element_count,
+        node_count=mesh.node_count,
+    )
+
+
+def _whole_array_constants(mesh, qual, rho):
+    """`mesh_constants` from the whole-mesh arrays of `element_metrics`."""
+    em = element_metrics(mesh)
+    if mesh.dim == 2:
+        whole = np.minimum(_liu_batch(em.edge_sq), _kobayashi_batch_2d(em.edge_sq, em.measures))
+        return dict(elementwise=float(whole.max()), regularity=None)
+    inr = em.inradius if rho == "radius" else 2.0 * em.inradius
+    return dict(
+        elementwise=float((TET_COEFF * (em.h / inr) * em.h).max()),
+        regularity=TET_COEFF * float((em.h / inr).max()) * qual.h,
+    )
+
+
+QUALITY_MESHES = {
+    "fan": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 50), 4),
+    "jittered-square": lambda: _jittered_square(48, seed=4),
+    "needles": lambda: _needle_mesh(np.random.default_rng(7), 2 * geometry._BLOCK + 100),
+    "kuhn-cube": lambda: _kuhn_cube(9, np.random.default_rng(8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUALITY_MESHES))
+def test_blockwise_quality_and_constants_match_whole_arrays(name):
+    """`quality` and `mesh_constants` reduce blocks of elements: bit for bit
+    the extrema of the whole-mesh `element_metrics` arrays, which they
+    neither build nor leave on the mesh."""
+    mesh = QUALITY_MESHES[name]()
+    assert mesh.element_count > geometry._BLOCK  # two blocks or more
+    qual = quality(mesh)
+    constants = {rho: mesh_constants(mesh, rho_convention=rho) for rho in ("radius", "diameter")}
+    assert "metrics" not in mesh._cache
+    assert qual == _whole_array_quality(mesh)
+    for rho, got in constants.items():
+        ref = _whole_array_constants(mesh, qual, rho)
+        assert (got.elementwise, got.regularity) == (ref["elementwise"], ref["regularity"])
+
+
+def test_blockwise_elementwise_maximum_matches_whole_arrays():
     """`mesh_constants` takes the element-wise maximum one block of elements
     at a time: bit for bit the whole-array maximum wherever the worst element
     lies, and a bad radicand is named by its index in the whole mesh."""
-    from types import SimpleNamespace
-
-    from certifem import geometry
     from certifem import interp_constants as icmod
-    from certifem import mesh as meshmod
 
     block = geometry._BLOCK
     mesh = _needle_mesh(np.random.default_rng(5), 2 * block + 100)
@@ -390,6 +442,7 @@ def test_blockwise_elementwise_maximum_matches_whole_arrays(monkeypatch):
     edge_sq = np.ones((mesh.element_count, 3))
     area = np.full(mesh.element_count, math.sqrt(3.0) / 4.0)
     area[block + 3] = 1.0  # no triangle with unit edges has unit area
-    monkeypatch.setattr(meshmod, "element_metrics", lambda m: SimpleNamespace(edge_sq=edge_sq, measures=area))
+    crafted = build_mesh(2, mesh.nodes, mesh.elements)
+    crafted._cache.update(edge_sq=edge_sq, measures=area)
     with pytest.raises(NegativeRadicandError, match=rf"^element {block + 3}: "):
-        icmod._liu_kobayashi_maxima(build_mesh(2, mesh.nodes, mesh.elements))
+        icmod._liu_kobayashi_maxima(crafted)

@@ -748,3 +748,55 @@ def test_build_mesh_and_measure_share_the_degeneracy_test():
         measure(Simplex(verts))
     with pytest.raises(InvertedElementError):
         build_mesh(2, verts, [[0, 1, 2]])
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [
+        np.array([[0, 2, 1], [0, 2, 3]]),  # the first one is clockwise
+        np.array([[0, 2, 1], [0, 2, 3]], dtype=np.int32),
+        np.array([[0.0, 2.0, 1.0], [0.0, 2.0, 3.0]]),
+        np.array([[0, 1, 2], [0, 2, 3]]),
+    ],
+    ids=["int64-flipped", "int32-flipped", "float-flipped", "int64-oriented"],
+)
+def test_build_mesh_leaves_caller_arrays_unchanged_and_writable(elements):
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    before = nodes.copy(), elements.copy()
+    mesh = build_mesh(2, nodes, elements)
+    assert mesh.elements.tolist() == [[0, 1, 2], [0, 2, 3]]
+    for given, kept, old in zip((nodes, elements), (mesh.nodes, mesh.elements), before):
+        assert np.array_equal(given, old) and given.dtype == old.dtype
+        assert given.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(given, kept)
+
+
+def test_load_and_certify_form_no_whole_mesh_metric_arrays(tmp_path):
+    """On the 256 x 256 jittered square (131,072 triangles), loading a
+    .node/.ele file peaks at most 40 B per triangle above the mesh it
+    returns, and certifying it at most 32 B per triangle above the loaded
+    mesh, leaving no per-element metric arrays on it."""
+    from certifem import SourceTerm, certify
+
+    path = str(tmp_path / "square.node")
+    save(_jittered_square(256, seed=1), path, "node_ele")
+    square = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+    poly, f = poly_approx_of_polygon(square), SourceTerm.sin_product()
+    certify(square, poly, _jittered_square(8, seed=1), f, "exact")  # warm up
+
+    tracemalloc.start()
+    try:
+        mesh = load(path)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        certify(square, poly, mesh, f, "exact")
+        certify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = mesh.element_count
+    assert m == 131_072
+    assert (peak - kept) / m <= 40
+    assert (certify_peak - kept) / m <= 32
+    assert "metrics" not in mesh._cache
+    # the nodes are their own array, not a view that keeps the index column
+    assert mesh.nodes.base is None and mesh.nodes.flags.c_contiguous

@@ -410,14 +410,17 @@ def test_disk_study_row_builds_each_mesh_quantity_once(monkeypatch):
     spy(femmod, "_assemble_stiffness")
     disk_study_row(10, 1)
 
-    assert {name: len(meshes) for name, meshes in seen.items()} == {
-        "_element_metrics": 1,
+    # quality and the element-wise constants walk blocks of elements: no
+    # whole-mesh metric arrays are built or left on the mesh
+    assert {name: len(seen.get(name, ())) for name in ("_element_metrics", "_quality", "_assemble_stiffness")} == {
+        "_element_metrics": 0,
         "_quality": 1,
         "_assemble_stiffness": 1,
     }
-    final = seen["_element_metrics"][0]
+    final = seen["_quality"][0]
     assert final.element_count == 40
     assert seen["_assemble_stiffness"][0] is final
+    assert "metrics" not in final._cache
 
     em = element_metrics(final)
     arrays = [getattr(em, f.name) for f in dataclasses.fields(em)]
