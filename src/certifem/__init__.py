@@ -46,7 +46,6 @@ from .fem import (
     dirichlet_system,
     fem_h1_seminorm,
     fem_l2_norm,
-    fh_error_measured,
     fh_perturbation_bound,
     l2_error_interior,
     poincare_residual,
@@ -63,42 +62,35 @@ from .geometry import (
     inradius,
     measure,
     min_angle,
-    signed_measure,
     tetrahedron,
     triangle,
 )
 from .interp_constants import (
-    ElementConstants,
     GlobalConstants,
-    element_constants,
     global_l2_bound,
     kobayashi_bound_2d,
     kobayashi_bound_3d,
     liu_bound,
     mesh_constants,
     min_angle_global,
-    nonblunt_profile_bound,
 )
 from .mesh import (
     MeshQuality,
     SimplicialMesh,
     build_mesh,
-    check_boundary_on_poly,
-    element_metrics,
     generate_fan_refined,
     load,
     measure_sum,
+    polytope_of_mesh,
     quality,
     refine_uniform,
     save,
 )
 from .verify import (
-    BarrierReport,
     ConvergenceReport,
     DiskStudyRow,
     ExactSolution,
     actual_l2_error,
-    barrier_check,
     convergence_study,
     default_refine_rule,
     disk_study_csv,

@@ -68,7 +68,10 @@ def _parse_source(spec: str, domain) -> femmod.SourceTerm:
     raise CertifemError(f"unknown source spec {spec!r}")
 
 
-def _domain_poly_mesh(args):
+def _domain_mesh(args):
+    """The domain and the mesh to certify on it: generated (a fan of the
+    inscribed regular m-gon, or of the polygon itself, refined) or loaded;
+    either way `certify` reads the polytope off the mesh."""
     domain = _parse_domain(args.domain)
     if args.generate:
         parts = [int(tok) for tok in args.generate.split(",")]
@@ -82,16 +85,10 @@ def _domain_poly_mesh(args):
                 raise CertifemError("--generate for a polygon takes refine")
             k = parts[0]
             poly = poly_approx_of_polygon(domain)
-        mesh = meshmod.generate_fan_refined(poly, k)
-    elif args.mesh:
-        if isinstance(domain, Disk):
-            raise CertifemError("a disk domain needs --generate m,refine to fix its polygon; to check an "
-                                "external m-gon mesh, call certifem.verify.disk_study_row(m, mesh=...)")
-        mesh = meshmod.load(args.mesh)
-        poly = poly_approx_of_polygon(domain)
-    else:
-        raise CertifemError("need either --generate or --mesh")
-    return domain, poly, mesh
+        return domain, meshmod.generate_fan_refined(poly, k)
+    if args.mesh:
+        return domain, meshmod.load(args.mesh)
+    raise CertifemError("need either --generate or --mesh")
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -125,9 +122,9 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    domain, poly, mesh = _domain_poly_mesh(args)
+    domain, mesh = _domain_mesh(args)
     source = _parse_source(args.f, domain)
-    bound = estmod.certify(domain, poly, mesh, source, args.fh_mode, args.strategy)
+    bound = estmod.certify(domain, mesh, source, args.fh_mode, args.strategy)
     _write_or_print(bound.to_json(), args.out)
     return EXIT_OK
 
@@ -218,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="emit a certified error-bound report")
     p_cert.add_argument("--domain", required=True, help="disk:RADIUS or polygon:file.json")
     p_cert.add_argument("--generate", default=None, help="disk: m,refine; polygon: refine")
-    p_cert.add_argument("--mesh", default=None, help="mesh file (polygon domains)")
+    p_cert.add_argument("--mesh", default=None, help="mesh file (.json or .node) of a polytope inscribed in the domain")
     p_cert.add_argument("--f", default="const:1", help="const:C | sinsin | poly:c0,...,c5")
     p_cert.add_argument("--fh-mode", dest="fh_mode", default="exact", choices=femmod.FH_MODES)
     p_cert.add_argument("--strategy", default="elementwise")

@@ -29,9 +29,9 @@ _PAIR_BLOCK = 1 << 16  # vertex pairs per block of `_diameter`
 class ConvexDomain:
     """Base class for the built-in convex domain registry.
 
-    Subclasses provide exact diameter, measure and support values, the 2D
-    ones also a boundary parametrization; arbitrary user support functions
-    are not accepted because certified bounds need exact geometric data.
+    Subclasses provide exact diameter, measure and support values;
+    arbitrary user support functions are not accepted because certified
+    bounds need exact geometric data.
     """
 
     dim: int
@@ -49,10 +49,6 @@ class ConvexDomain:
 
     def contains(self, points, tol: float = 1e-12):
         """Membership test; accepts a single point or an (..., dim) array."""
-        raise NotImplementedError
-
-    def boundary_point(self, t: float) -> np.ndarray:
-        """Point on the boundary for a parameter in [0, 1)."""
         raise NotImplementedError
 
     def boundary_distance(self, points):
@@ -99,10 +95,6 @@ class Disk(Ball):
     def measure(self) -> float:
         return math.pi * self.radius**2
 
-    def boundary_point(self, t: float) -> np.ndarray:
-        a = 2.0 * math.pi * t
-        return self.center + self.radius * np.array([math.cos(a), math.sin(a)])
-
 
 class ConvexPolygon(ConvexDomain):
     """Convex polygon, stored counterclockwise with one outward half-plane
@@ -132,19 +124,6 @@ class ConvexPolygon(ConvexDomain):
 
     def contains(self, points, tol: float = 1e-12):
         return _max_excess(points, self.normals, self.offsets) <= tol
-
-    def boundary_point(self, t: float) -> np.ndarray:
-        v = self.vertices
-        lengths = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
-        perimeter = lengths.sum()
-        target = (t % 1.0) * perimeter
-        acc = 0.0
-        for i, ell in enumerate(lengths):
-            if target <= acc + ell or i == len(lengths) - 1:
-                s = (target - acc) / ell
-                return v[i] + s * (v[(i + 1) % len(v)] - v[i])
-            acc += ell
-        raise AssertionError("unreachable")
 
     def boundary_distance(self, points):
         p = np.asarray(points, dtype=float)
@@ -240,9 +219,6 @@ class PolyApprox:
     def signed_facet_distances(self, points) -> np.ndarray:
         """max_F n_F.x - o_F for each point; > 0 means outside."""
         return _max_excess(points, self.normals, self.offsets)
-
-    def contains(self, points, tol: float = 1e-12):
-        return self.signed_facet_distances(points) <= tol
 
 
 def gap_delta(dom: ConvexDomain, poly: PolyApprox) -> tuple[float, np.ndarray]:

@@ -1,6 +1,9 @@
 """Certified total L2 error bound for the P1 solve on an inscribed polytope.
 
-The bound is the sum of three certified terms:
+The polytope is the one the mesh meshes (`mesh.polytope_of_mesh`: in 2D the
+mesh boundary with its collinear edges merged), validated as convex and
+inscribed in the exact domain; no second polytope is passed in.  The bound
+is the sum of three certified terms:
 
   boundary  (1/2) D |Omega|^(1/2) delta ||f||_inf   (domain truncation)
   source    C_P^2 ||f - f_h||                        (data perturbation)
@@ -104,27 +107,27 @@ def _worst_angle_element(mesh: meshmod.SimplicialMesh) -> tuple[int, float]:
 
 def certify(
     dom: ConvexDomain,
-    poly: PolyApprox,
     mesh: meshmod.SimplicialMesh,
     f: femmod.SourceTerm,
     fh_mode: str = "exact",
     strategy: str = "elementwise",
-    rho_convention: str = "radius",
     fh: femmod.DiscreteSource | None = None,
 ) -> CertifiedBound:
-    """Assemble the certified three-term L2 error bound.
+    """Assemble the certified three-term L2 error bound on the polytope that
+    `mesh` meshes (`mesh.polytope_of_mesh`).
 
     `fh` reuses the discrete source of an earlier solve (the second value
     `solve_poisson` returns); it must have been built on `mesh` from `f` in
     `fh_mode`, else ValueError.  Raises StrategyInapplicableError when the
     chosen mesh-wide constant does not apply (naming the worst element for
-    the non-obtuse strategy), NotInscribedError when the mesh boundary
-    leaves the polytope, and CertifemError when the bound overflows.
+    the non-obtuse strategy), a CertifemError such as NotInscribedError when
+    the mesh's polytope is not a convex polytope inscribed in `dom`, and
+    CertifemError when the bound overflows.
     """
     # identity, not ==: comparing meshes would compare their arrays
     if fh is not None and not (fh.mesh is mesh and fh.source is f and fh.mode == fh_mode):
         raise ValueError("fh was built for another mesh, source or f_h mode")
-    meshmod.check_boundary_on_poly(mesh, poly)
+    poly = meshmod.polytope_of_mesh(dom, mesh)
     qual = meshmod.quality(mesh)
     if strategy == "nonblunt" and mesh.dim == 2 and not qual.nonblunt:
         idx, ang = _worst_angle_element(mesh)
@@ -132,7 +135,7 @@ def certify(
             f"nonblunt strategy needs a mesh without obtuse angles; element {idx} has max angle {ang:.6f} rad"
         )
 
-    constants = icmod.mesh_constants(mesh, qual, rho_convention)
+    constants = icmod.mesh_constants(mesh, qual)
     a_h = constants.value(strategy)
 
     c_p = poincare_bound(mesh.dim, dom.diameter)
@@ -170,28 +173,23 @@ def certify(
         "guard_factor": GUARD_PER_OP**8,
         "source": f.name,
     }
-    if mesh.dim == 3:
-        metadata["rho_convention"] = rho_convention
     return CertifiedBound(term_boundary, term_source, term_fem, total, metadata)
 
 
-def certify_closed_form_2d(
-    dom: ConvexDomain,
-    poly: PolyApprox,
-    mesh: meshmod.SimplicialMesh,
-    f: femmod.SourceTerm,
-) -> float:
+def certify_closed_form_2d(dom: ConvexDomain, mesh: meshmod.SimplicialMesh, f: femmod.SourceTerm) -> float:
     """Fully closed-form bound for non-obtuse 2D meshes with vertex-interpolated
     sources:
 
         (1/2) D |Omega|^(1/2) delta ||f||_inf + 0.1834 h^2 |f|_0
         + 9.632e-3 D^2 h^2 |f|_2 + 3.486e-2 h^4 |f|_2
 
-    Upper-bounds the sharper `certify(..., strategy="nonblunt", fh_mode="nodal")`
-    route because ||f_h|| is replaced by |f|_0 plus an interpolation remainder.
+    on the polytope that `mesh` meshes.  Upper-bounds the sharper
+    `certify(..., strategy="nonblunt", fh_mode="nodal")` route because
+    ||f_h|| is replaced by |f|_0 plus an interpolation remainder.
     """
     if mesh.dim != 2:
         raise NotNonBluntError("closed-form bound is 2D only")
+    poly = meshmod.polytope_of_mesh(dom, mesh)
     qual = meshmod.quality(mesh)
     if not qual.nonblunt:
         idx, ang = _worst_angle_element(mesh)

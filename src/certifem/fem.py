@@ -886,21 +886,6 @@ def _p1_at_points(mesh: meshmod.SimplicialMesh, nodal: np.ndarray, rows: slice) 
     return out
 
 
-def fh_error_measured(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str) -> float:
-    """Quadrature value of ||f - f_h||; exact when the integrand is degree <= 4."""
-    fh = build_fh(mesh, f, mode)
-    if mode == "exact":
-        return 0.0
-
-    def error(rows, points):
-        fvals = np.asarray(f.evaluate(points), dtype=float)
-        if mode == "barycentric":
-            return fvals - fh.element_values[rows, None]
-        return fvals - _p1_at_points(mesh, fh.nodal_values, rows)
-
-    return _quadrature_norm(mesh, error)
-
-
 def fh_perturbation_bound(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str, qual=None) -> float:
     """Certified upper bound for ||f - f_h|| over the meshed region."""
     if mode == "exact":

@@ -234,11 +234,6 @@ def _finite_geometry(s: Simplex) -> tuple[np.ndarray, np.ndarray]:
     return signed, edge_sq
 
 
-def signed_measure(s: Simplex) -> float:
-    """Signed measure (orientation-sensitive); no degeneracy check."""
-    return float(_finite_geometry(s)[0][0])
-
-
 def as_batch(s: Simplex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`s` as kernel input: its (1, dim+1, dim) vertex array, measure and
     squared edges; raises on degenerate vertex sets, and on coordinates so

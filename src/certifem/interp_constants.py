@@ -22,7 +22,6 @@ from .geometry import (
     _blocks,
     as_batch,
     edge_cosines,
-    edge_lengths,
     vertex_metrics,
 )
 
@@ -36,16 +35,6 @@ L2_COEFF_3D = 8.0
 RADICAND_TOL = 1e-12
 
 STRATEGIES = ("elementwise", "circumradius", "minangle", "nonblunt", "regularity")
-
-
-@dataclass(frozen=True)
-class ElementConstants:
-    """Per-element upper bounds; `h1_best` is the minimum of the available ones."""
-
-    h1_liu: float | None
-    h1_kobayashi: float
-    h1_best: float
-    l2_bound: float
 
 
 @dataclass(frozen=True)
@@ -65,7 +54,6 @@ class GlobalConstants:
     nonblunt: float | None
     regularity: float | None
     l2_global: float
-    rho_convention: str = "radius"
 
     def value(self, strategy: str) -> float:
         if strategy not in STRATEGIES:
@@ -98,32 +86,13 @@ def kobayashi_bound_2d(t: Simplex) -> float:
     return float(_kobayashi_batch_2d(edge_sq, meas)[0])
 
 
-def kobayashi_bound_3d(t: Simplex, rho_convention: str = "radius") -> float:
-    """Tetrahedral H1 constant bound 2.19 * h_T^2 / rho(T).
-
-    `rho_convention` selects the inscribed-ball quantity used for rho(T):
-    "radius" (default, conservative: the larger bound) or "diameter".
-    """
+def kobayashi_bound_3d(t: Simplex) -> float:
+    """Tetrahedral H1 constant bound 2.19 * h_T^2 / rho(T), with rho(T) the
+    inradius of T: of the two readings of rho, inscribed-ball radius and
+    diameter, the radius gives the larger, conservative bound."""
     if t.dim != 3:
         raise ValueError("kobayashi_bound_3d applies to tetrahedra")
-    return float(_kobayashi_batch_3d(vertex_metrics(*as_batch(t)), rho_convention)[0])
-
-
-def _rho(inr, convention: str):
-    if convention == "radius":
-        return inr
-    if convention == "diameter":
-        return 2.0 * inr
-    raise ValueError(f"unknown rho convention {convention!r}")
-
-
-def element_constants(t: Simplex, rho_convention: str = "radius") -> ElementConstants:
-    l2 = global_l2_bound(t.dim, edge_lengths(t)[0])
-    if t.dim == 2:
-        liu, kob = liu_bound(t), kobayashi_bound_2d(t)
-        return ElementConstants(liu, kob, min(liu, kob), l2)
-    kob = kobayashi_bound_3d(t, rho_convention)
-    return ElementConstants(None, kob, kob, l2)
+    return float(_kobayashi_batch_3d(vertex_metrics(*as_batch(t)))[0])
 
 
 def global_l2_bound(dim: int, h: float) -> float:
@@ -139,16 +108,6 @@ def min_angle_global(theta0: float, h: float) -> float:
     """Closed-form H1 constant from the mesh size and the minimal angle."""
     half = 0.5 * theta0
     return MIN_ANGLE_COEFF * math.cos(half) ** 2 / math.sin(half) * h
-
-
-def nonblunt_profile_bound(a: float, b: float) -> float:
-    """Intermediate bound for the normalized non-obtuse triangle with apex (a, b).
-
-    Valid for the triangle with base from (-1/2,0) to (1/2,0) and apex (a, b)
-    inside the constraint region of non-obtuse triangles with unit longest
-    edge; its supremum over that region equals sqrt(11/60).
-    """
-    return math.sqrt(b * b / 30.0 + 11.0 * a * a / 60.0 + 11.0 / 80.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +191,13 @@ def _liu_kobayashi_maxima(mesh: meshmod.SimplicialMesh) -> tuple[float, float]:
     return meshmod._cached(mesh, "liu_kobayashi_maxima", build)
 
 
-def _kobayashi_batch_3d(em: meshmod.ElementMetrics, rho_convention: str) -> np.ndarray:
+def _kobayashi_batch_3d(em: meshmod.ElementMetrics) -> np.ndarray:
     # (h / rho) * h, not h**2 / rho: rounded products are monotone, so the
     # closed form TET_COEFF * max(h / rho) * max(h) dominates every element
-    return TET_COEFF * (em.h / _rho(em.inradius, rho_convention)) * em.h
+    return TET_COEFF * (em.h / em.inradius) * em.h
 
 
-def mesh_constants(
-    mesh: meshmod.SimplicialMesh,
-    qual: meshmod.MeshQuality | None = None,
-    rho_convention: str = "radius",
-) -> GlobalConstants:
+def mesh_constants(mesh: meshmod.SimplicialMesh, qual: meshmod.MeshQuality | None = None) -> GlobalConstants:
     """Mesh-wide constants: element-wise maximum plus all closed forms."""
     if qual is None:
         qual = meshmod.quality(mesh)
@@ -255,13 +210,9 @@ def mesh_constants(
             nonblunt=NONBLUNT_COEFF * qual.h if qual.nonblunt else None,
             regularity=None,
             l2_global=global_l2_bound(2, qual.h),
-            rho_convention=rho_convention,
         )
     # the maxima of h / rho and of the bound per block, then over the blocks
-    maxima = [
-        ((em.h / _rho(em.inradius, rho_convention)).max(), _kobayashi_batch_3d(em, rho_convention).max())
-        for em in meshmod._metric_blocks(mesh)
-    ]
+    maxima = [((em.h / em.inradius).max(), _kobayashi_batch_3d(em).max()) for em in meshmod._metric_blocks(mesh)]
     sigma_conv, elementwise = map(float, np.max(maxima, axis=0))
     return GlobalConstants(
         dim=3,
@@ -271,6 +222,5 @@ def mesh_constants(
         nonblunt=None,
         regularity=TET_COEFF * sigma_conv * qual.h,
         l2_global=global_l2_bound(3, qual.h),
-        rho_convention=rho_convention,
     )
 

@@ -1,9 +1,11 @@
 """Simplicial mesh data model, file I/O, generation, and quality metrics.
 
 Boundary information is always recomputed from facet incidence counts and
-never trusted from files.  The built-in generator fans a convex polygon
-from its centroid and refines by edge-midpoint subdivision, which keeps
-the polygonal hull (and hence the boundary gap) exactly unchanged.
+never trusted from files, and so is the polytope a mesh meshes
+(`polytope_of_mesh`): the one polytope every bound reads.  The built-in
+generator fans a convex polygon from its centroid and refines by
+edge-midpoint subdivision, which keeps the polygonal hull (and hence the
+boundary gap) exactly unchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .domain import PolyApprox
+from .domain import ConvexDomain, PolyApprox, _shoelace, make_poly_approx
 from .errors import (
     InvalidPolygonError,
     InvertedElementError,
@@ -34,6 +36,12 @@ from .geometry import (
     degenerate,
     vertex_metrics,
 )
+
+# 2D boundary tolerance, relative to the bounding-box diagonal of the
+# boundary nodes: a node that close to the line through its two neighbours is
+# no corner of the polygon, and every node that is no corner must lie that
+# close to the edge that joins the corners on either side of it.
+BOUNDARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -289,26 +297,12 @@ def _refine(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.nda
 # per-element metrics and global quality
 
 
-def element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
-    """Per-element geometry as whole-mesh arrays, computed once per mesh and
-    kept on it; the arrays are read-only.  For callers that want the arrays:
-    `quality` and `mesh_constants` reduce `_metric_blocks` instead."""
-    return _cached(mesh, "metrics", _element_metrics)
-
-
-def _element_metrics(mesh: SimplicialMesh) -> ElementMetrics:
-    # 2D metrics read only the measures and squared edges, which build_mesh
-    # leaves in the cache, so the vertices are gathered only in 3D
-    verts = mesh.element_vertices() if mesh.dim == 3 else None
-    return vertex_metrics(verts, _measures(mesh), mesh._cache["edge_sq"])
-
-
 def _metric_blocks(mesh: SimplicialMesh) -> Iterator[ElementMetrics]:
     """`vertex_metrics` of each block of elements (`_blocks`), from the
     measures and squared edges that `build_mesh` caches (and in 3D the
-    block's gathered vertices): per element bit for bit `element_metrics`,
-    with (block,) arrays.  Mesh-wide maxima and minima reduce these, so no
-    per-element array of the whole mesh is formed."""
+    block's gathered vertices), with (block,) arrays.  Mesh-wide maxima and
+    minima reduce these, so no per-element array of the whole mesh is
+    formed."""
     meas, edge_sq = _measures(mesh), mesh._cache["edge_sq"]
     for rows in _blocks(mesh.element_count):
         verts = mesh.nodes[mesh.elements[rows]] if mesh.dim == 3 else None
@@ -348,25 +342,102 @@ def _quality(mesh: SimplicialMesh) -> MeshQuality:
     )
 
 
-def check_boundary_on_poly(mesh: SimplicialMesh, poly: PolyApprox, tol: float = 1e-10) -> None:
-    """Every boundary facet of the mesh must lie inside some facet of `poly`:
-    its nodes within `tol` times the polytope's bounding-box diagonal (which
-    is within sqrt(dim) of its diameter) of the facet plane."""
-    if mesh.dim != poly.dim:
-        raise NotInscribedError(f"a {mesh.dim}D mesh cannot lie in a {poly.dim}D polytope")
-    tol *= float(np.linalg.norm(np.ptp(poly.vertices, axis=0)))
+def polytope_of_mesh(dom: ConvexDomain, mesh: SimplicialMesh) -> PolyApprox:
+    """The polytope that `mesh` meshes, validated as inscribed in `dom`.
+
+    2D: the mesh boundary must be one closed loop, and the polygon's corners
+    are its nodes with collinear boundary edges merged; `make_poly_approx`
+    then checks convexity, that every corner lies on the boundary of `dom`,
+    and the gaps.  The corners depend on the mesh alone and are kept on it,
+    and so is the polytope last validated, with the domain object it was
+    validated for: a later call for that object returns it, and one for
+    another domain runs only `make_poly_approx`.
+
+    3D: the facets are the boundary triangles, oriented outward, and every
+    boundary node is a vertex: no 3D generator refines faces, so coplanar
+    facets are not merged, and a boundary node off the boundary of `dom`
+    raises NotInscribedError (from `make_poly_approx`), like any vertex.
+    """
+    if mesh.dim != dom.dim:
+        raise NotInscribedError(f"a {mesh.dim}D mesh cannot mesh a {dom.dim}D polytope in a {dom.dim}D domain")
+    vertices, facets = _cached(mesh, "polytope", _boundary_polytope)
+    last = mesh._cache.get("poly_approx")
+    if last is None or last[0] is not dom:
+        last = mesh._cache["poly_approx"] = (dom, make_poly_approx(dom, vertices, facets))
+    return last[1]
+
+
+def _boundary_polytope(mesh: SimplicialMesh) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read-only vertices of the polytope that `mesh` meshes, and in 3D its
+    (F, 3) facets (None in 2D, where facet i joins corners i and i + 1)."""
     bnodes = mesh.boundary_nodes
-    points = mesh.nodes[bnodes]
     # each boundary facet as positions in `bnodes`
     local = np.searchsorted(bnodes, mesh.boundary_facets)
-    contained = np.zeros(local.shape[0], dtype=bool)
-    for normal, offset in zip(poly.normals, poly.offsets):
-        on_plane = np.abs(points @ normal - offset) <= tol
-        contained |= on_plane[local].all(axis=1)
-    outside = np.flatnonzero(~contained)
-    if outside.size:
-        facet = mesh.boundary_facets[outside[0]]
-        raise NotInscribedError(f"mesh boundary facet {facet.tolist()} not contained in any polytope facet")
+    if mesh.dim == 3:
+        vertices = mesh.nodes[bnodes]
+        a, b, c = (vertices[local[:, k]] for k in range(3))
+        inward = np.einsum("fd,fd->f", np.cross(b - a, c - a), (a + b + c) / 3.0 - vertices.mean(axis=0)) < 0.0
+        local[inward] = local[inward][:, [0, 2, 1]]
+        vertices.setflags(write=False)
+        local.setflags(write=False)
+        return vertices, local
+    ring = _boundary_loop(bnodes, local)
+    points = mesh.nodes[ring]
+    tol = BOUNDARY_TOL * float(np.linalg.norm(np.ptp(points, axis=0)))
+    # a node is a corner unless it lies within tol of the line through its
+    # neighbours (a NaN distance, from overflow, keeps it a corner)
+    prev, nxt = np.roll(points, 1, axis=0), np.roll(points, -1, axis=0)
+    chord, rel = nxt - prev, points - prev
+    corner = ~(np.abs(chord[:, 0] * rel[:, 1] - chord[:, 1] * rel[:, 0]) <= tol * np.hypot(chord[:, 0], chord[:, 1]))
+    corners = np.flatnonzero(corner)
+    if corners.size < 3:
+        raise InvalidPolygonError("the mesh boundary has fewer than 3 corners")
+    # every other node must lie on the edge from the last corner before it
+    # to the next one after it; run -1, before the first corner, wraps round
+    run = np.cumsum(corner) - 1
+    first, last = corners[run], corners[(run + 1) % corners.size]
+    edge, rel = points[last] - points[first], points - points[first]
+    t = np.clip((edge * rel).sum(axis=1) / (edge * edge).sum(axis=1), 0.0, 1.0)
+    off = np.hypot(*(rel - t[:, None] * edge).T)
+    bad = np.flatnonzero(~(off <= tol))
+    if bad.size:
+        i = int(bad[0])
+        raise NotInscribedError(
+            f"boundary node {ring[i]} lies {off[i]:.3e} off the polytope edge "
+            f"from node {ring[first[i]]} to node {ring[last[i]]}"
+        )
+    # counterclockwise, from the corner with the lowest node index
+    ids = ring[corners]
+    if _shoelace(mesh.nodes[ids]) < 0.0:
+        ids = ids[::-1]
+    vertices = mesh.nodes[np.roll(ids, -int(np.argmin(ids)))]
+    vertices.setflags(write=False)
+    return vertices, None
+
+
+def _boundary_loop(bnodes: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """The boundary nodes in the order of one walk around the boundary, from
+    its lowest node; raises unless every boundary node has two boundary edges
+    and one walk visits them all (so no hole and one component)."""
+    count = bnodes.size
+    degree = np.bincount(local.ravel(), minlength=count)
+    bad = np.flatnonzero(degree != 2)
+    if bad.size:
+        i = int(bad[0])
+        raise InvalidPolygonError(f"boundary node {bnodes[i]} has {degree[i]} boundary edges, not 2")
+    # the two neighbours of each boundary node: the far ends of its edges
+    ends = local[:, ::-1].ravel()[np.argsort(local.ravel(), kind="stable")]
+    one, other = ends[0::2].tolist(), ends[1::2].tolist()
+    walk, prev, node = [0], 0, one[0]
+    while node:
+        walk.append(node)
+        prev, node = node, one[node] if one[node] != prev else other[node]
+    if len(walk) != count:
+        raise InvalidPolygonError(
+            f"the mesh boundary is not one closed loop: a walk from node {bnodes[0]} meets {len(walk)} "
+            f"of its {count} boundary nodes (a hole, or more than one component)"
+        )
+    return bnodes[walk]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Measured errors against exact solutions and end-to-end bound validation.
 
-Every check runs through `verify_case`: solve on a mesh of a polytope
-inscribed in the exact solution's domain, certify, and compare the measured
-L2 error (interior quadrature plus the solution's own gap-region integral)
-against the certified bound.  The flagship pipeline approximates the unit
+Every check runs through `verify_case`: solve on a mesh whose polytope
+(`mesh.polytope_of_mesh`) is inscribed in the exact solution's domain,
+certify, and compare the measured L2 error (interior quadrature plus the
+solution's own gap-region integral over that polytope's gap) against the
+certified bound.  The flagship pipeline approximates the unit
 disk by regular m-gons with f = 1.  A measured error above a certified
 bound is the one fatal scientific failure and raises.
 """
@@ -31,7 +32,6 @@ from .domain import (
     PolyApprox,
     gap_delta,
     inscribed_regular_polygon,
-    poly_approx_of_polygon,
 )
 from .errors import BoundViolationError, CertifemError, NotInscribedError
 from .quadrature import gauss_legendre
@@ -102,31 +102,37 @@ def _disk2d() -> ExactSolution:
     )
 
 
-def _square2d() -> ExactSolution:
+def _unit_squares() -> list[ExactSolution]:
+    """The two problems on the unit square: u = sin(pi x) sin(pi y) for the
+    `sinsin` source, and u = x(1 - x) y(1 - y), whose f = -Lap u =
+    2x + 2y - 2x^2 - 2y^2 is the `poly:0,2,2,-2,0,-2` source, with ||u|| =
+    1/30.  Both have a gap-region integral only for the square itself."""
     dom = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
-    def u(pts):
+    def sinsin(pts):
         pts = np.asarray(pts, dtype=float)
         return np.sin(math.pi * pts[..., 0]) * np.sin(math.pi * pts[..., 1])
 
+    def bubble(pts):
+        pts = np.asarray(pts, dtype=float)
+        x, y = pts[..., 0], pts[..., 1]
+        return x * (1.0 - x) * y * (1.0 - y)
+
     def gap_l2_sq(poly: PolyApprox) -> float:
         if poly.dim != 2 or gap_delta(dom, poly)[0] > 0.0:
-            raise CertifemError("square2d has a gap-region integral only for the square itself")
+            raise CertifemError("the unit-square problems have a gap-region integral only for the square itself")
         return 0.0
 
-    return ExactSolution(
-        name="square2d",
-        domain=dom,
-        u=u,
-        f=femmod.SourceTerm.sin_product(),
-        u_l2_norm=0.5,
-        gap_l2_sq=gap_l2_sq,
-    )
+    poly = femmod.SourceTerm.quadratic([0, 2, 2, -2, 0, -2], dom)
+    return [
+        ExactSolution("square2d", dom, sinsin, femmod.SourceTerm.sin_product(), 0.5, gap_l2_sq),
+        ExactSolution("square2d-poly", dom, bubble, poly, 1 / 30, gap_l2_sq),
+    ]
 
 
 def registry() -> dict[str, ExactSolution]:
     """Built-in problems with known closed-form solutions."""
-    entries = [_disk2d(), _square2d()]
+    entries = [_disk2d(), *_unit_squares()]
     return {e.name: e for e in entries}
 
 
@@ -140,83 +146,6 @@ def actual_l2_error(
     the exact solution's gap-region integral."""
     interior = femmod.l2_error_interior(mesh, sol, exact.u)
     return math.sqrt(interior * interior + exact.gap_l2_sq(poly))
-
-
-# ---------------------------------------------------------------------------
-# barrier check
-
-
-@dataclass(frozen=True)
-class BarrierReport:
-    max_abs_u: float
-    bound: float
-    passed: bool
-    samples: int
-    worst_point: np.ndarray | None
-
-
-def barrier_check(exact: ExactSolution, poly: PolyApprox, n_samples: int = 10000, seed: int = 0) -> BarrierReport:
-    """Check max |u| over the gap region against (1/2) D delta ||f||_inf.
-
-    Uses seeded rejection sampling (inside the domain, outside the polytope)
-    plus deterministic probes along each facet normal; the probe at the facet
-    barycenter captures the gap maximum for the built-in domains, which pure
-    uniform sampling would miss at any realistic sample count.
-    """
-    dom = exact.domain
-    if poly.dim != dom.dim or not np.all(dom.contains(poly.vertices, tol=ON_BOUNDARY_TOL * dom.diameter)):
-        raise NotInscribedError(f"polytope is not inscribed in the domain of {exact.name}")
-    delta, gaps = gap_delta(dom, poly)
-    bound = 0.5 * dom.diameter * delta * exact.f.sup_norm
-    if delta <= 0.0:
-        return BarrierReport(0.0, bound, True, 0, None)
-
-    reach = np.outer(np.maximum(gaps, 0.0), [0.0, 0.25, 0.5, 0.75, 0.999])
-    barycenters = poly.vertices[poly.facets].mean(axis=1)
-    probes = (barycenters[:, None, :] + reach[:, :, None] * poly.normals[:, None, :]).reshape(-1, dom.dim)
-
-    rng = np.random.default_rng(seed)
-    center = getattr(dom, "center", np.zeros(dom.dim))
-    radius = getattr(dom, "radius", None)
-    kept = []
-    kept_count = 0
-    attempts = 0
-    while kept_count < n_samples and attempts < 200:
-        attempts += 1
-        want = n_samples - kept_count
-        if radius is not None:
-            # thin annulus proposal: everything closer than the nearest facet
-            # plane is inside the polytope anyway
-            r_min = max(0.0, float((poly.offsets - poly.normals @ center).min()))
-            u01 = rng.random(4 * want)
-            rr = np.sqrt(u01 * (radius**2 - r_min**2) + r_min**2)
-            if dom.dim == 2:
-                ang = rng.random(4 * want) * 2.0 * math.pi
-                cand = center + np.stack([rr * np.cos(ang), rr * np.sin(ang)], axis=1)
-            else:
-                zz = rng.random(4 * want) * 2.0 - 1.0
-                ang = rng.random(4 * want) * 2.0 * math.pi
-                s = np.sqrt(1.0 - zz**2)
-                cand = center + rr[:, None] * np.stack([s * np.cos(ang), s * np.sin(ang), zz], axis=1)
-        else:
-            lo = poly.vertices.min(axis=0)
-            hi = poly.vertices.max(axis=0)
-            cand = lo + rng.random((4 * want, dom.dim)) * (hi - lo)
-        inside = np.asarray(dom.contains(cand))
-        outside_poly = poly.signed_facet_distances(cand) >= 0.0
-        good = cand[inside & outside_poly]
-        if good.size:
-            kept.append(good[:want])
-            kept_count += min(want, good.shape[0])
-
-    sample_pts = np.vstack([probes] + kept) if kept else probes
-    inside = np.asarray(dom.contains(sample_pts, tol=1e-12))
-    near_gap = poly.signed_facet_distances(sample_pts) >= -1e-12
-    sample_pts = sample_pts[inside & near_gap]
-    vals = np.abs(np.asarray(exact.u(sample_pts), dtype=float))
-    worst = int(np.argmax(vals))
-    max_abs = float(vals[worst])
-    return BarrierReport(max_abs, bound, max_abs <= bound + 1e-12, sample_pts.shape[0], sample_pts[worst])
 
 
 # ---------------------------------------------------------------------------
@@ -255,25 +184,27 @@ class DiskStudyRow:
 
 def verify_case(
     exact: ExactSolution,
-    poly: PolyApprox,
     mesh: meshmod.SimplicialMesh,
     fh_mode: str = "exact",
     strategy: str = "elementwise",
 ) -> tuple[femmod.FemSolution, float, estmod.CertifiedBound]:
-    """Solve on `mesh` (which meshes `poly`), certify, and measure the error
-    against `exact`: returns (solution, measured error, certified bound).
+    """Solve on `mesh`, certify, and measure the error against `exact` on
+    the polytope that `mesh` meshes: returns (solution, measured error,
+    certified bound).
 
     Raises BoundViolationError when the discrete Poincare inequality fails
-    or the measured error exceeds the certified total.
+    or the measured error exceeds the certified total, and before the solve
+    a CertifemError when the mesh's polytope is not inscribed in the domain.
     """
     where = f"{exact.name} on {mesh.node_count} nodes"
+    poly = meshmod.polytope_of_mesh(exact.domain, mesh)
     sol, fh = femmod.solve_poisson(mesh, exact.f, fh_mode)
     if not sol.converged:
         raise CertifemError(f"solver failed to converge: {where}")
     lhs, rhs = femmod.poincare_residual(mesh, sol, exact.domain.diameter)
     if lhs > rhs * (1.0 + 1e-10):
         raise BoundViolationError(f"discrete Poincare inequality violated: {where}: {lhs} > {rhs}")
-    certified = estmod.certify(exact.domain, poly, mesh, exact.f, fh_mode, strategy, fh=fh)
+    certified = estmod.certify(exact.domain, mesh, exact.f, fh_mode, strategy, fh=fh)
     measured = actual_l2_error(exact, poly, mesh, sol)
     if measured > certified.total:
         raise BoundViolationError(f"{where}: measured error {measured} exceeds certified bound {certified.total}")
@@ -290,9 +221,10 @@ def disk_study_row(
     """One pipeline run: m-gon in the unit disk, f = 1, measured vs certified
     and vs the predicted bound sqrt(pi) (A_m^2 + 2 sin^2(pi / 2m)).
 
-    `mesh` overrides the built-in generator (externally meshed m-gon);
-    `certify` rejects it, after the solve, when its boundary leaves the
-    polygon.
+    `mesh` overrides the built-in generator (an externally meshed m-gon);
+    it raises NotInscribedError, before the solve, unless the polygon it
+    meshes has the regular m-gon's vertices, each within the on-boundary
+    tolerance.
     """
     exact = _disk2d()
     poly = inscribed_regular_polygon(exact.domain, m)
@@ -300,7 +232,12 @@ def disk_study_row(
         refine_levels = default_refine_rule(m)
     if mesh is None:
         mesh = meshmod.generate_fan_refined(poly, refine_levels)
-    sol, actual, certified = verify_case(exact, poly, mesh, fh_mode, strategy)
+    else:
+        corners = meshmod.polytope_of_mesh(exact.domain, mesh).vertices
+        apart = np.linalg.norm(corners[:, None, :] - poly.vertices[None, :, :], axis=-1).min(axis=0)
+        if corners.shape != poly.vertices.shape or apart.max() > ON_BOUNDARY_TOL * exact.domain.diameter:
+            raise NotInscribedError(f"the mesh meshes a {len(corners)}-gon that is not the regular {m}-gon")
+    sol, actual, certified = verify_case(exact, mesh, fh_mode, strategy)
 
     qual = meshmod.quality(mesh)
     a_m = icmod._liu_kobayashi_maxima(mesh)[1]  # from certify's element-wise pass
@@ -414,13 +351,12 @@ def convergence_study(grid_sizes: Sequence[int] = (8, 16, 32), fh_mode: str = "n
     Checks the non-obtuse certified bound and the closed-form bound at every
     level and fits the L2 convergence slope; a bound violation raises.
     """
-    exact = _square2d()
-    poly = poly_approx_of_polygon(exact.domain)
+    exact = _unit_squares()[0]
     levels = []
     for n in grid_sizes:
         mesh = structured_square_mesh(n)
-        sol, err, _ = verify_case(exact, poly, mesh, fh_mode, "nonblunt")
-        bound = estmod.certify_closed_form_2d(exact.domain, poly, mesh, exact.f)
+        sol, err, _ = verify_case(exact, mesh, fh_mode, "nonblunt")
+        bound = estmod.certify_closed_form_2d(exact.domain, mesh, exact.f)
         if err > bound:
             raise BoundViolationError(f"n={n}: measured error {err} exceeds closed-form bound {bound}")
         qual = meshmod.quality(mesh)

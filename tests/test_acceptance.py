@@ -21,6 +21,7 @@ from conftest import (
     triangle_from_angles,
 )
 from spectral_probe import rayleigh_lower_bound
+from oracles import barrier_check, element_constants, fh_error_measured, nonblunt_profile_bound
 from test_verify import disk_gap, segment_quadrature_oracle
 
 M_SWEEP = (10, 20, 30, 40, 50)
@@ -121,7 +122,7 @@ def test_criterion_4_nonblunt_constant():
     for a, b in apexes:
         kob = cf.kobayashi_bound_2d(nonblunt_triangle(a, b))
         worst_kob = max(worst_kob, kob)
-        worst_profile = max(worst_profile, cf.nonblunt_profile_bound(a, b))
+        worst_profile = max(worst_profile, nonblunt_profile_bound(a, b))
     ok = worst_kob <= NONBLUNT_LIMIT + 1e-12
     # sharpness witness: the case-analysis profile reaches the constant
     # (the closed-form formula itself tops out at sqrt(2/15) ~ 0.365)
@@ -159,14 +160,14 @@ def test_criterion_6_oracle_consistency():
         if math.degrees(cf.min_angle(t)) < 5.0:
             continue
         lo = rayleigh_lower_bound(t, 4)
-        best = cf.element_constants(t).h1_best
+        best = element_constants(t).h1_best
         ok &= lo <= best * (1.0 + 1e-9)
         worst_gap = min(worst_gap, best - lo)
         checked += 1
     for angles_deg in ((5.0, 170.0), (5.0, 87.5)):
         t = triangle_from_angles(*angles_deg)
         lo = rayleigh_lower_bound(t, 4)
-        best = cf.element_constants(t).h1_best
+        best = element_constants(t).h1_best
         ok &= lo <= best * (1.0 + 1e-9)
         checked += 1
     eq = cf.triangle([0, 0], [1, 0], [0.5, math.sqrt(3) / 2])
@@ -183,9 +184,9 @@ def test_criterion_7_gap_barrier():
     exact = cf.registry()["disk2d"]
     ok = True
     for m in range(3, 101):
-        rep = cf.barrier_check(exact, cf.inscribed_regular_polygon(exact.domain, m), seed=0)
+        rep = barrier_check(exact, cf.inscribed_regular_polygon(exact.domain, m), seed=0)
         ok &= rep.passed
-    rep10 = cf.barrier_check(exact, cf.inscribed_regular_polygon(exact.domain, 10), seed=0)
+    rep10 = barrier_check(exact, cf.inscribed_regular_polygon(exact.domain, 10), seed=0)
     closed = math.sin(math.pi / 10) ** 2 / 4.0
     ok &= abs(rep10.max_abs_u - closed) <= 1e-6
     _report(
@@ -239,7 +240,7 @@ def test_criterion_9_source_term_bounds():
             sup_norm=abs(a) + math.hypot(b, c) + abs(d),
             grad_sup_norm=math.hypot(b, c) + 2.0 * abs(d),
         )
-        measured = cf.fh_error_measured(mesh, f, "barycentric")
+        measured = fh_error_measured(mesh, f, "barycentric")
         bound = cf.fh_perturbation_bound(mesh, f, "barycentric")
         ok &= measured <= bound
         if measured > 0:
@@ -248,7 +249,7 @@ def test_criterion_9_source_term_bounds():
     details = [f"20 quadratics: min bound/measured={worst:.2f}"]
     for n in (8, 16, 32):
         sq = cf.structured_square_mesh(n)
-        measured = cf.fh_error_measured(sq, sinsin, "nodal")
+        measured = fh_error_measured(sq, sinsin, "nodal")
         bound = cf.fh_perturbation_bound(sq, sinsin, "nodal")
         ok &= measured <= bound
         details.append(f"sinsin n={n}: {measured:.3e} <= {bound:.3e}")

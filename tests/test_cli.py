@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 
 from certifem import cli
+from test_mesh import _annulus, _l_shape, _off_circle_fan
 
 
 def run_cli(*args):
@@ -98,21 +98,72 @@ def test_certify_large_quadratic_source_certifies(tmp_path):
     assert math.isfinite(json.loads(report.read_text())["total"])
 
 
-def test_certify_disk_with_mesh_is_rejected_before_loading(tmp_path, capsys):
-    assert run_cli("certify", "--domain", "disk:1", "--mesh", str(tmp_path / "missing.node")) == 2
-    assert "--generate" in capsys.readouterr().err
+def _delaunay_disk_mesh(seed=1):
+    """Delaunay mesh of 40 points on the unit circle and 200 random points
+    inside their 40-gon."""
+    from scipy.spatial import Delaunay
+
+    from certifem import build_mesh
+
+    rng = np.random.default_rng(seed)
+    t = 2.0 * math.pi * np.arange(40) / 40
+    r = 0.95 * math.cos(math.pi / 40) * np.sqrt(rng.random(200))
+    a = 2.0 * math.pi * rng.random(200)
+    points = np.vstack([np.stack([np.cos(t), np.sin(t)], axis=1), np.stack([r * np.cos(a), r * np.sin(a)], axis=1)])
+    return build_mesh(2, points, Delaunay(points).simplices)
 
 
-def test_certify_disk_with_mesh_names_only_existing_options(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["node", "json"])
+def test_certify_disk_mesh_file_certifies_and_verifies(tmp_path, fmt):
+    """A disk mesh file certifies through the CLI on the polygon its boundary
+    makes, and the measured error of that mesh stays below the bound."""
+    from certifem import Disk, certify, mesh as meshmod, registry, verify_case
+
+    mesh = _delaunay_disk_mesh()
+    path = str(tmp_path / f"delaunay.{fmt}")
+    meshmod.save(mesh, path)
+    report = tmp_path / "report.json"
+    assert run_cli("certify", "--domain", "disk:1", "--mesh", path, "--out", str(report)) == 0
+    assert report.read_text() == certify(Disk(1.0), mesh, registry()["disk2d"].f).to_json() + "\n"
+    _, measured, certified = verify_case(registry()["disk2d"], meshmod.load(path))
+    assert 0.0 < measured <= certified.total
+    assert certified.metadata["gap"] == pytest.approx(1.0 - math.cos(math.pi / 40), rel=1e-12)
+
+
+@pytest.mark.parametrize("out", ["fan.node", "fan.json"])
+def test_certify_generated_mesh_file_matches_generate(tmp_path, out):
+    """`mesh gen` then `certify --mesh` gives the `--generate` report byte
+    for byte: one path, whichever way the mesh arrives."""
+    fan, generated, loaded = (str(tmp_path / name) for name in (out, "generated.json", "loaded.json"))
+    assert run_cli("mesh", "gen", "--m", "12", "--refine", "2", "--out", fan) == 0
+    assert run_cli("certify", "--domain", "disk:1", "--generate", "12,2", "--out", generated) == 0
+    assert run_cli("certify", "--domain", "disk:1", "--mesh", fan, "--out", loaded) == 0
+    assert open(generated, "rb").read() == open(loaded, "rb").read()
+
+
+@pytest.mark.parametrize(
+    "mesh, domain, reason",
+    [
+        (lambda: _annulus(hole=True), [[0, 0], [3, 0], [3, 3], [0, 3]], "not one closed loop"),
+        (lambda: _annulus(hole=False), [[0, 0], [3, 0], [3, 3], [0, 3]], "not one closed loop"),
+        (_l_shape, [[0, 0], [2, 0], [2, 2], [0, 2]], "not convex"),
+        (_off_circle_fan, None, "does not lie on the domain boundary"),
+    ],
+    ids=["hole", "two components", "reentrant corner", "corner off the circle"],
+)
+def test_certify_mesh_of_no_inscribed_convex_polygon_exits_2(tmp_path, capsys, mesh, domain, reason):
     from certifem import mesh as meshmod
 
-    mesh_path = str(tmp_path / "m.json")
-    meshmod.save(meshmod.build_mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]]), mesh_path)
-    assert run_cli("certify", "--domain", "disk:1", "--mesh", mesh_path) == 2
-    err = capsys.readouterr().err
-    assert "disk_study_row" in err
-    for opt in re.findall(r"--[a-z][a-z-]*", err):
-        cli.build_parser().parse_args(["certify", "--domain", "disk:1", opt, "10,1"])  # unknown: SystemExit
+    mesh_path = str(tmp_path / "mesh.node")
+    meshmod.save(mesh(), mesh_path)
+    spec = "disk:1"
+    if domain is not None:
+        (tmp_path / "polygon.json").write_text(json.dumps({"vertices": domain}))
+        spec = f"polygon:{tmp_path / 'polygon.json'}"
+    report = tmp_path / "report.json"
+    assert run_cli("certify", "--domain", spec, "--mesh", mesh_path, "--out", str(report)) == 2
+    assert reason in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_certify_3d_mesh_on_polygon_names_both_dimensions(tmp_path, capsys):
@@ -345,6 +396,7 @@ def test_cold_start_loads_scipy_only_to_solve(tmp_path):
 
 @pytest.mark.parametrize("source", ["mesh", "generate"])
 def test_certify_checks_mesh_boundary_once(tmp_path, monkeypatch, source):
+    """One boundary walk per certify, whichever way the mesh arrives."""
     from certifem import mesh as meshmod
 
     poly_path = str(tmp_path / "square.json")
@@ -356,11 +408,11 @@ def test_certify_checks_mesh_boundary_once(tmp_path, monkeypatch, source):
         args += ["--mesh", mesh_path]
     else:
         args += ["--generate", "1"]
-    checks = []
-    check = meshmod.check_boundary_on_poly
-    monkeypatch.setattr(meshmod, "check_boundary_on_poly", lambda *a, **k: checks.append(1) or check(*a, **k))
+    walks = []
+    walk = meshmod._boundary_polytope
+    monkeypatch.setattr(meshmod, "_boundary_polytope", lambda mesh: walks.append(mesh) or walk(mesh))
     assert run_cli(*args) == 0
-    assert len(checks) == 1
+    assert len(walks) == 1
 
 
 def test_certify_mesh_outside_polygon_exits_2(tmp_path, capsys):
@@ -368,10 +420,13 @@ def test_certify_mesh_outside_polygon_exits_2(tmp_path, capsys):
 
     poly_path = str(tmp_path / "square.json")
     json.dump({"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, open(poly_path, "w"))
-    mesh_path = str(tmp_path / "small.node")
-    meshmod.save(meshmod.build_mesh(2, [[0, 0], [0.5, 0], [0, 0.5]], [[0, 1, 2]]), mesh_path)
-    assert run_cli("certify", "--domain", f"polygon:{poly_path}", "--mesh", mesh_path) == 2
-    assert "not contained" in capsys.readouterr().err
+    # the triangle (0, 0), (0.5, 0), (0, 0.5) is inscribed in the square and
+    # certifies; moving its last corner into the square leaves the boundary
+    for corner, code in (([0, 0.5], 0), ([0.25, 0.5], 2)):
+        mesh_path = str(tmp_path / "small.node")
+        meshmod.save(meshmod.build_mesh(2, [[0, 0], [0.5, 0], corner], [[0, 1, 2]]), mesh_path)
+        assert run_cli("certify", "--domain", f"polygon:{poly_path}", "--mesh", mesh_path) == code
+    assert "vertex 2 does not lie on the domain boundary" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error")

@@ -18,6 +18,7 @@ from certifem import (
     poly_approx_of_polygon,
 )
 from conftest import random_rotation
+from oracles import boundary_point
 
 UNIT_SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
 
@@ -134,7 +135,7 @@ def test_not_inscribed_detection():
 def test_boundary_validation_names_the_first_bad_vertex(domain):
     """All vertices are checked at once; the error names the first vertex
     that fails, and whether it lies outside or only off the boundary."""
-    on = [domain.boundary_point(t) for t in (0.05, 0.3, 0.55, 0.8)]
+    on = [boundary_point(domain, t) for t in (0.05, 0.3, 0.55, 0.8)]
     outside, inside = 1.5 * on[2], 0.5 * on[1]
     with pytest.raises(NotInscribedError, match=r"^vertex 2 lies outside the domain$"):
         make_poly_approx(domain, [on[0], on[1], outside, on[3]])
@@ -297,7 +298,7 @@ def test_polygon_contains_and_boundary():
     assert bool(UNIT_SQUARE.contains(np.array([0.5, 0.5])))
     assert not bool(UNIT_SQUARE.contains(np.array([1.5, 0.5])))
     for t in np.linspace(0, 1, 37, endpoint=False):
-        p = UNIT_SQUARE.boundary_point(t)
+        p = boundary_point(UNIT_SQUARE, t)
         assert UNIT_SQUARE.boundary_distance(p) <= 1e-12
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from certifem import (
     MissingNormMetadata,
-    NotInscribedError,
     NotNonBluntError,
     SourceTerm,
     StrategyInapplicableError,
@@ -17,7 +16,6 @@ from certifem import (
     generate_fan_refined,
     inscribed_regular_polygon,
     poincare_bound,
-    poly_approx_of_polygon,
     registry,
     solve_poisson,
     structured_square_mesh,
@@ -31,7 +29,6 @@ from certifem.estimator import (
 )
 
 SQUARE = registry()["square2d"]
-SQUARE_POLY = poly_approx_of_polygon(SQUARE.domain)
 DISK = registry()["disk2d"]
 
 
@@ -59,7 +56,7 @@ def test_closed_form_coefficients_reconstruct():
 
 def test_certify_square_exact_mode():
     mesh = structured_square_mesh(8)
-    cb = certify(SQUARE.domain, SQUARE_POLY, mesh, SQUARE.f, "exact", "nonblunt")
+    cb = certify(SQUARE.domain, mesh, SQUARE.f, "exact", "nonblunt")
     assert cb.term_boundary == 0.0
     assert cb.term_source == 0.0
     assert cb.total == cb.term_fem
@@ -74,14 +71,14 @@ def test_certify_disk_reproduces_prediction_form():
     m = 50
     poly = inscribed_regular_polygon(DISK.domain, m)
     mesh = generate_fan_refined(poly, 3)
-    cb = certify(DISK.domain, poly, mesh, DISK.f, "exact", "elementwise")
+    cb = certify(DISK.domain, mesh, DISK.f, "exact", "elementwise")
     assert cb.term_source == 0.0
     delta = 2 * math.sin(math.pi / (2 * m)) ** 2
     assert cb.term_boundary == pytest.approx(math.sqrt(math.pi) * delta, rel=1e-12)
     # fem term uses |meshed region|^(1/2) <= sqrt(pi), so the total is below
     # the closed-form prediction sqrt(pi) (A_m^2 + 2 sin^2(pi/2m))
     from certifem.interp_constants import _kobayashi_batch_2d
-    from certifem.mesh import element_metrics
+    from oracles import element_metrics
 
     em = element_metrics(mesh)
     a_m = float(_kobayashi_batch_2d(em.edge_sq, em.measures).max())
@@ -91,7 +88,7 @@ def test_certify_disk_reproduces_prediction_form():
 
 def test_certify_linear_in_source_scale():
     mesh = structured_square_mesh(4)
-    base = certify(SQUARE.domain, SQUARE_POLY, mesh, SQUARE.f, "nodal", "nonblunt")
+    base = certify(SQUARE.domain, mesh, SQUARE.f, "nodal", "nonblunt")
     scaled_f = SourceTerm(
         evaluate=lambda p: 3.0 * SQUARE.f.evaluate(p),
         sup_norm=3.0 * SQUARE.f.sup_norm,
@@ -99,7 +96,7 @@ def test_certify_linear_in_source_scale():
         h2_seminorm=3.0 * SQUARE.f.h2_seminorm,
         l2_norm=3.0 * SQUARE.f.l2_norm,
     )
-    scaled = certify(SQUARE.domain, SQUARE_POLY, mesh, scaled_f, "nodal", "nonblunt")
+    scaled = certify(SQUARE.domain, mesh, scaled_f, "nodal", "nonblunt")
     assert scaled.term_source == pytest.approx(3.0 * base.term_source, rel=1e-12)
     assert scaled.term_fem == pytest.approx(3.0 * base.term_fem, rel=1e-12)
     assert scaled.total == pytest.approx(3.0 * base.total, rel=1e-12)
@@ -107,9 +104,9 @@ def test_certify_linear_in_source_scale():
 
 def test_strategy_dominance():
     mesh = structured_square_mesh(8)
-    ew = certify(SQUARE.domain, SQUARE_POLY, mesh, SQUARE.f, "nodal", "elementwise")
+    ew = certify(SQUARE.domain, mesh, SQUARE.f, "nodal", "elementwise")
     for strat in ("circumradius", "minangle", "nonblunt"):
-        other = certify(SQUARE.domain, SQUARE_POLY, mesh, SQUARE.f, "nodal", strat)
+        other = certify(SQUARE.domain, mesh, SQUARE.f, "nodal", strat)
         assert ew.total <= other.total * (1 + 1e-12)
 
 
@@ -119,7 +116,7 @@ def test_term_fem_monotone_under_refinement():
     for k in (0, 1, 2):
         mesh = generate_fan_refined(disk_poly, k)
         for strat in prev:
-            cb = certify(DISK.domain, disk_poly, mesh, DISK.f, "exact", strat)
+            cb = certify(DISK.domain, mesh, DISK.f, "exact", strat)
             assert cb.term_fem <= prev[strat]
             prev[strat] = cb.term_fem
 
@@ -128,34 +125,27 @@ def test_strategy_errors():
     poly3 = inscribed_regular_polygon(DISK.domain, 3)
     blunt_mesh = generate_fan_refined(poly3, 0)
     with pytest.raises(StrategyInapplicableError, match="element 0"):
-        certify(DISK.domain, poly3, blunt_mesh, DISK.f, "exact", "nonblunt")
+        certify(DISK.domain, blunt_mesh, DISK.f, "exact", "nonblunt")
     with pytest.raises(StrategyInapplicableError):
-        certify(DISK.domain, poly3, blunt_mesh, DISK.f, "exact", "regularity")
+        certify(DISK.domain, blunt_mesh, DISK.f, "exact", "regularity")
     with pytest.raises(StrategyInapplicableError):
-        certify(DISK.domain, poly3, blunt_mesh, DISK.f, "exact", "nope")
-
-
-def test_certify_validates_mesh_against_poly():
-    poly10 = inscribed_regular_polygon(DISK.domain, 10)
-    mesh12 = generate_fan_refined(inscribed_regular_polygon(DISK.domain, 12), 0)
-    with pytest.raises(NotInscribedError):
-        certify(DISK.domain, poly10, mesh12, DISK.f)
+        certify(DISK.domain, blunt_mesh, DISK.f, "exact", "nope")
 
 
 def test_certify_missing_norms():
     mesh = structured_square_mesh(4)
     bare = SourceTerm(evaluate=lambda p: np.asarray(p)[..., 0], sup_norm=1.0)
     with pytest.raises(MissingNormMetadata):
-        certify(SQUARE.domain, SQUARE_POLY, mesh, bare, "barycentric", "nonblunt")
+        certify(SQUARE.domain, mesh, bare, "barycentric", "nonblunt")
     with pytest.raises(MissingNormMetadata):
-        certify(SQUARE.domain, SQUARE_POLY, mesh, bare, "nodal", "nonblunt")
+        certify(SQUARE.domain, mesh, bare, "nodal", "nonblunt")
 
 
 def test_closed_form_dominates_sharper_route():
     for n in (4, 8, 16):
         mesh = structured_square_mesh(n)
-        closed = certify_closed_form_2d(SQUARE.domain, SQUARE_POLY, mesh, SQUARE.f)
-        thm = certify(SQUARE.domain, SQUARE_POLY, mesh, SQUARE.f, "nodal", "nonblunt")
+        closed = certify_closed_form_2d(SQUARE.domain, mesh, SQUARE.f)
+        thm = certify(SQUARE.domain, mesh, SQUARE.f, "nodal", "nonblunt")
         assert closed >= thm.total - 1e-10 * closed
 
 
@@ -163,11 +153,11 @@ def test_closed_form_errors():
     poly3 = inscribed_regular_polygon(DISK.domain, 3)
     blunt_mesh = generate_fan_refined(poly3, 0)
     with pytest.raises(NotNonBluntError):
-        certify_closed_form_2d(DISK.domain, poly3, blunt_mesh, DISK.f)
+        certify_closed_form_2d(DISK.domain, blunt_mesh, DISK.f)
     mesh = structured_square_mesh(4)
     bare = SourceTerm(evaluate=lambda p: np.asarray(p)[..., 0], sup_norm=1.0)
     with pytest.raises(MissingNormMetadata):
-        certify_closed_form_2d(SQUARE.domain, SQUARE_POLY, mesh, bare)
+        certify_closed_form_2d(SQUARE.domain, mesh, bare)
 
 
 def test_closed_form_zero_gap_linear_f():
@@ -180,7 +170,7 @@ def test_closed_form_zero_gap_linear_f():
         h2_seminorm=0.0,
         l2_norm=1.0 / math.sqrt(3.0),
     )
-    got = certify_closed_form_2d(SQUARE.domain, SQUARE_POLY, mesh, f_lin)
+    got = certify_closed_form_2d(SQUARE.domain, mesh, f_lin)
     h = math.sqrt(2) / 4
     assert got == pytest.approx(CLOSED_FORM_C_L2 * h * h / math.sqrt(3.0), rel=1e-10)
 
@@ -192,7 +182,7 @@ def test_closed_form_approaches_gap_term_under_refinement():
     residuals = []
     for k in (0, 1, 2, 3, 4):
         mesh = generate_fan_refined(poly, k)
-        total = certify_closed_form_2d(DISK.domain, poly, mesh, DISK.f)
+        total = certify_closed_form_2d(DISK.domain, mesh, DISK.f)
         assert total > gap_term
         residuals.append(total - gap_term)
     # the h-dependent part decays like h^2 (factor ~4 per level)
@@ -203,7 +193,7 @@ def test_closed_form_approaches_gap_term_under_refinement():
 
 def test_certified_bound_json_shape():
     mesh = structured_square_mesh(4)
-    cb = certify(SQUARE.domain, SQUARE_POLY, mesh, SQUARE.f, "exact", "elementwise")
+    cb = certify(SQUARE.domain, mesh, SQUARE.f, "exact", "elementwise")
     obj = json.loads(cb.to_json())
     assert set(obj) == {"total", "terms", "metadata"}
     assert set(obj["terms"]) == {"boundary", "source", "fem"}
@@ -222,12 +212,11 @@ def test_certify_3d_regularity():
     els = [[0, a + 1, b + 1, c + 1] for a, b, c in facets]
     mesh = build_mesh(3, nodes, els)
     f3 = SourceTerm.constant(1.0)
-    reg_bound = certify(ball, poly, mesh, f3, "barycentric", "regularity")
-    ew_bound = certify(ball, poly, mesh, f3, "barycentric", "elementwise")
+    reg_bound = certify(ball, mesh, f3, "barycentric", "regularity")
+    ew_bound = certify(ball, mesh, f3, "barycentric", "elementwise")
     assert ew_bound.total <= reg_bound.total * (1 + 1e-12)
-    assert reg_bound.metadata["rho_convention"] == "radius"
-    diam = certify(ball, poly, mesh, f3, "barycentric", "regularity", rho_convention="diameter")
-    assert diam.term_fem == pytest.approx(reg_bound.term_fem / 4.0, rel=1e-12)
+    assert "rho_convention" not in reg_bound.metadata
+    assert reg_bound.metadata["gap"] == poly.gap
 
 
 @pytest.mark.parametrize("mode", ["exact", "barycentric", "nodal"])
@@ -235,8 +224,8 @@ def test_certify_reuses_the_solve_fh(mode):
     poly = inscribed_regular_polygon(DISK.domain, 12)
     mesh = generate_fan_refined(poly, 2)
     _, fh = solve_poisson(mesh, DISK.f, mode)
-    with_fh = certify(DISK.domain, poly, mesh, DISK.f, mode, fh=fh)
-    assert with_fh.to_json() == certify(DISK.domain, poly, mesh, DISK.f, mode).to_json()
+    with_fh = certify(DISK.domain, mesh, DISK.f, mode, fh=fh)
+    assert with_fh.to_json() == certify(DISK.domain, mesh, DISK.f, mode).to_json()
 
 
 def test_certify_rejects_fh_of_another_problem():
@@ -250,7 +239,7 @@ def test_certify_rejects_fh_of_another_problem():
     ]
     for fh in wrong:
         with pytest.raises(ValueError, match="another mesh, source or f_h mode"):
-            certify(DISK.domain, poly, mesh, DISK.f, "nodal", fh=fh)
+            certify(DISK.domain, mesh, DISK.f, "nodal", fh=fh)
 
 
 @pytest.mark.parametrize("position", [0, _BLOCK + 7, -1])
@@ -260,7 +249,7 @@ def test_nonblunt_refusal_names_the_widest_element_in_any_block(position):
     elements put it; the widest angle recurs, so ties are taken in order."""
     import re
 
-    from certifem.mesh import element_metrics
+    from oracles import element_metrics
     from test_mesh import _jittered_square
 
     jittered = _jittered_square(48, seed=4)
@@ -269,5 +258,5 @@ def test_nonblunt_refusal_names_the_widest_element_in_any_block(position):
     max_angle = element_metrics(mesh).max_angle
     expected = f"element {int(np.argmax(max_angle))} has max angle {float(max_angle.max()):.6f} rad"
     with pytest.raises(StrategyInapplicableError, match=re.escape(expected)):
-        certify(SQUARE.domain, SQUARE_POLY, mesh, SQUARE.f, "exact", "nonblunt")
+        certify(SQUARE.domain, mesh, SQUARE.f, "exact", "nonblunt")
     assert mesh.element_count > _BLOCK and np.count_nonzero(max_angle == max_angle.max()) > 1

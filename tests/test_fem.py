@@ -31,14 +31,12 @@ from certifem import (
     disk_study_row,
     fem_h1_seminorm,
     fem_l2_norm,
-    fh_error_measured,
     fh_perturbation_bound,
     generate_fan_refined,
     inscribed_regular_polygon,
     l2_error_interior,
     measure_sum,
     poincare_residual,
-    poly_approx_of_polygon,
     registry,
     solve_cg,
     solve_poisson,
@@ -53,6 +51,7 @@ from certifem.quadrature import (
     simplex_rule,
 )
 from certifem.geometry import EDGES, FACETS, edge_cosines
+from oracles import element_metrics, fh_error_measured
 from test_mesh import _jittered_square, _kuhn_cube
 
 REF_TRIANGLE = build_mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
@@ -435,9 +434,8 @@ def test_3d_regularity_dominates_elementwise_bit_for_bit():
     for n in (2, 3, 4):
         for seed in range(60):
             mesh = _jittered_kuhn_cube(n, seed)
-            for conv in ("radius", "diameter"):
-                gc = mesh_constants(mesh, rho_convention=conv)
-                assert gc.regularity >= gc.elementwise, (n, seed, conv)
+            gc = mesh_constants(mesh)
+            assert gc.regularity >= gc.elementwise, (n, seed)
 
 
 KERNEL_MESHES = {
@@ -806,7 +804,7 @@ def test_mesh_kernels_match_oracles(name):
     verts = mesh.element_vertices()
     edge_sq = _oracle_squared_edges(verts)
     assert np.array_equal(geometry._vertex_geometry(verts)[1], edge_sq)
-    em = meshmod.element_metrics(mesh)
+    em = element_metrics(mesh)
     assert np.array_equal(em.edge_sq, edge_sq)
     for field, ref in _oracle_metrics(em.measures, edge_sq).items():
         got = edge_cosines(edge_sq) if field == "cosines" else getattr(em, field)
@@ -868,7 +866,7 @@ def test_squared_edges_run_once_per_built_mesh(monkeypatch):
 
     mesh = build(2, TWO_TRI_SQUARE.nodes, TWO_TRI_SQUARE.elements)
     calls["kernel"] = 0
-    meshmod.element_metrics(mesh)
+    meshmod.quality(mesh)
     assert calls["kernel"] == 0
 
 
@@ -894,7 +892,7 @@ def test_quadrature_points_peak_memory_below_einsum():
 def _square_certify_json():
     dom = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
     mesh = _jittered_square(32, seed=2)
-    return certify(dom, poly_approx_of_polygon(dom), mesh, SourceTerm.sin_product(), "exact").to_json()
+    return certify(dom, mesh, SourceTerm.sin_product(), "exact").to_json()
 
 
 def test_reported_numbers_do_not_depend_on_quadrature_kernel(monkeypatch):
@@ -1459,7 +1457,7 @@ def test_block_pass_maxima_match_whole_arrays(name):
     from certifem import mesh_constants
 
     mesh = BLOCK_MESHES[name]()
-    em = meshmod.element_metrics(mesh)
+    em = element_metrics(mesh)
     whole_kobayashi = icmod._kobayashi_batch_2d(em.edge_sq, em.measures)
     whole = np.minimum(icmod._liu_batch(em.edge_sq), whole_kobayashi).max()
     assert mesh_constants(mesh).elementwise == float(whole)

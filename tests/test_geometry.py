@@ -13,14 +13,12 @@ from certifem import (
     circumcenter,
     circumradius,
     edge_lengths,
-    element_constants,
     inradius,
     measure,
-    signed_measure,
     triangle,
 )
 from conftest import random_rotation, sample_triangle
-from oracles import is_nonblunt
+from oracles import element_constants, is_nonblunt, signed_measure
 
 EQUILATERAL = triangle([0, 0], [1, 0], [0.5, math.sqrt(3) / 2])
 RIGHT_ISO = triangle([0, 0], [1, 0], [0, 1])

@@ -9,7 +9,6 @@ from certifem import (
     NegativeRadicandError,
     Simplex,
     build_mesh,
-    element_constants,
     generate_fan_refined,
     global_l2_bound,
     inscribed_regular_polygon,
@@ -18,13 +17,12 @@ from certifem import (
     liu_bound,
     mesh_constants,
     min_angle_global,
-    nonblunt_profile_bound,
     triangle,
 )
 from certifem import geometry
 from certifem.geometry import NONBLUNT_TOL
 from certifem.interp_constants import TET_COEFF, _clamp_radicand, _kobayashi_batch_2d, _liu_batch
-from certifem.mesh import MeshQuality, element_metrics, quality
+from certifem.mesh import MeshQuality, quality
 from conftest import (
     nonblunt_corner_apexes,
     nonblunt_triangle,
@@ -33,6 +31,7 @@ from conftest import (
     sample_triangle,
     triangle_from_angles,
 )
+from oracles import element_constants, element_metrics, nonblunt_profile_bound
 from spectral_probe import ConstraintRankError, rayleigh_lower_bound
 from test_mesh import _jittered_square
 
@@ -62,10 +61,8 @@ def test_kobayashi_hand_values():
 
 
 def test_kobayashi_3d_conventions():
-    # regular tetrahedron edge 1: inradius = 1/(2 sqrt(6))
-    assert kobayashi_bound_3d(REGULAR_TET, "diameter") == pytest.approx(2.19 * math.sqrt(6), rel=1e-12)
-    assert kobayashi_bound_3d(REGULAR_TET, "radius") == pytest.approx(2.19 * 2 * math.sqrt(6), rel=1e-12)
-    assert kobayashi_bound_3d(REGULAR_TET) == kobayashi_bound_3d(REGULAR_TET, "radius")
+    # regular tetrahedron edge 1: rho is the inradius, 1/(2 sqrt(6))
+    assert kobayashi_bound_3d(REGULAR_TET) == pytest.approx(2.19 * 2 * math.sqrt(6), rel=1e-12)
 
 
 def test_kobayashi_3d_scaling_and_flattening():
@@ -144,13 +141,9 @@ def test_mesh_constants_3d_consistency():
         [0, 3, 1, 6], [0, 2, 3, 6], [0, 4, 2, 6], [0, 1, 4, 6],
     ]
     mesh = build_mesh(3, verts, els)
-    for conv in ("radius", "diameter"):
-        gc = mesh_constants(mesh, rho_convention=conv)
-        assert gc.circumradius is None and gc.minangle is None and gc.nonblunt is None
-        assert gc.elementwise <= gc.regularity * (1 + 1e-12)
-    assert mesh_constants(mesh, rho_convention="radius").elementwise == pytest.approx(
-        2 * mesh_constants(mesh, rho_convention="diameter").elementwise, rel=1e-12
-    )
+    gc = mesh_constants(mesh)
+    assert gc.circumradius is None and gc.minangle is None and gc.nonblunt is None
+    assert gc.elementwise <= gc.regularity * (1 + 1e-12)
 
 
 def test_batch_matches_scalar(rng):
@@ -365,10 +358,9 @@ def test_scalar_3d_bounds_equal_pipeline_kernel_bit_for_bit():
     em = element_metrics(mesh)
     simplices = [Simplex(v) for v in mesh.element_vertices()]
     np.testing.assert_array_equal([inradius(s) for s in simplices], em.inradius)
-    for conv in ("radius", "diameter"):
-        kernel = _kobayashi_batch_3d(em, conv)
-        np.testing.assert_array_equal([kobayashi_bound_3d(s, conv) for s in simplices], kernel)
-        assert mesh_constants(mesh, rho_convention=conv).elementwise == kernel.max()
+    kernel = _kobayashi_batch_3d(em)
+    np.testing.assert_array_equal([kobayashi_bound_3d(s) for s in simplices], kernel)
+    assert mesh_constants(mesh).elementwise == kernel.max()
 
 
 def _whole_array_quality(mesh):
@@ -387,16 +379,15 @@ def _whole_array_quality(mesh):
     )
 
 
-def _whole_array_constants(mesh, qual, rho):
+def _whole_array_constants(mesh, qual):
     """`mesh_constants` from the whole-mesh arrays of `element_metrics`."""
     em = element_metrics(mesh)
     if mesh.dim == 2:
         whole = np.minimum(_liu_batch(em.edge_sq), _kobayashi_batch_2d(em.edge_sq, em.measures))
         return dict(elementwise=float(whole.max()), regularity=None)
-    inr = em.inradius if rho == "radius" else 2.0 * em.inradius
     return dict(
-        elementwise=float((TET_COEFF * (em.h / inr) * em.h).max()),
-        regularity=TET_COEFF * float((em.h / inr).max()) * qual.h,
+        elementwise=float((TET_COEFF * (em.h / em.inradius) * em.h).max()),
+        regularity=TET_COEFF * float((em.h / em.inradius).max()) * qual.h,
     )
 
 
@@ -416,12 +407,11 @@ def test_blockwise_quality_and_constants_match_whole_arrays(name):
     mesh = QUALITY_MESHES[name]()
     assert mesh.element_count > geometry._BLOCK  # two blocks or more
     qual = quality(mesh)
-    constants = {rho: mesh_constants(mesh, rho_convention=rho) for rho in ("radius", "diameter")}
+    got = mesh_constants(mesh)
     assert "metrics" not in mesh._cache
     assert qual == _whole_array_quality(mesh)
-    for rho, got in constants.items():
-        ref = _whole_array_constants(mesh, qual, rho)
-        assert (got.elementwise, got.regularity) == (ref["elementwise"], ref["regularity"])
+    ref = _whole_array_constants(mesh, qual)
+    assert (got.elementwise, got.regularity) == (ref["elementwise"], ref["regularity"])
 
 
 def test_blockwise_elementwise_maximum_matches_whole_arrays():

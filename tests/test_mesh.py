@@ -16,9 +16,7 @@ from certifem import (
     NotInscribedError,
     angles,
     build_mesh,
-    check_boundary_on_poly,
     circumradius,
-    element_metrics,
     gap_delta,
     generate_fan_refined,
     inradius,
@@ -26,15 +24,17 @@ from certifem import (
     load,
     measure_sum,
     poly_approx_of_polygon,
+    polytope_of_mesh,
     quality,
     refine_uniform,
     save,
 )
 from certifem import Ball, ConvexPolygon, DegenerateSimplexError, Simplex, make_poly_approx, measure
 from conftest import sample_triangle
-from oracles import edge_count
+from oracles import edge_count, element_metrics
 
-UNIT_SQUARE_POLY = poly_approx_of_polygon(ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]]))
+UNIT_SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+UNIT_SQUARE_POLY = poly_approx_of_polygon(UNIT_SQUARE)
 
 
 def test_single_triangle_boundary():
@@ -157,7 +157,7 @@ def test_refinement_preserves_polygon_and_gap():
     poly = inscribed_regular_polygon(disk, 10)
     for k in (0, 1, 2):
         mesh = generate_fan_refined(poly, k)
-        check_boundary_on_poly(mesh, poly)
+        assert np.array_equal(polytope_of_mesh(disk, mesh).vertices, poly.vertices)
         assert measure_sum(mesh) == pytest.approx(10 / 2 * math.sin(2 * math.pi / 10), rel=1e-13)
     delta, _ = gap_delta(disk, poly)
     assert delta == pytest.approx(1 - math.cos(math.pi / 10), rel=1e-13)
@@ -293,6 +293,8 @@ def test_element_metrics_match_scalar_geometry(rng):
 
 
 def test_2d_element_metrics_gather_no_vertices(monkeypatch):
+    """The 2D metric blocks that `quality` and `mesh_constants` reduce read
+    the cached measures and squared edges and gather no vertices."""
     import dataclasses
 
     from certifem import geometry
@@ -309,7 +311,8 @@ def test_2d_element_metrics_gather_no_vertices(monkeypatch):
     gathers = []
     gather = SimplicialMesh.element_vertices
     monkeypatch.setattr(SimplicialMesh, "element_vertices", lambda self: gathers.append(self) or gather(self))
-    em = element_metrics(mesh)
+    blocks = list(meshmod._metric_blocks(mesh))
+    em = type(blocks[0])(*(np.concatenate([getattr(b, f.name) for b in blocks]) for f in dataclasses.fields(blocks[0])))
     assert gathers == [] and len(kernel_calls) == 2
     # bit for bit the metrics of the gathered vertices
     signed, edge_sq = geometry._vertex_geometry(verts)
@@ -714,30 +717,183 @@ def _octahedron_mesh(scale):
 
 HEPTAGON = inscribed_regular_polygon(Disk(1.0), 7)
 OCTAHEDRON = make_poly_approx(Ball(1.0), OCTA_VERTS, OCTA_FACETS)
+# mesh, domain, the polytope the mesh was made for, and what `polytope_of_mesh`
+# gives: that polytope ("same"), a different one ("other") or an error
 BOUNDARY_CASES = {
-    "fan inside": (lambda: generate_fan_refined(HEPTAGON, 2), HEPTAGON, True),
+    "fan inside": (lambda: generate_fan_refined(HEPTAGON, 2), Disk(1.0), HEPTAGON, "same"),
     "fan in a different polygon": (
-        lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 14), 1), HEPTAGON, False,
+        lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 14), 1), Disk(1.0), HEPTAGON, "other",
     ),
-    "square inside": (lambda: _jittered_square(8, seed=1), UNIT_SQUARE_POLY, True),
-    "square within tolerance": (lambda: _square_with_right_side_at(1.0 + 5e-11), UNIT_SQUARE_POLY, True),
-    "square side outside": (lambda: _square_with_right_side_at(1.0 + 1e-9), UNIT_SQUARE_POLY, False),
-    "octahedron": (lambda: _octahedron_mesh(1.0), OCTAHEDRON, True),
-    "shrunk octahedron": (lambda: _octahedron_mesh(0.5), OCTAHEDRON, False),
+    "square inside": (lambda: _jittered_square(8, seed=1), UNIT_SQUARE, UNIT_SQUARE_POLY, "same"),
+    "square within tolerance": (
+        lambda: _square_with_right_side_at(1.0 + 5e-11), UNIT_SQUARE, UNIT_SQUARE_POLY, "same",
+    ),
+    "square side outside": (
+        lambda: _square_with_right_side_at(1.0 + 1e-9), UNIT_SQUARE, UNIT_SQUARE_POLY, NotInscribedError,
+    ),
+    "octahedron": (lambda: _octahedron_mesh(1.0), Ball(1.0), OCTAHEDRON, "same"),
+    "shrunk octahedron": (lambda: _octahedron_mesh(0.5), Ball(1.0), OCTAHEDRON, NotInscribedError),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
 def test_check_boundary_on_poly_matches_facet_loop(case):
-    build, poly, inside = BOUNDARY_CASES[case]
+    """The mesh's own polytope agrees with a loop over the facets of the
+    polytope the mesh was made for: it is that polytope (within the
+    boundary tolerance) where every boundary facet lies in one of its
+    facets, and otherwise another polytope or refused."""
+    build, dom, poly, expected = BOUNDARY_CASES[case]
     mesh = build()
     first = _first_facet_outside(mesh, poly)
-    assert (first is None) == inside
-    if inside:
-        check_boundary_on_poly(mesh, poly)
-    else:
-        with pytest.raises(NotInscribedError, match=re.escape(f"mesh boundary facet {first} not contained")):
-            check_boundary_on_poly(mesh, poly)
+    assert (first is None) == (expected == "same")
+    if expected == NotInscribedError:
+        with pytest.raises(NotInscribedError):
+            polytope_of_mesh(dom, mesh)
+        return
+    derived = polytope_of_mesh(dom, mesh)
+    same = derived.vertices.shape == poly.vertices.shape and np.abs(derived.vertices - poly.vertices).max() <= 1e-10
+    assert same == (expected == "same")
+    if same:
+        assert sorted(map(sorted, derived.facets.tolist())) == sorted(map(sorted, poly.facets.tolist()))
+        assert derived.gap == pytest.approx(poly.gap, abs=1e-10)
+
+
+@pytest.mark.parametrize("m", [3, 4, 7, 12, 50])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_polytope_of_a_fan_is_its_polygon_bit_for_bit(m, k):
+    """A refined fan's corners are the generating polygon's vertices, in its
+    order, so its polytope equals the polygon in every array and its gap."""
+    poly = inscribed_regular_polygon(Disk(1.0), m)
+    _assert_same_polytope(polytope_of_mesh(Disk(1.0), generate_fan_refined(poly, k)), poly)
+
+
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_polytope_of_a_structured_square_is_the_square_bit_for_bit(n):
+    from certifem import structured_square_mesh
+
+    _assert_same_polytope(polytope_of_mesh(UNIT_SQUARE, structured_square_mesh(n)), UNIT_SQUARE_POLY)
+    _assert_same_polytope(polytope_of_mesh(UNIT_SQUARE, _jittered_square(n, seed=n)), UNIT_SQUARE_POLY)
+
+
+def _assert_same_polytope(got, want):
+    for name in ("vertices", "facets", "normals", "offsets", "gap_per_facet"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.gap == want.gap
+
+
+def test_polytope_corners_run_counterclockwise_from_the_lowest_node():
+    """Whatever the numbering and the orientation of the node order, the
+    corners start at the corner with the lowest node index and run
+    counterclockwise; nodes on the edges are merged away."""
+    mesh = _jittered_square(4, seed=2)
+    for order in (np.arange(mesh.node_count)[::-1], np.random.default_rng(3).permutation(mesh.node_count)):
+        inverse = np.argsort(order)
+        renumbered = build_mesh(2, mesh.nodes[order], inverse[mesh.elements])
+        corners = np.flatnonzero(((renumbered.nodes == 0.0) | (renumbered.nodes == 1.0)).all(axis=1))
+        got = polytope_of_mesh(UNIT_SQUARE, renumbered).vertices
+        assert np.array_equal(got[0], renumbered.nodes[corners.min()])
+        start = [[0, 0], [1, 0], [1, 1], [0, 1]].index(got[0].tolist())
+        assert got.tolist() == np.roll(UNIT_SQUARE_POLY.vertices, -start, axis=0).tolist()
+
+
+def _annulus(hole: bool):
+    """A 3 x 3 grid of unit cells on [0, 3]^2 without its middle cell (a
+    hole), or without the middle column (two components)."""
+    nodes = np.array([[x, y] for x in range(4) for y in range(4)], dtype=float)
+    cells = [(i, j) for i in range(3) for j in range(3) if ((i, j) != (1, 1) if hole else i != 1)]
+    elements = []
+    for i, j in cells:
+        a, b, c, d = 4 * i + j, 4 * (i + 1) + j, 4 * (i + 1) + j + 1, 4 * i + j + 1
+        elements += [[a, b, c], [a, c, d]]
+    return build_mesh(2, nodes, elements)
+
+
+def _l_shape():
+    """An L in [0, 2]^2 whose corner at (1, 1) is reentrant."""
+    nodes = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2], [1, 0], [0, 1]]
+    return build_mesh(2, nodes, [[0, 6, 3], [6, 1, 2], [6, 2, 3], [0, 3, 7], [7, 3, 4], [7, 4, 5]])
+
+
+def _off_circle_fan():
+    """A fan of four corners on the unit circle but one, at radius 0.9."""
+    return build_mesh(2, [[0, 0], [1, 0], [0, 0.9], [-1, 0], [0, -1]], [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]])
+
+
+SQUARE3 = ConvexPolygon([[0, 0], [3, 0], [3, 3], [0, 3]])
+
+
+@pytest.mark.parametrize(
+    "mesh, dom, error, message",
+    [
+        (lambda: _annulus(hole=True), SQUARE3, InvalidPolygonError, "not one closed loop"),
+        (lambda: _annulus(hole=False), SQUARE3, InvalidPolygonError, "not one closed loop"),
+        # two triangles that share one node: four boundary edges meet there
+        (lambda: build_mesh(2, [[0, 0], [1, 0], [1, 1], [2, 1], [2, 2]], [[0, 1, 2], [2, 3, 4]]),
+         SQUARE3, InvalidPolygonError, "node 2 has 4 boundary edges"),
+        (_l_shape, ConvexPolygon([[0, 0], [2, 0], [2, 2], [0, 2]]), InvalidPolygonError, "not convex"),
+        (_off_circle_fan, Disk(1.0), NotInscribedError, "vertex 1 does not lie on the domain boundary"),
+    ],
+    ids=["hole", "two components", "pinched", "reentrant", "corner off the circle"],
+)
+def test_polytope_of_mesh_refuses_meshes_of_no_inscribed_convex_polygon(mesh, dom, error, message):
+    with pytest.raises(error, match=message):
+        polytope_of_mesh(dom, mesh())
+
+
+def test_polytope_of_mesh_checks_each_merged_node_against_its_edge():
+    """On a 200 x 1 strip whose bottom bulges out by 1e-8, each bottom node
+    lies within 1e-12 of the line through its neighbours and is merged, but
+    the merged nodes lie up to 1e-8 off the bottom edge between the two
+    corners, node 1 already 1.99e-10, more than 1e-10 times the diagonal:
+    refused, as their facets lie in no facet of the square."""
+    n = 200
+    xs = np.linspace(0.0, 1.0, n + 1)
+    bottom = np.stack([xs, -4e-8 * xs * (1.0 - xs)], axis=1)
+    top = np.stack([xs, np.ones_like(xs)], axis=1)
+    nodes = np.vstack([bottom, top])
+    i = np.arange(n)
+    elements = np.concatenate([np.stack([i, i + 1, n + 2 + i], axis=1), np.stack([i, n + 2 + i, n + 1 + i], axis=1)])
+    mesh = build_mesh(2, nodes, elements)
+    with pytest.raises(NotInscribedError, match="boundary node 1 lies 1.990e-10 off the polytope edge from node 0 to node 200"):
+        polytope_of_mesh(UNIT_SQUARE, mesh)
+
+
+def test_polytope_of_mesh_keeps_the_corners_and_revalidates_for_another_domain(monkeypatch):
+    """`verify_case` and the `certify` inside it share one validation: the
+    polytope is kept with the domain object it was validated for, and only
+    another domain object runs `make_poly_approx` again (never the walk)."""
+    from certifem import mesh as meshmod
+
+    walks, makes = [], []
+    walk, make = meshmod._boundary_polytope, meshmod.make_poly_approx
+    monkeypatch.setattr(meshmod, "_boundary_polytope", lambda m: walks.append(m) or walk(m))
+    monkeypatch.setattr(meshmod, "make_poly_approx", lambda *a: makes.append(a) or make(*a))
+    mesh = generate_fan_refined(HEPTAGON, 1)
+    disk = Disk(1.0)
+    first = polytope_of_mesh(disk, mesh)
+    assert polytope_of_mesh(disk, mesh) is first
+    assert (len(walks), len(makes)) == (1, 1)
+    _assert_same_polytope(polytope_of_mesh(Disk(1.0), mesh), first)
+    assert (len(walks), len(makes)) == (1, 2)
+    with pytest.raises(NotInscribedError):
+        polytope_of_mesh(Disk(2.0), mesh)
+    assert len(walks) == 1
+    assert not mesh._cache["polytope"][0].flags.writeable
+
+
+def test_polytope_of_a_3d_mesh_has_every_boundary_node_as_a_vertex():
+    """In 3D the boundary triangles are the facets, oriented outward, and a
+    boundary node off the sphere (here the cube's face centres and edge
+    midpoints) raises, as no coplanar facets are merged."""
+    cube = _kuhn_cube(1)
+    corners = (2.0 * cube.nodes - 1.0) / math.sqrt(3.0)
+    derived = polytope_of_mesh(Ball(1.0), build_mesh(3, corners, cube.elements))
+    assert derived.vertices.shape == (8, 3) and derived.facets.shape == (12, 3)
+    assert derived.gap == pytest.approx(1.0 - 1.0 / math.sqrt(3.0), rel=1e-12)
+    with pytest.raises(NotInscribedError, match="does not lie on the domain boundary"):
+        polytope_of_mesh(Ball(1.0), build_mesh(3, (2.0 * _kuhn_cube(2).nodes - 1.0) / math.sqrt(3.0), _kuhn_cube(2).elements))
+    with pytest.raises(NotInscribedError, match="3D mesh cannot mesh a 2D polytope"):
+        polytope_of_mesh(UNIT_SQUARE, cube)
 
 
 def test_build_mesh_and_measure_share_the_degeneracy_test():
@@ -781,15 +937,15 @@ def test_load_and_certify_form_no_whole_mesh_metric_arrays(tmp_path):
     path = str(tmp_path / "square.node")
     save(_jittered_square(256, seed=1), path, "node_ele")
     square = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
-    poly, f = poly_approx_of_polygon(square), SourceTerm.sin_product()
-    certify(square, poly, _jittered_square(8, seed=1), f, "exact")  # warm up
+    f = SourceTerm.sin_product()
+    certify(square, _jittered_square(8, seed=1), f, "exact")  # warm up
 
     tracemalloc.start()
     try:
         mesh = load(path)
         kept, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        certify(square, poly, mesh, f, "exact")
+        certify(square, mesh, f, "exact")
         certify_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

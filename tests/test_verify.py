@@ -9,8 +9,8 @@ from certifem import (
     Disk,
     NotInscribedError,
     FemSolution,
+    StrategyInapplicableError,
     actual_l2_error,
-    barrier_check,
     build_mesh,
     convergence_study,
     default_refine_rule,
@@ -30,8 +30,11 @@ from certifem import (
     verify_case,
 )
 from certifem import estimator as estmod
+from certifem.fem import FH_MODES
+from certifem.interp_constants import STRATEGIES
 from certifem.quadrature import gauss_legendre
 from certifem.verify import BESSEL_J0_FIRST_ZERO, REFERENCE_DELAUNAY, _segment_l2_sq
+from oracles import barrier_check, boundary_point, element_metrics
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -54,16 +57,18 @@ def segment_quadrature_oracle(m: int, n_theta: int = 120, n_r: int = 24) -> floa
 
 def test_registry_contents():
     reg = registry()
-    assert set(reg) >= {"disk2d", "square2d"}
+    assert set(reg) == {"disk2d", "square2d", "square2d-poly"}
     assert reg["disk2d"].u_l2_norm == pytest.approx(math.sqrt(math.pi / 48.0), rel=1e-14)
     assert reg["disk2d"].u_l2_norm == pytest.approx(0.2558317, abs=1e-7)
     assert reg["square2d"].u_l2_norm == 0.5
+    assert reg["square2d-poly"].u_l2_norm == 1.0 / 30.0
+    assert reg["square2d-poly"].f.name == "poly:0,2,2,-2,0,-2"
 
 
 def test_registry_solutions_vanish_on_boundary():
     for name, exact in registry().items():
         for t in np.linspace(0.0, 1.0, 1000, endpoint=False):
-            p = exact.domain.boundary_point(float(t))
+            p = boundary_point(exact.domain, float(t))
             assert abs(float(exact.u(p))) <= 1e-10, name
 
 
@@ -112,7 +117,7 @@ def _squared_norm_on(mesh, exact):
 @pytest.mark.parametrize("name", sorted(registry()))
 def test_registry_u_l2_norm_matches_quadrature(name):
     exact = registry()[name]
-    squared = {"disk2d": _squared_norm_disk2d, "square2d": _squared_norm_square2d}[name]
+    squared = {"disk2d": _squared_norm_disk2d, "square2d": _squared_norm_square2d, "square2d-poly": _squared_norm_square2d}[name]
     for value in squared(exact):
         assert value == pytest.approx(exact.u_l2_norm**2, rel=1e-12)
 
@@ -173,14 +178,14 @@ def _random_inscribed_polygons(count=20, seed=12):
 def test_random_inscribed_polygons_verify():
     exact = registry()["disk2d"]
     polys = list(_random_inscribed_polygons())
-    assert sum(not bool(p.contains(np.zeros(2))) for p in polys) >= 2
+    assert sum(bool(p.signed_facet_distances(np.zeros(2)) > 0.0) for p in polys) >= 2
     for poly in polys:
         # independent oracle: ||u||^2 over the disk minus the degree-4 rule,
         # exact for u^2, over the polygon
         coarse = generate_fan_refined(poly, 0)
         inside = _squared_norm_on(coarse, exact)
         assert exact.gap_l2_sq(poly) == pytest.approx(exact.u_l2_norm**2 - inside, abs=1e-14)
-        _, measured, certified = verify_case(exact, poly, generate_fan_refined(poly, 2))
+        _, measured, certified = verify_case(exact, generate_fan_refined(poly, 2))
         assert 0.0 < measured <= certified.total
 
 
@@ -192,7 +197,7 @@ def test_verify_case_raises_when_measured_exceeds_certified(monkeypatch):
     exact = registry()["disk2d"]
     poly = inscribed_regular_polygon(exact.domain, 8)
     with pytest.raises(BoundViolationError):
-        verify_case(exact, poly, generate_fan_refined(poly, 1))
+        verify_case(exact, generate_fan_refined(poly, 1))
 
 
 def test_gap_and_barrier_reject_polygon_of_another_disk():
@@ -372,9 +377,9 @@ def test_convergence_study_certifies_once_per_level(monkeypatch):
     strategies = []
     certify = estmod.certify
 
-    def spy(dom, poly, mesh, f, fh_mode="exact", strategy="elementwise", **kwargs):
+    def spy(dom, mesh, f, fh_mode="exact", strategy="elementwise", **kwargs):
         strategies.append(strategy)
-        return certify(dom, poly, mesh, f, fh_mode, strategy, **kwargs)
+        return certify(dom, mesh, f, fh_mode, strategy, **kwargs)
 
     monkeypatch.setattr(estmod, "certify", spy)
     convergence_study((4, 8, 16))
@@ -390,7 +395,7 @@ def test_disk_poincare_constant_documented():
 def test_disk_study_row_builds_each_mesh_quantity_once(monkeypatch):
     import dataclasses
 
-    from certifem import assemble_stiffness, element_metrics
+    from certifem import assemble_stiffness
     from certifem import fem as femmod
     from certifem import mesh as meshmod
 
@@ -405,21 +410,22 @@ def test_disk_study_row_builds_each_mesh_quantity_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    spy(meshmod, "_element_metrics")
+    spy(meshmod, "_boundary_polytope")
     spy(meshmod, "_quality")
     spy(femmod, "_assemble_stiffness")
     disk_study_row(10, 1)
 
-    # quality and the element-wise constants walk blocks of elements: no
-    # whole-mesh metric arrays are built or left on the mesh
-    assert {name: len(seen.get(name, ())) for name in ("_element_metrics", "_quality", "_assemble_stiffness")} == {
-        "_element_metrics": 0,
+    # one boundary walk gives the polytope that verify_case measures and
+    # certify bounds; quality and the element-wise constants walk blocks of
+    # elements: no whole-mesh metric arrays are built or left on the mesh
+    assert {name: len(seen.get(name, ())) for name in ("_boundary_polytope", "_quality", "_assemble_stiffness")} == {
+        "_boundary_polytope": 1,
         "_quality": 1,
         "_assemble_stiffness": 1,
     }
     final = seen["_quality"][0]
     assert final.element_count == 40
-    assert seen["_assemble_stiffness"][0] is final
+    assert seen["_assemble_stiffness"][0] is final and seen["_boundary_polytope"][0] is final
     assert "metrics" not in final._cache
 
     em = element_metrics(final)
@@ -437,7 +443,6 @@ def test_disk_study_row_takes_a_m_from_the_elementwise_pass(monkeypatch):
     """A_m is the Kobayashi maximum of `mesh_constants`' element-wise pass,
     bit for bit the whole-array maximum: one Kobayashi call per block of
     elements, none for A_m alone."""
-    from certifem import element_metrics
     from certifem import interp_constants as icmod
 
     mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 20), 2)
@@ -494,3 +499,49 @@ def test_run_disk_study_threads_match_serial_with_vcycle(monkeypatch):
     for a, b in zip(serial, pooled):
         assert (a.m, a.actual, a.iterations) == (b.m, b.actual, b.iterations)
         assert a.certified.to_json() == b.certified.to_json()
+
+
+# ---------------------------------------------------------------------------
+# every accepted (problem, mesh, f_h mode, strategy) combination, end to end
+
+# the meshes of each registry entry; "-file" is the mesh before it, saved as
+# .node/.ele and loaded back, so that its polytope comes from a file
+CASE_MESHES = {
+    "square2d": ("structured", "jittered", "jittered-file"),
+    "square2d-poly": ("structured", "jittered", "jittered-file"),
+    "disk2d": ("fan", "fan-file"),
+}
+
+
+@pytest.fixture(scope="module")
+def case_meshes(tmp_path_factory):
+    from certifem import load, save
+    from test_mesh import _jittered_square
+
+    meshes = {
+        "structured": structured_square_mesh(16),
+        "jittered": _jittered_square(16, seed=1),
+        "fan": generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 20), 2),
+    }
+    for name in ("jittered", "fan"):
+        path = str(tmp_path_factory.mktemp("meshes") / f"{name}.node")
+        save(meshes[name], path)
+        meshes[f"{name}-file"] = load(path)
+    return meshes
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("fh_mode", FH_MODES)
+@pytest.mark.parametrize("entry, mesh_name", [(e, m) for e, names in CASE_MESHES.items() for m in names])
+def test_every_accepted_combination_verifies(case_meshes, entry, mesh_name, fh_mode, strategy):
+    """Measured error <= certified total through `verify_case`, or a typed
+    refusal where the strategy's hypothesis fails: `regularity` is 3D only,
+    and `nonblunt` needs a mesh without obtuse angles."""
+    mesh = case_meshes[mesh_name]
+    refused = strategy == "regularity" or (strategy == "nonblunt" and mesh_name.startswith("jittered"))
+    if refused:
+        with pytest.raises(StrategyInapplicableError):
+            verify_case(registry()[entry], mesh, fh_mode, strategy)
+        return
+    _, measured, certified = verify_case(registry()[entry], mesh, fh_mode, strategy)
+    assert 0.0 < measured <= certified.total
