@@ -98,7 +98,6 @@ from .verify import (
     disk_study_row,
     registry,
     run_disk_study,
-    structured_square_mesh,
     verify_case,
 )
 

@@ -68,27 +68,22 @@ def _parse_source(spec: str, domain) -> femmod.SourceTerm:
     raise CertifemError(f"unknown source spec {spec!r}")
 
 
-def _domain_mesh(args):
-    """The domain and the mesh to certify on it: generated (a fan of the
-    inscribed regular m-gon, or of the polygon itself, refined) or loaded;
-    either way `certify` reads the polytope off the mesh."""
-    domain = _parse_domain(args.domain)
-    if args.generate:
-        parts = [int(tok) for tok in args.generate.split(",")]
-        if isinstance(domain, Disk):
-            if len(parts) != 2:
-                raise CertifemError("--generate for a disk takes m,refine")
-            m, k = parts
-            poly = inscribed_regular_polygon(domain, m)
-        else:
-            if len(parts) != 1:
-                raise CertifemError("--generate for a polygon takes refine")
-            k = parts[0]
-            poly = poly_approx_of_polygon(domain)
-        return domain, meshmod.generate_fan_refined(poly, k)
-    if args.mesh:
-        return domain, meshmod.load(args.mesh)
-    raise CertifemError("need either --generate or --mesh")
+def _meshes(domain, specs, paths):
+    """The meshes to run on `domain`, one at a time: a fan for each
+    `--generate` spec (disk: "m,refine"; polygon: "refine"), then each
+    `--mesh` file, in order; None entries are skipped."""
+    specs, paths = [s for s in specs if s], [p for p in paths if p]
+    if not (specs or paths):
+        raise CertifemError("need either --generate or --mesh")
+    disk = isinstance(domain, Disk)
+    for spec in specs:
+        parts = [int(tok) for tok in spec.split(",")]
+        if len(parts) != (2 if disk else 1):
+            raise CertifemError("--generate for a disk takes m,refine" if disk else "--generate for a polygon takes refine")
+        poly = inscribed_regular_polygon(domain, parts[0]) if disk else poly_approx_of_polygon(domain)
+        yield meshmod.generate_fan_refined(poly, parts[-1])
+    for path in paths:
+        yield meshmod.load(path)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -122,7 +117,8 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    domain, mesh = _domain_mesh(args)
+    domain = _parse_domain(args.domain)
+    mesh = next(_meshes(domain, [args.generate], [args.mesh]))
     source = _parse_source(args.f, domain)
     bound = estmod.certify(domain, mesh, source, args.fh_mode, args.strategy)
     _write_or_print(bound.to_json(), args.out)
@@ -130,37 +126,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reg = vermod.registry()
-    if args.exact not in reg:
-        raise CertifemError(f"unknown exact solution {args.exact!r}; known: {sorted(reg)}")
-    if args.exact == "square2d":
-        sizes = [int(tok) for tok in args.levels.split(",")]
-        report = vermod.convergence_study(sizes)
-        payload = {
-            "exact": report.exact,
-            "slope": report.slope,
-            "levels": [
-                {
-                    "n": lv.n,
-                    "h": lv.h,
-                    "actual": lv.error,
-                    "certified": lv.closed_form_bound,
-                    "ratio": lv.closed_form_bound / lv.error,
-                }
-                for lv in report.levels
-            ],
-        }
-    else:  # disk2d, the registry's other entry
-        row = vermod.disk_study_row(args.m, args.refine)
-        payload = {
-            "exact": "disk2d",
-            "m": row.m,
-            "actual": row.actual,
-            "predicted": row.predicted,
-            "certified": row.certified.total,
-            "ratio": row.predicted / row.actual,
-        }
-    _write_or_print(json.dumps(payload, sort_keys=True), args.out)
+    exact = vermod.registry().get(args.exact)
+    if exact is None:
+        raise CertifemError(f"unknown exact solution {args.exact!r}; known: {sorted(vermod.registry())}")
+    report = vermod.convergence_study(exact, _meshes(exact.domain, args.generate or (), args.mesh or ()))
+    _write_or_print(report.to_json(), args.out)
     return EXIT_OK
 
 
@@ -221,11 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--strategy", default="elementwise")
     p_cert.add_argument("--out", default=None)
 
-    p_ver = sub.add_parser("verify", help="measured error against certified bounds")
-    p_ver.add_argument("--exact", required=True)
-    p_ver.add_argument("--levels", default="8,16,32", help="square2d grid sizes")
-    p_ver.add_argument("--m", type=int, default=20, help="disk2d polygon resolution")
-    p_ver.add_argument("--refine", type=int, default=None, help="disk2d refinement override")
+    # no abbreviations, or the removed --m would read as --mesh
+    p_ver = sub.add_parser("verify", allow_abbrev=False, help="certify plus an exact solution, one row per mesh")
+    p_ver.add_argument("--exact", required=True, help="name of an exact solution in the registry")
+    p_ver.add_argument("--generate", action="append", help="repeatable; disk: m,refine; polygon: refine")
+    p_ver.add_argument("--mesh", action="append", help="repeatable; mesh file of a polytope inscribed in the domain")
     p_ver.add_argument("--out", default=None)
 
     p_study = sub.add_parser("disk-study", help="m-gon sweep: measured vs predicted vs certified")

@@ -110,6 +110,8 @@ class ConvexPolygon(ConvexDomain):
             v = v[::-1].copy()  # normalize to counterclockwise
         self.diameter = _diameter(v)
         self.measure = _shoelace(v)
+        if not math.isfinite(self.measure):
+            raise InvalidPolygonError(f"polygon measure {self.measure} is not finite: the coordinates overflow its closed form")
         if self.measure <= MEASURE_TOL * self.diameter**2:
             raise InvalidPolygonError(
                 f"polygon measure {self.measure:.3e} is at most {MEASURE_TOL:g} * diameter^2; the outline is degenerate"
@@ -132,8 +134,10 @@ class ConvexPolygon(ConvexDomain):
 
 
 def _shoelace(v: np.ndarray) -> float:
+    """Signed area; inf or NaN, with no warning, where the products overflow."""
     x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
 def _polygon_halfplanes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,10 +184,13 @@ def _diameter(v: np.ndarray) -> float:
     longest, closest = [], []
     for start in range(0, m, step):
         diffs = v[start : start + step, None, :] - v[None, start:, :]
-        dist = np.sqrt((diffs**2).sum(-1))
+        with np.errstate(over="ignore"):
+            dist = np.sqrt((diffs**2).sum(-1))
         longest.append(dist.max())
         closest.append(dist[np.triu_indices(dist.shape[0], 1, dist.shape[1])].min(initial=np.inf))
     diameter = float(np.max(longest))
+    if not math.isfinite(diameter):
+        raise InvalidPolygonError(f"polytope diameter {diameter} is not finite: the coordinates overflow its closed form")
     if np.min(closest) <= REPEATED_VERTEX_TOL * diameter:
         raise InvalidPolygonError("polytope has repeated vertices")
     return diameter
@@ -236,18 +243,17 @@ def _facet_gaps(dom: ConvexDomain, normals: np.ndarray, offsets: np.ndarray) -> 
     return max(0.0, float(gaps.max())), gaps
 
 
-def _validate_vertices_on_boundary(dom: ConvexDomain, vertices: np.ndarray) -> None:
-    """The first vertex that lies outside the domain or off its boundary
-    raises, naming the first of the two that it fails."""
+def _first_off_boundary(dom: ConvexDomain, vertices: np.ndarray) -> tuple[int, str] | None:
+    """The first vertex that lies outside the domain or off its boundary,
+    with the first of the two that it fails, or None."""
     tol = ON_BOUNDARY_TOL * dom.diameter
     outside = ~np.asarray(dom.contains(vertices, tol=tol))
     off = dom.boundary_distance(vertices) > tol
     bad = np.flatnonzero(outside | off)
-    if bad.size:
-        i = int(bad[0])
-        if outside[i]:
-            raise NotInscribedError(f"vertex {i} lies outside the domain")
-        raise NotInscribedError(f"vertex {i} does not lie on the domain boundary")
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    return i, "lies outside the domain" if outside[i] else "does not lie on the domain boundary"
 
 
 def _triangle_facets(v: np.ndarray, facet_indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,7 +314,9 @@ def make_poly_approx(dom: ConvexDomain, vertices, facet_indices=None) -> PolyApp
         facets, normals, offsets = _triangle_facets(v, facet_indices)
         _check_halfspaces(v, normals, offsets, _diameter(v))
         _check_closed_surface(facets, len(v))
-    _validate_vertices_on_boundary(dom, v)
+    off = _first_off_boundary(dom, v)
+    if off is not None:
+        raise NotInscribedError("vertex %d %s" % off)
     gap, gaps = _facet_gaps(dom, normals, offsets)
     for a in (v, facets, normals, offsets, gaps):
         a.setflags(write=False)

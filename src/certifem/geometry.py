@@ -202,7 +202,12 @@ def vertex_metrics(verts: np.ndarray | None, measures: np.ndarray, edge_sq: np.n
     (`_row_reduce`)."""
     h = np.sqrt(_row_reduce(np.maximum, edge_sq))
     if edge_sq.shape[1] == 3:
-        circum = _row_reduce(np.multiply, np.sqrt(edge_sq)) / (4.0 * measures)
+        # abc / (4 area) with the lengths scaled by 2**-q, exactly, to below
+        # 1: unscaled, the product of three lengths overflows above ~1e102
+        # and underflows below ~1e-102
+        q = np.frexp(h)[1]
+        lengths = np.ldexp(np.sqrt(edge_sq), -q[:, None])
+        circum = np.ldexp(_row_reduce(np.multiply, lengths) / (4.0 * np.ldexp(measures, -2 * q)), q)
         # Two angle formulas stay on purpose.  `angles` uses atan2, whose three
         # angles sum to pi within 1e-12 (arccos drifts by ~5e-12); the mesh keeps
         # arccos because the `minangle` bound and the worst-element ties in

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .domain import ConvexDomain, PolyApprox, _shoelace, make_poly_approx
+from .domain import ConvexDomain, PolyApprox, _first_off_boundary, _shoelace, make_poly_approx
 from .errors import (
     InvalidPolygonError,
     InvertedElementError,
@@ -347,29 +347,38 @@ def polytope_of_mesh(dom: ConvexDomain, mesh: SimplicialMesh) -> PolyApprox:
 
     2D: the mesh boundary must be one closed loop, and the polygon's corners
     are its nodes with collinear boundary edges merged; `make_poly_approx`
-    then checks convexity, that every corner lies on the boundary of `dom`,
-    and the gaps.  The corners depend on the mesh alone and are kept on it,
-    and so is the polytope last validated, with the domain object it was
-    validated for: a later call for that object returns it, and one for
-    another domain runs only `make_poly_approx`.
+    then checks convexity, that every corner lies on the boundary of `dom`
+    (a corner that does not is named by its mesh node), and the gaps.  The
+    corners depend on the mesh alone and are kept on it, and so is the
+    polytope last validated, with the domain object it was validated for: a
+    later call for that object returns it, and one for another domain runs
+    only `make_poly_approx`.
 
     3D: the facets are the boundary triangles, oriented outward, and every
     boundary node is a vertex: no 3D generator refines faces, so coplanar
     facets are not merged, and a boundary node off the boundary of `dom`
-    raises NotInscribedError (from `make_poly_approx`), like any vertex.
+    raises NotInscribedError, like any vertex.
     """
     if mesh.dim != dom.dim:
         raise NotInscribedError(f"a {mesh.dim}D mesh cannot mesh a {dom.dim}D polytope in a {dom.dim}D domain")
-    vertices, facets = _cached(mesh, "polytope", _boundary_polytope)
+    vertices, facets, nodes = _cached(mesh, "polytope", _boundary_polytope)
     last = mesh._cache.get("poly_approx")
     if last is None or last[0] is not dom:
-        last = mesh._cache["poly_approx"] = (dom, make_poly_approx(dom, vertices, facets))
+        try:
+            poly = make_poly_approx(dom, vertices, facets)
+        except NotInscribedError:
+            off = _first_off_boundary(dom, vertices)
+            if off is None:  # a facet, not a vertex, lies outside
+                raise
+            raise NotInscribedError("mesh node %d %s" % (nodes[off[0]], off[1])) from None
+        last = mesh._cache["poly_approx"] = (dom, poly)
     return last[1]
 
 
-def _boundary_polytope(mesh: SimplicialMesh) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read-only vertices of the polytope that `mesh` meshes, and in 3D its
-    (F, 3) facets (None in 2D, where facet i joins corners i and i + 1)."""
+def _boundary_polytope(mesh: SimplicialMesh) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Read-only vertices of the polytope that `mesh` meshes, in 3D its
+    (F, 3) facets (None in 2D, where facet i joins corners i and i + 1), and
+    the mesh node of each vertex."""
     bnodes = mesh.boundary_nodes
     # each boundary facet as positions in `bnodes`
     local = np.searchsorted(bnodes, mesh.boundary_facets)
@@ -380,7 +389,7 @@ def _boundary_polytope(mesh: SimplicialMesh) -> tuple[np.ndarray, np.ndarray | N
         local[inward] = local[inward][:, [0, 2, 1]]
         vertices.setflags(write=False)
         local.setflags(write=False)
-        return vertices, local
+        return vertices, local, bnodes
     ring = _boundary_loop(bnodes, local)
     points = mesh.nodes[ring]
     tol = BOUNDARY_TOL * float(np.linalg.norm(np.ptp(points, axis=0)))
@@ -410,9 +419,11 @@ def _boundary_polytope(mesh: SimplicialMesh) -> tuple[np.ndarray, np.ndarray | N
     ids = ring[corners]
     if _shoelace(mesh.nodes[ids]) < 0.0:
         ids = ids[::-1]
-    vertices = mesh.nodes[np.roll(ids, -int(np.argmin(ids)))]
+    ids = np.roll(ids, -int(np.argmin(ids)))
+    vertices = mesh.nodes[ids]
     vertices.setflags(write=False)
-    return vertices, None
+    ids.setflags(write=False)
+    return vertices, None, ids
 
 
 def _boundary_loop(bnodes: np.ndarray, local: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ Every check runs through `verify_case`: solve on a mesh whose polytope
 (`mesh.polytope_of_mesh`) is inscribed in the exact solution's domain,
 certify, and compare the measured L2 error (interior quadrature plus the
 solution's own gap-region integral over that polytope's gap) against the
-certified bound.  The flagship pipeline approximates the unit
+certified bound, one row per mesh in `convergence_study` (`certifem
+verify`).  The flagship pipeline, `disk_study_row`, approximates the unit
 disk by regular m-gons with f = 1.  A measured error above a certified
 bound is the one fatal scientific failure and raises.
 """
@@ -16,7 +17,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -311,30 +312,15 @@ def disk_study_json(rows: Sequence[DiskStudyRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# structured-square convergence study
-
-
-def structured_square_mesh(n: int) -> meshmod.SimplicialMesh:
-    """Unit square split into an n x n grid of squares, each cut along the
-    main diagonal; all triangles are right isoceles (non-obtuse)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(xs, xs, indexing="ij")
-    nodes = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    idx = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)  # node (i, j) of the grid
-    a, b, c, d = idx[:-1, :-1].ravel(), idx[1:, :-1].ravel(), idx[1:, 1:].ravel(), idx[:-1, 1:].ravel()
-    # cell by cell, lower triangle (a, b, c) before upper (a, c, d)
-    elements = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
-    return meshmod.build_mesh(2, nodes, elements)
+# convergence study on any meshes
 
 
 @dataclass(frozen=True)
 class ConvergenceLevel:
-    n: int
+    nodes: int
     h: float
-    error: float
-    closed_form_bound: float
+    actual: float
+    certified: estmod.CertifiedBound
     iterations: int
 
 
@@ -342,26 +328,24 @@ class ConvergenceLevel:
 class ConvergenceReport:
     exact: str
     levels: list[ConvergenceLevel]
-    slope: float
+    slope: float | None
+
+    def to_json(self) -> str:
+        levels = [
+            {**vars(lv), "certified": lv.certified.to_json_dict(), "ratio": lv.certified.total / lv.actual}
+            for lv in self.levels
+        ]
+        return json.dumps({"exact": self.exact, "levels": levels, "slope": self.slope}, sort_keys=True, allow_nan=False)
 
 
-def convergence_study(grid_sizes: Sequence[int] = (8, 16, 32), fh_mode: str = "nodal") -> ConvergenceReport:
-    """Structured-mesh refinement sweep for the unit-square problem.
-
-    Checks the non-obtuse certified bound and the closed-form bound at every
-    level and fits the L2 convergence slope; a bound violation raises.
-    """
-    exact = _unit_squares()[0]
+def convergence_study(exact: ExactSolution, meshes: Iterable[meshmod.SimplicialMesh]) -> ConvergenceReport:
+    """`verify_case` on each mesh in turn, with the default f_h mode and
+    strategy, and the least-squares slope of log actual against log h
+    (None unless two meshes differ in h); a bound violation raises."""
     levels = []
-    for n in grid_sizes:
-        mesh = structured_square_mesh(n)
-        sol, err, _ = verify_case(exact, mesh, fh_mode, "nonblunt")
-        bound = estmod.certify_closed_form_2d(exact.domain, mesh, exact.f)
-        if err > bound:
-            raise BoundViolationError(f"n={n}: measured error {err} exceeds closed-form bound {bound}")
-        qual = meshmod.quality(mesh)
-        levels.append(ConvergenceLevel(n, qual.h, err, bound, sol.iterations))
-    log_h = np.log([lv.h for lv in levels])
-    log_e = np.log([lv.error for lv in levels])
-    slope = float(np.polyfit(log_h, log_e, 1)[0])
-    return ConvergenceReport("square2d", levels, slope)
+    for mesh in meshes:
+        sol, actual, certified = verify_case(exact, mesh)
+        levels.append(ConvergenceLevel(mesh.node_count, meshmod.quality(mesh).h, actual, certified, sol.iterations))
+    log_h, log_e = np.log([lv.h for lv in levels]), np.log([lv.actual for lv in levels])
+    slope = float(np.polyfit(log_h, log_e, 1)[0]) if len(set(log_h)) >= 2 else None
+    return ConvergenceReport(exact.name, levels, slope)

@@ -32,6 +32,21 @@ def edge_count(mesh: meshmod.SimplicialMesh) -> int:
     return np.unique(meshmod._keys(mesh.elements, mesh.node_count, list(zip(*EDGES[mesh.dim])))).size
 
 
+def structured_square_mesh(n: int) -> meshmod.SimplicialMesh:
+    """Unit square split into an n x n grid of squares, each cut along the
+    main diagonal; all triangles are right isoceles (non-obtuse)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    xs = np.linspace(0.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(xs, xs, indexing="ij")
+    nodes = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    idx = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)  # node (i, j) of the grid
+    a, b, c, d = idx[:-1, :-1].ravel(), idx[1:, :-1].ravel(), idx[1:, 1:].ravel(), idx[:-1, 1:].ravel()
+    # cell by cell, lower triangle (a, b, c) before upper (a, c, d)
+    elements = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    return meshmod.build_mesh(2, nodes, elements)
+
+
 def is_nonblunt(t: Simplex) -> bool:
     """True iff no interior angle exceeds pi/2 (right angles admitted)."""
     return max(angles(t)) <= math.pi / 2.0 + NONBLUNT_TOL

@@ -21,7 +21,7 @@ from conftest import (
     triangle_from_angles,
 )
 from spectral_probe import rayleigh_lower_bound
-from oracles import barrier_check, element_constants, fh_error_measured, nonblunt_profile_bound
+from oracles import barrier_check, element_constants, fh_error_measured, nonblunt_profile_bound, structured_square_mesh
 from test_verify import disk_gap, segment_quadrature_oracle
 
 M_SWEEP = (10, 20, 30, 40, 50)
@@ -208,7 +208,7 @@ def test_criterion_8_poincare(disk_sweep):
         ok &= lhs <= rhs
         details.append(f"disk m={m}: {lhs:.4e} <= {rhs:.4e}")
     for n in (8, 16):
-        mesh = cf.structured_square_mesh(n)
+        mesh = structured_square_mesh(n)
         sol, _ = cf.solve_poisson(mesh, cf.registry()["square2d"].f, "nodal")
         lhs, rhs = cf.poincare_residual(mesh, sol, math.sqrt(2.0))
         ok &= lhs <= rhs
@@ -248,7 +248,7 @@ def test_criterion_9_source_term_bounds():
     sinsin = cf.SourceTerm.sin_product()
     details = [f"20 quadratics: min bound/measured={worst:.2f}"]
     for n in (8, 16, 32):
-        sq = cf.structured_square_mesh(n)
+        sq = structured_square_mesh(n)
         measured = fh_error_measured(sq, sinsin, "nodal")
         bound = cf.fh_perturbation_bound(sq, sinsin, "nodal")
         ok &= measured <= bound
@@ -257,10 +257,14 @@ def test_criterion_9_source_term_bounds():
 
 
 def test_criterion_10_convergence_and_closed_form():
-    report = cf.convergence_study((8, 16, 32))
+    meshes = [structured_square_mesh(n) for n in (8, 16, 32)]
+    exact = cf.registry()["square2d"]
+    report = cf.convergence_study(exact, meshes)
     ok = 1.8 <= report.slope <= 2.2
-    for lv in report.levels:
-        ok &= lv.error <= lv.closed_form_bound
+    closed_forms = [cf.certify_closed_form_2d(exact.domain, mesh, exact.f) for mesh in meshes]
+    for lv, closed_form in zip(report.levels, closed_forms):
+        ok &= lv.actual <= lv.certified.total
+        ok &= lv.actual <= closed_form
     from certifem.estimator import _check_closed_form_coefficients
 
     _check_closed_form_coefficients()  # raises on drift
@@ -268,7 +272,10 @@ def test_criterion_10_convergence_and_closed_form():
         "10 (O(h^2) convergence + closed-form bound)",
         ok,
         f"slope={report.slope:.3f}; "
-        + "; ".join(f"n={lv.n}: {lv.error:.3e} <= {lv.closed_form_bound:.3e}" for lv in report.levels),
+        + "; ".join(
+            f"{lv.nodes} nodes: {lv.actual:.3e} <= {lv.certified.total:.3e}, closed form {closed_form:.3e}"
+            for lv, closed_form in zip(report.levels, closed_forms)
+        ),
     )
 
 

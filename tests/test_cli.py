@@ -210,6 +210,19 @@ def test_certify_huge_disk_keeps_kobayashi(tmp_path):
         assert math.isfinite(reports[radius]["total"])
 
 
+@pytest.mark.parametrize(
+    "radius, reason",
+    [("1e150", "certified bound is not finite"), ("1e160", "polytope diameter inf is not finite")],
+)
+def test_certify_overflowing_disk_exits_2_by_name(capsys, radius, reason):
+    """At radius 1e150 the mesh's circumradii stay finite (unit-scaled) and
+    the boundary term overflows; at 1e160 the polygon's squared distances
+    overflow and are refused as such, not as repeated vertices.  No
+    RuntimeWarning (an error under the suite's filter) either way."""
+    assert run_cli("certify", "--domain", f"disk:{radius}", "--generate", "10,1") == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_certify_square_polygon(tmp_path):
     poly_path = str(tmp_path / "square.json")
     json.dump({"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, open(poly_path, "w"))
@@ -265,21 +278,105 @@ def test_certify_rejects_bad_config():
 
 
 def test_verify_square_convergence(tmp_path):
+    """One row per `--generate`, in order; the slope of log actual against
+    log h is about 2, and every row's ratio is certified / actual > 1."""
     out = str(tmp_path / "v.json")
-    assert run_cli("verify", "--exact", "square2d", "--levels", "8,16,32", "--out", out) == 0
+    assert run_cli("verify", "--exact", "square2d", "--generate", "2", "--generate", "3", "--generate", "4", "--out", out) == 0
     obj = json.load(open(out))
+    assert obj["exact"] == "square2d"
     assert 1.8 <= obj["slope"] <= 2.2
+    assert [level["nodes"] for level in obj["levels"]] == [41, 145, 545]
     for level in obj["levels"]:
-        assert level["ratio"] > 1.0
+        assert set(level) == {"nodes", "h", "actual", "certified", "ratio", "iterations"}
+        assert level["ratio"] == level["certified"]["total"] / level["actual"] > 1.0
 
 
 def test_verify_disk_single(tmp_path):
+    """One mesh: one row, no slope (JSON null)."""
     out = str(tmp_path / "d.json")
-    assert run_cli("verify", "--exact", "disk2d", "--m", "16", "--out", out) == 0
+    assert run_cli("verify", "--exact", "disk2d", "--generate", "16,2", "--out", out) == 0
     obj = json.load(open(out))
-    assert obj["actual"] <= obj["certified"]
-    assert obj["actual"] <= obj["predicted"]
-    assert obj["ratio"] > 1.0
+    assert obj["slope"] is None
+    (level,) = obj["levels"]
+    assert 0.0 < level["actual"] <= level["certified"]["total"]
+    assert level["ratio"] > 1.0
+
+
+# the certify arguments of the same problem as each registry entry, and a
+# --generate spec for its domain
+CERTIFY_OF_ENTRY = {
+    "disk2d": (["--domain", "disk:1", "--f", "const:1"], "12,1"),
+    "square2d": (["--domain", "polygon:{square}", "--f", "sinsin"], "2"),
+    "square2d-poly": (["--domain", "polygon:{square}", "--f", "poly:0,2,2,-2,0,-2"], "2"),
+}
+
+
+def test_every_registry_entry_has_certify_arguments():
+    from certifem import registry
+
+    assert set(CERTIFY_OF_ENTRY) == set(registry())
+
+
+@pytest.mark.parametrize("entry", sorted(CERTIFY_OF_ENTRY))
+def test_verify_every_entry_from_generate_and_mesh_file(tmp_path, entry):
+    """`verify` takes certify's mesh inputs: a generated fan and the same fan
+    from a `.node` file give the same row, and its `certified` is, byte for
+    byte, the `certify` report for the same domain, mesh and source."""
+    from certifem import mesh as meshmod
+    from certifem import registry
+
+    square = tmp_path / "square.json"
+    json.dump({"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, open(square, "w"))
+    certify_args, spec = CERTIFY_OF_ENTRY[entry]
+    certify_args = [arg.format(square=square) for arg in certify_args]
+    mesh_path = str(tmp_path / "fan.node")
+    meshmod.save(next(cli._meshes(registry()[entry].domain, [spec], [])), mesh_path)
+    verified, certified = str(tmp_path / "verify.json"), str(tmp_path / "certify.json")
+    assert run_cli("verify", "--exact", entry, "--mesh", mesh_path, "--generate", spec, "--out", verified) == 0
+    assert run_cli("certify", *certify_args, "--generate", spec, "--out", certified) == 0
+    generated, loaded = json.load(open(verified))["levels"]
+    assert generated == loaded
+    assert json.dumps(generated["certified"], sort_keys=True) + "\n" == open(certified).read()
+    assert 0.0 < generated["actual"] <= generated["certified"]["total"]
+
+
+def test_verify_an_entry_added_to_the_registry(monkeypatch, tmp_path):
+    """`verify` knows no entry by name: a copy of `disk2d` under a new name
+    verifies, with the same row."""
+    import dataclasses
+
+    known = cli.vermod.registry
+    copy = dataclasses.replace(known()["disk2d"], name="disk2d-copy")
+    monkeypatch.setattr(cli.vermod, "registry", lambda: {**known(), copy.name: copy})
+    reports = {}
+    for name in ("disk2d", "disk2d-copy"):
+        out = str(tmp_path / f"{name}.json")
+        assert run_cli("verify", "--exact", name, "--generate", "10,1", "--out", out) == 0
+        reports[name] = json.load(open(out))
+    assert reports["disk2d-copy"]["exact"] == "disk2d-copy"
+    assert reports["disk2d-copy"]["levels"] == reports["disk2d"]["levels"]
+
+
+def test_verify_disk_fan_against_the_square_names_a_mesh_node(tmp_path, capsys):
+    """The 12-gon's corner (cos 30, sin 30), mesh node 2, lies inside the
+    unit square, off its boundary."""
+    fan = str(tmp_path / "fan.node")
+    assert run_cli("mesh", "gen", "--m", "12", "--refine", "1", "--out", fan) == 0
+    assert run_cli("verify", "--exact", "square2d", "--mesh", fan) == 2
+    assert "mesh node 2 does not lie on the domain boundary" in capsys.readouterr().err
+
+
+def test_verify_needs_a_mesh(capsys):
+    assert run_cli("verify", "--exact", "disk2d") == 2
+    assert "need either --generate or --mesh" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("removed", [["--levels", "8,16"], ["--m", "20"], ["--refine", "2"]])
+def test_verify_rejects_removed_options(removed):
+    """argparse refuses them (exit 2); --m is not read as --mesh."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--exact", "disk2d", *removed)
+    assert exc.value.code == 2
 
 
 def test_verify_unknown_exact():
@@ -363,7 +460,7 @@ for argv in (
     ["mesh", "gen", "--m", "12", "--refine", "1", "--out", os.path.join(tmp, "fan.node")],
     ["mesh", "stats", "--mesh", os.path.join(tmp, "fan.node"), "--out", os.path.join(tmp, "stats.json")],
     ["mesh", "convert", "--in", os.path.join(tmp, "fan.node"), "--out", os.path.join(tmp, "fan.json")],
-    ["verify", "--exact", "disk2d", "--m", "20", "--out", os.path.join(tmp, "verify.json")],
+    ["verify", "--exact", "disk2d", "--generate", "20,2", "--out", os.path.join(tmp, "verify.json")],
 ):
     steps.append((" ".join(argv[:2]), cli.main(argv), loaded()))
 print(json.dumps(steps))
@@ -426,7 +523,7 @@ def test_certify_mesh_outside_polygon_exits_2(tmp_path, capsys):
         mesh_path = str(tmp_path / "small.node")
         meshmod.save(meshmod.build_mesh(2, [[0, 0], [0.5, 0], corner], [[0, 1, 2]]), mesh_path)
         assert run_cli("certify", "--domain", f"polygon:{poly_path}", "--mesh", mesh_path) == code
-    assert "vertex 2 does not lie on the domain boundary" in capsys.readouterr().err
+    assert "mesh node 2 does not lie on the domain boundary" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error")

@@ -321,3 +321,19 @@ def test_domain_measures_and_diameters():
     assert Ball(1.0).measure == pytest.approx(4 * math.pi / 3, rel=1e-15)
     assert UNIT_SQUARE.measure == pytest.approx(1.0, rel=1e-15)
     assert UNIT_SQUARE.diameter == pytest.approx(math.sqrt(2), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "vertices, reason",
+    [
+        (1e160 * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), "diameter inf is not finite"),
+        # distances stay finite, but x_i * y_(i+1) sums past the largest double
+        ([[8e153, 8e153], [9e153, 8e153], [8e153, 9e153]], "measure nan is not finite"),
+    ],
+    ids=["diameter", "measure"],
+)
+def test_polygon_whose_closed_forms_overflow_is_refused_by_name(vertices, reason):
+    """No RuntimeWarning (an error under the suite's filter), and not the
+    "repeated vertices" that an infinite distance used to read as."""
+    with pytest.raises(InvalidPolygonError, match=reason):
+        ConvexPolygon(vertices)

@@ -18,7 +18,6 @@ from certifem import (
     poincare_bound,
     registry,
     solve_poisson,
-    structured_square_mesh,
 )
 from certifem.geometry import _BLOCK
 from certifem.estimator import (
@@ -27,6 +26,7 @@ from certifem.estimator import (
     CLOSED_FORM_C_POINCARE,
     _check_closed_form_coefficients,
 )
+from oracles import structured_square_mesh
 
 SQUARE = registry()["square2d"]
 DISK = registry()["disk2d"]

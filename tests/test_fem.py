@@ -40,7 +40,6 @@ from certifem import (
     registry,
     solve_cg,
     solve_poisson,
-    structured_square_mesh,
 )
 from certifem.quadrature import (
     TET_D4_BARY,
@@ -51,7 +50,7 @@ from certifem.quadrature import (
     simplex_rule,
 )
 from certifem.geometry import EDGES, FACETS, edge_cosines
-from oracles import element_metrics, fh_error_measured
+from oracles import element_metrics, fh_error_measured, structured_square_mesh
 from test_mesh import _jittered_square, _kuhn_cube
 
 REF_TRIANGLE = build_mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])

@@ -65,6 +65,23 @@ def test_every_entry_point_rejects_overflowing_simplex(entry, dim, scale):
     entry(Simplex(verts))
 
 
+@pytest.mark.parametrize("k", [500, -500])
+def test_circumradius_of_a_huge_or_tiny_triangle_scales_exactly(k):
+    """`vertex_metrics` forms abc / (4 area) with the lengths scaled to
+    about 1: at 2^500 times a unit triangle the product of the lengths
+    (~2^1500) would overflow, at 2^-500 it would underflow to 0, but the
+    circumradius is the unit one times 2^k, bit for bit, with no
+    RuntimeWarning."""
+    from certifem.geometry import _vertex_geometry, vertex_metrics
+
+    unit = np.array([OVERFLOW_VERTS[2]], dtype=float)
+    circum = []
+    for verts in (unit, np.ldexp(unit, k)):
+        signed, edge_sq = _vertex_geometry(verts)
+        circum.append(vertex_metrics(None, np.abs(signed), edge_sq).circumradius[0])
+    assert circum[1] == np.ldexp(circum[0], k) > 0.0 and math.isfinite(circum[1])
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_huge_simplex_with_finite_measure_is_not_degenerate(dim):
     """The degeneracy test never forms h^dim, which overflows before the

@@ -197,7 +197,7 @@ def test_refined_meshes_carry_their_hierarchy(tmp_path):
     ones with the same boundary, and each midpoint lies halfway between its
     parents.  Built, loaded and structured meshes carry none."""
     from certifem import mesh as meshmod
-    from certifem.verify import structured_square_mesh
+    from oracles import structured_square_mesh
 
     poly = inscribed_regular_polygon(Disk(1.0), 7)
     meshes = [generate_fan_refined(poly, k) for k in range(4)]
@@ -769,7 +769,7 @@ def test_polytope_of_a_fan_is_its_polygon_bit_for_bit(m, k):
 
 @pytest.mark.parametrize("n", [1, 8, 64])
 def test_polytope_of_a_structured_square_is_the_square_bit_for_bit(n):
-    from certifem import structured_square_mesh
+    from oracles import structured_square_mesh
 
     _assert_same_polytope(polytope_of_mesh(UNIT_SQUARE, structured_square_mesh(n)), UNIT_SQUARE_POLY)
     _assert_same_polytope(polytope_of_mesh(UNIT_SQUARE, _jittered_square(n, seed=n)), UNIT_SQUARE_POLY)
@@ -831,7 +831,7 @@ SQUARE3 = ConvexPolygon([[0, 0], [3, 0], [3, 3], [0, 3]])
         (lambda: build_mesh(2, [[0, 0], [1, 0], [1, 1], [2, 1], [2, 2]], [[0, 1, 2], [2, 3, 4]]),
          SQUARE3, InvalidPolygonError, "node 2 has 4 boundary edges"),
         (_l_shape, ConvexPolygon([[0, 0], [2, 0], [2, 2], [0, 2]]), InvalidPolygonError, "not convex"),
-        (_off_circle_fan, Disk(1.0), NotInscribedError, "vertex 1 does not lie on the domain boundary"),
+        (_off_circle_fan, Disk(1.0), NotInscribedError, "mesh node 2 does not lie on the domain boundary"),
     ],
     ids=["hole", "two components", "pinched", "reentrant", "corner off the circle"],
 )

@@ -26,7 +26,6 @@ from certifem import (
     registry,
     run_disk_study,
     solve_poisson,
-    structured_square_mesh,
     verify_case,
 )
 from certifem import estimator as estmod
@@ -34,7 +33,7 @@ from certifem.fem import FH_MODES
 from certifem.interp_constants import STRATEGIES
 from certifem.quadrature import gauss_legendre
 from certifem.verify import BESSEL_J0_FIRST_ZERO, REFERENCE_DELAUNAY, _segment_l2_sq
-from oracles import barrier_check, boundary_point, element_metrics
+from oracles import barrier_check, boundary_point, element_metrics, structured_square_mesh
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -365,25 +364,35 @@ def test_disk_study_output_formats():
 
 
 def test_convergence_study_report():
-    report = convergence_study((4, 8, 16))
-    assert len(report.levels) == 3
-    assert report.levels[0].error > report.levels[1].error > report.levels[2].error
-    for lv in report.levels:
-        assert lv.error <= lv.closed_form_bound
+    """One `verify_case` row per mesh, in order, and an O(h^2) slope."""
+    exact = registry()["square2d"]
+    meshes = [structured_square_mesh(n) for n in (4, 8, 16)]
+    report = convergence_study(exact, meshes)
+    assert report.exact == "square2d"
+    assert [lv.nodes for lv in report.levels] == [25, 81, 289]
+    assert report.levels[0].actual > report.levels[1].actual > report.levels[2].actual
+    for lv, mesh in zip(report.levels, meshes):
+        _, actual, certified = verify_case(exact, mesh)
+        assert lv.actual == actual <= lv.certified.total
+        assert lv.certified.to_json() == certified.to_json()
+        assert lv.h == quality(mesh).h
     assert 1.8 <= report.slope <= 2.2
+    assert convergence_study(exact, meshes[:1]).slope is None
+    assert convergence_study(exact, meshes[:1] * 2).slope is None  # one mesh size
 
 
 def test_convergence_study_certifies_once_per_level(monkeypatch):
-    strategies = []
+    """With the defaults, exact f_h and the element-wise A_h, as `certify`."""
+    calls = []
     certify = estmod.certify
 
     def spy(dom, mesh, f, fh_mode="exact", strategy="elementwise", **kwargs):
-        strategies.append(strategy)
+        calls.append((fh_mode, strategy))
         return certify(dom, mesh, f, fh_mode, strategy, **kwargs)
 
     monkeypatch.setattr(estmod, "certify", spy)
-    convergence_study((4, 8, 16))
-    assert strategies == ["nonblunt"] * 3
+    convergence_study(registry()["square2d"], (structured_square_mesh(n) for n in (4, 8, 16)))
+    assert calls == [("exact", "elementwise")] * 3
 
 
 def test_disk_poincare_constant_documented():
