@@ -40,7 +40,6 @@ from .fem import (
     LinearSystem,
     SourceTerm,
     assemble_load,
-    assemble_mass,
     assemble_stiffness,
     build_fh,
     dirichlet_system,

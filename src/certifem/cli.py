@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import math
 import sys
 
 from . import estimator as estmod
@@ -18,6 +19,7 @@ from . import fem as femmod
 from . import mesh as meshmod
 from . import verify as vermod
 from .domain import (
+    ON_BOUNDARY_TOL,
     ConvexPolygon,
     Disk,
     inscribed_regular_polygon,
@@ -59,7 +61,9 @@ def _parse_source(spec: str, domain) -> femmod.SourceTerm:
     if kind == "const":
         return femmod.SourceTerm.constant(float(arg or 1.0))
     if kind == "sinsin":
-        if not (isinstance(domain, ConvexPolygon) and domain.vertices.shape[0] == 4):
+        # its norm metadata holds on the unit square alone, in any vertex order
+        v = domain.vertices.tolist() if isinstance(domain, ConvexPolygon) else []
+        if len(v) != 4 or any(min(math.dist(c, p) for p in v) > ON_BOUNDARY_TOL for c in ((0, 0), (1, 0), (1, 1), (0, 1))):
             raise CertifemError("sinsin source is defined for the unit-square polygon domain")
         return femmod.SourceTerm.sin_product()
     if kind == "poly":

@@ -71,7 +71,10 @@ class Ball(ConvexDomain):
 
     @property
     def measure(self) -> float:
-        return 4.0 / 3.0 * math.pi * self.radius**3
+        try:  # float ** raises OverflowError where the measure overflows anyway
+            return (4.0 / 3.0 * math.pi if self.dim == 3 else math.pi) * self.radius**self.dim
+        except OverflowError:
+            return math.inf
 
     def _support_unit(self, d: np.ndarray) -> float:
         return self.radius + float(np.dot(d, self.center))
@@ -90,10 +93,6 @@ class Ball(ConvexDomain):
 
 class Disk(Ball):
     dim = 2
-
-    @property
-    def measure(self) -> float:
-        return math.pi * self.radius**2
 
 
 class ConvexPolygon(ConvexDomain):
@@ -267,8 +266,11 @@ def _triangle_facets(v: np.ndarray, facet_indices) -> tuple[np.ndarray, np.ndarr
     if facets.ndim != 2 or facets.shape[1:] != (3,) or not valid:
         raise InvalidPolygonError("facets must be a nonempty list of integer vertex index triples")
     a, b, c = v[facets[:, 0]], v[facets[:, 1]], v[facets[:, 2]]
-    normals = np.cross(b - a, c - a)
-    lengths = np.sqrt(_row_dots(normals, normals))
+    with np.errstate(over="ignore", invalid="ignore"):
+        normals = np.cross(b - a, c - a)
+        lengths = np.sqrt(_row_dots(normals, normals))
+    if not np.isfinite(lengths).all():
+        raise InvalidPolygonError(f"facet normal length {lengths.max()} is not finite: the coordinates overflow its closed form")
     if lengths.min() == 0.0:
         raise InvalidPolygonError(f"degenerate facet {facets[lengths.argmin()].tolist()}")
     normals /= lengths[:, None]

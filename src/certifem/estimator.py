@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +123,8 @@ def certify(
     chosen mesh-wide constant does not apply (naming the worst element for
     the non-obtuse strategy), a CertifemError such as NotInscribedError when
     the mesh's polytope is not a convex polytope inscribed in `dom`, and
-    CertifemError when the bound overflows.
+    CertifemError when the bound overflows, or underflows below the smallest
+    normal double for a nonzero source.
     """
     # identity, not ==: comparing meshes would compare their arrays
     if fh is not None and not (fh.mesh is mesh and fh.source is f and fh.mode == fh_mode):
@@ -156,6 +158,8 @@ def certify(
         raise CertifemError(
             f"certified bound is not finite: boundary {term_boundary}, source {term_source}, fem {term_fem}"
         )
+    if f.sup_norm > 0 and total < sys.float_info.min:  # the relative guard bounds no subnormal total
+        raise CertifemError(f"certified bound {total:.3e} is below the smallest normal double: its rounding is not bounded")
 
     metadata = {
         "dim": mesh.dim,

@@ -14,11 +14,13 @@ levels, with line Jacobi as its smoother (`_VCycle`): line-Jacobi CG needs
 about twice the iterations per refinement, the V-cycle about the same
 number at every depth.
 
+||u_h|| and nodal f_h share one closed-form P1 L2 form (`_p1_l2`), summed
+element by element: no mass matrix is assembled.
+
 This is the one module that uses scipy, and it imports it inside the
-functions that build a sparse matrix or call LAPACK, never at module level:
+functions that build the stiffness or call LAPACK, never at module level:
 scipy.sparse and scipy.linalg are most of the cost of `import certifem`, and
-neither the `mesh` commands nor `certify` need them, except that nodal f_h
-mode assembles the mass matrix.
+neither the `mesh` commands nor `certify` need them.
 """
 
 from __future__ import annotations
@@ -187,9 +189,7 @@ class DiscreteSource:
         if self.mode == "barycentric":
             return math.sqrt(float((self.element_values**2 * meshmod._measures(mesh)).sum()))
         if self.mode == "nodal":
-            m_full = assemble_mass(mesh)
-            v = self.nodal_values
-            return math.sqrt(max(float(v @ (m_full @ v)), 0.0))
+            return _p1_l2(mesh, self.nodal_values)
         if self.quadrature_l2 is None:
             self.quadrature_l2 = _source_l2(mesh, self.source)
         return self.quadrature_l2
@@ -335,10 +335,6 @@ def assemble_stiffness(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
     """Full stiffness matrix over all nodes (constants lie in its kernel),
     with read-only arrays.  Not cached on the mesh: `solve_poisson` needs it
     only to form the reduced system, which also gives |u_h|_1."""
-    return _assemble_stiffness(mesh)
-
-
-def _assemble_stiffness(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
     return _scatter(mesh, _stiffness_rows(*_gradients(mesh)))
 
 
@@ -364,27 +360,10 @@ def _stiffness_rows(grads: np.ndarray, meas: np.ndarray) -> Callable[[np.ndarray
     return rows
 
 
-def assemble_mass(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
-    """Full P1 mass matrix (exact closed-form local blocks).
-
-    Assembled once per mesh and shared, so its arrays are read-only.
-    """
-    return meshmod._cached(mesh, "mass", _assemble_mass)
-
-
-def _assemble_mass(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
-    n = mesh.dim
-    meas = meshmod._measures(mesh)
-    base = np.ones((n + 1, n + 1)) + np.eye(n + 1)
-    denom = (n + 1) * (n + 2)
-    return _scatter(mesh, lambda e, c: base[c] * (meas[e] / denom)[:, None])
-
-
 def _scatter(mesh: meshmod.SimplicialMesh, local_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> sp.csr_matrix:
     """Global CSR matrix summing the local element matrices, of which
     `local_rows(e, c)` returns the (S, k) rows local[e, c, :] for S slots
-    (element e, corner c); read-only, since the per-mesh cache shares the
-    mass matrix.
+    (element e, corner c), with read-only arrays.
 
     Bit-identical to `coo_matrix((local.ravel(), (rows, cols))).tocsr()`,
     which orders each row's entries by element, then column slot, before
@@ -428,13 +407,15 @@ def assemble_load(mesh: meshmod.SimplicialMesh, fh: DiscreteSource) -> np.ndarra
 
     Barycentric and nodal modes integrate exactly; exact mode uses the
     degree-4 rule, and stores the same rule's ||f|| on `fh` for
-    `fh.l2_norm`, so f is evaluated once per solve.  Barycentric and exact
-    mode scatter (n+1, M) corner contributions, corner by corner.
+    `fh.l2_norm`, so f is evaluated once per solve.  Every mode scatters
+    (n+1, M) corner contributions, corner by corner; nodal corner j of T
+    gives |T| (v_j + sum_k v_k) / ((n+1)(n+2)), row j of M_T v (`_p1_l2`).
     """
     n = mesh.dim
     if fh.mode == "nodal":
-        return assemble_mass(mesh) @ fh.nodal_values
-    if fh.mode == "barycentric":
+        v = fh.nodal_values[mesh.elements.T]
+        contrib = (v + v.sum(axis=0)) * (meshmod._measures(mesh) / ((n + 1) * (n + 2)))
+    elif fh.mode == "barycentric":
         contrib = np.broadcast_to(fh.element_values * meshmod._measures(mesh) / (n + 1), (n + 1, mesh.element_count))
     else:
         contrib = np.empty((n + 1, mesh.element_count))
@@ -838,14 +819,19 @@ def solve_poisson(
 
 
 def fem_l2_norm(mesh: meshmod.SimplicialMesh, sol: FemSolution) -> float:
-    """||u_h||, exact for P1: the sum over elements of v^T M_T v with the
-    closed-form local mass matrix M_T = |T| (J + I) / ((n+1)(n+2)), J the
-    all-ones matrix, so no global mass matrix is assembled."""
+    """||u_h||, exact for P1 (`_p1_l2`)."""
+    return _p1_l2(mesh, sol.nodal_values)
+
+
+def _p1_l2(mesh: meshmod.SimplicialMesh, nodal: np.ndarray) -> float:
+    """L2 norm of the P1 function with `nodal` values, exact: the sum over
+    elements of v^T M_T v = |T| (sum_k v_k^2 + (sum_k v_k)^2) / ((n+1)(n+2)),
+    M_T = |T| (J + I) / ((n+1)(n+2)) the local mass matrix, J all ones.
+    Every term is nonnegative, so none cancels."""
     n = mesh.dim
-    v = sol.nodal_values[mesh.elements]
+    v = nodal[mesh.elements]
     local = (v**2).sum(axis=1) + v.sum(axis=1) ** 2
-    sq = float((local * meshmod._measures(mesh)).sum()) / ((n + 1) * (n + 2))
-    return math.sqrt(max(sq, 0.0))
+    return math.sqrt(float((local * meshmod._measures(mesh)).sum()) / ((n + 1) * (n + 2)))
 
 
 def fem_h1_seminorm(mesh: meshmod.SimplicialMesh, sol: FemSolution) -> float:

@@ -51,9 +51,9 @@ class SimplicialMesh:
     elements: np.ndarray  # (M, dim+1), positively oriented
     boundary_facets: np.ndarray  # (K, dim), sorted node tuples
     boundary_nodes: np.ndarray  # sorted unique node indices
-    # Derived geometry (and the mass matrix): `build_mesh` stores the
-    # measures and squared edges, `_cached` fills the rest on first use; the
-    # arrays above are read-only, so entries never go stale.
+    # Derived geometry: `build_mesh` stores the measures and squared edges,
+    # `_cached` fills the rest on first use; the arrays above are read-only,
+    # so entries never go stale.
     # A refined mesh also keeps its refinement levels here (`_hierarchy`).
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -189,7 +189,11 @@ def _build_mesh(dim: int, nd: np.ndarray, el: np.ndarray) -> SimplicialMesh:
             sm[flip], edge_sq[flip] = _element_geometry(nd, el[flip])
         bad = np.flatnonzero(degenerate(sm, edge_sq, dim))
     if bad.size:
-        raise InvertedElementError(f"element {bad[0]} has nonpositive measure after orientation fix")
+        i = bad[0]
+        if not (np.isfinite(sm[i]) and np.isfinite(edge_sq[i]).all()):
+            overflow = f"measure {abs(sm[i]):.3e} (longest squared edge {edge_sq[i].max():.3e}) is not finite"
+            raise InvertedElementError(f"element {i} {overflow}: the coordinates overflow its closed form")
+        raise InvertedElementError(f"element {i} has nonpositive measure after orientation fix")
 
     # In the sorted facet keys, a facet of three or more elements equals the
     # key two places on, and a boundary facet differs from both neighbours.

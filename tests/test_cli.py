@@ -223,6 +223,63 @@ def test_certify_overflowing_disk_exits_2_by_name(capsys, radius, reason):
     assert reason in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius", ["1e-104", "1e-110"])
+def test_certify_underflowing_total_exits_2(tmp_path, capsys, radius):
+    """A total below the smallest normal double is no certificate: the
+    relative rounding guard bounds nothing there (at 1e-104 every term is
+    subnormal, at 1e-110 the total is zero)."""
+    report = tmp_path / "report.json"
+    assert run_cli("certify", "--domain", f"disk:{radius}", "--generate", "10,1", "--out", str(report)) == 2
+    assert "below the smallest normal double" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_certify_tiny_disk_and_zero_source_still_certify(tmp_path):
+    """A zero source certifies a total of exactly 0; at radius 1e-100 the
+    total is still normal and scales as R^3 from the unit disk's."""
+    totals = {}
+    for radius, source in (("1", "const:1"), ("1e-100", "const:1"), ("1", "const:0")):
+        report = tmp_path / f"{radius}-{source}.json"
+        args = ["--domain", f"disk:{radius}", "--generate", "10,1", "--f", source, "--out", str(report)]
+        assert run_cli("certify", *args) == 0
+        totals[radius, source] = json.loads(report.read_text())["total"]
+    assert totals["1", "const:0"] == 0.0
+    assert totals["1e-100", "const:1"] == pytest.approx(1e-300 * totals["1", "const:1"], rel=1e-12)
+
+
+def test_certify_mesh_whose_measures_overflow_names_the_overflow(tmp_path, capsys):
+    """A 4-triangle fan at radius 1e155: the squared edges and measures
+    overflow, and the refusal says so, not that an element is inverted."""
+    r = 1e155
+    mesh_path = tmp_path / "fan.json"
+    nodes = [[0.0, 0.0], [r, 0.0], [0.0, r], [-r, 0.0], [0.0, -r]]
+    mesh_path.write_text(json.dumps({"dim": 2, "nodes": nodes, "elements": [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]]}))
+    assert run_cli("certify", "--domain", "disk:1e155", "--mesh", str(mesh_path)) == 2
+    assert "element 0 measure inf (longest squared edge inf) is not finite" in capsys.readouterr().err
+
+
+def test_sinsin_is_refused_off_the_unit_square(tmp_path, capsys):
+    """sinsin's norm metadata holds on the unit square only: a 3x3 square
+    and a unit-area parallelogram exit 2, and the unit square listed
+    clockwise from (1, 1) certifies as the counterclockwise file does."""
+    polygons = {
+        "ccw": [[0, 0], [1, 0], [1, 1], [0, 1]],
+        "cw": [[1, 1], [1, 0], [0, 0], [0, 1]],
+        "big": [[0, 0], [3, 0], [3, 3], [0, 3]],
+        "parallelogram": [[0, 0], [1, 0], [1.5, 1], [0.5, 1]],
+    }
+    codes = {}
+    for name, vertices in polygons.items():
+        poly_path = tmp_path / f"{name}.json"
+        poly_path.write_text(json.dumps({"vertices": vertices}))
+        args = ["--domain", f"polygon:{poly_path}", "--generate", "3", "--f", "sinsin", "--fh-mode", "nodal"]
+        codes[name] = run_cli("certify", *args, "--out", str(tmp_path / f"{name}-report.json"))
+    assert codes == {"ccw": 0, "cw": 0, "big": 2, "parallelogram": 2}
+    assert capsys.readouterr().err.count("sinsin source is defined for the unit-square polygon domain") == 2
+    assert (tmp_path / "cw-report.json").read_bytes() == (tmp_path / "ccw-report.json").read_bytes()
+    assert not (tmp_path / "big-report.json").exists()
+
+
 def test_certify_square_polygon(tmp_path):
     poly_path = str(tmp_path / "square.json")
     json.dump({"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, open(poly_path, "w"))
@@ -457,6 +514,7 @@ for argv in (
     ["certify", "--domain", "disk:1", "--generate", "10,1", "--out", os.path.join(tmp, "exact.json")],
     ["certify", "--domain", "disk:1", "--generate", "10,1", "--fh-mode", "barycentric",
      "--out", os.path.join(tmp, "barycentric.json")],
+    ["certify", "--domain", "disk:1", "--generate", "10,1", "--fh-mode", "nodal", "--out", os.path.join(tmp, "nodal.json")],
     ["mesh", "gen", "--m", "12", "--refine", "1", "--out", os.path.join(tmp, "fan.node")],
     ["mesh", "stats", "--mesh", os.path.join(tmp, "fan.node"), "--out", os.path.join(tmp, "stats.json")],
     ["mesh", "convert", "--in", os.path.join(tmp, "fan.node"), "--out", os.path.join(tmp, "fan.json")],
@@ -468,8 +526,8 @@ print(json.dumps(steps))
 
 
 def test_cold_start_loads_scipy_only_to_solve(tmp_path):
-    """A fresh interpreter runs `import certifem`, `certify` (exact and
-    barycentric f_h) and the `mesh` commands without loading scipy.sparse or
+    """A fresh interpreter runs `import certifem`, `certify` (in each f_h
+    mode) and the `mesh` commands without loading scipy.sparse or
     scipy.linalg; `verify`, which solves, loads both (at m=20 the fan's rings
     make line-Jacobi call LAPACK; an m=10 fan has no lines, and its plain
     Jacobi solve needs scipy.sparse only)."""
@@ -483,7 +541,8 @@ def test_cold_start_loads_scipy_only_to_solve(tmp_path):
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout.splitlines()[-1])
     assert [step[0] for step in steps] == [
-        "import", "certify --domain", "certify --domain", "mesh gen", "mesh stats", "mesh convert", "verify --exact"
+        "import", "certify --domain", "certify --domain", "certify --domain", "mesh gen", "mesh stats", "mesh convert",
+        "verify --exact",
     ]
     assert all(code == 0 for _, code, _ in steps)
     for name, _, loaded in steps[:-1]:

@@ -323,6 +323,14 @@ def test_domain_measures_and_diameters():
     assert UNIT_SQUARE.diameter == pytest.approx(math.sqrt(2), rel=1e-15)
 
 
+def test_ball_measures_overflow_to_inf():
+    """r**k raises OverflowError where the measure overflows; the measure is
+    inf there instead, with no warning, and keeps its bits elsewhere."""
+    assert Disk(1.4e154).measure == math.inf and Ball(6e102).measure == math.inf
+    assert Disk(1e150).measure == math.pi * 1e150**2
+    assert Ball(1e100).measure == 4.0 / 3.0 * math.pi * 1e100**3
+
+
 @pytest.mark.parametrize(
     "vertices, reason",
     [

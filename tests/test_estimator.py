@@ -219,6 +219,24 @@ def test_certify_3d_regularity():
     assert reg_bound.metadata["gap"] == poly.gap
 
 
+def test_certify_huge_ball_is_refused_by_name():
+    """A tetrahedron inscribed near the pole of a ball: at radius 1e70 it
+    certifies R^(7/2) times the unit ball's total; at 6e102, where the ball's
+    measure overflows (to inf, not an OverflowError), the polytope's facet
+    normals overflow first, and certify refuses them by name with no
+    RuntimeWarning (an error under the suite's filter)."""
+    from certifem import Ball, CertifemError
+
+    t = 0.5
+    dirs = np.array([[0, 0, 1]] + [[math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)] for p in (0, 2.1, 4.2)])
+    unit = certify(Ball(1.0), build_mesh(3, dirs, [[0, 1, 2, 3]]), SourceTerm.constant(1.0)).total
+    big = certify(Ball(1e70), build_mesh(3, 1e70 * dirs, [[0, 1, 2, 3]]), SourceTerm.constant(1.0)).total
+    assert big == pytest.approx(1e245 * unit, rel=1e-12)
+    assert Ball(6e102).measure == math.inf
+    with pytest.raises(CertifemError, match="overflow"):
+        certify(Ball(6e102), build_mesh(3, 6e102 * dirs, [[0, 1, 2, 3]]), SourceTerm.constant(1.0))
+
+
 @pytest.mark.parametrize("mode", ["exact", "barycentric", "nodal"])
 def test_certify_reuses_the_solve_fh(mode):
     poly = inscribed_regular_polygon(DISK.domain, 12)

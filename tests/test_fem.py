@@ -22,7 +22,6 @@ from certifem import (
     SourceTerm,
     SupNormViolationError,
     assemble_load,
-    assemble_mass,
     assemble_stiffness,
     build_fh,
     build_mesh,
@@ -125,9 +124,17 @@ def test_single_triangle_loads():
     assert b_nodal == pytest.approx(expect, rel=1e-13)
 
 
+def _nodal_one_integrates_the_measure(mesh):
+    """The nodal load of f = 1 sums to |Omega_h| (every mass matrix entry,
+    once), and its ||f_h|| is sqrt|Omega_h|."""
+    fh = build_fh(mesh, SourceTerm.constant(1.0), "nodal")
+    assert assemble_load(mesh, fh).sum() == pytest.approx(measure_sum(mesh), rel=1e-13)
+    assert fh.l2_norm() == pytest.approx(math.sqrt(measure_sum(mesh)), rel=1e-13)
+
+
 def test_mass_matrix_total():
-    m = assemble_mass(TWO_TRI_SQUARE)
-    assert m.sum() == pytest.approx(1.0, rel=1e-13)
+    assert measure_sum(TWO_TRI_SQUARE) == pytest.approx(1.0, rel=1e-13)
+    _nodal_one_integrates_the_measure(TWO_TRI_SQUARE)
 
 
 def test_cg_one_by_one():
@@ -371,8 +378,8 @@ def test_exact_source_is_evaluated_once_per_solve(monkeypatch):
 
 def test_3d_mass_and_stiffness():
     mesh = build_mesh(3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2, 3]])
-    m = assemble_mass(mesh)
-    assert m.sum() == pytest.approx(1.0 / 6.0, rel=1e-13)
+    assert measure_sum(mesh) == pytest.approx(1.0 / 6.0, rel=1e-13)
+    _nodal_one_integrates_the_measure(mesh)
     k = assemble_stiffness(mesh)
     assert np.abs(np.asarray(k.sum(axis=1))).max() <= 1e-14
     fh = build_fh(mesh, SourceTerm.constant(1.0), "barycentric")
@@ -481,7 +488,7 @@ def test_barycentric_fh_is_the_vertex_mean(name):
 @pytest.mark.parametrize("name", ["jittered-square", "jittered-kuhn-cube"])
 def test_stiffness_blocks_match_einsum(name):
     mesh = KERNEL_MESHES[name]()
-    got, ref = fem._assemble_stiffness(mesh), _einsum_stiffness(mesh)
+    got, ref = assemble_stiffness(mesh), _einsum_stiffness(mesh)
     assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.data, ref.data)
 
@@ -710,7 +717,35 @@ def test_matrix_free_l2_norm_matches_mass_matrix(name):
     mesh = KERNEL_MESHES[name]()
     v = np.random.default_rng(7).uniform(-1.0, 1.0, mesh.node_count)
     sol = FemSolution(v, 0, 0.0, True)
-    assert fem_l2_norm(mesh, sol) == pytest.approx(math.sqrt(v @ (assemble_mass(mesh) @ v)), rel=1e-13)
+    mass = _coo_scatter(mesh, _mass_blocks(mesh))
+    assert fem_l2_norm(mesh, sol) == pytest.approx(math.sqrt(v @ (mass @ v)), rel=1e-13)
+
+
+def _sign_changing_quadratic(pts):
+    x = np.asarray(pts, dtype=float)
+    return 0.3 - x[..., 0] ** 2 + 1.5 * x[..., 0] * x[..., 1] - 0.8 * x[..., -1]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 20), 2),
+        KERNEL_MESHES["jittered-square"],
+        KERNEL_MESHES["jittered-kuhn-cube"],
+    ],
+    ids=["fan-20-2", "jittered-square", "jittered-kuhn-cube"],
+)
+def test_nodal_load_and_norm_match_mass_matrix(make):
+    """The per-corner nodal load and the closed-form ||f_h|| agree with the
+    assembled P1 mass matrix M: M v and sqrt(v . M v)."""
+    mesh = make()
+    fh = build_fh(mesh, SourceTerm(evaluate=_sign_changing_quadratic, sup_norm=4.0), "nodal")
+    v = fh.nodal_values
+    assert v.min() < 0.0 < v.max()
+    mass = _coo_scatter(mesh, _mass_blocks(mesh))
+    load, ref = assemble_load(mesh, fh), mass @ v
+    assert np.abs(load - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert fh.l2_norm() == pytest.approx(math.sqrt(v @ ref), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -1395,9 +1430,15 @@ def _whole_source_pass(mesh, f):
 def _whole_load(mesh, fh):
     if fh.mode == "exact":
         return _whole_source_pass(mesh, fh.source)[0]
-    if fh.mode == "nodal":
-        return assemble_mass(mesh) @ fh.nodal_values
+    n = mesh.dim
     b = np.zeros(mesh.node_count)
+    if fh.mode == "nodal":
+        # row j of |T| (J + I) / ((n+1)(n+2)) times the corner values
+        v = fh.nodal_values[mesh.elements]
+        contrib = (v + v.sum(axis=1, keepdims=True)).T * (meshmod._measures(mesh) / ((n + 1) * (n + 2)))
+        for j in range(n + 1):
+            np.add.at(b, mesh.elements[:, j], contrib[j])
+        return b
     contrib = fh.element_values * meshmod._measures(mesh) / (mesh.dim + 1)
     for j in range(mesh.dim + 1):
         np.add.at(b, mesh.elements[:, j], contrib)
@@ -1429,7 +1470,11 @@ def test_block_pass_load_matches_whole_arrays(name, mode):
     mesh = BLOCK_MESHES[name]()
     f = SourceTerm(evaluate=_wavy, sup_norm=2.0, grad_sup_norm=3.7, h2_seminorm=100.0)
     fh = build_fh(mesh, f, mode)
-    assert np.array_equal(assemble_load(mesh, fh), _whole_load(mesh, fh))
+    load = assemble_load(mesh, fh)
+    assert np.array_equal(load, _whole_load(mesh, fh))
+    if mode == "nodal":
+        ref = _coo_scatter(mesh, _mass_blocks(mesh)) @ fh.nodal_values
+        assert np.abs(load - ref).max() <= 1e-13 * np.abs(ref).max()
     if mode == "exact":
         # the load's pass stores the same rule's ||f||
         assert fh.quadrature_l2 == _whole_source_pass(mesh, f)[1]
@@ -1549,8 +1594,8 @@ def test_row_block_scatter_is_the_coo_conversion(monkeypatch, name, slots):
         return random[e, c]
 
     cases = [
-        (fem._assemble_stiffness(mesh), _oracle_stiffness_blocks(grads, meas)),
-        (fem._assemble_mass(mesh), _mass_blocks(mesh)),
+        (assemble_stiffness(mesh), _oracle_stiffness_blocks(grads, meas)),
+        (fem._scatter(mesh, _rows_of(_mass_blocks(mesh))), _mass_blocks(mesh)),
         (fem._scatter(mesh, random_rows), random),
     ]
     for got, local in cases:
@@ -1633,7 +1678,7 @@ def test_stiffness_assembly_memory_per_triangle(fine_fan_system):
     triangle), the slot incidence and one row block: an (M, 3, 3) local
     array alone would be 72 B per triangle."""
     mesh = fine_fan_system[0]
-    mat, peak, _ = _traced(lambda: fem._assemble_stiffness(mesh))
+    mat, peak, _ = _traced(lambda: assemble_stiffness(mesh))
     output = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
     assert (peak - output) / mesh.element_count < 120
 

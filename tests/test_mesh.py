@@ -95,9 +95,9 @@ def test_orientation_autofix_and_inverted():
 @pytest.mark.parametrize("dim, scale", [(2, 1e155), (3, 1e103)])
 def test_overflowing_measures_are_rejected(dim, scale):
     """Finite coordinates whose closed-form measure overflows (inf - inf is
-    NaN) are refused, not built with NaN measures."""
+    NaN) are refused by name, not built with NaN measures."""
     verts = [[0, 0], [1, 0.5], [0.5, 1]] if dim == 2 else [[0, 0, 0], [1, 0.5, 0.25], [0.25, 1, 0.5], [0.5, 0.25, 1]]
-    with pytest.raises(InvertedElementError):
+    with pytest.raises(InvertedElementError, match="is not finite: the coordinates overflow its closed form"):
         build_mesh(dim, scale * np.array(verts), [list(range(dim + 1))])
     assert build_mesh(dim, 1e-3 * scale * np.array(verts), [list(range(dim + 1))]).element_count == 1
 

@@ -421,20 +421,20 @@ def test_disk_study_row_builds_each_mesh_quantity_once(monkeypatch):
 
     spy(meshmod, "_boundary_polytope")
     spy(meshmod, "_quality")
-    spy(femmod, "_assemble_stiffness")
+    spy(femmod, "assemble_stiffness")
     disk_study_row(10, 1)
 
     # one boundary walk gives the polytope that verify_case measures and
     # certify bounds; quality and the element-wise constants walk blocks of
     # elements: no whole-mesh metric arrays are built or left on the mesh
-    assert {name: len(seen.get(name, ())) for name in ("_boundary_polytope", "_quality", "_assemble_stiffness")} == {
+    assert {name: len(seen.get(name, ())) for name in ("_boundary_polytope", "_quality", "assemble_stiffness")} == {
         "_boundary_polytope": 1,
         "_quality": 1,
-        "_assemble_stiffness": 1,
+        "assemble_stiffness": 1,
     }
     final = seen["_quality"][0]
     assert final.element_count == 40
-    assert seen["_assemble_stiffness"][0] is final and seen["_boundary_polytope"][0] is final
+    assert seen["assemble_stiffness"][0] is final and seen["_boundary_polytope"][0] is final
     assert "metrics" not in final._cache
 
     em = element_metrics(final)
@@ -464,18 +464,27 @@ def test_disk_study_row_takes_a_m_from_the_elementwise_pass(monkeypatch):
     assert row.a_m == float(kobayashi(em.edge_sq, em.measures).max())
 
 
-def test_nodal_disk_study_row_assembles_mass_once(monkeypatch):
-    from certifem import assemble_mass
+def test_nodal_disk_study_row_scatters_only_the_stiffness(monkeypatch):
+    """Nodal f_h loads and takes its norm element by element: the one
+    sparse assembly of a nodal row is the stiffness."""
+    from certifem import assemble_stiffness
     from certifem import fem as femmod
 
-    meshes = []
-    build = femmod._assemble_mass
-    monkeypatch.setattr(femmod, "_assemble_mass", lambda mesh: meshes.append(mesh) or build(mesh))
+    built = []
+    scatter = femmod._scatter
+
+    def spy(mesh, rows):
+        built.append((mesh, scatter(mesh, rows)))
+        return built[-1][1]
+
+    monkeypatch.setattr(femmod, "_scatter", spy)
     disk_study_row(30, 3, "nodal")
-    assert len(meshes) == 1
-    mass = assemble_mass(meshes[0])
-    assert len(meshes) == 1
-    assert not any(a.flags.writeable for a in (mass.data, mass.indices, mass.indptr))
+    assert len(built) == 1
+    mesh, mat = built[0]
+    monkeypatch.setattr(femmod, "_scatter", scatter)
+    stiffness = assemble_stiffness(mesh)
+    for a, b in ((mat.data, stiffness.data), (mat.indices, stiffness.indices), (mat.indptr, stiffness.indptr)):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("mode", ["exact", "barycentric", "nodal"])
