@@ -26,6 +26,7 @@ from .domain import (
     poly_approx_of_polygon,
 )
 from .errors import BoundViolationError, CertifemError, MeshParseError
+from .interp_constants import STRATEGIES
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -192,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--mesh", default=None, help="mesh file (.json or .node) of a polytope inscribed in the domain")
     p_cert.add_argument("--f", default="const:1", help="const:C | sinsin | poly:c0,...,c5")
     p_cert.add_argument("--fh-mode", dest="fh_mode", default="exact", choices=femmod.FH_MODES)
-    p_cert.add_argument("--strategy", default="elementwise")
+    p_cert.add_argument("--strategy", default="elementwise", choices=STRATEGIES)
     p_cert.add_argument("--out", default=None)
 
     # no abbreviations, or the removed --m would read as --mesh

@@ -160,21 +160,33 @@ def degenerate(measures: np.ndarray, edge_sq: np.ndarray, dim: int) -> np.ndarra
         return ~(measures / h ** (dim - 1) > DEGENERACY_TOL * h)
 
 
-def edge_cosines(edge_sq: np.ndarray) -> np.ndarray:
-    """(M, 3) law-of-cosines cosines of the triangle angles, column i at
-    vertex i, from 2D squared edges; not clipped to [-1, 1].  Column i is
-    (e_next + e_prev - e_i) / (2 l_next l_prev), computed one column at a
-    time."""
-    lengths = np.sqrt(edge_sq)
-    out = np.empty_like(edge_sq)
+def _unit_scaled(measures: np.ndarray, edge_sq: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(q, measures * 4**-q, edge_sq * 4**-q, largest * 4**-q) of triangles,
+    with per element the q for which its largest squared edge times 4**-q
+    lies in [0.5, 2).  Scaling lengths by 2**-q is exact, so the angle, Liu,
+    Kobayashi and circumradius kernels run on unit-sized elements, whose
+    fourth and sixth powers of edge lengths cannot overflow, and give their
+    result times 2**-q: bit for bit, on any element whose unscaled terms stay
+    normal numbers."""
+    largest = _row_reduce(np.maximum, edge_sq)
+    q = np.frexp(largest)[1] // 2
+    return q, np.ldexp(measures, -2 * q), np.ldexp(edge_sq, -2 * q[:, None]), np.ldexp(largest, -2 * q)
+
+
+def _angle_pair(measures: np.ndarray, edge_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one source of triangle angles: s = 4|T| = 2 l_j l_k sin(theta_i)
+    (M,) and c (M, 3), column i = l_j^2 + l_k^2 - l_i^2 = 2 l_j l_k
+    cos(theta_i), from unit-scaled (`_unit_scaled`) measures and squared
+    edges; theta_i = atan2(s, c_i).  No sine comes from a rounded cosine, so
+    thin angles keep the measure's relative accuracy (its condition number
+    kappa).  Near a right angle c cancels: the angle error grows like
+    u l_max / l_min (u = 2**-53); measured, it stays at or below
+    2u (kappa theta + l_max / l_min)."""
+    c = np.empty_like(edge_sq)
     for i in range(3):
-        nxt, prev = (i + 1) % 3, (i + 2) % 3
-        num = edge_sq[:, nxt] + edge_sq[:, prev]
-        num -= edge_sq[:, i]
-        den = 2.0 * lengths[:, nxt]
-        den *= lengths[:, prev]
-        np.divide(num, den, out=out[:, i])
-    return out
+        np.add(edge_sq[:, (i + 1) % 3], edge_sq[:, (i + 2) % 3], out=c[:, i])
+        c[:, i] -= edge_sq[:, i]
+    return 4.0 * measures, c
 
 
 def _circumcenter_offsets(verts: np.ndarray) -> np.ndarray:
@@ -202,18 +214,11 @@ def vertex_metrics(verts: np.ndarray | None, measures: np.ndarray, edge_sq: np.n
     (`_row_reduce`)."""
     h = np.sqrt(_row_reduce(np.maximum, edge_sq))
     if edge_sq.shape[1] == 3:
-        # abc / (4 area) with the lengths scaled by 2**-q, exactly, to below
-        # 1: unscaled, the product of three lengths overflows above ~1e102
-        # and underflows below ~1e-102
-        q = np.frexp(h)[1]
-        lengths = np.ldexp(np.sqrt(edge_sq), -q[:, None])
-        circum = np.ldexp(_row_reduce(np.multiply, lengths) / (4.0 * np.ldexp(measures, -2 * q)), q)
-        # Two angle formulas stay on purpose.  `angles` uses atan2, whose three
-        # angles sum to pi within 1e-12 (arccos drifts by ~5e-12); the mesh keeps
-        # arccos because the `minangle` bound and the worst-element ties in
-        # reports were computed with it.  They differ by up to 4.4e-8 relative
-        # on thin triangles.
-        ang = np.arccos(np.clip(edge_cosines(edge_sq), -1.0, 1.0))
+        # abc / (4 area) on unit-scaled lengths, whose product cannot over- or underflow
+        q, meas, sq, _ = _unit_scaled(measures, edge_sq)
+        s, c = _angle_pair(meas, sq)
+        circum = np.ldexp(_row_reduce(np.multiply, np.sqrt(sq)) / s, q)
+        ang = np.arctan2(s[:, None], c)
         min_angle, max_angle = _row_reduce(np.minimum, ang), _row_reduce(np.maximum, ang)
     else:
         circum = np.linalg.norm(_circumcenter_offsets(verts), axis=1)
@@ -276,18 +281,13 @@ def inradius(s: Simplex) -> float:
 
 
 def angles(t: Simplex) -> list[float]:
-    """Interior angles of a triangle, in radians, vertex order (atan2; see
-    `vertex_metrics` for why the mesh kernel uses arccos)."""
+    """Interior angles of a triangle, in radians, vertex order: the mesh
+    kernel's atan2(4|T|, l_j^2 + l_k^2 - l_i^2) (`_angle_pair`)."""
     if t.dim != 2:
         raise ValueError("angles are defined for triangles only")
-    measure(t)
-    v = t.vertices
-    out = []
-    for i in range(3):
-        u = v[(i + 1) % 3] - v[i]
-        w = v[(i + 2) % 3] - v[i]
-        out.append(math.atan2(abs(u[0] * w[1] - u[1] * w[0]), float(np.dot(u, w))))
-    return out
+    _, meas, edge_sq = as_batch(t)
+    s, c = _angle_pair(*_unit_scaled(meas, edge_sq)[1:3])
+    return np.arctan2(s[:, None], c)[0].tolist()
 
 
 def min_angle(t: Simplex) -> float:

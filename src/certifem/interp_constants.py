@@ -12,25 +12,42 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import mesh as meshmod
-from .errors import NegativeRadicandError, StrategyInapplicableError
+from .errors import CertifemError, NegativeRadicandError, StrategyInapplicableError
 from .geometry import (
     Simplex,
+    _angle_pair,
     _blocks,
+    _unit_scaled,
     as_batch,
-    edge_cosines,
     vertex_metrics,
 )
 
 LIU_COEFF = 0.49293
 MIN_ANGLE_COEFF = 0.69711  # rounds 0.49293 * sqrt(2) upward
-NONBLUNT_COEFF = math.sqrt(11.0 / 60.0)
+# one ulp above math.sqrt, which rounds sqrt(11/60) and sqrt(3/83) down
+NONBLUNT_COEFF = math.nextafter(math.sqrt(11.0 / 60.0), math.inf)
 TET_COEFF = 2.19
-L2_COEFF_2D = math.sqrt(3.0 / 83.0)
+L2_COEFF_2D = math.nextafter(math.sqrt(3.0 / 83.0), math.inf)
 L2_COEFF_3D = 8.0
+
+
+def _check_coefficients() -> None:
+    """Import-time self-test in exact arithmetic: NONBLUNT_COEFF, L2_COEFF_2D
+    and MIN_ANGLE_COEFF are at least sqrt(11/60), sqrt(3/83) and sqrt(2)
+    LIU_COEFF.  LIU_COEFF and TET_COEFF are published decimals, with no
+    expression here to check them against."""
+    squares = (Fraction(11, 60), Fraction(3, 83), 2 * Fraction(LIU_COEFF) ** 2)
+    for coeff, square in zip((NONBLUNT_COEFF, L2_COEFF_2D, MIN_ANGLE_COEFF), squares):
+        if Fraction(coeff) ** 2 < square:
+            raise CertifemError(f"coefficient {coeff!r} is below the square root of {square}")
+
+
+_check_coefficients()
 
 RADICAND_TOL = 1e-12
 
@@ -43,8 +60,7 @@ class GlobalConstants:
 
     `elementwise` is always at least as sharp as any applicable closed form.
     Closed-form fields are None when their hypothesis fails (e.g. `nonblunt`
-    on a mesh with an obtuse triangle, `minangle` when a needle's smallest
-    angle rounds to 0) or the dimension does not match.
+    on a mesh with an obtuse triangle) or the dimension does not match.
     """
 
     dim: int
@@ -68,14 +84,12 @@ class GlobalConstants:
 
 
 def liu_bound(t: Simplex) -> float:
-    """Angle-based H1 constant bound, minimized over the three interior angles.
-
-    The formula is valid at any interior angle with its two adjacent edges,
-    so the minimum is still a certified upper bound.
-    """
+    """Angle-based H1 constant bound, minimized over the three interior
+    angles: valid at each angle with its two edges, so at their minimum."""
     if t.dim != 2:
         raise ValueError("liu_bound applies to triangles")
-    return float(_liu_batch(as_batch(t)[2])[0])
+    _, meas, edge_sq = as_batch(t)
+    return float(_liu_batch(edge_sq, meas)[0])
 
 
 def kobayashi_bound_2d(t: Simplex) -> float:
@@ -114,35 +128,18 @@ def min_angle_global(theta0: float, h: float) -> float:
 # vectorized element-wise evaluation over a whole mesh
 
 
-def _unit_scaled(edge_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, edge_sq * 4**-q, largest * 4**-q) with, per element, the q for
-    which its largest squared edge times 4**-q lies in [0.5, 2).  Scaling
-    lengths by 2**-q is exact, so the Liu and Kobayashi kernels below run on
-    unit-sized elements, whose fourth and sixth powers of edge lengths cannot
-    overflow, and give their result times 2**-q: bit for bit, on any element
-    whose unscaled terms stay normal numbers.  The largest edge is taken
-    column by column (numpy's max over a short row is slow)."""
-    largest = np.maximum(np.maximum(edge_sq[:, 0], edge_sq[:, 1]), edge_sq[:, 2])
-    q = np.frexp(largest)[1] // 2
-    return q, np.ldexp(edge_sq, -2 * q[:, None]), np.ldexp(largest, -2 * q)
-
-
-def _liu_batch(edge_sq: np.ndarray, scaled: tuple | None = None) -> np.ndarray:
-    """Min-over-angles Liu bound per element from squared edge lengths;
-    `scaled` is `_unit_scaled(edge_sq)` where the caller has it.
-
-    Column j of edge_sq is the squared length opposite vertex j, so the
-    angle at vertex j has adjacent squared lengths in the other columns.
-    """
-    q, edge_sq, _ = scaled or _unit_scaled(edge_sq)
-    cos_t = np.clip(edge_cosines(edge_sq), -1.0, 1.0)
+def _liu_batch(edge_sq: np.ndarray, area: np.ndarray, scaled: tuple | None = None) -> np.ndarray:
+    """Min-over-angles Liu bound per element from squared edges and areas
+    (`scaled` is `_unit_scaled(area, edge_sq)` where the caller has it).  At
+    the angle theta between edges a and b, with s and c of `_angle_pair`,
+    (1 + |cos theta|) / sin theta = (2ab + |c|) / s, and a^4 + 2 a^2 b^2
+    cos(2 theta) + b^4 = (a^2 - b^2)^2 + c^2, a sum of squares that does not
+    cancel near a right isosceles angle; finite wherever the area is > 0."""
+    q, area, edge_sq, _ = scaled or _unit_scaled(area, edge_sq)
+    s, c = _angle_pair(area, edge_sq)
     a2, b2 = edge_sq[:, [1, 2, 0]], edge_sq[:, [2, 0, 1]]
-    sin_t = np.sqrt(1.0 - cos_t**2)
-    cos_2t = 2.0 * cos_t**2 - 1.0
-    inner = np.sqrt(np.maximum(a2 * a2 + 2.0 * a2 * b2 * cos_2t + b2 * b2, 0.0))
-    radical = np.sqrt((a2 + b2 + inner) / 2.0)
-    # a needle can round sin_t to 0: that angle's bound is +inf, not a warning
-    ratio = np.divide(LIU_COEFF * (1.0 + np.abs(cos_t)), sin_t, out=np.full_like(sin_t, np.inf), where=sin_t > 0)
+    radical = np.sqrt((a2 + b2 + np.sqrt((a2 - b2) ** 2 + c * c)) / 2.0)
+    ratio = LIU_COEFF * (2.0 * np.sqrt(a2 * b2) + np.abs(c)) / s[:, None]
     return np.ldexp((ratio * radical).min(axis=1), q)
 
 
@@ -160,8 +157,7 @@ def _clamp_radicand(rad, scale, first: int, q):
 
 
 def _kobayashi_batch_2d(edge_sq: np.ndarray, area: np.ndarray, first: int = 0, scaled: tuple | None = None) -> np.ndarray:
-    q, edge_sq, largest = scaled or _unit_scaled(edge_sq)
-    area = np.ldexp(area, -2 * q)
+    q, area, edge_sq, largest = scaled or _unit_scaled(area, edge_sq)
     a2, b2, c2 = edge_sq[:, 0], edge_sq[:, 1], edge_sq[:, 2]
     rad = (
         a2 * b2 * c2 / (16.0 * area * area)
@@ -183,9 +179,9 @@ def _liu_kobayashi_maxima(mesh: meshmod.SimplicialMesh) -> tuple[float, float]:
     def build(mesh):
         meas, edge_sq, maxima = meshmod._measures(mesh), mesh._cache["edge_sq"], []
         for rows in _blocks(mesh.element_count):
-            scaled = _unit_scaled(edge_sq[rows])
+            scaled = _unit_scaled(meas[rows], edge_sq[rows])
             kob = _kobayashi_batch_2d(edge_sq[rows], meas[rows], rows.start, scaled)
-            maxima.append((np.minimum(_liu_batch(edge_sq[rows], scaled), kob).max(), kob.max()))
+            maxima.append((np.minimum(_liu_batch(edge_sq[rows], meas[rows], scaled), kob).max(), kob.max()))
         return tuple(map(float, np.max(maxima, axis=0)))
 
     return meshmod._cached(mesh, "liu_kobayashi_maxima", build)
@@ -206,7 +202,7 @@ def mesh_constants(mesh: meshmod.SimplicialMesh, qual: meshmod.MeshQuality | Non
             dim=2,
             elementwise=_liu_kobayashi_maxima(mesh)[0],
             circumradius=qual.max_circumradius,
-            minangle=min_angle_global(qual.min_angle, qual.h) if qual.min_angle > 0.0 else None,
+            minangle=min_angle_global(qual.min_angle, qual.h),
             nonblunt=NONBLUNT_COEFF * qual.h if qual.nonblunt else None,
             regularity=None,
             l2_global=global_l2_bound(2, qual.h),

@@ -4,6 +4,7 @@ the tests that check them."""
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from certifem import (
@@ -25,6 +26,7 @@ from certifem import mesh as meshmod
 from certifem.domain import ON_BOUNDARY_TOL
 from certifem.errors import NotInscribedError
 from certifem.geometry import EDGES, NONBLUNT_TOL, ElementMetrics, _finite_geometry, vertex_metrics
+from certifem.interp_constants import LIU_COEFF
 
 
 def edge_count(mesh: meshmod.SimplicialMesh) -> int:
@@ -99,6 +101,27 @@ def element_constants(t: Simplex) -> ElementConstants:
         return ElementConstants(liu, kob, min(liu, kob), l2)
     kob = kobayashi_bound_3d(t)
     return ElementConstants(None, kob, kob, l2)
+
+
+def angles_and_liu_60(vertices) -> tuple[list, mpmath.mpf]:
+    """The angles, in vertex order, and Liu's bound of the triangle with these
+    float vertices, in 60-digit mpmath: each angle is atan2 of the exact cross
+    and dot products of its two edges, and Liu's formula is evaluated as
+    written, from cos, sin and cos 2 theta, at each angle, then minimized."""
+    with mpmath.workdps(60):
+        pts = [[mpmath.mpf(float(x)) for x in p] for p in vertices]
+        angles, liu = [], []
+        for i in range(3):
+            (ox, oy), (px, py), (qx, qy) = pts[i], pts[(i + 1) % 3], pts[(i + 2) % 3]
+            u, w = (px - ox, py - oy), (qx - ox, qy - oy)
+            theta = mpmath.atan2(abs(u[0] * w[1] - u[1] * w[0]), u[0] * w[0] + u[1] * w[1])
+            a2, b2 = u[0] ** 2 + u[1] ** 2, w[0] ** 2 + w[1] ** 2
+            # a right isosceles angle rounds this radicand, 0, to about -1e-60 a2 b2
+            inner = mpmath.sqrt(max(a2 * a2 + 2 * a2 * b2 * mpmath.cos(2 * theta) + b2 * b2, 0))
+            ratio = (1 + abs(mpmath.cos(theta))) / mpmath.sin(theta)
+            angles.append(theta)
+            liu.append(mpmath.mpf(LIU_COEFF) * ratio * mpmath.sqrt((a2 + b2 + inner) / 2))
+        return angles, min(liu)
 
 
 def nonblunt_profile_bound(a: float, b: float) -> float:

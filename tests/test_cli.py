@@ -329,6 +329,14 @@ def test_certify_nonblunt_on_blunt_mesh_exits_2(tmp_path, capsys):
     assert "element" in err  # diagnostic names the worst element
 
 
+def test_certify_unknown_strategy_is_refused_before_the_load(tmp_path):
+    """argparse refuses the strategy (exit 2) before the missing mesh file
+    is opened, which would exit 1."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("certify", "--domain", "disk:1", "--mesh", str(tmp_path / "missing.node"), "--strategy", "nope")
+    assert exc.value.code == 2
+
+
 def test_certify_rejects_bad_config():
     assert run_cli("certify", "--domain", "disk:1.0") == 2  # no mesh source
     assert run_cli("certify", "--domain", "blob:1.0", "--generate", "8,0") == 2

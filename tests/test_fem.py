@@ -48,7 +48,7 @@ from certifem.quadrature import (
     reference_monomial_integral,
     simplex_rule,
 )
-from certifem.geometry import EDGES, FACETS, edge_cosines
+from certifem.geometry import EDGES, FACETS
 from oracles import element_metrics, fh_error_measured, structured_square_mesh
 from test_mesh import _jittered_square, _kuhn_cube
 
@@ -758,18 +758,16 @@ def _oracle_squared_edges(verts):
 
 
 def _oracle_metrics(measures, edge_sq):
-    """h, and in 2D the cosines, circumradius, inradius and angle extremes,
-    by array reductions over the (M, 3) edge and angle arrays."""
+    """h, and in 2D the circumradius, inradius and angle extremes, by array
+    reductions over the (M, 3) edge and angle arrays."""
     h = np.sqrt(edge_sq.max(axis=1))
     if edge_sq.shape[1] != 3:
         return {"h": h}
     lengths = np.sqrt(edge_sq)
     nxt, prev = [1, 2, 0], [2, 0, 1]
-    cos = (edge_sq[:, nxt] + edge_sq[:, prev] - edge_sq) / (2.0 * lengths[:, nxt] * lengths[:, prev])
-    ang = np.arccos(np.clip(cos, -1.0, 1.0))
+    ang = np.arctan2(4.0 * measures[:, None], edge_sq[:, nxt] + edge_sq[:, prev] - edge_sq)
     return {
         "h": h,
-        "cosines": cos,
         "circumradius": lengths.prod(axis=1) / (4.0 * measures),
         "inradius": 2 * measures / lengths.sum(axis=1),
         "min_angle": ang.min(axis=1),
@@ -841,8 +839,7 @@ def test_mesh_kernels_match_oracles(name):
     em = element_metrics(mesh)
     assert np.array_equal(em.edge_sq, edge_sq)
     for field, ref in _oracle_metrics(em.measures, edge_sq).items():
-        got = edge_cosines(edge_sq) if field == "cosines" else getattr(em, field)
-        assert np.array_equal(got, ref), field
+        assert np.array_equal(getattr(em, field), ref), field
     n = mesh.node_count
     facets = meshmod._decode(meshmod._keys(mesh.elements, n, FACETS[mesh.dim]), n, mesh.dim)
     assert facets.shape == (mesh.element_count * (mesh.dim + 1), mesh.dim)
@@ -1503,7 +1500,7 @@ def test_block_pass_maxima_match_whole_arrays(name):
     mesh = BLOCK_MESHES[name]()
     em = element_metrics(mesh)
     whole_kobayashi = icmod._kobayashi_batch_2d(em.edge_sq, em.measures)
-    whole = np.minimum(icmod._liu_batch(em.edge_sq), whole_kobayashi).max()
+    whole = np.minimum(icmod._liu_batch(em.edge_sq, em.measures), whole_kobayashi).max()
     assert mesh_constants(mesh).elementwise == float(whole)
     # disk_study_row's A_m, from the same pass
     assert icmod._liu_kobayashi_maxima(mesh) == (float(whole), float(whole_kobayashi.max()))

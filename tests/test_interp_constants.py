@@ -20,6 +20,8 @@ from certifem import (
     triangle,
 )
 from certifem import geometry
+from certifem import interp_constants as icmod
+from certifem.errors import CertifemError
 from certifem.geometry import NONBLUNT_TOL
 from certifem.interp_constants import TET_COEFF, _clamp_radicand, _kobayashi_batch_2d, _liu_batch
 from certifem.mesh import MeshQuality, quality
@@ -31,7 +33,7 @@ from conftest import (
     sample_triangle,
     triangle_from_angles,
 )
-from oracles import element_constants, element_metrics, nonblunt_profile_bound
+from oracles import angles_and_liu_60, element_constants, element_metrics, nonblunt_profile_bound
 from spectral_probe import ConstraintRankError, rayleigh_lower_bound
 from test_mesh import _jittered_square
 
@@ -121,6 +123,21 @@ def test_mesh_constants_minangle_right_isoceles():
     assert min_angle_global(math.pi / 4, math.sqrt(2)) == pytest.approx(expect, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("NONBLUNT_COEFF", math.nextafter(icmod.NONBLUNT_COEFF, 0.0)),
+        ("L2_COEFF_2D", math.nextafter(icmod.L2_COEFF_2D, 0.0)),
+        ("MIN_ANGLE_COEFF", 0.6971),
+    ],
+)
+def test_coefficient_self_test_refuses_a_coefficient_below_its_value(monkeypatch, name, value):
+    icmod._check_coefficients()
+    monkeypatch.setattr(icmod, name, value)
+    with pytest.raises(CertifemError, match="below the square root"):
+        icmod._check_coefficients()
+
+
 def test_mesh_constants_blunt_mesh_has_no_nonblunt_value():
     poly3 = inscribed_regular_polygon(Disk(1.0), 3)
     mesh = generate_fan_refined(poly3, 0)  # 120-degree apex angles
@@ -152,7 +169,7 @@ def test_batch_matches_scalar(rng):
     elements = np.arange(30).reshape(-1, 3)
     mesh = build_mesh(2, nodes, elements)
     em = element_metrics(mesh)
-    liu = _liu_batch(em.edge_sq)
+    liu = _liu_batch(em.edge_sq, em.measures)
     kob = _kobayashi_batch_2d(em.edge_sq, em.measures)
     for i in range(mesh.element_count):
         t = Simplex(mesh.nodes[mesh.elements[i]])
@@ -191,7 +208,8 @@ def test_liu_and_kobayashi_run_on_unit_sized_elements():
     unit = element_metrics(generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 12), 2))
     for scale in (2.0**-300, 1e-3, 7.3, 2.0**300):  # sixth powers under- and overflow at the ends
         em = element_metrics(generate_fan_refined(inscribed_regular_polygon(Disk(scale), 12), 2))
-        assert _liu_batch(em.edge_sq) == pytest.approx(scale * _liu_batch(unit.edge_sq), rel=1e-12)
+        liu = _liu_batch(em.edge_sq, em.measures)
+        assert liu == pytest.approx(scale * _liu_batch(unit.edge_sq, unit.measures), rel=1e-12)
         kob = _kobayashi_batch_2d(em.edge_sq, em.measures)
         assert kob == pytest.approx(scale * _kobayashi_batch_2d(unit.edge_sq, unit.measures), rel=1e-12)
 
@@ -294,16 +312,18 @@ NEEDLE = triangle([0, 0], [1, 0], [0.5, 1e-9])
 
 
 @pytest.mark.filterwarnings("error")
-def test_needle_liu_is_inf_without_warning():
-    """Every angle of this needle rounds Liu's sin(theta) to 0: its Liu bound
-    is +inf, still an upper bound, and Kobayashi's finite value wins."""
+def test_needle_liu_is_finite_and_accurate():
+    """On this needle a sine taken as sqrt(1 - cos^2) rounds to 0 at every
+    angle; from 4|T| Liu's bound is finite and matches its 60-digit value,
+    Kobayashi's 1.25e8 still wins, and the smallest angle is a number."""
     mesh = build_mesh(2, NEEDLE.vertices, [[0, 1, 2]])
-    gc = mesh_constants(mesh)
-    assert liu_bound(NEEDLE) == math.inf
-    assert _liu_batch(element_metrics(mesh).edge_sq)[0] == math.inf
+    gc, em = mesh_constants(mesh), element_metrics(mesh)
+    liu = liu_bound(NEEDLE)
+    assert math.isfinite(liu) and abs(liu - angles_and_liu_60(NEEDLE.vertices)[1]) <= 1e-12 * liu
+    assert _liu_batch(em.edge_sq, em.measures)[0] == liu
     assert gc.elementwise == kobayashi_bound_2d(NEEDLE) == pytest.approx(1.25e8, rel=1e-12)
     assert element_constants(NEEDLE).h1_best == gc.elementwise
-    assert gc.minangle is None  # the arccos minimum angle rounds to 0
+    assert gc.minangle is not None and math.isfinite(gc.value("minangle"))
 
 
 def _needle_mesh(rng, count):
@@ -344,7 +364,7 @@ def test_scalar_constants_equal_pipeline_kernels_bit_for_bit():
     meshes.append(_needle_mesh(rng, 200))
     for mesh in meshes:
         em = element_metrics(mesh)
-        best = np.minimum(_liu_batch(em.edge_sq), _kobayashi_batch_2d(em.edge_sq, em.measures))
+        best = np.minimum(_liu_batch(em.edge_sq, em.measures), _kobayashi_batch_2d(em.edge_sq, em.measures))
         assert mesh_constants(mesh).elementwise == best.max()
         scalar = [element_constants(Simplex(v)).h1_best for v in mesh.element_vertices()]
         np.testing.assert_array_equal(scalar, best)
@@ -383,7 +403,7 @@ def _whole_array_constants(mesh, qual):
     """`mesh_constants` from the whole-mesh arrays of `element_metrics`."""
     em = element_metrics(mesh)
     if mesh.dim == 2:
-        whole = np.minimum(_liu_batch(em.edge_sq), _kobayashi_batch_2d(em.edge_sq, em.measures))
+        whole = np.minimum(_liu_batch(em.edge_sq, em.measures), _kobayashi_batch_2d(em.edge_sq, em.measures))
         return dict(elementwise=float(whole.max()), regularity=None)
     return dict(
         elementwise=float((TET_COEFF * (em.h / em.inradius) * em.h).max()),
@@ -423,7 +443,7 @@ def test_blockwise_elementwise_maximum_matches_whole_arrays():
     block = geometry._BLOCK
     mesh = _needle_mesh(np.random.default_rng(5), 2 * block + 100)
     em = element_metrics(mesh)
-    whole = np.minimum(_liu_batch(em.edge_sq), _kobayashi_batch_2d(em.edge_sq, em.measures))
+    whole = np.minimum(_liu_batch(em.edge_sq, em.measures), _kobayashi_batch_2d(em.edge_sq, em.measures))
     worst = int(np.argmax(whole))
     for position in (0, block + 7, mesh.element_count - 1):
         rolled = build_mesh(2, mesh.nodes, np.roll(mesh.elements, position - worst, axis=0))
