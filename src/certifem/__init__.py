@@ -69,7 +69,6 @@ from .interp_constants import (
     global_l2_bound,
     kobayashi_bound_2d,
     kobayashi_bound_3d,
-    liu_bound,
     mesh_constants,
     min_angle_global,
 )

@@ -161,16 +161,14 @@ def degenerate(measures: np.ndarray, edge_sq: np.ndarray, dim: int) -> np.ndarra
 
 
 def _unit_scaled(measures: np.ndarray, edge_sq: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(q, measures * 4**-q, edge_sq * 4**-q, largest * 4**-q) of triangles,
-    with per element the q for which its largest squared edge times 4**-q
-    lies in [0.5, 2).  Scaling lengths by 2**-q is exact, so the angle, Liu,
-    Kobayashi and circumradius kernels run on unit-sized elements, whose
-    fourth and sixth powers of edge lengths cannot overflow, and give their
-    result times 2**-q: bit for bit, on any element whose unscaled terms stay
-    normal numbers."""
-    largest = _row_reduce(np.maximum, edge_sq)
-    q = np.frexp(largest)[1] // 2
-    return q, np.ldexp(measures, -2 * q), np.ldexp(edge_sq, -2 * q[:, None]), np.ldexp(largest, -2 * q)
+    """(q, measures * 4**-q, edge_sq * 4**-q) of triangles, with per element
+    the q for which its largest squared edge times 4**-q lies in [0.5, 2).
+    Scaling lengths by 2**-q is exact, so the angle, circumradius and
+    Kobayashi kernels run on unit-sized elements, whose sixth powers of edge
+    lengths cannot overflow, and give their result times 2**-q: bit for bit,
+    on any element whose unscaled terms stay normal numbers."""
+    q = np.frexp(_row_reduce(np.maximum, edge_sq))[1] // 2
+    return q, np.ldexp(measures, -2 * q), np.ldexp(edge_sq, -2 * q[:, None])
 
 
 def _angle_pair(measures: np.ndarray, edge_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +213,7 @@ def vertex_metrics(verts: np.ndarray | None, measures: np.ndarray, edge_sq: np.n
     h = np.sqrt(_row_reduce(np.maximum, edge_sq))
     if edge_sq.shape[1] == 3:
         # abc / (4 area) on unit-scaled lengths, whose product cannot over- or underflow
-        q, meas, sq, _ = _unit_scaled(measures, edge_sq)
+        q, meas, sq = _unit_scaled(measures, edge_sq)
         s, c = _angle_pair(meas, sq)
         circum = np.ldexp(_row_reduce(np.multiply, np.sqrt(sq)) / s, q)
         ang = np.arctan2(s[:, None], c)
@@ -286,7 +284,7 @@ def angles(t: Simplex) -> list[float]:
     if t.dim != 2:
         raise ValueError("angles are defined for triangles only")
     _, meas, edge_sq = as_batch(t)
-    s, c = _angle_pair(*_unit_scaled(meas, edge_sq)[1:3])
+    s, c = _angle_pair(*_unit_scaled(meas, edge_sq)[1:])
     return np.arctan2(s[:, None], c)[0].tolist()
 
 

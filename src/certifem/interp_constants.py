@@ -1,11 +1,10 @@
 """Guaranteed per-element interpolation-constant bounds and mesh-wide strategies.
 
-Two families of certified upper bounds for the H1 interpolation constant of
-a P1 element are provided: an angle-based formula (Liu) evaluated at every
-interior angle, and an edge/area formula (Kobayashi) that stays sharp on
-thin triangles.  A tetrahedral bound covers 3D.  Mesh-wide constants come
-either from element-wise evaluation (sharpest) or from closed forms in the
-global quality metrics.
+The H1 interpolation constant of a P1 triangle is bounded by Kobayashi's
+edge/area formula, which stays sharp on thin triangles; a tetrahedral bound
+covers 3D.  Mesh-wide constants come either from element-wise evaluation
+(sharpest) or from closed forms in the global quality metrics, among them
+the minimal-angle form built on Liu's coefficient.
 """
 
 from __future__ import annotations
@@ -18,14 +17,7 @@ import numpy as np
 
 from . import mesh as meshmod
 from .errors import CertifemError, NegativeRadicandError, StrategyInapplicableError
-from .geometry import (
-    Simplex,
-    _angle_pair,
-    _blocks,
-    _unit_scaled,
-    as_batch,
-    vertex_metrics,
-)
+from .geometry import Simplex, _blocks, _unit_scaled, as_batch, vertex_metrics
 
 LIU_COEFF = 0.49293
 MIN_ANGLE_COEFF = 0.69711  # rounds 0.49293 * sqrt(2) upward
@@ -49,8 +41,6 @@ def _check_coefficients() -> None:
 
 _check_coefficients()
 
-RADICAND_TOL = 1e-12
-
 STRATEGIES = ("elementwise", "circumradius", "minangle", "nonblunt", "regularity")
 
 
@@ -58,7 +48,9 @@ STRATEGIES = ("elementwise", "circumradius", "minangle", "nonblunt", "regularity
 class GlobalConstants:
     """Mesh-wide H1 constant by several strategies plus the global L2 bound.
 
-    `elementwise` is always at least as sharp as any applicable closed form.
+    `elementwise` is always at least as sharp as any applicable closed form:
+    in 2D it is Kobayashi's maximum, and each closed form dominates
+    Kobayashi's bound element by element.
     Closed-form fields are None when their hypothesis fails (e.g. `nonblunt`
     on a mesh with an obtuse triangle) or the dimension does not match.
     """
@@ -81,15 +73,6 @@ class GlobalConstants:
 
     def available(self) -> dict[str, float]:
         return {s: getattr(self, s) for s in STRATEGIES if getattr(self, s) is not None}
-
-
-def liu_bound(t: Simplex) -> float:
-    """Angle-based H1 constant bound, minimized over the three interior
-    angles: valid at each angle with its two edges, so at their minimum."""
-    if t.dim != 2:
-        raise ValueError("liu_bound applies to triangles")
-    _, meas, edge_sq = as_batch(t)
-    return float(_liu_batch(edge_sq, meas)[0])
 
 
 def kobayashi_bound_2d(t: Simplex) -> float:
@@ -128,63 +111,46 @@ def min_angle_global(theta0: float, h: float) -> float:
 # vectorized element-wise evaluation over a whole mesh
 
 
-def _liu_batch(edge_sq: np.ndarray, area: np.ndarray, scaled: tuple | None = None) -> np.ndarray:
-    """Min-over-angles Liu bound per element from squared edges and areas
-    (`scaled` is `_unit_scaled(area, edge_sq)` where the caller has it).  At
-    the angle theta between edges a and b, with s and c of `_angle_pair`,
-    (1 + |cos theta|) / sin theta = (2ab + |c|) / s, and a^4 + 2 a^2 b^2
-    cos(2 theta) + b^4 = (a^2 - b^2)^2 + c^2, a sum of squares that does not
-    cancel near a right isosceles angle; finite wherever the area is > 0."""
-    q, area, edge_sq, _ = scaled or _unit_scaled(area, edge_sq)
-    s, c = _angle_pair(area, edge_sq)
-    a2, b2 = edge_sq[:, [1, 2, 0]], edge_sq[:, [2, 0, 1]]
-    radical = np.sqrt((a2 + b2 + np.sqrt((a2 - b2) ** 2 + c * c)) / 2.0)
-    ratio = LIU_COEFF * (2.0 * np.sqrt(a2 * b2) + np.abs(c)) / s[:, None]
-    return np.ldexp((ratio * radical).min(axis=1), q)
-
-
-def _clamp_radicand(rad, scale, first: int, q):
-    """`rad` clamped at 0; raises where it is below -RADICAND_TOL * max(1, scale),
-    naming the element by its index plus `first`.  `rad` and `scale` are in
-    units scaled by 4**-q (`q` the length exponents of `_unit_scaled`), and
-    so is the 1; the error reports the radicand in the original units."""
-    if np.any(rad < -RADICAND_TOL * np.maximum(np.ldexp(1.0, -2 * q), scale)):
+def _positive_radicand(rad: np.ndarray, first: int, q: np.ndarray) -> np.ndarray:
+    """`rad`, once every entry is checked > 0 (NaN fails).  Otherwise it
+    raises, naming the first failing element by its index plus `first`, and
+    its radicand in the original units (`rad` is scaled by 4**-q, `q` the
+    length exponents of `_unit_scaled`).  A triangle's radicand is at least
+    0.105 times its largest squared edge, so only corrupt input gets here."""
+    bad = ~(rad > 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
         with np.errstate(over="ignore"):
-            rad = np.ldexp(rad, 2 * q)
-        worst = first + int(np.argmin(rad))
-        raise NegativeRadicandError(f"element {worst}: radicand {np.min(rad):.3e} negative beyond tolerance")
-    return np.maximum(rad, 0.0)
+            value = np.ldexp(rad[i], 2 * q[i])
+        raise NegativeRadicandError(f"element {first + i}: radicand {value:.3e} is not positive")
+    return rad
 
 
-def _kobayashi_batch_2d(edge_sq: np.ndarray, area: np.ndarray, first: int = 0, scaled: tuple | None = None) -> np.ndarray:
-    q, area, edge_sq, largest = scaled or _unit_scaled(area, edge_sq)
+def _kobayashi_batch_2d(edge_sq: np.ndarray, area: np.ndarray, first: int = 0) -> np.ndarray:
+    q, area, edge_sq = _unit_scaled(area, edge_sq)
     a2, b2, c2 = edge_sq[:, 0], edge_sq[:, 1], edge_sq[:, 2]
     rad = (
         a2 * b2 * c2 / (16.0 * area * area)
         - (a2 + b2 + c2) / 30.0
         - (area * area / 5.0) * (1.0 / a2 + 1.0 / b2 + 1.0 / c2)
     )
-    return np.ldexp(np.sqrt(_clamp_radicand(rad, largest, first, q)), q)
+    return np.ldexp(np.sqrt(_positive_radicand(rad, first, q)), q)
 
 
-def _liu_kobayashi_maxima(mesh: meshmod.SimplicialMesh) -> tuple[float, float]:
-    """The element maxima of min(Liu, Kobayashi), the `elementwise` constant,
-    and of Kobayashi, `disk_study_row`'s A_m: one pass per 2D mesh, shared.
-    It walks one block of elements at a time (`_blocks`; a bad radicand is
+def _kobayashi_maximum(mesh: meshmod.SimplicialMesh) -> float:
+    """The element maximum of Kobayashi's bound: the 2D `elementwise`
+    constant and `disk_study_row`'s A_m, one pass per mesh, cached.  It
+    walks one block of elements at a time (`_blocks`; a bad radicand is
     named by its element index) over the measures and squared edges that
-    `build_mesh` caches: bit for bit the whole-array maxima, with (block, 3)
-    temporaries, not (M, 3) ones (~44 MB for the Liu kernel on a
-    204,800-element mesh)."""
+    `build_mesh` caches: bit for bit the whole-array maximum, with (block, 3)
+    temporaries, not (M, 3) ones."""
 
     def build(mesh):
-        meas, edge_sq, maxima = meshmod._measures(mesh), mesh._cache["edge_sq"], []
-        for rows in _blocks(mesh.element_count):
-            scaled = _unit_scaled(meas[rows], edge_sq[rows])
-            kob = _kobayashi_batch_2d(edge_sq[rows], meas[rows], rows.start, scaled)
-            maxima.append((np.minimum(_liu_batch(edge_sq[rows], meas[rows], scaled), kob).max(), kob.max()))
-        return tuple(map(float, np.max(maxima, axis=0)))
+        meas, edge_sq = meshmod._measures(mesh), mesh._cache["edge_sq"]
+        blocks = _blocks(mesh.element_count)
+        return max(float(_kobayashi_batch_2d(edge_sq[rows], meas[rows], rows.start).max()) for rows in blocks)
 
-    return meshmod._cached(mesh, "liu_kobayashi_maxima", build)
+    return meshmod._cached(mesh, "kobayashi_maximum", build)
 
 
 def _kobayashi_batch_3d(em: meshmod.ElementMetrics) -> np.ndarray:
@@ -200,7 +166,7 @@ def mesh_constants(mesh: meshmod.SimplicialMesh, qual: meshmod.MeshQuality | Non
     if mesh.dim == 2:
         return GlobalConstants(
             dim=2,
-            elementwise=_liu_kobayashi_maxima(mesh)[0],
+            elementwise=_kobayashi_maximum(mesh),
             circumradius=qual.max_circumradius,
             minangle=min_angle_global(qual.min_angle, qual.h),
             nonblunt=NONBLUNT_COEFF * qual.h if qual.nonblunt else None,

@@ -220,7 +220,8 @@ def disk_study_row(
     mesh: meshmod.SimplicialMesh | None = None,
 ) -> DiskStudyRow:
     """One pipeline run: m-gon in the unit disk, f = 1, measured vs certified
-    and vs the predicted bound sqrt(pi) (A_m^2 + 2 sin^2(pi / 2m)).
+    and vs the predicted bound sqrt(pi) (A_m^2 + 2 sin^2(pi / 2m)), A_m the
+    Kobayashi maximum that `certify` caches (`a_h` under `elementwise`).
 
     `mesh` overrides the built-in generator (an externally meshed m-gon);
     it raises NotInscribedError, before the solve, unless the polygon it
@@ -241,7 +242,7 @@ def disk_study_row(
     sol, actual, certified = verify_case(exact, mesh, fh_mode, strategy)
 
     qual = meshmod.quality(mesh)
-    a_m = icmod._liu_kobayashi_maxima(mesh)[1]  # from certify's element-wise pass
+    a_m = icmod._kobayashi_maximum(mesh)  # certify's cached element-wise pass
     predicted = math.sqrt(math.pi) * (a_m * a_m + 2.0 * math.sin(math.pi / (2.0 * m)) ** 2)
     if actual > predicted:
         raise BoundViolationError(f"m={m}: measured error {actual} exceeds predicted bound {predicted}")

@@ -19,13 +19,21 @@ from certifem import (
     global_l2_bound,
     kobayashi_bound_2d,
     kobayashi_bound_3d,
-    liu_bound,
 )
 from certifem import fem as femmod
 from certifem import mesh as meshmod
 from certifem.domain import ON_BOUNDARY_TOL
 from certifem.errors import NotInscribedError
-from certifem.geometry import EDGES, NONBLUNT_TOL, ElementMetrics, _finite_geometry, vertex_metrics
+from certifem.geometry import (
+    EDGES,
+    NONBLUNT_TOL,
+    ElementMetrics,
+    _angle_pair,
+    _finite_geometry,
+    _unit_scaled,
+    as_batch,
+    vertex_metrics,
+)
 from certifem.interp_constants import LIU_COEFF
 
 
@@ -82,6 +90,34 @@ def element_metrics(mesh: meshmod.SimplicialMesh) -> ElementMetrics:
     walks (`mesh._metric_blocks`) that `quality` and `mesh_constants` reduce."""
     verts = mesh.element_vertices() if mesh.dim == 3 else None
     return vertex_metrics(verts, meshmod._measures(mesh), mesh._cache["edge_sq"])
+
+
+def _liu_batch(edge_sq: np.ndarray, area: np.ndarray) -> np.ndarray:
+    """Liu's angle bound (Liu and Kikuchi, J. Math. Sci. Univ. Tokyo 17,
+    2010), minimized over the three interior angles, per element from
+    squared edges and areas: the reference that Kobayashi's bound, the 2D
+    `elementwise` constant, stays below.  At the angle theta between edges a
+    and b, with s and c of `geometry._angle_pair`, (1 + |cos theta|) / sin
+    theta = (2ab + |c|) / s, and a^4 + 2 a^2 b^2 cos(2 theta) + b^4 = (a^2 -
+    b^2)^2 + c^2, a sum of squares that does not cancel near a right
+    isosceles angle.  Run on elements scaled to unit size (`_unit_scaled`),
+    it is finite wherever the area is > 0 and within 8u (kappa + l_max /
+    l_min) + 1e-12 of its 60-digit value (`angles_and_liu_60`; u = 2**-53,
+    kappa the measure's condition number)."""
+    q, area, edge_sq = _unit_scaled(area, edge_sq)
+    s, c = _angle_pair(area, edge_sq)
+    a2, b2 = edge_sq[:, [1, 2, 0]], edge_sq[:, [2, 0, 1]]
+    radical = np.sqrt((a2 + b2 + np.sqrt((a2 - b2) ** 2 + c * c)) / 2.0)
+    ratio = LIU_COEFF * (2.0 * np.sqrt(a2 * b2) + np.abs(c)) / s[:, None]
+    return np.ldexp((ratio * radical).min(axis=1), q)
+
+
+def liu_bound(t: Simplex) -> float:
+    """`_liu_batch` of one triangle."""
+    if t.dim != 2:
+        raise ValueError("liu_bound applies to triangles")
+    _, meas, edge_sq = as_batch(t)
+    return float(_liu_batch(edge_sq, meas)[0])
 
 
 @dataclass(frozen=True)

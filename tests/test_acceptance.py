@@ -21,7 +21,14 @@ from conftest import (
     triangle_from_angles,
 )
 from spectral_probe import rayleigh_lower_bound
-from oracles import barrier_check, element_constants, fh_error_measured, nonblunt_profile_bound, structured_square_mesh
+from oracles import (
+    barrier_check,
+    element_constants,
+    fh_error_measured,
+    liu_bound,
+    nonblunt_profile_bound,
+    structured_square_mesh,
+)
 from test_verify import disk_gap, segment_quadrature_oracle
 
 M_SWEEP = (10, 20, 30, 40, 50)
@@ -141,10 +148,10 @@ def test_criterion_5_closed_form_dominance():
         t = sample_triangle(rng)
         kob = cf.kobayashi_bound_2d(t)
         ok &= kob <= cf.circumradius(t) * (1.0 + 1e-12)
-        liu = cf.liu_bound(t)
-        theta0 = cf.min_angle(t)
-        h_t = cf.edge_lengths(t)[0]
-        ok &= liu <= cf.min_angle_global(theta0, h_t) * (1.0 + 1e-12)
+        closed_form = cf.min_angle_global(cf.min_angle(t), cf.edge_lengths(t)[0])
+        ok &= liu_bound(t) <= closed_form * (1.0 + 1e-12)
+        # elementwise, Kobayashi's maximum, is at least as sharp as minangle
+        ok &= kob <= closed_form
         if not ok:
             break
     _report("5 (circumradius and min-angle domination, 1e4 samples)", ok)

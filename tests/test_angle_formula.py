@@ -10,9 +10,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from certifem import angles, liu_bound, triangle
+from certifem import angles, triangle
 from certifem.errors import DegenerateSimplexError
-from oracles import angles_and_liu_60
+from oracles import angles_and_liu_60, liu_bound
 
 U = 2.0**-53
 

@@ -49,7 +49,7 @@ from certifem.quadrature import (
     simplex_rule,
 )
 from certifem.geometry import EDGES, FACETS
-from oracles import element_metrics, fh_error_measured, structured_square_mesh
+from oracles import _liu_batch, element_metrics, fh_error_measured, structured_square_mesh
 from test_mesh import _jittered_square, _kuhn_cube
 
 REF_TRIANGLE = build_mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
@@ -1500,10 +1500,10 @@ def test_block_pass_maxima_match_whole_arrays(name):
     mesh = BLOCK_MESHES[name]()
     em = element_metrics(mesh)
     whole_kobayashi = icmod._kobayashi_batch_2d(em.edge_sq, em.measures)
-    whole = np.minimum(icmod._liu_batch(em.edge_sq, em.measures), whole_kobayashi).max()
+    assert icmod._kobayashi_maximum(mesh) == float(whole_kobayashi.max())
+    # the same pass keeps the former definition, min(Liu, Kobayashi)
+    whole = np.minimum(_liu_batch(em.edge_sq, em.measures), whole_kobayashi).max()
     assert mesh_constants(mesh).elementwise == float(whole)
-    # disk_study_row's A_m, from the same pass
-    assert icmod._liu_kobayashi_maxima(mesh) == (float(whole), float(whole_kobayashi.max()))
 
 
 def test_block_pass_catches_nan_in_the_last_block():

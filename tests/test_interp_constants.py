@@ -9,12 +9,13 @@ from certifem import (
     NegativeRadicandError,
     Simplex,
     build_mesh,
+    default_refine_rule,
+    disk_study_row,
     generate_fan_refined,
     global_l2_bound,
     inscribed_regular_polygon,
     kobayashi_bound_2d,
     kobayashi_bound_3d,
-    liu_bound,
     mesh_constants,
     min_angle_global,
     triangle,
@@ -23,7 +24,7 @@ from certifem import geometry
 from certifem import interp_constants as icmod
 from certifem.errors import CertifemError
 from certifem.geometry import NONBLUNT_TOL
-from certifem.interp_constants import TET_COEFF, _clamp_radicand, _kobayashi_batch_2d, _liu_batch
+from certifem.interp_constants import TET_COEFF, _kobayashi_batch_2d, _positive_radicand
 from certifem.mesh import MeshQuality, quality
 from conftest import (
     nonblunt_corner_apexes,
@@ -33,7 +34,14 @@ from conftest import (
     sample_triangle,
     triangle_from_angles,
 )
-from oracles import angles_and_liu_60, element_constants, element_metrics, nonblunt_profile_bound
+from oracles import (
+    _liu_batch,
+    angles_and_liu_60,
+    element_constants,
+    element_metrics,
+    liu_bound,
+    nonblunt_profile_bound,
+)
 from spectral_probe import ConstraintRankError, rayleigh_lower_bound
 from test_mesh import _jittered_square
 
@@ -177,20 +185,21 @@ def test_batch_matches_scalar(rng):
         assert kob[i] == pytest.approx(kobayashi_bound_2d(t), rel=1e-10)
 
 
-def test_radicand_clamp():
-    assert _clamp_radicand(-1e-13, 1.0, 0, 0) == 0.0
-    assert _clamp_radicand(0.25, 1.0, 0, 0) == 0.25
-    with pytest.raises(NegativeRadicandError):
-        _clamp_radicand(-1e-6, 1.0, 0, 0)
+def test_nonpositive_radicand_raises():
+    """A radicand that is not > 0, NaN included, raises instead of setting
+    the element's constant to 0; the error names the first such element."""
+    q = np.zeros(3, dtype=int)
+    np.testing.assert_array_equal(_positive_radicand(np.array([0.25, 1e-300, 3.0]), 0, q), [0.25, 1e-300, 3.0])
+    for bad in (-1e-13, 0.0, -0.0, math.nan):
+        with pytest.raises(NegativeRadicandError, match=r"^element 5: "):
+            _positive_radicand(np.array([0.25, bad, -1.0]), 4, q)
 
 
-def test_radicand_tolerance_and_report_are_in_the_original_units():
-    """On an element scaled by 4**-q the tolerance is -RADICAND_TOL * max(4**-q,
-    h^2 4**-q), and the error names the radicand times 4**q."""
+def test_radicand_report_is_in_the_original_units():
+    """On an element scaled by 4**-q the error names the radicand times 4**q."""
     q = np.array([100])
-    assert _clamp_radicand(np.array([-1e-13]), np.array([1.0]), 0, q)[0] == 0.0
-    with pytest.raises(NegativeRadicandError, match=r"element 7: radicand -1\.607e\+54"):
-        _clamp_radicand(np.array([-1e-6]), np.array([1.0]), 7, q)
+    with pytest.raises(NegativeRadicandError, match=r"^element 7: radicand -1\.607e\+47 is not positive$"):
+        _positive_radicand(np.array([-1e-13]), 7, q)
 
 
 HUGE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.5], [0.5, 1.0]])
@@ -455,4 +464,38 @@ def test_blockwise_elementwise_maximum_matches_whole_arrays():
     crafted = build_mesh(2, mesh.nodes, mesh.elements)
     crafted._cache.update(edge_sq=edge_sq, measures=area)
     with pytest.raises(NegativeRadicandError, match=rf"^element {block + 3}: "):
-        icmod._liu_kobayashi_maxima(crafted)
+        icmod._kobayashi_maximum(crafted)
+
+
+def test_elementwise_keeps_the_min_of_liu_and_kobayashi_bit_for_bit():
+    """`elementwise`, Kobayashi's maximum alone, equals the maximum of
+    min(Liu, Kobayashi), its former definition, on the disk fans and the
+    jittered squares; `disk_study_row`'s A_m is the certified `a_h`."""
+    fans = [(m, default_refine_rule(m)) for m in range(10, 51, 10)] + [(50, 5)]
+    meshes = [generate_fan_refined(inscribed_regular_polygon(Disk(1.0), m), k) for m, k in fans]
+    meshes += [_jittered_square(64, seed) for seed in (1, 2, 3)]
+    for mesh in meshes:
+        em = element_metrics(mesh)
+        best = np.minimum(_liu_batch(em.edge_sq, em.measures), _kobayashi_batch_2d(em.edge_sq, em.measures))
+        assert mesh_constants(mesh).elementwise == best.max()
+    for m in range(10, 51, 10):
+        row = disk_study_row(m)
+        assert row.a_m == row.certified.metadata["a_h"]
+
+
+def test_liu_dominates_kobayashi_over_shape_space():
+    """Float evidence, not a proof, that Liu >= Kobayashi on every triangle:
+    with the base [0,0]-[1,0] the longest edge, the apex (x, y) ranges over
+    x in [0, 1/2], (x - 1)^2 + y^2 <= 1, y geometric from 1e-6 to 1e-2 and
+    then linear to 1.  Liu / Kobayashi stays above 1.002; its smallest value
+    known, 1.0027135, is at the right isosceles apex (1/2, 1/2)."""
+    xs = np.linspace(0.0, 0.5, 201)
+    ys = np.concatenate([np.geomspace(1e-6, 1e-2, 81)[:-1], np.arange(2, 201) / 200.0])
+    x, y = (a.ravel() for a in np.meshgrid(xs, ys))
+    inside = (x - 1.0) ** 2 + y * y <= 1.0
+    x, y = x[inside], y[inside]
+    edge_sq = np.stack([(1.0 - x) ** 2 + y * y, x * x + y * y, np.ones_like(x)], axis=1)
+    ratio = _liu_batch(edge_sq, y / 2.0) / _kobayashi_batch_2d(edge_sq, y / 2.0)
+    assert x.size > 40000 and ratio.min() >= 1.002
+    right = (x == 0.5) & (y == 0.5)
+    assert ratio.min() == pytest.approx(ratio[right][0], abs=1e-6) and ratio[right][0] == pytest.approx(1.0027135)
