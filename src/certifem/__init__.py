@@ -85,14 +85,12 @@ from .mesh import (
     save,
 )
 from .verify import (
+    ConvergenceLevel,
     ConvergenceReport,
-    DiskStudyRow,
     ExactSolution,
     actual_l2_error,
     convergence_study,
     default_refine_rule,
-    disk_study_csv,
-    disk_study_json,
     disk_study_row,
     registry,
     run_disk_study,

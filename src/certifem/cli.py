@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import math
 import sys
 
@@ -32,16 +31,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_BOUND = 3
-
-
-def _threads() -> int:
-    raw = os.environ.get("CERTIFEM_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _parse_domain(spec: str):
@@ -139,31 +128,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_disk_study(args) -> int:
-    m_list = [int(tok) for tok in args.m.split(",")]
-    refine_rule = None
-    if args.refine is not None:
-        fixed = int(args.refine)
-        refine_rule = lambda m: fixed  # noqa: E731
-    rows = vermod.run_disk_study(m_list, refine_rule=refine_rule, threads=_threads())
-    csv_text = vermod.disk_study_csv(rows)
-    if args.csv:
-        _write_or_print(csv_text, args.csv)
-    if args.json:
-        _write_or_print(vermod.disk_study_json(rows), args.json)
-    if not args.csv and not args.json:
-        print(csv_text, end="")
-    for row in rows:
-        ref = vermod.REFERENCE_DELAUNAY.get(row.m)
-        ref_txt = f" reference(delaunay) actual={ref[0]:.4g} predicted={ref[1]:.4g}" if ref else ""
-        print(
-            f"m={row.m}: actual={row.actual:.6g} predicted={row.predicted:.6g} "
-            f"ratio={row.ratio:.3g}{ref_txt}",
-            file=sys.stderr,
-        )
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="certifem", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -203,12 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--mesh", action="append", help="repeatable; mesh file of a polytope inscribed in the domain")
     p_ver.add_argument("--out", default=None)
 
-    p_study = sub.add_parser("disk-study", help="m-gon sweep: measured vs predicted vs certified")
-    p_study.add_argument("--m", required=True, help="comma-separated m values")
-    p_study.add_argument("--refine", type=int, default=None, help="fixed refinement override")
-    p_study.add_argument("--csv", default=None)
-    p_study.add_argument("--json", default=None)
-
     return parser
 
 
@@ -216,7 +174,6 @@ _DISPATCH = {
     "mesh": cmd_mesh,
     "certify": cmd_certify,
     "verify": cmd_verify,
-    "disk-study": cmd_disk_study,
 }
 
 

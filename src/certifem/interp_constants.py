@@ -139,11 +139,11 @@ def _kobayashi_batch_2d(edge_sq: np.ndarray, area: np.ndarray, first: int = 0) -
 
 def _kobayashi_maximum(mesh: meshmod.SimplicialMesh) -> float:
     """The element maximum of Kobayashi's bound: the 2D `elementwise`
-    constant and `disk_study_row`'s A_m, one pass per mesh, cached.  It
-    walks one block of elements at a time (`_blocks`; a bad radicand is
-    named by its element index) over the measures and squared edges that
-    `build_mesh` caches: bit for bit the whole-array maximum, with (block, 3)
-    temporaries, not (M, 3) ones."""
+    constant, which `disk2d`'s prediction reads as A_m, one pass per mesh,
+    cached.  It walks one block of elements at a time (`_blocks`; a bad
+    radicand is named by its element index) over the measures and squared
+    edges that `build_mesh` caches: bit for bit the whole-array maximum,
+    with (block, 3) temporaries, not (M, 3) ones."""
 
     def build(mesh):
         meas, edge_sq = meshmod._measures(mesh), mesh._cache["edge_sq"]

@@ -5,15 +5,14 @@ Every check runs through `verify_case`: solve on a mesh whose polytope
 certify, and compare the measured L2 error (interior quadrature plus the
 solution's own gap-region integral over that polytope's gap) against the
 certified bound, one row per mesh in `convergence_study` (`certifem
-verify`).  The flagship pipeline, `disk_study_row`, approximates the unit
-disk by regular m-gons with f = 1.  A measured error above a certified
-bound is the one fatal scientific failure and raises.
+verify`).  An exact solution may also predict the error a priori: `disk2d`
+does on regular m-gons, which gives the paper's table (`verify --exact
+disk2d --generate m,k ...`, or `run_disk_study`).  A measured error above a
+certified or predicted bound is the one fatal scientific failure and raises.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +22,6 @@ import numpy as np
 
 from . import estimator as estmod
 from . import fem as femmod
-from . import interp_constants as icmod
 from . import mesh as meshmod
 from .domain import (
     ON_BOUNDARY_TOL,
@@ -37,10 +35,6 @@ from .domain import (
 from .errors import BoundViolationError, CertifemError, NotInscribedError
 from .quadrature import gauss_legendre
 
-# First zero of the Bessel function J0; the reciprocal is the exact Poincare
-# constant of the unit disk, documented against the sqrt(2)/pi bound.
-BESSEL_J0_FIRST_ZERO = 2.404825557695773
-
 
 @dataclass(frozen=True)
 class ExactSolution:
@@ -48,15 +42,18 @@ class ExactSolution:
 
     `gap_l2_sq(poly)` is the squared L2 norm of `u` over the region between
     `domain` and a polytope inscribed in it; it raises NotInscribedError
-    when the polytope is not inscribed in `domain`.
+    when the polytope is not inscribed in `domain`.  `predicted(poly,
+    certified)` is an a priori bound on the measured error of a mesh of
+    `poly`, given its certified report, or None where the problem defines
+    none; by default it defines none.
     """
 
     name: str
     domain: ConvexDomain
     u: Callable
     f: femmod.SourceTerm
-    u_l2_norm: float
     gap_l2_sq: Callable[[PolyApprox], float]
+    predicted: Callable[[PolyApprox, estmod.CertifiedBound], float | None] = lambda poly, certified: None
 
 
 _SEGMENT_RULE = gauss_legendre(16)
@@ -93,21 +90,32 @@ def _disk2d() -> ExactSolution:
         alpha = np.arctan2(0.5 * np.hypot(edges[:, 0], edges[:, 1]), poly.offsets)
         return float(_segment_l2_sq(alpha).sum())
 
+    def predicted(poly: PolyApprox, certified: estmod.CertifiedBound) -> float | None:
+        """The paper's bound sqrt(pi) (A_m^2 + 2 sin^2(pi / 2m)) on a regular
+        m-gon, A_m the certified element-wise `a_h`; None on any other
+        polygon.  An inscribed polygon with equal chords is regular, so the
+        test is that every facet gap equals the others."""
+        gaps = poly.gap_per_facet
+        if gaps.max() - gaps.min() > ON_BOUNDARY_TOL * dom.diameter:
+            return None
+        a, m = certified.metadata["a_h"], len(poly.vertices)
+        return math.sqrt(math.pi) * (a * a + 2.0 * math.sin(math.pi / (2.0 * m)) ** 2)
+
     return ExactSolution(
         name="disk2d",
         domain=dom,
         u=u,
         f=femmod.SourceTerm.constant(1.0),
-        u_l2_norm=math.sqrt(math.pi / 48.0),
         gap_l2_sq=gap_l2_sq,
+        predicted=predicted,
     )
 
 
 def _unit_squares() -> list[ExactSolution]:
     """The two problems on the unit square: u = sin(pi x) sin(pi y) for the
     `sinsin` source, and u = x(1 - x) y(1 - y), whose f = -Lap u =
-    2x + 2y - 2x^2 - 2y^2 is the `poly:0,2,2,-2,0,-2` source, with ||u|| =
-    1/30.  Both have a gap-region integral only for the square itself."""
+    2x + 2y - 2x^2 - 2y^2 is the `poly:0,2,2,-2,0,-2` source.  Both have a
+    gap-region integral only for the square itself."""
     dom = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
     def sinsin(pts):
@@ -126,8 +134,8 @@ def _unit_squares() -> list[ExactSolution]:
 
     poly = femmod.SourceTerm.quadratic([0, 2, 2, -2, 0, -2], dom)
     return [
-        ExactSolution("square2d", dom, sinsin, femmod.SourceTerm.sin_product(), 0.5, gap_l2_sq),
-        ExactSolution("square2d-poly", dom, bubble, poly, 1 / 30, gap_l2_sq),
+        ExactSolution("square2d", dom, sinsin, femmod.SourceTerm.sin_product(), gap_l2_sq),
+        ExactSolution("square2d-poly", dom, bubble, poly, gap_l2_sq),
     ]
 
 
@@ -147,40 +155,6 @@ def actual_l2_error(
     the exact solution's gap-region integral."""
     interior = femmod.l2_error_interior(mesh, sol, exact.u)
     return math.sqrt(interior * interior + exact.gap_l2_sq(poly))
-
-
-# ---------------------------------------------------------------------------
-# disk study (regular m-gon sweep)
-
-
-def default_refine_rule(m: int) -> int:
-    """Refinement levels so the interior mesh size tracks the polygon edge scale."""
-    return max(0, math.ceil(math.log2(m / 6.0)))
-
-
-# Reference results measured with an external Delaunay-mesh pipeline at the
-# same polygon resolutions; printed alongside reports as a plausibility
-# cross-check, never asserted against the built-in mesher.
-REFERENCE_DELAUNAY = {
-    10: (4.768e-2, 2.397e-1),
-    20: (1.303e-2, 7.688e-2),
-    30: (5.910e-3, 4.368e-2),
-    40: (3.248e-3, 2.531e-2),
-    50: (2.127e-3, 1.672e-2),
-}
-
-
-@dataclass(frozen=True)
-class DiskStudyRow:
-    m: int
-    h: float
-    a_m: float
-    actual: float
-    predicted: float
-    ratio: float
-    certified: estmod.CertifiedBound
-    refine_levels: int
-    iterations: int
 
 
 def verify_case(
@@ -212,115 +186,21 @@ def verify_case(
     return sol, measured, certified
 
 
-def disk_study_row(
-    m: int,
-    refine_levels: int | None = None,
-    fh_mode: str = "exact",
-    strategy: str = "elementwise",
-    mesh: meshmod.SimplicialMesh | None = None,
-) -> DiskStudyRow:
-    """One pipeline run: m-gon in the unit disk, f = 1, measured vs certified
-    and vs the predicted bound sqrt(pi) (A_m^2 + 2 sin^2(pi / 2m)), A_m the
-    Kobayashi maximum that `certify` caches (`a_h` under `elementwise`).
-
-    `mesh` overrides the built-in generator (an externally meshed m-gon);
-    it raises NotInscribedError, before the solve, unless the polygon it
-    meshes has the regular m-gon's vertices, each within the on-boundary
-    tolerance.
-    """
-    exact = _disk2d()
-    poly = inscribed_regular_polygon(exact.domain, m)
-    if refine_levels is None:
-        refine_levels = default_refine_rule(m)
-    if mesh is None:
-        mesh = meshmod.generate_fan_refined(poly, refine_levels)
-    else:
-        corners = meshmod.polytope_of_mesh(exact.domain, mesh).vertices
-        apart = np.linalg.norm(corners[:, None, :] - poly.vertices[None, :, :], axis=-1).min(axis=0)
-        if corners.shape != poly.vertices.shape or apart.max() > ON_BOUNDARY_TOL * exact.domain.diameter:
-            raise NotInscribedError(f"the mesh meshes a {len(corners)}-gon that is not the regular {m}-gon")
-    sol, actual, certified = verify_case(exact, mesh, fh_mode, strategy)
-
-    qual = meshmod.quality(mesh)
-    a_m = icmod._kobayashi_maximum(mesh)  # certify's cached element-wise pass
-    predicted = math.sqrt(math.pi) * (a_m * a_m + 2.0 * math.sin(math.pi / (2.0 * m)) ** 2)
-    if actual > predicted:
-        raise BoundViolationError(f"m={m}: measured error {actual} exceeds predicted bound {predicted}")
-    return DiskStudyRow(
-        m=m,
-        h=qual.h,
-        a_m=a_m,
-        actual=actual,
-        predicted=predicted,
-        ratio=predicted / actual,
-        certified=certified,
-        refine_levels=refine_levels,
-        iterations=sol.iterations,
-    )
-
-
-def run_disk_study(
-    m_list: Sequence[int],
-    refine_rule: Callable[[int], int] | None = None,
-    fh_mode: str = "exact",
-    strategy: str = "elementwise",
-    threads: int = 1,
-) -> list[DiskStudyRow]:
-    """Sweep the polygon resolution; rows are independent and may run in
-    parallel (capped by `threads`)."""
-    if not m_list:
-        raise ValueError("m_list must be nonempty")
-    rule = refine_rule or default_refine_rule
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda m: disk_study_row(m, rule(m), fh_mode, strategy), m_list))
-    else:
-        rows = [disk_study_row(m, rule(m), fh_mode, strategy) for m in m_list]
-    return rows
-
-
-def disk_study_csv(rows: Sequence[DiskStudyRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["m", "h", "A_m", "actual", "predicted", "ratio"])
-    for r in rows:
-        writer.writerow(
-            [r.m] + ["%.10g" % v for v in (r.h, r.a_m, r.actual, r.predicted, r.ratio)]
-        )
-    return buf.getvalue()
-
-
-def disk_study_json(rows: Sequence[DiskStudyRow]) -> str:
-    out = []
-    for r in rows:
-        ref = REFERENCE_DELAUNAY.get(r.m)
-        out.append(
-            {
-                "m": r.m,
-                "h": r.h,
-                "A_m": r.a_m,
-                "actual": r.actual,
-                "predicted": r.predicted,
-                "ratio": r.ratio,
-                "refine_levels": r.refine_levels,
-                "certified": r.certified.to_json_dict(),
-                "reference_delaunay": {"actual": ref[0], "predicted": ref[1]} if ref else None,
-            }
-        )
-    return json.dumps(out, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # convergence study on any meshes
 
 
 @dataclass(frozen=True)
 class ConvergenceLevel:
+    """One mesh's row: `m` is the corner count of the polytope it meshes,
+    and `predicted` the exact solution's a priori bound (None where it
+    defines none)."""
+
     nodes: int
+    m: int
     h: float
     actual: float
+    predicted: float | None
     certified: estmod.CertifiedBound
     iterations: int
 
@@ -341,12 +221,49 @@ class ConvergenceReport:
 
 def convergence_study(exact: ExactSolution, meshes: Iterable[meshmod.SimplicialMesh]) -> ConvergenceReport:
     """`verify_case` on each mesh in turn, with the default f_h mode and
-    strategy, and the least-squares slope of log actual against log h
-    (None unless two meshes differ in h); a bound violation raises."""
+    strategy, the exact solution's prediction on the polytope that
+    `verify_case` validated, and the least-squares slope of log actual
+    against log h (None unless two meshes differ in h).  A measured error
+    above the certified or the predicted bound raises BoundViolationError."""
     levels = []
     for mesh in meshes:
         sol, actual, certified = verify_case(exact, mesh)
-        levels.append(ConvergenceLevel(mesh.node_count, meshmod.quality(mesh).h, actual, certified, sol.iterations))
+        poly = meshmod.polytope_of_mesh(exact.domain, mesh)  # cached by verify_case
+        predicted = exact.predicted(poly, certified)
+        if predicted is not None and actual > predicted:
+            raise BoundViolationError(
+                f"{exact.name} on {mesh.node_count} nodes: measured error {actual} exceeds predicted bound {predicted}"
+            )
+        h = meshmod.quality(mesh).h
+        levels.append(ConvergenceLevel(mesh.node_count, len(poly.vertices), h, actual, predicted, certified, sol.iterations))
     log_h, log_e = np.log([lv.h for lv in levels]), np.log([lv.actual for lv in levels])
     slope = float(np.polyfit(log_h, log_e, 1)[0]) if len(set(log_h)) >= 2 else None
     return ConvergenceReport(exact.name, levels, slope)
+
+
+# ---------------------------------------------------------------------------
+# the paper's table: regular m-gons in the unit disk, f = 1
+
+
+def default_refine_rule(m: int) -> int:
+    """Refinement levels so the interior mesh size tracks the polygon edge scale."""
+    return max(0, math.ceil(math.log2(m / 6.0)))
+
+
+def disk_study_row(m: int, refine_levels: int | None = None) -> ConvergenceLevel:
+    """`convergence_study`'s `disk2d` row for the fan of the regular m-gon
+    refined `refine_levels` times (`default_refine_rule(m)` by default), as
+    `certifem verify --exact disk2d --generate m,refine_levels` reports it."""
+    exact = _disk2d()
+    if refine_levels is None:
+        refine_levels = default_refine_rule(m)
+    mesh = meshmod.generate_fan_refined(inscribed_regular_polygon(exact.domain, m), refine_levels)
+    return convergence_study(exact, [mesh]).levels[0]
+
+
+def run_disk_study(m_list: Sequence[int], threads: int = 1) -> list[ConvergenceLevel]:
+    """`disk_study_row(m)` for each m in turn: the rows of the paper's table.
+    Rows run one at a time; `threads` must be 1."""
+    if threads != 1:
+        raise ValueError(f"disk study rows run one at a time; threads must be 1, got {threads}")
+    return [disk_study_row(m) for m in m_list]

@@ -36,6 +36,26 @@ from certifem.geometry import (
 )
 from certifem.interp_constants import LIU_COEFF
 
+# ||u||_L2 over the whole domain of each registry entry, in closed form:
+# (1 - r^2)/4 on the unit disk, sin(pi x) sin(pi y) and x(1 - x) y(1 - y) on
+# the unit square
+U_L2_NORM = {"disk2d": math.sqrt(math.pi / 48.0), "square2d": 0.5, "square2d-poly": 1.0 / 30.0}
+
+# First zero of the Bessel function J0; the reciprocal is the exact Poincare
+# constant of the unit disk, documented against the sqrt(2)/pi bound.
+BESSEL_J0_FIRST_ZERO = 2.404825557695773
+
+# (actual, predicted) of the disk table measured with an external
+# Delaunay-mesh pipeline at the same polygon resolutions: a plausibility
+# cross-check, never asserted against the built-in mesher.
+REFERENCE_DELAUNAY = {
+    10: (4.768e-2, 2.397e-1),
+    20: (1.303e-2, 7.688e-2),
+    30: (5.910e-3, 4.368e-2),
+    40: (3.248e-3, 2.531e-2),
+    50: (2.127e-3, 1.672e-2),
+}
+
 
 def edge_count(mesh: meshmod.SimplicialMesh) -> int:
     """Unique edges, for Euler-formula style checks."""

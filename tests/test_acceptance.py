@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import certifem as cf
-from certifem.verify import BESSEL_J0_FIRST_ZERO, REFERENCE_DELAUNAY
 from conftest import (
     nonblunt_corner_apexes,
     nonblunt_triangle,
@@ -22,6 +21,8 @@ from conftest import (
 )
 from spectral_probe import rayleigh_lower_bound
 from oracles import (
+    BESSEL_J0_FIRST_ZERO,
+    REFERENCE_DELAUNAY,
     barrier_check,
     element_constants,
     fh_error_measured,
@@ -42,9 +43,12 @@ def _report(criterion: str, passed: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def disk_sweep():
-    """Shared m-sweep for criteria 1 and 2, with wall-clock timing."""
+    """The paper's table for criteria 1 and 2, as `certifem verify --exact
+    disk2d --generate m,k ...` runs it, with wall-clock timing."""
+    exact = cf.registry()["disk2d"]
     start = time.perf_counter()
-    rows = cf.run_disk_study(list(M_SWEEP))
+    fans = (cf.generate_fan_refined(cf.inscribed_regular_polygon(exact.domain, m), cf.default_refine_rule(m)) for m in M_SWEEP)
+    rows = cf.convergence_study(exact, fans).levels
     elapsed = time.perf_counter() - start
     return rows, elapsed
 
@@ -68,19 +72,20 @@ def test_criterion_2_order_of_magnitude(disk_sweep):
     lines = []
     for row in rows:
         ref = REFERENCE_DELAUNAY[row.m]
+        ratio = row.predicted / row.actual
         lines.append(
-            f"m={row.m}: ratio={row.ratio:.2f} "
+            f"m={row.m}: ratio={ratio:.2f} "
             f"[built-in actual={row.actual:.3e} predicted={row.predicted:.3e}; "
             f"reference actual={ref[0]:.3e} predicted={ref[1]:.3e}]"
         )
         if row.m >= 20:
-            ok &= 1.0 < row.ratio < 12.0
+            ok &= 1.0 < ratio < 12.0
     _report("2 (predicted/actual in (1,12) for m>=20)", ok, " | ".join(lines))
 
 
 def test_criterion_3_fixture_mechanics(tmp_path):
     """The external-mesh path: a node/ele export feeds the same pipeline and
-    reproduces the in-memory run exactly."""
+    reproduces the in-memory run."""
     m, k = 20, 2
     poly = cf.inscribed_regular_polygon(cf.Disk(1.0), m)
     mesh = cf.generate_fan_refined(poly, k)
@@ -88,7 +93,7 @@ def test_criterion_3_fixture_mechanics(tmp_path):
     cf.save(mesh, base, "node_ele")
     reloaded = cf.load(base + ".node")
     row_mem = cf.disk_study_row(m, k)
-    row_ext = cf.disk_study_row(m, mesh=reloaded)
+    (row_ext,) = cf.convergence_study(cf.registry()["disk2d"], [reloaded]).levels
     ok = (
         abs(row_ext.actual - row_mem.actual) <= 1e-12 * row_mem.actual
         and abs(row_ext.predicted - row_mem.predicted) <= 1e-12 * row_mem.predicted
@@ -108,6 +113,7 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures", "delaunay")
 def test_criterion_3_reference_reproduction():
     """With a user-supplied Delaunay export of the m-gon at the reference
     resolution, the measured error must match the reference within 5%."""
+    exact = cf.registry()["disk2d"]
     ok = True
     details = []
     for m, (ref_actual, _) in REFERENCE_DELAUNAY.items():
@@ -115,8 +121,9 @@ def test_criterion_3_reference_reproduction():
         if not os.path.exists(base + ".node"):
             continue
         mesh = cf.load(base + ".node")
-        row = cf.disk_study_row(m, mesh=mesh)
+        (row,) = cf.convergence_study(exact, [mesh]).levels
         details.append(f"m={m}: actual={row.actual:.3e} ref={ref_actual:.3e}")
+        ok &= row.m == m and row.predicted is not None  # the regular m-gon
         ok &= abs(row.actual - ref_actual) <= 0.05 * ref_actual
     _report("3 (reference reproduction within 5%)", ok, " | ".join(details))
 

@@ -352,18 +352,21 @@ def test_verify_square_convergence(tmp_path):
     assert 1.8 <= obj["slope"] <= 2.2
     assert [level["nodes"] for level in obj["levels"]] == [41, 145, 545]
     for level in obj["levels"]:
-        assert set(level) == {"nodes", "h", "actual", "certified", "ratio", "iterations"}
+        assert set(level) == {"nodes", "m", "h", "actual", "predicted", "certified", "ratio", "iterations"}
+        assert level["m"] == 4 and level["predicted"] is None
         assert level["ratio"] == level["certified"]["total"] / level["actual"] > 1.0
 
 
 def test_verify_disk_single(tmp_path):
-    """One mesh: one row, no slope (JSON null)."""
+    """One mesh: one row, no slope (JSON null); the regular 16-gon has the
+    paper's predicted bound."""
     out = str(tmp_path / "d.json")
     assert run_cli("verify", "--exact", "disk2d", "--generate", "16,2", "--out", out) == 0
     obj = json.load(open(out))
     assert obj["slope"] is None
     (level,) = obj["levels"]
-    assert 0.0 < level["actual"] <= level["certified"]["total"]
+    assert level["m"] == 16
+    assert 0.0 < level["actual"] <= min(level["certified"]["total"], level["predicted"])
     assert level["ratio"] > 1.0
 
 
@@ -448,34 +451,12 @@ def test_verify_unknown_exact():
     assert run_cli("verify", "--exact", "nope") == 2
 
 
-def test_disk_study_csv(tmp_path, capsys):
-    csv_path = str(tmp_path / "rows.csv")
-    assert run_cli("disk-study", "--m", "10,20", "--csv", csv_path) == 0
-    lines = open(csv_path).read().strip().splitlines()
-    assert lines[0] == "m,h,A_m,actual,predicted,ratio"
-    for line in lines[1:]:
-        fields = line.split(",")
-        assert float(fields[5]) > 1.0  # predicted always above actual
-    err = capsys.readouterr().err
-    assert "reference(delaunay)" in err
-
-
-def test_disk_study_refine_override_json(tmp_path, capsys):
-    out = tmp_path / "rows.json"
-    assert run_cli("disk-study", "--m", "10,20", "--refine", "1", "--json", str(out)) == 0
-    rows = json.loads(out.read_text())
-    assert [row["m"] for row in rows] == [10, 20]
-    assert [row["refine_levels"] for row in rows] == [1, 1]
-    assert capsys.readouterr().out == ""  # with --json, no CSV on stdout
-
-
-@pytest.mark.parametrize("raw, threads", [(None, 1), ("", 1), ("abc", 1), ("0", 1), ("-3", 1), ("2", 2)])
-def test_threads_from_environment(monkeypatch, raw, threads):
-    if raw is None:
-        monkeypatch.delenv("CERTIFEM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("CERTIFEM_THREADS", raw)
-    assert cli._threads() == threads
+def test_disk_study_command_is_gone():
+    """The paper's table is `verify --exact disk2d --generate m,k ...`;
+    argparse refuses the old command (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("disk-study", "--m", "10")
+    assert exc.value.code == 2
 
 
 def test_reports_byte_identical(tmp_path):
@@ -491,8 +472,8 @@ def test_bound_violation_exit_code(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise BoundViolationError("measured 1.0 exceeds certified 0.5")
 
-    monkeypatch.setattr(cli.vermod, "run_disk_study", explode)
-    assert run_cli("disk-study", "--m", "10") == 3
+    monkeypatch.setattr(cli.vermod, "convergence_study", explode)
+    assert run_cli("verify", "--exact", "disk2d", "--generate", "10,1") == 3
     assert "BOUND VIOLATED" in capsys.readouterr().err
 
 

@@ -39,6 +39,7 @@ from certifem import (
     registry,
     solve_cg,
     solve_poisson,
+    verify_case,
 )
 from certifem.quadrature import (
     TET_D4_BARY,
@@ -929,16 +930,19 @@ def _square_certify_json():
 def test_reported_numbers_do_not_depend_on_quadrature_kernel(monkeypatch):
     """Every reported digit is the same with the einsum quadrature points."""
 
+    exact = registry()["disk2d"]
+
     def run():
-        return [disk_study_row(30, 3, mode) for mode in fem.FH_MODES], _square_certify_json()
+        mesh = generate_fan_refined(inscribed_regular_polygon(exact.domain, 30), 3)
+        rows = [verify_case(exact, mesh, mode) for mode in fem.FH_MODES]
+        return [(sol.iterations, actual, certified.to_json()) for sol, actual, certified in rows], _square_certify_json()
 
     rows, report = run()
     calls = []
     monkeypatch.setattr(fem, "_quadrature_blocks", lambda *a: calls.append(1) or _einsum_quadrature_blocks(*a))
     ref_rows, ref_report = run()
     assert calls
-    for row, ref in zip(rows, ref_rows):
-        assert dataclasses.asdict(row) == dataclasses.asdict(ref)
+    assert rows == ref_rows
     assert report == ref_report
 
 
@@ -1206,14 +1210,14 @@ def test_fan_line_cg_iterations_and_solution():
     disk = _disk2d()
     poly = inscribed_regular_polygon(disk.domain, 50)
     mesh = generate_fan_refined(poly, 5)
-    row = disk_study_row(50, 5, mesh=mesh)
-    assert row.iterations <= 60
+    sol, actual, _ = verify_case(disk, mesh)
+    assert sol.iterations <= 60
     system = _poisson_system(mesh, disk.f)
     x, _, _, ok = _jacobi_cg(system)
     full = np.zeros(mesh.node_count)
     full[system.interior] = x
     assert ok
-    assert row.actual == pytest.approx(actual_l2_error(disk, poly, mesh, FemSolution(full, 0, 0.0, True)), rel=1e-9)
+    assert actual == pytest.approx(actual_l2_error(disk, poly, mesh, FemSolution(full, 0, 0.0, True)), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ from certifem import (
     build_mesh,
     convergence_study,
     default_refine_rule,
-    disk_study_csv,
-    disk_study_json,
     disk_study_row,
     generate_fan_refined,
     inscribed_regular_polygon,
@@ -32,8 +30,8 @@ from certifem import estimator as estmod
 from certifem.fem import FH_MODES
 from certifem.interp_constants import STRATEGIES
 from certifem.quadrature import gauss_legendre
-from certifem.verify import BESSEL_J0_FIRST_ZERO, REFERENCE_DELAUNAY, _segment_l2_sq
-from oracles import barrier_check, boundary_point, element_metrics, structured_square_mesh
+from certifem.verify import _segment_l2_sq
+from oracles import BESSEL_J0_FIRST_ZERO, U_L2_NORM, barrier_check, boundary_point, element_metrics, structured_square_mesh
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -56,11 +54,8 @@ def segment_quadrature_oracle(m: int, n_theta: int = 120, n_r: int = 24) -> floa
 
 def test_registry_contents():
     reg = registry()
-    assert set(reg) == {"disk2d", "square2d", "square2d-poly"}
-    assert reg["disk2d"].u_l2_norm == pytest.approx(math.sqrt(math.pi / 48.0), rel=1e-14)
-    assert reg["disk2d"].u_l2_norm == pytest.approx(0.2558317, abs=1e-7)
-    assert reg["square2d"].u_l2_norm == 0.5
-    assert reg["square2d-poly"].u_l2_norm == 1.0 / 30.0
+    assert set(reg) == set(U_L2_NORM) == {"disk2d", "square2d", "square2d-poly"}
+    assert U_L2_NORM["disk2d"] == pytest.approx(0.2558317, abs=1e-7)
     assert reg["square2d-poly"].f.name == "poly:0,2,2,-2,0,-2"
 
 
@@ -118,7 +113,7 @@ def test_registry_u_l2_norm_matches_quadrature(name):
     exact = registry()[name]
     squared = {"disk2d": _squared_norm_disk2d, "square2d": _squared_norm_square2d, "square2d-poly": _squared_norm_square2d}[name]
     for value in squared(exact):
-        assert value == pytest.approx(exact.u_l2_norm**2, rel=1e-12)
+        assert value == pytest.approx(U_L2_NORM[name] ** 2, rel=1e-12)
 
 
 def test_gap_error_term_monotone():
@@ -183,7 +178,7 @@ def test_random_inscribed_polygons_verify():
         # exact for u^2, over the polygon
         coarse = generate_fan_refined(poly, 0)
         inside = _squared_norm_on(coarse, exact)
-        assert exact.gap_l2_sq(poly) == pytest.approx(exact.u_l2_norm**2 - inside, abs=1e-14)
+        assert exact.gap_l2_sq(poly) == pytest.approx(U_L2_NORM["disk2d"] ** 2 - inside, abs=1e-14)
         _, measured, certified = verify_case(exact, generate_fan_refined(poly, 2))
         assert 0.0 < measured <= certified.total
 
@@ -233,7 +228,7 @@ def test_actual_error_zero_solution_equals_solution_norm():
     sol, _ = solve_poisson(mesh, exact.f, "exact")
     assert np.abs(sol.nodal_values).max() == 0.0
     got = actual_l2_error(exact, poly, mesh, sol)
-    assert got == pytest.approx(exact.u_l2_norm, abs=1e-6)
+    assert got == pytest.approx(U_L2_NORM["disk2d"], abs=1e-6)
 
 
 def test_actual_error_decreases_under_refinement():
@@ -300,67 +295,90 @@ def test_default_refine_rule():
     assert default_refine_rule(50) == 4
 
 
+def _predicted(a_h: float, m: int) -> float:
+    """The paper's bound sqrt(pi) (A_m^2 + 2 sin^2(pi / 2m)), written out."""
+    return math.sqrt(math.pi) * (a_h * a_h + 2.0 * math.sin(math.pi / (2.0 * m)) ** 2)
+
+
+def _inscribed_fan(angles: np.ndarray, refine: int = 1):
+    """The fan of the polygon with corners on the unit circle at `angles`."""
+    poly = make_poly_approx(Disk(1.0), np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    return generate_fan_refined(poly, refine)
+
+
 def test_disk_study_row_fields():
     row = disk_study_row(12, 1)
-    assert row.m == 12 and row.refine_levels == 1
+    mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 12), 1)
+    assert (row.m, row.nodes, row.h) == (12, mesh.node_count, quality(mesh).h)
     assert 0 < row.actual < row.predicted
     assert row.actual <= row.certified.total
-    assert row.ratio == pytest.approx(row.predicted / row.actual, rel=1e-15)
 
 
 def test_disk_study_external_mesh_matches_generated(tmp_path):
+    """On the fans m = 10..50, `predicted` is the paper's formula on the
+    certified `a_h`, bit for bit, and the same fan reloaded from .node
+    predicts the same."""
     from certifem import load, save
 
-    poly = inscribed_regular_polygon(Disk(1.0), 10)
-    mesh = generate_fan_refined(poly, 1)
-    base = str(tmp_path / "m10")
-    save(mesh, base, "node_ele")
-    reloaded = load(base + ".node")
-    row_gen = disk_study_row(10, 1)
-    row_ext = disk_study_row(10, mesh=reloaded)
-    assert row_ext.actual == pytest.approx(row_gen.actual, rel=1e-12)
-    assert row_ext.a_m == pytest.approx(row_gen.a_m, rel=1e-12)
-    assert row_ext.predicted == pytest.approx(row_gen.predicted, rel=1e-12)
+    exact = registry()["disk2d"]
+    for m in range(10, 51, 10):
+        row = disk_study_row(m)
+        assert row.m == m
+        assert row.predicted == _predicted(row.certified.metadata["a_h"], m)
+        path = str(tmp_path / f"m{m}.node")
+        save(generate_fan_refined(inscribed_regular_polygon(exact.domain, m), default_refine_rule(m)), path)
+        (loaded,) = convergence_study(exact, [load(path)]).levels
+        assert (loaded.m, loaded.actual, loaded.predicted) == (m, row.actual, row.predicted)
 
 
-def test_disk_study_row_rejects_mesh_outside_polygon():
-    from certifem import NotInscribedError
-
-    # a 12-gon fan inside the 10-gon's disk: its boundary is no 10-gon edge
-    mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 12), 1)
-    with pytest.raises(NotInscribedError):
-        disk_study_row(10, mesh=mesh)
+def test_rotated_regular_polygon_gets_a_prediction():
+    ang = 2.0 * math.pi * np.arange(12) / 12 + 0.3
+    (level,) = convergence_study(registry()["disk2d"], [_inscribed_fan(ang)]).levels
+    assert level.m == 12
+    assert level.actual < level.predicted == _predicted(level.certified.metadata["a_h"], 12)
 
 
-def test_run_disk_study_threads_match_serial():
-    serial = run_disk_study([10, 20, 30], threads=1)
-    pooled = run_disk_study([10, 20, 30], threads=2)
-    assert [r.m for r in pooled] == [10, 20, 30]
-    for a, b in zip(serial, pooled):
-        assert a.actual == b.actual
-        assert a.iterations == b.iterations
-        assert a.certified.to_json() == b.certified.to_json()
-
-
-def test_run_disk_study_empty_raises():
-    with pytest.raises(ValueError):
-        run_disk_study([])
-
-
-def test_disk_study_output_formats():
-    rows = run_disk_study([8, 12])
-    csv_text = disk_study_csv(rows)
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "m,h,A_m,actual,predicted,ratio"
-    assert len(lines) == 3
-    payload = disk_study_json(rows)
+def test_irregular_inscribed_polygon_verifies_without_prediction(tmp_path):
+    """An inscribed 12-gon with unequal chords has no predicted bound: its
+    level reports None, and `certifem verify` writes null and exits 0."""
     import json
 
-    obj = json.loads(payload)
-    assert obj[0]["m"] == 8
-    assert set(obj[0]["certified"]) == {"total", "terms", "metadata"}
-    assert obj[0]["reference_delaunay"] is None
-    assert set(REFERENCE_DELAUNAY) == {10, 20, 30, 40, 50}
+    from certifem import cli, save
+
+    mesh = _inscribed_fan(np.sort(np.random.default_rng(1).uniform(0.0, 2.0 * math.pi, 12)))
+    (level,) = convergence_study(registry()["disk2d"], [mesh]).levels
+    assert level.m == 12 and level.predicted is None
+    assert 0.0 < level.actual <= level.certified.total
+    path, out = str(tmp_path / "irregular.node"), str(tmp_path / "v.json")
+    save(mesh, path)
+    assert cli.main(["verify", "--exact", "disk2d", "--mesh", path, "--out", out]) == 0
+    (obj,) = json.load(open(out))["levels"]
+    assert obj["m"] == 12 and obj["predicted"] is None
+
+
+def test_measured_error_above_prediction_raises(monkeypatch, capsys):
+    """A hook that predicts half the measured error is a bound violation:
+    `convergence_study` raises, and `certifem verify` exits 3."""
+    import dataclasses
+
+    from certifem import cli
+    from certifem import verify as vermod
+
+    exact = registry()["disk2d"]
+    mesh = generate_fan_refined(inscribed_regular_polygon(exact.domain, 10), 1)
+    _, measured, _ = verify_case(exact, mesh)
+    halved = dataclasses.replace(exact, predicted=lambda poly, certified: 0.5 * measured)
+    with pytest.raises(BoundViolationError, match="exceeds predicted bound"):
+        convergence_study(halved, [mesh])
+    monkeypatch.setattr(vermod, "registry", lambda: {"disk2d": halved})
+    assert cli.main(["verify", "--exact", "disk2d", "--generate", "10,1"]) == 3
+    assert "BOUND VIOLATED" in capsys.readouterr().err
+
+
+def test_run_disk_study_runs_rows_one_at_a_time():
+    with pytest.raises(ValueError, match="threads must be 1"):
+        run_disk_study([10], threads=2)
+    assert run_disk_study([]) == []
 
 
 def test_convergence_study_report():
@@ -405,6 +423,7 @@ def test_disk_study_row_builds_each_mesh_quantity_once(monkeypatch):
     import dataclasses
 
     from certifem import assemble_stiffness
+    from certifem import domain as domainmod
     from certifem import fem as femmod
     from certifem import mesh as meshmod
 
@@ -422,7 +441,20 @@ def test_disk_study_row_builds_each_mesh_quantity_once(monkeypatch):
     spy(meshmod, "_boundary_polytope")
     spy(meshmod, "_quality")
     spy(femmod, "assemble_stiffness")
+    polys = []
+    make = domainmod.make_poly_approx
+
+    def counted(*args):
+        polys.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(domainmod, "make_poly_approx", counted)
+    monkeypatch.setattr(meshmod, "make_poly_approx", counted)
     disk_study_row(10, 1)
+
+    # the generator's regular 10-gon and `polytope_of_mesh`'s polygon; the
+    # prediction reads the polygon that verify_case cached on the mesh
+    assert len(polys) == 2
 
     # one boundary walk gives the polytope that verify_case measures and
     # certify bounds; quality and the element-wise constants walk blocks of
@@ -449,19 +481,21 @@ def test_disk_study_row_builds_each_mesh_quantity_once(monkeypatch):
 
 
 def test_disk_study_row_takes_a_m_from_the_elementwise_pass(monkeypatch):
-    """A_m is the Kobayashi maximum of `mesh_constants`' element-wise pass,
-    bit for bit the whole-array maximum: one Kobayashi call per block of
-    elements, none for A_m alone."""
+    """A_m, the certified `a_h`, is the Kobayashi maximum of
+    `mesh_constants`' element-wise pass, bit for bit the whole-array
+    maximum: one Kobayashi call per block of elements, none for the
+    prediction alone."""
     from certifem import interp_constants as icmod
 
     mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 20), 2)
     blocks = []
     kobayashi = icmod._kobayashi_batch_2d
     monkeypatch.setattr(icmod, "_kobayashi_batch_2d", lambda *a: blocks.append(a) or kobayashi(*a))
-    row = disk_study_row(20, 2, mesh=mesh)
+    (row,) = convergence_study(registry()["disk2d"], [mesh]).levels
     assert len(blocks) == 1 and mesh.element_count == 320
     em = element_metrics(mesh)
-    assert row.a_m == float(kobayashi(em.edge_sq, em.measures).max())
+    a_m = float(kobayashi(em.edge_sq, em.measures).max())
+    assert row.certified.metadata["a_h"] == a_m and row.predicted == _predicted(a_m, 20)
 
 
 def test_nodal_disk_study_row_scatters_only_the_stiffness(monkeypatch):
@@ -477,8 +511,9 @@ def test_nodal_disk_study_row_scatters_only_the_stiffness(monkeypatch):
         built.append((mesh, scatter(mesh, rows)))
         return built[-1][1]
 
+    mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 30), 3)
     monkeypatch.setattr(femmod, "_scatter", spy)
-    disk_study_row(30, 3, "nodal")
+    verify_case(registry()["disk2d"], mesh, "nodal")
     assert len(built) == 1
     mesh, mat = built[0]
     monkeypatch.setattr(femmod, "_scatter", scatter)
@@ -498,25 +533,25 @@ def test_disk_study_row_builds_fh_once(monkeypatch, mode):
         modes.append(fh_mode)
         return build(mesh, f, fh_mode)
 
+    mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 10), 1)
     monkeypatch.setattr(femmod, "build_fh", spy)
-    disk_study_row(10, 1, mode)
+    verify_case(registry()["disk2d"], mesh, mode)
     assert modes == [mode]
 
 
 def test_run_disk_study_threads_match_serial_with_vcycle(monkeypatch):
+    """The rows run one at a time; with the V-cycle forced on the m=30 and
+    m=50 rows, each builds one, and every row still verifies."""
     from certifem import fem
 
     monkeypatch.setattr(fem, "_VCYCLE_MIN_SIZE", 500)  # the m=30 and m=50 rows
     built = []
     cycle = fem._VCycle
     monkeypatch.setattr(fem, "_VCycle", lambda *a: built.append(1) or cycle(*a))
-    serial = run_disk_study([20, 30, 50], threads=1)
+    rows = run_disk_study([20, 30, 50], threads=1)
     assert len(built) == 2
-    pooled = run_disk_study([20, 30, 50], threads=2)
-    assert len(built) == 4
-    for a, b in zip(serial, pooled):
-        assert (a.m, a.actual, a.iterations) == (b.m, b.actual, b.iterations)
-        assert a.certified.to_json() == b.certified.to_json()
+    assert [r.m for r in rows] == [20, 30, 50]
+    assert all(0.0 < r.actual <= min(r.predicted, r.certified.total) for r in rows)
 
 
 # ---------------------------------------------------------------------------
