@@ -187,7 +187,7 @@ class DiscreteSource:
         degree-4 quadrature for exact mode."""
         mesh = self.mesh
         if self.mode == "barycentric":
-            return math.sqrt(float((self.element_values**2 * meshmod._measures(mesh)).sum()))
+            return math.sqrt(float((self.element_values**2 * mesh.measures).sum()))
         if self.mode == "nodal":
             return _p1_l2(mesh, self.nodal_values)
         if self.quadrature_l2 is None:
@@ -257,7 +257,7 @@ def _quadrature_norm(mesh: meshmod.SimplicialMesh, values: Callable[[slice, np.n
     sums = np.empty(mesh.element_count)
     for rows, points in _quadrature_blocks(mesh):
         sums[rows] = (np.ascontiguousarray(values(rows, points)) ** 2) @ w
-    return math.sqrt(max(float((sums * meshmod._measures(mesh)).sum()), 0.0))
+    return math.sqrt(max(float((sums * mesh.measures).sum()), 0.0))
 
 
 def _source_l2(mesh: meshmod.SimplicialMesh, f: SourceTerm, contrib: np.ndarray | None = None) -> float:
@@ -284,7 +284,7 @@ def _source_l2(mesh: meshmod.SimplicialMesh, f: SourceTerm, contrib: np.ndarray 
                 np.multiply(weighted[:, 0], bary[0, j], out=out)
                 for q in range(1, w.size):
                     out += weighted[:, q] * bary[q, j]
-                out *= meshmod._measures(mesh)[rows]
+                out *= mesh.measures[rows]
         return vals
 
     norm = _quadrature_norm(mesh, values)
@@ -297,7 +297,7 @@ def _gradients(mesh: meshmod.SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
 
     The rows of B are the edge vectors e_i = corner_i - corner_0, so grad
     lambda_i (i >= 1) is column i-1 of B^{-1} = adj(B) / det(B), and grad
-    lambda_0 is minus their sum.  det(B) = dim! |T| from the cached closed-form
+    lambda_0 is minus their sum.  det(B) = dim! |T| from the mesh's closed-form
     measures (`geometry._element_geometry`): a d - b c itself in 2D, within
     two roundings of the compensated e1 . (e2 x e3) in 3D.  `build_mesh`
     orients every element positively, and a wrong sign would flip all
@@ -307,7 +307,7 @@ def _gradients(mesh: meshmod.SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
     gradient is one contiguous column.
     """
     n = mesh.dim
-    meas = meshmod._measures(mesh)
+    meas = mesh.measures
     det = math.factorial(n) * meas
     if n == 2:
         # B = [[a, b], [c, d]], adj(B) = [[d, -b], [-c, a]]; -(b / det) is
@@ -414,9 +414,9 @@ def assemble_load(mesh: meshmod.SimplicialMesh, fh: DiscreteSource) -> np.ndarra
     n = mesh.dim
     if fh.mode == "nodal":
         v = fh.nodal_values[mesh.elements.T]
-        contrib = (v + v.sum(axis=0)) * (meshmod._measures(mesh) / ((n + 1) * (n + 2)))
+        contrib = (v + v.sum(axis=0)) * (mesh.measures / ((n + 1) * (n + 2)))
     elif fh.mode == "barycentric":
-        contrib = np.broadcast_to(fh.element_values * meshmod._measures(mesh) / (n + 1), (n + 1, mesh.element_count))
+        contrib = np.broadcast_to(fh.element_values * mesh.measures / (n + 1), (n + 1, mesh.element_count))
     else:
         contrib = np.empty((n + 1, mesh.element_count))
         norm = _source_l2(mesh, fh.source, contrib)
@@ -505,7 +505,7 @@ def _prolongations(mesh: meshmod.SimplicialMesh, interior: np.ndarray) -> tuple[
 
     out = []
     fine = interior  # sorted interior nodes of the finer level
-    for coarse_count, parents in reversed(meshmod._hierarchy(mesh)):
+    for coarse_count, parents in reversed(mesh.hierarchy):
         if fine.size <= _COARSE_MAX_SIZE:
             break
         # coarse nodes are a prefix of the fine ones, with the same boundary
@@ -831,7 +831,7 @@ def _p1_l2(mesh: meshmod.SimplicialMesh, nodal: np.ndarray) -> float:
     n = mesh.dim
     v = nodal[mesh.elements]
     local = (v**2).sum(axis=1) + v.sum(axis=1) ** 2
-    return math.sqrt(float((local * meshmod._measures(mesh)).sum()) / ((n + 1) * (n + 2)))
+    return math.sqrt(float((local * mesh.measures).sum()) / ((n + 1) * (n + 2)))
 
 
 def fem_h1_seminorm(mesh: meshmod.SimplicialMesh, sol: FemSolution) -> float:

@@ -141,12 +141,12 @@ def _kobayashi_maximum(mesh: meshmod.SimplicialMesh) -> float:
     """The element maximum of Kobayashi's bound: the 2D `elementwise`
     constant, which `disk2d`'s prediction reads as A_m, one pass per mesh,
     cached.  It walks one block of elements at a time (`_blocks`; a bad
-    radicand is named by its element index) over the measures and squared
-    edges that `build_mesh` caches: bit for bit the whole-array maximum,
-    with (block, 3) temporaries, not (M, 3) ones."""
+    radicand is named by its element index) over the mesh's measures and
+    squared edges: bit for bit the whole-array maximum, with (block, 3)
+    temporaries, not (M, 3) ones."""
 
     def build(mesh):
-        meas, edge_sq = meshmod._measures(mesh), mesh._cache["edge_sq"]
+        meas, edge_sq = mesh.measures, mesh.edge_sq
         blocks = _blocks(mesh.element_count)
         return max(float(_kobayashi_batch_2d(edge_sq[rows], meas[rows], rows.start).max()) for rows in blocks)
 

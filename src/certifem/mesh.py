@@ -14,7 +14,7 @@ import contextlib
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -51,10 +51,18 @@ class SimplicialMesh:
     elements: np.ndarray  # (M, dim+1), positively oriented
     boundary_facets: np.ndarray  # (K, dim), sorted node tuples
     boundary_nodes: np.ndarray  # sorted unique node indices
-    # Derived geometry: `build_mesh` stores the measures and squared edges,
-    # `_cached` fills the rest on first use; the arrays above are read-only,
-    # so entries never go stale.
-    # A refined mesh also keeps its refinement levels here (`_hierarchy`).
+    measures: np.ndarray  # (M,) element measures
+    edge_sq: np.ndarray  # (M, 3) or (M, 6) squared edges, in `geometry.EDGES` order
+    # The refinement levels that produced the mesh, coarsest first: one
+    # `(coarse_count, parents)` record per level.  The level's first
+    # `coarse_count` nodes are the nodes of the mesh it refined, node
+    # `coarse_count + e` is the midpoint of nodes `parents[e]`, and every later
+    # level keeps these nodes as its prefix.  Refinement keeps the boundary, so
+    # a node is on the boundary at every level that has it or at none.  Empty
+    # for meshes that were built, loaded or are 3D.
+    hierarchy: tuple = ()
+    # What later passes derive (`_cached`); every array above is read-only, so
+    # entries never go stale.
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -133,11 +141,6 @@ def _cached(mesh: SimplicialMesh, key: str, build: Callable[[SimplicialMesh], ob
     return cache[key]
 
 
-def _measures(mesh: SimplicialMesh) -> np.ndarray:
-    """(M,) element measures, read-only and shared; `build_mesh` stores them."""
-    return mesh._cache["measures"]
-
-
 def _as_array(values, dtype, name: str, copy: bool | None = True) -> np.ndarray:
     try:
         return np.array(values, dtype=dtype, copy=copy)
@@ -209,12 +212,10 @@ def _build_mesh(dim: int, nd: np.ndarray, el: np.ndarray) -> SimplicialMesh:
     bnodes = np.unique(bfac)
     for arr in (nd, el, bfac, bnodes, sm, edge_sq):
         arr.setflags(write=False)
-    mesh = SimplicialMesh(dim, nd, el, bfac, bnodes)
     # Every signed measure is positive here, so it equals the measure.  Every
-    # per-element quantity is derived from these two, block by block.
-    mesh._cache["measures"] = sm
-    mesh._cache["edge_sq"] = edge_sq
-    return mesh
+    # per-element quantity is derived from it and the squared edges, block by
+    # block.
+    return SimplicialMesh(dim, nd, el, bfac, bnodes, sm, edge_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,7 @@ def generate_fan_refined(poly: PolyApprox, refine_levels: int = 0) -> Simplicial
         coarse_count = nodes.shape[0]
         nodes, elements, parents = _refine(nodes, elements)
         levels.append((coarse_count, parents))
-    return _with_hierarchy(build_mesh(2, nodes, elements), levels)
+    return replace(build_mesh(2, nodes, elements), hierarchy=tuple(levels))
 
 
 def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
@@ -259,31 +260,13 @@ def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
     if mesh.dim != 2:
         raise NotImplementedError("uniform refinement implemented for 2D meshes")
     nodes, elements, parents = _refine(mesh.nodes, mesh.elements)
-    return _with_hierarchy(build_mesh(2, nodes, elements), [*_hierarchy(mesh), (mesh.node_count, parents)])
-
-
-def _hierarchy(mesh: SimplicialMesh) -> tuple:
-    """The refinement levels that produced `mesh`, coarsest first: one
-    `(coarse_count, parents)` record per level.  The level's first
-    `coarse_count` nodes are the nodes of the mesh it refined, node
-    `coarse_count + e` is the midpoint of nodes `parents[e]`, and every later
-    level keeps these nodes as its prefix.  Refinement keeps the boundary, so
-    a node is on the boundary at every level that has it or at none.  Empty
-    for meshes that were built, loaded or are 3D."""
-    return mesh._cache.get("hierarchy", ())
-
-
-def _with_hierarchy(mesh: SimplicialMesh, levels) -> SimplicialMesh:
-    for _, parents in levels:
-        parents.setflags(write=False)
-    mesh._cache["hierarchy"] = tuple(levels)
-    return mesh
+    return replace(build_mesh(2, nodes, elements), hierarchy=(*mesh.hierarchy, (mesh.node_count, parents)))
 
 
 def _refine(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes and elements of the edge-midpoint refinement of a triangle mesh,
-    unvalidated, and the (E, 2) int32 parent pair of each midpoint: the
-    midpoints follow the old nodes, and each child keeps its parent's
+    unvalidated, and the read-only (E, 2) int32 parent pair of each midpoint:
+    the midpoints follow the old nodes, and each child keeps its parent's
     orientation."""
     n, m = nodes.shape[0], elements.shape[0]
     keys, inverse = np.unique(_keys(elements, n, ((0, 1), (1, 2), (0, 2))), return_inverse=True)
@@ -294,7 +277,9 @@ def _refine(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.nda
     children = np.empty((4, m, 3), dtype=np.int64)
     for child, corners in zip(children, ((a, m01, m02), (m01, b, m12), (m02, m12, c), (m01, m12, m02))):
         child.T[...] = corners
-    return np.vstack([nodes, mid]), children.reshape(-1, 3), parents.astype(np.int32)
+    parents = parents.astype(np.int32)
+    parents.setflags(write=False)
+    return np.vstack([nodes, mid]), children.reshape(-1, 3), parents
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +288,12 @@ def _refine(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _metric_blocks(mesh: SimplicialMesh) -> Iterator[ElementMetrics]:
     """`vertex_metrics` of each block of elements (`_blocks`), from the
-    measures and squared edges that `build_mesh` caches (and in 3D the
-    block's gathered vertices), with (block,) arrays.  Mesh-wide maxima and
-    minima reduce these, so no per-element array of the whole mesh is
-    formed."""
-    meas, edge_sq = _measures(mesh), mesh._cache["edge_sq"]
+    mesh's measures and squared edges (and in 3D the block's gathered
+    vertices), with (block,) arrays.  Mesh-wide maxima and minima reduce
+    these, so no per-element array of the whole mesh is formed."""
     for rows in _blocks(mesh.element_count):
         verts = mesh.nodes[mesh.elements[rows]] if mesh.dim == 3 else None
-        yield vertex_metrics(verts, meas[rows], edge_sq[rows])
+        yield vertex_metrics(verts, mesh.measures[rows], mesh.edge_sq[rows])
 
 
 def quality(mesh: SimplicialMesh) -> MeshQuality:
@@ -641,4 +624,4 @@ def _read_ele_file(path: str, dim: int) -> np.ndarray:
 
 def measure_sum(mesh: SimplicialMesh) -> float:
     """Total measure of the meshed region (exact sum of element measures)."""
-    return float(_measures(mesh).sum())
+    return float(mesh.measures.sum())

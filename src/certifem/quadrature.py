@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # 6-point rule on the triangle, exact for total degree <= 4.
@@ -66,19 +64,6 @@ def simplex_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
     if dim == 3:
         return TET_D4_BARY, TET_D4_WEIGHTS
     raise ValueError(f"unsupported dimension {dim}")
-
-
-def reference_monomial_integral(exponents) -> float:
-    """Exact integral of prod(x_i^a_i) over the unit reference simplex.
-
-    Uses the closed form a1!...an! / (a1+...+an+n)!.
-    """
-    exps = [int(e) for e in exponents]
-    n = len(exps)
-    num = 1
-    for e in exps:
-        num *= math.factorial(e)
-    return num / math.factorial(sum(exps) + n)
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -105,11 +105,24 @@ def signed_measure(s: Simplex) -> float:
 
 def element_metrics(mesh: meshmod.SimplicialMesh) -> ElementMetrics:
     """Per-element geometry as whole-mesh arrays: `vertex_metrics` of every
-    element at once, from the measures and squared edges `build_mesh`
-    caches (in 3D also the gathered vertices); the reference for the block
-    walks (`mesh._metric_blocks`) that `quality` and `mesh_constants` reduce."""
+    element at once, from the mesh's measures and squared edges (in 3D also
+    the gathered vertices); the reference for the block walks
+    (`mesh._metric_blocks`) that `quality` and `mesh_constants` reduce."""
     verts = mesh.element_vertices() if mesh.dim == 3 else None
-    return vertex_metrics(verts, meshmod._measures(mesh), mesh._cache["edge_sq"])
+    return vertex_metrics(verts, mesh.measures, mesh.edge_sq)
+
+
+def reference_monomial_integral(exponents) -> float:
+    """Exact integral of prod(x_i^a_i) over the unit reference simplex.
+
+    Uses the closed form a1!...an! / (a1+...+an+n)!.
+    """
+    exps = [int(e) for e in exponents]
+    n = len(exps)
+    num = 1
+    for e in exps:
+        num *= math.factorial(e)
+    return num / math.factorial(sum(exps) + n)
 
 
 def _liu_batch(edge_sq: np.ndarray, area: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from scipy.linalg import eigh
 
 from certifem import CertifemError, Simplex
 from certifem.geometry import _vertex_geometry
-from certifem.quadrature import reference_monomial_integral
+from oracles import reference_monomial_integral
 
 
 class ConstraintRankError(CertifemError):

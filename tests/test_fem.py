@@ -46,11 +46,10 @@ from certifem.quadrature import (
     TET_D4_WEIGHTS,
     TRI_D4_BARY,
     TRI_D4_WEIGHTS,
-    reference_monomial_integral,
     simplex_rule,
 )
 from certifem.geometry import EDGES, FACETS
-from oracles import _liu_batch, element_metrics, fh_error_measured, structured_square_mesh
+from oracles import _liu_batch, element_metrics, fh_error_measured, reference_monomial_integral, structured_square_mesh
 from test_mesh import _jittered_square, _kuhn_cube
 
 REF_TRIANGLE = build_mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
@@ -653,7 +652,7 @@ def test_closed_form_measures_within_rounding_bound(name):
     mesh = MEASURE_MESHES[name]()
     n = mesh.dim
     det, abs_sum = _leibniz(_exact_edges(mesh))
-    meas = meshmod._measures(mesh)
+    meas = mesh.measures
     err = np.abs(_fractions(meas) - det / math.factorial(n))
     assert np.all(err <= (_gamma(4) * abs_sum / 2 if n == 2 else (_gamma(2) * np.abs(det) + _gamma(5) * abs_sum) / 6))
     assert np.array_equal(geometry._vertex_geometry(mesh.element_vertices())[0], meas)
@@ -698,7 +697,7 @@ def test_closed_form_gradients_match_lapack_solve(name):
     else:
         scale = np.abs(ref).max(axis=(1, 2))
         assert np.all(np.abs(grads - ref).max(axis=(1, 2)) <= 1e-13 * scale)
-    assert meas is meshmod._measures(mesh)
+    assert meas is mesh.measures
     # every local stiffness row sums to ~0: constants lie in its kernel
     local = np.einsum("mki,mkj->mij", grads, grads) * meas[:, None, None]
     assert np.all(np.abs(local.sum(axis=2)) <= 1e-14 * np.abs(local).max(axis=(1, 2))[:, None])
@@ -787,7 +786,7 @@ def _oracle_gradients(mesh):
     verts = mesh.element_vertices()
     n = mesh.dim
     e = verts[:, 1:, :] - verts[:, :1, :]
-    det = math.factorial(n) * meshmod._measures(mesh)
+    det = math.factorial(n) * mesh.measures
     grads = np.empty((mesh.element_count, n, n + 1))
     if n == 2:
         (a, b), (c, d) = e[:, 0].T, e[:, 1].T
@@ -810,7 +809,7 @@ def _oracle_stiffness_blocks(grads, meas):
 
 def _oracle_load(mesh, vals, w, bary):
     b = np.zeros(mesh.node_count)
-    contrib = np.einsum("mq,q,qk->mk", vals, w, bary) * meshmod._measures(mesh)[:, None]
+    contrib = np.einsum("mq,q,qk->mk", vals, w, bary) * mesh.measures[:, None]
     for j in range(mesh.dim + 1):
         np.add.at(b, mesh.elements[:, j], contrib[:, j])
     return b
@@ -823,7 +822,7 @@ def _oracle_p1_at_points(mesh, bary, nodal):
 def _whole_quadrature_l2(mesh, vals, w):
     """L2 norm by the rule with weights `w` of (M, q) values at its points,
     from whole-mesh arrays."""
-    return math.sqrt(max(float((((vals**2) @ w) * meshmod._measures(mesh)).sum()), 0.0))
+    return math.sqrt(max(float((((vals**2) @ w) * mesh.measures).sum()), 0.0))
 
 
 def _wavy(pts):
@@ -1295,7 +1294,7 @@ def test_prolongation_interpolates_p1_functions():
     interior = mesh.interior_nodes
     prolongations = fem._prolongations(mesh, interior)
     assert [p.shape for p in prolongations] == [(561, 121)]  # 121 <= _COARSE_MAX_SIZE
-    coarse_count, parents = meshmod._hierarchy(mesh)[-1]
+    coarse_count, parents = mesh.hierarchy[-1]
     coarse_interior = interior[interior < coarse_count]
     values = np.zeros(mesh.node_count)
     values[coarse_interior] = np.random.default_rng(8).normal(size=coarse_interior.size)
@@ -1350,7 +1349,7 @@ def test_prolongations_need_a_hierarchy_that_reaches_the_coarse_size(tmp_path):
     assert fem._prolongations(loaded, loaded.interior_nodes) == ()
     # one refinement of a 40 x 40 grid leaves 1,521 > 400 unknowns below
     refined = meshmod.refine_uniform(structured_square_mesh(40))
-    assert len(meshmod._hierarchy(refined)) == 1
+    assert len(refined.hierarchy) == 1
     assert fem._prolongations(refined, refined.interior_nodes) == ()
 
 
@@ -1416,7 +1415,7 @@ def _whole_source_pass(mesh, f):
     order and scattered by one `np.add.at` per corner."""
     bary, w = simplex_rule(mesh.dim)
     vals = np.asarray(f.evaluate(_einsum_quadrature_points(mesh, bary)), dtype=float)
-    meas = meshmod._measures(mesh)
+    meas = mesh.measures
     weighted = vals * w
     b = np.zeros(mesh.node_count)
     for j in range(mesh.dim + 1):
@@ -1436,11 +1435,11 @@ def _whole_load(mesh, fh):
     if fh.mode == "nodal":
         # row j of |T| (J + I) / ((n+1)(n+2)) times the corner values
         v = fh.nodal_values[mesh.elements]
-        contrib = (v + v.sum(axis=1, keepdims=True)).T * (meshmod._measures(mesh) / ((n + 1) * (n + 2)))
+        contrib = (v + v.sum(axis=1, keepdims=True)).T * (mesh.measures / ((n + 1) * (n + 2)))
         for j in range(n + 1):
             np.add.at(b, mesh.elements[:, j], contrib[j])
         return b
-    contrib = fh.element_values * meshmod._measures(mesh) / (mesh.dim + 1)
+    contrib = fh.element_values * mesh.measures / (mesh.dim + 1)
     for j in range(mesh.dim + 1):
         np.add.at(b, mesh.elements[:, j], contrib)
     return b
@@ -1567,7 +1566,7 @@ def _mass_blocks(mesh):
     """The (M, k, k) local mass matrices as one broadcast product."""
     n = mesh.dim
     base = np.ones((n + 1, n + 1)) + np.eye(n + 1)
-    return base[None, :, :] * (meshmod._measures(mesh) / ((n + 1) * (n + 2)))[:, None, None]
+    return base[None, :, :] * (mesh.measures / ((n + 1) * (n + 2)))[:, None, None]
 
 
 ROW_BLOCK_MESHES = {

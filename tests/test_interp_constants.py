@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -461,8 +462,7 @@ def test_blockwise_elementwise_maximum_matches_whole_arrays():
     edge_sq = np.ones((mesh.element_count, 3))
     area = np.full(mesh.element_count, math.sqrt(3.0) / 4.0)
     area[block + 3] = 1.0  # no triangle with unit edges has unit area
-    crafted = build_mesh(2, mesh.nodes, mesh.elements)
-    crafted._cache.update(edge_sq=edge_sq, measures=area)
+    crafted = dataclasses.replace(build_mesh(2, mesh.nodes, mesh.elements), edge_sq=edge_sq, measures=area)
     with pytest.raises(NegativeRadicandError, match=rf"^element {block + 3}: "):
         icmod._kobayashi_maximum(crafted)
 

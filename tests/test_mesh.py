@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -188,21 +189,20 @@ def test_generated_fan_is_validated_once_and_matches_refine_chain(monkeypatch, m
             a, b = getattr(got, name), getattr(chain, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
             assert not a.flags.writeable
-        assert np.array_equal(meshmod._measures(got), meshmod._measures(chain))
+        assert np.array_equal(got.measures, chain.measures)
 
 
-def test_refined_meshes_carry_their_hierarchy(tmp_path):
+def test_refined_meshes_carry_their_levels(tmp_path):
     """`generate_fan_refined(poly, k)` carries k level records and
     `refine_uniform` adds one; the coarse nodes are a prefix of the fine
     ones with the same boundary, and each midpoint lies halfway between its
     parents.  Built, loaded and structured meshes carry none."""
-    from certifem import mesh as meshmod
     from oracles import structured_square_mesh
 
     poly = inscribed_regular_polygon(Disk(1.0), 7)
     meshes = [generate_fan_refined(poly, k) for k in range(4)]
     for k, mesh in enumerate(meshes):
-        levels = meshmod._hierarchy(mesh)
+        levels = mesh.hierarchy
         assert len(levels) == k
         for level, (coarse_count, parents) in enumerate(levels):
             coarse = meshes[level]
@@ -215,16 +215,39 @@ def test_refined_meshes_carry_their_hierarchy(tmp_path):
             assert np.array_equal(mesh.nodes[coarse_count:fine_count], midpoints)
             assert np.array_equal(mesh.boundary_nodes[mesh.boundary_nodes < coarse_count], coarse.boundary_nodes)
     refined = refine_uniform(meshes[2])
-    assert len(meshmod._hierarchy(refined)) == 3
-    for (c1, p1), (c2, p2) in zip(meshmod._hierarchy(refined), meshmod._hierarchy(meshes[3])):
+    assert len(refined.hierarchy) == 3
+    for (c1, p1), (c2, p2) in zip(refined.hierarchy, meshes[3].hierarchy):
         assert c1 == c2 and np.array_equal(p1, p2)
 
     path = str(tmp_path / "fan.node")
     save(meshes[3], path)
-    assert meshmod._hierarchy(load(path)) == ()
-    assert meshmod._hierarchy(structured_square_mesh(4)) == ()
-    assert meshmod._hierarchy(build_mesh(2, meshes[3].nodes, meshes[3].elements)) == ()
-    assert len(meshmod._hierarchy(refine_uniform(load(path)))) == 1
+    assert load(path).hierarchy == ()
+    assert structured_square_mesh(4).hierarchy == ()
+    assert build_mesh(2, meshes[3].nodes, meshes[3].elements).hierarchy == ()
+    assert len(refine_uniform(load(path)).hierarchy) == 1
+
+
+def test_refined_meshes_equal_their_rebuild_but_for_levels(tmp_path):
+    """Attaching the levels changes nothing else: every other field of a
+    generated or refined mesh is, bit for bit, the field of
+    `build_mesh(2, mesh.nodes, mesh.elements)`, and every array field is
+    read-only, the levels' parents included."""
+    path = str(tmp_path / "fan.node")
+    save(generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 12), 1), path)
+    meshes = [generate_fan_refined(inscribed_regular_polygon(Disk(1.0), m), k) for m in (10, 50) for k in (0, 3)]
+    for mesh in [*meshes, refine_uniform(load(path))]:
+        rebuilt = build_mesh(2, mesh.nodes, mesh.elements)
+        for f in dataclasses.fields(mesh):
+            if f.name in ("hierarchy", "_cache"):
+                continue
+            a, b = getattr(mesh, f.name), getattr(rebuilt, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+                assert not a.flags.writeable, f.name
+            else:
+                assert a == b, f.name
+        assert all(not parents.flags.writeable for _, parents in mesh.hierarchy)
+    assert [len(mesh.hierarchy) for mesh in meshes] == [0, 3, 0, 3]
 
 
 def test_euler_formula():
@@ -343,15 +366,13 @@ def test_orientation_fix_negates_measures_and_permutes_edges(dim):
     """Swapping back the last two corners of inverted elements gives the
     measures and squared edges of the positively oriented input bit for
     bit."""
-    from certifem.mesh import _measures
-
     mesh = _jittered_square(6, seed=3) if dim == 2 else _kuhn_cube(2)
     elements = np.array(mesh.elements)
     flip = np.random.default_rng(2).random(mesh.element_count) < 0.5
     elements[flip, -2:] = elements[flip, :-3:-1]
     fixed = build_mesh(dim, mesh.nodes, elements)
     assert np.array_equal(fixed.elements, mesh.elements)
-    assert np.array_equal(_measures(fixed), _measures(mesh))
+    assert np.array_equal(fixed.measures, mesh.measures)
     assert np.array_equal(element_metrics(fixed).edge_sq, element_metrics(mesh).edge_sq)
 
 
@@ -433,7 +454,7 @@ def test_key_dedupe_matches_row_unique(name):
         np.testing.assert_array_equal(fine.nodes, np.vstack([mesh.nodes, mid]))
         m01, m12, m02 = (inverse.reshape(3, -1) + mesh.node_count)
         np.testing.assert_array_equal(fine.elements[3 * mesh.element_count :], np.stack([m01, m12, m02], axis=1))
-        coarse_count, parents = meshmod._hierarchy(fine)[-1]
+        coarse_count, parents = fine.hierarchy[-1]
         assert coarse_count == mesh.node_count
         assert parents.dtype == np.int32 and np.array_equal(parents, uniq)
 
@@ -673,7 +694,7 @@ def test_build_mesh_temporaries_are_bounded(square256):
     triangle: one int64 key per facet (24 B) and byte masks over the keys,
     with per-block scratch elsewhere."""
     mesh, peak = _traced_peak(lambda: build_mesh(2, square256.nodes, square256.elements))
-    outputs = (mesh.nodes, mesh.elements, mesh.boundary_facets, mesh.boundary_nodes, *mesh._cache.values())
+    outputs = (mesh.nodes, mesh.elements, mesh.boundary_facets, mesh.boundary_nodes, mesh.measures, mesh.edge_sq)
     assert mesh.element_count >= 100_000
     assert peak - sum(a.nbytes for a in outputs) <= 40 * mesh.element_count
 

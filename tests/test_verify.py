@@ -471,13 +471,13 @@ def test_disk_study_row_builds_each_mesh_quantity_once(monkeypatch):
 
     em = element_metrics(final)
     arrays = [getattr(em, f.name) for f in dataclasses.fields(em)]
-    arrays = [a for a in arrays if a is not None] + [meshmod._measures(final)]
+    arrays = [a for a in arrays if a is not None] + [final.measures]
     stiffness = assemble_stiffness(final)
     arrays += [stiffness.data, stiffness.indices, stiffness.indptr]
     assert all(not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         em.h[0] = 0.0
-    assert em.measures is meshmod._measures(final)
+    assert em.measures is final.measures
 
 
 def test_disk_study_row_takes_a_m_from_the_elementwise_pass(monkeypatch):
