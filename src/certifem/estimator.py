@@ -38,30 +38,6 @@ from .fem import poincare_bound
 
 GUARD_PER_OP = 1.0 + 1e-13
 
-# Published closed-form coefficients for the non-obtuse, vertex-interpolated
-# source variant; each rounds the exact product up.
-CLOSED_FORM_C_L2 = 0.1834  # >= 11/60
-CLOSED_FORM_C_POINCARE = 9.632e-3  # >= sqrt(3/83) / (2 pi^2)
-CLOSED_FORM_C_H4 = 3.486e-2  # >= (11/60) sqrt(3/83)
-
-
-def _check_closed_form_coefficients() -> None:
-    """Startup self-test: the published coefficients must reconstruct from
-    {11/60, sqrt(3/83), 2 pi^2} within 5e-4 relative and never round down."""
-    exact = (
-        11.0 / 60.0,
-        math.sqrt(3.0 / 83.0) / (2.0 * math.pi**2),
-        (11.0 / 60.0) * math.sqrt(3.0 / 83.0),
-    )
-    published = (CLOSED_FORM_C_L2, CLOSED_FORM_C_POINCARE, CLOSED_FORM_C_H4)
-    for pub, ref in zip(published, exact):
-        if pub < ref or abs(pub - ref) / ref > 5e-4:
-            raise CertifemError(f"closed-form coefficient {pub} inconsistent with exact value {ref}")
-
-
-_check_closed_form_coefficients()
-
-
 @dataclass(frozen=True)
 class CertifiedBound:
     term_boundary: float
@@ -126,7 +102,6 @@ def certify(
     CertifemError when the bound overflows, or underflows below the smallest
     normal double for a nonzero source.
     """
-    # identity, not ==: comparing meshes would compare their arrays
     if fh is not None and not (fh.mesh is mesh and fh.source is f and fh.mode == fh_mode):
         raise ValueError("fh was built for another mesh, source or f_h mode")
     poly = meshmod.polytope_of_mesh(dom, mesh)
@@ -181,15 +156,11 @@ def certify(
 
 
 def certify_closed_form_2d(dom: ConvexDomain, mesh: meshmod.SimplicialMesh, f: femmod.SourceTerm) -> float:
-    """Fully closed-form bound for non-obtuse 2D meshes with vertex-interpolated
-    sources:
-
-        (1/2) D |Omega|^(1/2) delta ||f||_inf + 0.1834 h^2 |f|_0
-        + 9.632e-3 D^2 h^2 |f|_2 + 3.486e-2 h^4 |f|_2
-
-    on the polytope that `mesh` meshes.  Upper-bounds the sharper
-    `certify(..., strategy="nonblunt", fh_mode="nodal")` route because
-    ||f_h|| is replaced by |f|_0 plus an interpolation remainder.
+    """Closed-form bound for non-obtuse 2D meshes with vertex-interpolated
+    sources, on the polytope that `mesh` meshes: the terms of
+    `certify(..., fh_mode="nodal", strategy="nonblunt")` with ||f_h|| replaced
+    by ||f|| + ||f - f_h||, so that it depends on h, D, delta and the norms
+    of f alone and upper-bounds that route.
     """
     if mesh.dim != 2:
         raise NotNonBluntError("closed-form bound is 2D only")
@@ -203,12 +174,8 @@ def certify_closed_form_2d(dom: ConvexDomain, mesh: meshmod.SimplicialMesh, f: f
     l2 = f.l2_norm
     if l2 is None:
         # Exact for polynomial data up to degree 2; quadrature-accurate otherwise.
-        fh = femmod.build_fh(mesh, f, "exact")
-        l2 = fh.l2_norm()
-    h = qual.h
-    d = dom.diameter
-    term1 = _boundary_term(dom, poly, f)
-    term2 = _guard(CLOSED_FORM_C_L2 * h * h * l2, 3)
-    term3 = _guard(CLOSED_FORM_C_POINCARE * d * d * h * h * f.h2_seminorm, 5)
-    term4 = _guard(CLOSED_FORM_C_H4 * h**4 * f.h2_seminorm, 3)
-    return term1 + term2 + term3 + term4
+        l2 = femmod.build_fh(mesh, f, "exact").l2_norm()
+    c_p = poincare_bound(2, dom.diameter)
+    pert = femmod.fh_perturbation_bound(mesh, f, "nodal", qual)
+    a = icmod.NONBLUNT_COEFF * qual.h
+    return _boundary_term(dom, poly, f) + _guard(c_p * c_p * pert, 2) + _guard(a * a * (l2 + pert), 3)

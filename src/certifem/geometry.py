@@ -140,22 +140,12 @@ def _vertex_geometry(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _element_geometry(verts.reshape(-1, dim), np.arange(m * k).reshape(m, k))
 
 
-def _row_reduce(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """`ufunc.reduce(a, axis=1)` of an (M, k) array, one column at a time
-    from the left: the order in which numpy reduces such short rows, without
-    its slow per-row loop."""
-    out = ufunc(a[:, 0], a[:, 1])
-    for k in range(2, a.shape[1]):
-        ufunc(out, a[:, k], out=out)
-    return out
-
-
 def degenerate(measures: np.ndarray, edge_sq: np.ndarray, dim: int) -> np.ndarray:
     """Mask of measures at or below DEGENERACY_TOL * h^dim, h the longest
     edge, or not finite (closed forms overflow to inf - inf on huge
     coordinates); tested as measure / h^(dim-1) > DEGENERACY_TOL * h, as
     h^dim overflows before a finite measure does."""
-    h = np.sqrt(_row_reduce(np.maximum, edge_sq))
+    h = np.sqrt(edge_sq.max(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):  # h = 0 or inf: NaN or 0, degenerate
         return ~(measures / h ** (dim - 1) > DEGENERACY_TOL * h)
 
@@ -167,7 +157,7 @@ def _unit_scaled(measures: np.ndarray, edge_sq: np.ndarray) -> tuple[np.ndarray,
     Kobayashi kernels run on unit-sized elements, whose sixth powers of edge
     lengths cannot overflow, and give their result times 2**-q: bit for bit,
     on any element whose unscaled terms stay normal numbers."""
-    q = np.frexp(_row_reduce(np.maximum, edge_sq))[1] // 2
+    q = np.frexp(edge_sq.max(axis=1))[1] // 2
     return q, np.ldexp(measures, -2 * q), np.ldexp(edge_sq, -2 * q[:, None])
 
 
@@ -199,7 +189,7 @@ def inradii(verts: np.ndarray | None, measures: np.ndarray, edge_sq: np.ndarray)
     """(M,) inscribed-ball radii: dim * measure / (facet measure sum).
     Triangles (three edges per row of `edge_sq`) do not read `verts`."""
     if edge_sq.shape[1] == 3:
-        return 2 * measures / _row_reduce(np.add, np.sqrt(edge_sq))
+        return 2 * measures / np.sqrt(edge_sq).sum(axis=1)
     a, b, c = (verts[:, list(k)] for k in zip(*FACETS[3]))  # (M, 4, 3) corners of the faces
     return 3 * measures / (0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=-1)).sum(axis=1)
 
@@ -208,16 +198,15 @@ def vertex_metrics(verts: np.ndarray | None, measures: np.ndarray, edge_sq: np.n
     """Per-element geometry of (M, dim+1, dim) vertex arrays, their
     (unsigned) `measures` and squared edges, kept as given; the arrays are
     made read-only.  Triangles (three edges per row of `edge_sq`) need no
-    `verts`.  Row reductions over edges and angles run column-wise
-    (`_row_reduce`)."""
-    h = np.sqrt(_row_reduce(np.maximum, edge_sq))
+    `verts`."""
+    h = np.sqrt(edge_sq.max(axis=1))
     if edge_sq.shape[1] == 3:
         # abc / (4 area) on unit-scaled lengths, whose product cannot over- or underflow
         q, meas, sq = _unit_scaled(measures, edge_sq)
         s, c = _angle_pair(meas, sq)
-        circum = np.ldexp(_row_reduce(np.multiply, np.sqrt(sq)) / s, q)
+        circum = np.ldexp(np.sqrt(sq).prod(axis=1) / s, q)
         ang = np.arctan2(s[:, None], c)
-        min_angle, max_angle = _row_reduce(np.minimum, ang), _row_reduce(np.maximum, ang)
+        min_angle, max_angle = ang.min(axis=1), ang.max(axis=1)
     else:
         circum = np.linalg.norm(_circumcenter_offsets(verts), axis=1)
         min_angle = max_angle = None
@@ -270,7 +259,9 @@ def circumcenter(s: Simplex) -> np.ndarray:
 
 
 def circumradius(s: Simplex) -> float:
-    return float(np.linalg.norm(circumcenter(s) - s.vertices[0]))
+    """Radius of the circumscribed ball, by the mesh kernel (`vertex_metrics`):
+    abc / (4|T|) for triangles, the perpendicular-bisector solve in 3D."""
+    return float(vertex_metrics(*as_batch(s)).circumradius[0])
 
 
 def inradius(s: Simplex) -> float:

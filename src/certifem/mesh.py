@@ -44,7 +44,8 @@ from .geometry import (
 BOUNDARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+# eq=False: `==` is identity and a mesh hashes; comparing arrays is ambiguous
+@dataclass(frozen=True, eq=False)
 class SimplicialMesh:
     dim: int
     nodes: np.ndarray  # (N, dim)
@@ -63,7 +64,7 @@ class SimplicialMesh:
     hierarchy: tuple = ()
     # What later passes derive (`_cached`); every array above is read-only, so
     # entries never go stale.
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def node_count(self) -> int:

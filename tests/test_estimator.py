@@ -19,13 +19,9 @@ from certifem import (
     registry,
     solve_poisson,
 )
+from certifem.estimator import _guard
 from certifem.geometry import _BLOCK
-from certifem.estimator import (
-    CLOSED_FORM_C_H4,
-    CLOSED_FORM_C_L2,
-    CLOSED_FORM_C_POINCARE,
-    _check_closed_form_coefficients,
-)
+from certifem.interp_constants import NONBLUNT_COEFF
 from oracles import structured_square_mesh
 
 SQUARE = registry()["square2d"]
@@ -40,18 +36,6 @@ def test_poincare_bound_values():
     assert poincare_bound(2, 0.0) == 0.0
     with pytest.raises(ValueError):
         poincare_bound(4, 1.0)
-
-
-def test_closed_form_coefficients_reconstruct():
-    _check_closed_form_coefficients()
-    assert CLOSED_FORM_C_L2 >= 11.0 / 60.0
-    assert abs(CLOSED_FORM_C_L2 - 11.0 / 60.0) / (11.0 / 60.0) <= 5e-4
-    exact_mid = math.sqrt(3.0 / 83.0) / (2.0 * math.pi**2)
-    assert CLOSED_FORM_C_POINCARE >= exact_mid
-    assert abs(CLOSED_FORM_C_POINCARE - exact_mid) / exact_mid <= 5e-4
-    exact_h4 = (11.0 / 60.0) * math.sqrt(3.0 / 83.0)
-    assert CLOSED_FORM_C_H4 >= exact_h4
-    assert abs(CLOSED_FORM_C_H4 - exact_h4) / exact_h4 <= 5e-4
 
 
 def test_certify_square_exact_mode():
@@ -141,12 +125,35 @@ def test_certify_missing_norms():
         certify(SQUARE.domain, mesh, bare, "nodal", "nonblunt")
 
 
+def _nonblunt_cases():
+    """The unit square at n = 4, 8, 16 and the m=12 disk fans at k = 0..3,
+    whose children are all similar to a triangle with base angles
+    pi/2 - pi/12: every mesh is non-obtuse."""
+    poly = inscribed_regular_polygon(DISK.domain, 12)
+    return [(SQUARE, structured_square_mesh(n)) for n in (4, 8, 16)] + [
+        (DISK, generate_fan_refined(poly, k)) for k in range(4)
+    ]
+
+
 def test_closed_form_dominates_sharper_route():
-    for n in (4, 8, 16):
-        mesh = structured_square_mesh(n)
-        closed = certify_closed_form_2d(SQUARE.domain, mesh, SQUARE.f)
-        thm = certify(SQUARE.domain, mesh, SQUARE.f, "nodal", "nonblunt")
-        assert closed >= thm.total - 1e-10 * closed
+    for exact, mesh in _nonblunt_cases():
+        closed = certify_closed_form_2d(exact.domain, mesh, exact.f)
+        thm = certify(exact.domain, mesh, exact.f, "nodal", "nonblunt")
+        assert closed >= thm.total
+
+
+def test_closed_form_is_certify_terms_with_f_norm():
+    """The closed form is the nodal non-obtuse report's boundary and source
+    terms plus its fem term with ||f_h|| replaced by ||f|| + ||f - f_h||,
+    bit for bit."""
+    for exact, mesh in _nonblunt_cases():
+        thm = certify(exact.domain, mesh, exact.f, "nodal", "nonblunt")
+        a_h, pert = thm.metadata["a_h"], thm.metadata["fh_perturbation_bound"]
+        l2 = exact.f.l2_norm
+        if l2 is None:
+            l2 = build_fh(mesh, exact.f, "exact").l2_norm()
+        want = thm.term_boundary + thm.term_source + _guard(a_h * a_h * (l2 + pert), 3)
+        assert certify_closed_form_2d(exact.domain, mesh, exact.f) == want
 
 
 def test_closed_form_errors():
@@ -154,6 +161,9 @@ def test_closed_form_errors():
     blunt_mesh = generate_fan_refined(poly3, 0)
     with pytest.raises(NotNonBluntError):
         certify_closed_form_2d(DISK.domain, blunt_mesh, DISK.f)
+    tet = build_mesh(3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2, 3]])
+    with pytest.raises(NotNonBluntError):
+        certify_closed_form_2d(DISK.domain, tet, DISK.f)
     mesh = structured_square_mesh(4)
     bare = SourceTerm(evaluate=lambda p: np.asarray(p)[..., 0], sup_norm=1.0)
     with pytest.raises(MissingNormMetadata):
@@ -172,7 +182,7 @@ def test_closed_form_zero_gap_linear_f():
     )
     got = certify_closed_form_2d(SQUARE.domain, mesh, f_lin)
     h = math.sqrt(2) / 4
-    assert got == pytest.approx(CLOSED_FORM_C_L2 * h * h / math.sqrt(3.0), rel=1e-10)
+    assert got == pytest.approx(NONBLUNT_COEFF**2 * h * h / math.sqrt(3.0), rel=1e-10)
 
 
 def test_closed_form_approaches_gap_term_under_refinement():

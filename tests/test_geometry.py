@@ -15,6 +15,7 @@ from certifem import (
     edge_lengths,
     inradius,
     measure,
+    quality,
     triangle,
 )
 from conftest import random_rotation, sample_triangle
@@ -169,17 +170,32 @@ def test_barycenter():
 
 
 def test_random_triangle_properties(rng):
-    """Angle sums, two-route circumradius agreement, and radius inequalities."""
+    """Angle sums, two-route circumradius agreement (the perpendicular-
+    bisector solve against abc / (4|T|)), and radius inequalities."""
     for _ in range(10000):
         t = sample_triangle(rng)
         ang = angles(t)
         assert abs(sum(ang) - math.pi) <= 1e-12
-        r_solve = circumradius(t)
+        r_solve = float(np.linalg.norm(circumcenter(t) - t.vertices[0]))
         lengths = edge_lengths(t)
         r_formula = lengths[0] * lengths[1] * lengths[2] / (4.0 * measure(t))
         assert abs(r_solve - r_formula) <= 1e-10 * r_formula
+        assert abs(circumradius(t) - r_solve) <= 1e-10 * r_solve
         assert 2.0 * r_solve >= lengths[0] * (1.0 - 1e-12)
         assert inradius(t) <= r_solve / 2.0 * (1.0 + 1e-12)
+
+
+def test_circumradius_is_the_mesh_kernel(rng):
+    """`circumradius` of a triangle is the one-element mesh's
+    `max_circumradius`, bit for bit, on random draws and on needles of
+    aspect up to 1e9; the triangle is oriented first, as the mesh would
+    otherwise swap two vertices and so multiply its edges in another order."""
+    draws = [sample_triangle(rng) for _ in range(2000)]
+    needles = [triangle([0, 0], [1, 0], [x, eps]) for x in (-0.5, 0.3, 1.7) for eps in np.geomspace(1e-9, 1e-2, 8)]
+    for t in draws + needles:
+        if signed_measure(t) < 0:
+            t = Simplex(t.vertices[[0, 2, 1]])
+        assert circumradius(t) == quality(build_mesh(2, t.vertices, [[0, 1, 2]])).max_circumradius
 
 
 def test_rigid_motion_invariance(rng):

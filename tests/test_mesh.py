@@ -250,6 +250,17 @@ def test_refined_meshes_equal_their_rebuild_but_for_levels(tmp_path):
     assert [len(mesh.hierarchy) for mesh in meshes] == [0, 3, 0, 3]
 
 
+def test_meshes_compare_by_identity():
+    """`==` between meshes is identity, without comparing their arrays, and
+    a mesh hashes, so it can key a dict."""
+    fan = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 10), 1)
+    rebuilt = build_mesh(2, fan.nodes, fan.elements)
+    assert fan == fan and not (fan != fan)
+    assert fan != rebuilt and not (fan == rebuilt)
+    table = {fan: "fan", rebuilt: "rebuilt"}
+    assert table[fan] == "fan" and table[rebuilt] == "rebuilt"
+
+
 def test_euler_formula():
     for m, k in ((6, 0), (9, 1), (12, 2)):
         mesh = generate_fan_refined(inscribed_regular_polygon(Disk(1.0), m), k)
