@@ -7,7 +7,6 @@ bound that provably dominates the measured error of the P1 solve.
 """
 
 from .domain import (
-    Ball,
     ConvexDomain,
     ConvexPolygon,
     Disk,
@@ -61,14 +60,12 @@ from .geometry import (
     inradius,
     measure,
     min_angle,
-    tetrahedron,
     triangle,
 )
 from .interp_constants import (
     GlobalConstants,
     global_l2_bound,
     kobayashi_bound_2d,
-    kobayashi_bound_3d,
     mesh_constants,
     min_angle_global,
 )

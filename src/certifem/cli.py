@@ -24,7 +24,7 @@ from .domain import (
     inscribed_regular_polygon,
     poly_approx_of_polygon,
 )
-from .errors import BoundViolationError, CertifemError, MeshParseError
+from .errors import BoundViolationError, CertifemError, InvalidPolygonError, MeshParseError
 from .interp_constants import STRATEGIES
 
 EXIT_OK = 0
@@ -42,6 +42,8 @@ def _parse_domain(spec: str):
             raise CertifemError("polygon domain needs a vertex file: polygon:file.json")
         with open(arg, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+        if not (isinstance(obj, dict) and "vertices" in obj):
+            raise InvalidPolygonError(f'{arg}: a polygon file must hold a JSON object with a "vertices" key')
         return ConvexPolygon(obj["vertices"])
     raise CertifemError(f"unknown domain spec {spec!r}")
 

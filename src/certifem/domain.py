@@ -57,22 +57,22 @@ class ConvexDomain:
         raise NotImplementedError
 
 
-class Ball(ConvexDomain):
-    """Euclidean ball of `dim` dimensions; `Disk` is its 2D case."""
+class Disk(ConvexDomain):
+    """Euclidean disk of radius `radius` around `center` (the origin by default)."""
 
-    dim = 3
+    dim = 2
 
     def __init__(self, radius: float, center=None) -> None:
         if not (math.isfinite(radius) and radius > 0):
             raise ValueError(f"radius must be positive and finite, got {radius}")
         self.radius = float(radius)
-        self.center = np.zeros(self.dim) if center is None else np.array(center, dtype=float)
+        self.center = np.zeros(2) if center is None else np.array(center, dtype=float)
         self.diameter = 2.0 * self.radius
 
     @property
     def measure(self) -> float:
         try:  # float ** raises OverflowError where the measure overflows anyway
-            return (4.0 / 3.0 * math.pi if self.dim == 3 else math.pi) * self.radius**self.dim
+            return math.pi * self.radius**2
         except OverflowError:
             return math.inf
 
@@ -89,10 +89,6 @@ class Ball(ConvexDomain):
         if p.ndim == 1:
             return abs(self.radius - float(np.linalg.norm(p - self.center)))
         return np.abs(self.radius - np.linalg.norm(p - self.center, axis=-1))
-
-
-class Disk(Ball):
-    dim = 2
 
 
 class ConvexPolygon(ConvexDomain):
@@ -207,14 +203,14 @@ def _check_halfspaces(v: np.ndarray, normals: np.ndarray, offsets: np.ndarray, d
 
 @dataclass(frozen=True)
 class PolyApprox:
-    """Convex polytope inscribed in a domain, with per-facet boundary gaps.
+    """Convex polygon inscribed in a domain, with per-facet boundary gaps.
 
-    Facet F has vertex indices `facets[F]` and the outward half-space
-    `normals[F] . x <= offsets[F]`; 2D facets are the edges i -> i+1 of the
+    Facet F has vertex indices `facets[F]` and the outward half-plane
+    `normals[F] . x <= offsets[F]`; the facets are the edges i -> i+1 of the
     counterclockwise vertex list.
     """
 
-    dim: int
+    dim = 2  # a class constant, not a field
     vertices: np.ndarray
     facets: np.ndarray
     normals: np.ndarray
@@ -255,74 +251,22 @@ def _first_off_boundary(dom: ConvexDomain, vertices: np.ndarray) -> tuple[int, s
     return i, "lies outside the domain" if outside[i] else "does not lie on the domain boundary"
 
 
-def _triangle_facets(v: np.ndarray, facet_indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated (F, 3) facet triples of a 3D polytope with their unit
-    outward normals and plane offsets."""
-    try:
-        facets = np.array(facet_indices)  # no cast, which would truncate 1.5 to 1
-    except ValueError:  # ragged
-        facets = np.zeros((0, 0), dtype=np.int64)
-    valid = facets.dtype.kind in "iu" and facets.size and 0 <= facets.min() and facets.max() < len(v)
-    if facets.ndim != 2 or facets.shape[1:] != (3,) or not valid:
-        raise InvalidPolygonError("facets must be a nonempty list of integer vertex index triples")
-    a, b, c = v[facets[:, 0]], v[facets[:, 1]], v[facets[:, 2]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        normals = np.cross(b - a, c - a)
-        lengths = np.sqrt(_row_dots(normals, normals))
-    if not np.isfinite(lengths).all():
-        raise InvalidPolygonError(f"facet normal length {lengths.max()} is not finite: the coordinates overflow its closed form")
-    if lengths.min() == 0.0:
-        raise InvalidPolygonError(f"degenerate facet {facets[lengths.argmin()].tolist()}")
-    normals /= lengths[:, None]
-    barycenters = (a + b + c) / 3.0
-    outward = np.einsum("fd,fd->f", normals, barycenters - v.mean(axis=0))
-    if outward.min() <= 0.0:
-        raise InvalidPolygonError(f"facet {facets[outward.argmin()].tolist()} is not oriented outward")
-    return facets, normals, _row_dots(normals, barycenters)
-
-
-def _check_closed_surface(facets: np.ndarray, vertex_count: int) -> None:
-    """The facets must close the surface: every vertex lies on a facet and
-    every edge bounds exactly two facets."""
-    unused = np.setdiff1d(np.arange(vertex_count), facets)
-    if unused.size:
-        raise InvalidPolygonError(f"vertex {unused[0]} lies on no facet")
-    edges = np.sort(np.concatenate([facets[:, [0, 1]], facets[:, [1, 2]], facets[:, [2, 0]]]), axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    bad = np.flatnonzero(counts != 2)
-    if bad.size:
-        edge = uniq[bad[0]].tolist()
-        raise InvalidPolygonError(f"edge {edge} bounds {counts[bad[0]]} facet(s), not 2; the surface is not closed")
-
-
-def make_poly_approx(dom: ConvexDomain, vertices, facet_indices=None) -> PolyApprox:
-    """Build and validate an inscribed polytope approximation.
-
-    2D: vertices in either orientation (stored counterclockwise), facets are
-    consecutive pairs.  3D: explicit facet index triples with outward
-    orientation, closing the surface.  Rejects repeated vertices and any
-    vertex outside a facet half-space, which covers non-convex and multiply
-    wound boundaries.
+def make_poly_approx(dom: ConvexDomain, vertices) -> PolyApprox:
+    """Build and validate a polygon inscribed in `dom`: vertices in either
+    orientation (stored counterclockwise), facets the consecutive pairs.
+    Rejects repeated vertices and any vertex outside a facet half-plane,
+    which covers non-convex and multiply wound boundaries.
     """
-    if dom.dim == 2:
-        hull = ConvexPolygon(vertices)
-        v = hull.vertices
-        facets = np.stack([np.arange(len(v)), np.roll(np.arange(len(v)), -1)], axis=1)
-        normals, offsets = hull.normals, hull.offsets
-    else:
-        v = np.array(vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 4:
-            raise InvalidPolygonError("a 3D polytope needs at least 4 vertices with 3 coordinates")
-        facets, normals, offsets = _triangle_facets(v, facet_indices)
-        _check_halfspaces(v, normals, offsets, _diameter(v))
-        _check_closed_surface(facets, len(v))
+    hull = ConvexPolygon(vertices)
+    v, normals, offsets = hull.vertices, hull.normals, hull.offsets
+    facets = np.stack([np.arange(len(v)), np.roll(np.arange(len(v)), -1)], axis=1)
     off = _first_off_boundary(dom, v)
     if off is not None:
         raise NotInscribedError("vertex %d %s" % off)
     gap, gaps = _facet_gaps(dom, normals, offsets)
-    for a in (v, facets, normals, offsets, gaps):
+    for a in (facets, normals, offsets, gaps):
         a.setflags(write=False)
-    return PolyApprox(dom.dim, v, facets, normals, offsets, gaps, gap)
+    return PolyApprox(v, facets, normals, offsets, gaps, gap)
 
 
 def inscribed_regular_polygon(dom: Disk, m: int) -> PolyApprox:

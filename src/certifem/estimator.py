@@ -1,7 +1,7 @@
 """Certified total L2 error bound for the P1 solve on an inscribed polytope.
 
-The polytope is the one the mesh meshes (`mesh.polytope_of_mesh`: in 2D the
-mesh boundary with its collinear edges merged), validated as convex and
+The polytope is the one the mesh meshes (`mesh.polytope_of_mesh`: the mesh
+boundary with its collinear edges merged), validated as convex and
 inscribed in the exact domain; no second polytope is passed in.  The bound
 is the sum of three certified terms:
 
@@ -9,7 +9,7 @@ is the sum of three certified terms:
   source    C_P^2 ||f - f_h||                        (data perturbation)
   fem       A_h^2 ||f_h||                            (discretization)
 
-with C_P bounded by D / (sqrt(n) pi) and A_h a guaranteed mesh-wide H1
+with C_P bounded by D / (sqrt(2) pi) and A_h a guaranteed mesh-wide H1
 interpolation constant.  All bound arithmetic carries a multiplicative
 rounding guard of (1 + 1e-13) per floating operation, reported in the
 metadata; no exact-arithmetic machinery is pretended.
@@ -106,7 +106,7 @@ def certify(
         raise ValueError("fh was built for another mesh, source or f_h mode")
     poly = meshmod.polytope_of_mesh(dom, mesh)
     qual = meshmod.quality(mesh)
-    if strategy == "nonblunt" and mesh.dim == 2 and not qual.nonblunt:
+    if strategy == "nonblunt" and not qual.nonblunt:
         idx, ang = _worst_angle_element(mesh)
         raise StrategyInapplicableError(
             f"nonblunt strategy needs a mesh without obtuse angles; element {idx} has max angle {ang:.6f} rad"
@@ -115,7 +115,7 @@ def certify(
     constants = icmod.mesh_constants(mesh, qual)
     a_h = constants.value(strategy)
 
-    c_p = poincare_bound(mesh.dim, dom.diameter)
+    c_p = poincare_bound(2, dom.diameter)
 
     if fh is None:
         fh = femmod.build_fh(mesh, f, fh_mode)
@@ -137,7 +137,7 @@ def certify(
         raise CertifemError(f"certified bound {total:.3e} is below the smallest normal double: its rounding is not bounded")
 
     metadata = {
-        "dim": mesh.dim,
+        "dim": 2,
         "diameter": dom.diameter,
         "domain_measure": dom.measure,
         "gap": poly.gap,
@@ -162,8 +162,6 @@ def certify_closed_form_2d(dom: ConvexDomain, mesh: meshmod.SimplicialMesh, f: f
     by ||f|| + ||f - f_h||, so that it depends on h, D, delta and the norms
     of f alone and upper-bounds that route.
     """
-    if mesh.dim != 2:
-        raise NotNonBluntError("closed-form bound is 2D only")
     poly = meshmod.polytope_of_mesh(dom, mesh)
     qual = meshmod.quality(mesh)
     if not qual.nonblunt:

@@ -35,7 +35,7 @@ from . import mesh as meshmod
 from .errors import CertifemError, InvalidSourceError, MissingNormMetadata, SupNormViolationError
 from .geometry import _blocks
 from .interp_constants import global_l2_bound
-from .quadrature import simplex_rule
+from .quadrature import TRI_D4_BARY, TRI_D4_WEIGHTS
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -201,16 +201,15 @@ def build_fh(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str = "exact") -
     if mode not in FH_MODES:
         raise ValueError(f"unknown f_h mode {mode!r}")
     if mode == "barycentric":
-        # (corner_0 + corner_1 + ...) / (dim + 1) per coordinate column: bit
+        # (corner_0 + corner_1 + corner_2) / 3 per coordinate column: bit
         # for bit `mesh.element_vertices().mean(axis=1)`, without its
-        # (M, dim + 1, dim) gather
+        # (M, 3, 2) gather
         el = mesh.elements
-        centers = np.empty((mesh.dim, mesh.element_count))
+        centers = np.empty((2, mesh.element_count))
         for x, out in zip(mesh.nodes.T, centers):
             np.add(x[el[:, 0]], x[el[:, 1]], out=out)
-            for k in range(2, mesh.dim + 1):
-                out += x[el[:, k]]
-            out /= mesh.dim + 1
+            out += x[el[:, 2]]
+            out /= 3
         vals = np.asarray(f.evaluate(centers.T), dtype=float)
         _check_sup(f, vals)
         return DiscreteSource(mode, mesh, f, element_values=vals)
@@ -232,7 +231,7 @@ def _quadrature_blocks(mesh: meshmod.SimplicialMesh) -> Iterator[tuple[slice, np
     the same products summed over k in the same order, but one coordinate
     and one point at a time on contiguous corner columns.
     """
-    bary, _ = simplex_rule(mesh.dim)
+    bary = TRI_D4_BARY
     nodes, nq, dim = mesh.nodes, bary.shape[0], mesh.dim
     for rows in _blocks(mesh.element_count):
         block = mesh.elements[rows].T
@@ -253,7 +252,7 @@ def _quadrature_norm(mesh: meshmod.SimplicialMesh, values: Callable[[slice, np.n
     the elements `rows`.  The per-element sums fill one (M,) array, summed
     once.  The values are made C-contiguous first: the product with `w` sums
     each row in the order it takes on that layout."""
-    _, w = simplex_rule(mesh.dim)
+    w = TRI_D4_WEIGHTS
     sums = np.empty(mesh.element_count)
     for rows, points in _quadrature_blocks(mesh):
         sums[rows] = (np.ascontiguousarray(values(rows, points)) ** 2) @ w
@@ -266,7 +265,7 @@ def _source_l2(mesh: meshmod.SimplicialMesh, f: SourceTerm, contrib: np.ndarray 
     all of them, naming the largest over all blocks.  Given an (n+1, M)
     array `contrib`, the pass also fills row j with corner j's load
     contributions |T| sum_q w_q f(x_q) bary[q, j]."""
-    bary, w = simplex_rule(mesh.dim)
+    bary, w = TRI_D4_BARY, TRI_D4_WEIGHTS
     peaks = []
 
     def values(rows, points):
@@ -293,42 +292,31 @@ def _source_l2(mesh: meshmod.SimplicialMesh, f: SourceTerm, contrib: np.ndarray 
 
 
 def _gradients(mesh: meshmod.SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Physical P1 basis gradients per element: (M, dim, dim+1) and measures.
+    """Physical P1 basis gradients per element: (M, 2, 3) and measures.
 
     The rows of B are the edge vectors e_i = corner_i - corner_0, so grad
     lambda_i (i >= 1) is column i-1 of B^{-1} = adj(B) / det(B), and grad
-    lambda_0 is minus their sum.  det(B) = dim! |T| from the mesh's closed-form
-    measures (`geometry._element_geometry`): a d - b c itself in 2D, within
-    two roundings of the compensated e1 . (e2 x e3) in 3D.  `build_mesh`
+    lambda_0 is minus their sum.  det(B) = 2 |T| = a d - b c, from the mesh's
+    closed-form measures (`geometry._element_geometry`).  `build_mesh`
     orients every element positively, and a wrong sign would flip all
     gradients of an element, which its stiffness block g g^T does not see.
-    In 2D the gradients are built from the four edge-difference columns into
-    a (2, 3, M) array, returned as its transpose, so each component of each
+    The gradients are built from the four edge-difference columns into a
+    (2, 3, M) array, returned as its transpose, so each component of each
     gradient is one contiguous column.
     """
-    n = mesh.dim
     meas = mesh.measures
-    det = math.factorial(n) * meas
-    if n == 2:
-        # B = [[a, b], [c, d]], adj(B) = [[d, -b], [-c, a]]; -(b / det) is
-        # (-b) / det bit for bit
-        el = mesh.elements
-        (a, c), (b, d) = ((x[el[:, 1]] - x[el[:, 0]], x[el[:, 2]] - x[el[:, 0]]) for x in mesh.nodes.T)
-        cols = np.empty((2, 3, mesh.element_count))
-        np.divide(d, det, out=cols[0, 1])
-        np.negative(np.divide(b, det, out=cols[0, 2]), out=cols[0, 2])
-        np.negative(np.divide(c, det, out=cols[1, 1]), out=cols[1, 1])
-        np.divide(a, det, out=cols[1, 2])
-        np.negative(np.add(cols[:, 1], cols[:, 2], out=cols[:, 0]), out=cols[:, 0])
-        return cols.transpose(2, 0, 1), meas
-    verts = mesh.element_vertices()
-    e = verts[:, 1:, :] - verts[:, :1, :]
-    grads = np.empty((mesh.element_count, n, n + 1))
-    # column j of adj(B) is the cross product of the other two edges
-    adj = np.stack([np.cross(e[:, 1], e[:, 2]), np.cross(e[:, 2], e[:, 0]), np.cross(e[:, 0], e[:, 1])], axis=2)
-    np.divide(adj, det[:, None, None], out=grads[:, :, 1:])
-    np.negative(grads[:, :, 1:].sum(axis=2), out=grads[:, :, 0])
-    return grads, meas
+    det = 2 * meas
+    # B = [[a, b], [c, d]], adj(B) = [[d, -b], [-c, a]]; -(b / det) is
+    # (-b) / det bit for bit
+    el = mesh.elements
+    (a, c), (b, d) = ((x[el[:, 1]] - x[el[:, 0]], x[el[:, 2]] - x[el[:, 0]]) for x in mesh.nodes.T)
+    cols = np.empty((2, 3, mesh.element_count))
+    np.divide(d, det, out=cols[0, 1])
+    np.negative(np.divide(b, det, out=cols[0, 2]), out=cols[0, 2])
+    np.negative(np.divide(c, det, out=cols[1, 1]), out=cols[1, 1])
+    np.divide(a, det, out=cols[1, 2])
+    np.negative(np.add(cols[:, 1], cols[:, 2], out=cols[:, 0]), out=cols[:, 0])
+    return cols.transpose(2, 0, 1), meas
 
 
 def assemble_stiffness(mesh: meshmod.SimplicialMesh) -> sp.csr_matrix:
@@ -450,10 +438,9 @@ class LinearSystem:
 
 def dirichlet_system(mesh: meshmod.SimplicialMesh, stiffness: sp.csr_matrix, load: np.ndarray) -> LinearSystem:
     """Eliminate boundary rows/columns; validates the full-matrix kernel
-    (row sums within 1e-10 of the largest entry, which scales with the
-    element size in 3D) and positive interior diagonal.  A system of at least
-    _VCYCLE_MIN_SIZE unknowns also gets the prolongations of the mesh's
-    refinement levels."""
+    (row sums within 1e-10 of the largest entry) and positive interior
+    diagonal.  A system of at least _VCYCLE_MIN_SIZE unknowns also gets the
+    prolongations of the mesh's refinement levels."""
     row_sums = np.abs(np.asarray(stiffness.sum(axis=1)).ravel())
     largest = np.maximum(stiffness.data.max(initial=0.0), -stiffness.data.min(initial=0.0))  # no |data| array
     if row_sums.size and row_sums.max() > 1e-10 * largest:
@@ -860,7 +847,7 @@ def _p1_at_points(mesh: meshmod.SimplicialMesh, nodal: np.ndarray, rows: slice) 
     which sums the products on two SIMD lanes: the even k, the odd k, then
     both; here one point at a time on contiguous corner columns.
     """
-    bary, _ = simplex_rule(mesh.dim)
+    bary = TRI_D4_BARY
     elements = mesh.elements[rows]
     corners = [nodal[elements[:, k]] for k in range(mesh.dim + 1)]
     out = np.empty((elements.shape[0], bary.shape[0]))
@@ -891,8 +878,8 @@ def fh_perturbation_bound(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str
 
 
 def poincare_bound(dim: int, diameter: float) -> float:
-    """Upper bound D / (sqrt(n) pi) for the Poincare constant."""
-    if dim not in (2, 3):
+    """Upper bound D / (sqrt(2) pi) for the Poincare constant; `dim` must be 2."""
+    if dim != 2:
         raise ValueError(f"unsupported dimension {dim}")
     if diameter < 0:
         raise ValueError("diameter must be nonnegative")

@@ -1,10 +1,10 @@
 """Guaranteed per-element interpolation-constant bounds and mesh-wide strategies.
 
 The H1 interpolation constant of a P1 triangle is bounded by Kobayashi's
-edge/area formula, which stays sharp on thin triangles; a tetrahedral bound
-covers 3D.  Mesh-wide constants come either from element-wise evaluation
-(sharpest) or from closed forms in the global quality metrics, among them
-the minimal-angle form built on Liu's coefficient.
+edge/area formula, which stays sharp on thin triangles.  Mesh-wide constants
+come either from element-wise evaluation (sharpest) or from closed forms in
+the global quality metrics, among them the minimal-angle form built on Liu's
+coefficient.
 """
 
 from __future__ import annotations
@@ -17,22 +17,20 @@ import numpy as np
 
 from . import mesh as meshmod
 from .errors import CertifemError, NegativeRadicandError, StrategyInapplicableError
-from .geometry import Simplex, _blocks, _unit_scaled, as_batch, vertex_metrics
+from .geometry import Simplex, _blocks, _unit_scaled, as_batch
 
 LIU_COEFF = 0.49293
 MIN_ANGLE_COEFF = 0.69711  # rounds 0.49293 * sqrt(2) upward
 # one ulp above math.sqrt, which rounds sqrt(11/60) and sqrt(3/83) down
 NONBLUNT_COEFF = math.nextafter(math.sqrt(11.0 / 60.0), math.inf)
-TET_COEFF = 2.19
 L2_COEFF_2D = math.nextafter(math.sqrt(3.0 / 83.0), math.inf)
-L2_COEFF_3D = 8.0
 
 
 def _check_coefficients() -> None:
     """Import-time self-test in exact arithmetic: NONBLUNT_COEFF, L2_COEFF_2D
     and MIN_ANGLE_COEFF are at least sqrt(11/60), sqrt(3/83) and sqrt(2)
-    LIU_COEFF.  LIU_COEFF and TET_COEFF are published decimals, with no
-    expression here to check them against."""
+    LIU_COEFF.  LIU_COEFF is a published decimal, with no expression here
+    to check it against."""
     squares = (Fraction(11, 60), Fraction(3, 83), 2 * Fraction(LIU_COEFF) ** 2)
     for coeff, square in zip((NONBLUNT_COEFF, L2_COEFF_2D, MIN_ANGLE_COEFF), squares):
         if Fraction(coeff) ** 2 < square:
@@ -41,7 +39,7 @@ def _check_coefficients() -> None:
 
 _check_coefficients()
 
-STRATEGIES = ("elementwise", "circumradius", "minangle", "nonblunt", "regularity")
+STRATEGIES = ("elementwise", "circumradius", "minangle", "nonblunt")
 
 
 @dataclass(frozen=True)
@@ -49,18 +47,16 @@ class GlobalConstants:
     """Mesh-wide H1 constant by several strategies plus the global L2 bound.
 
     `elementwise` is always at least as sharp as any applicable closed form:
-    in 2D it is Kobayashi's maximum, and each closed form dominates
-    Kobayashi's bound element by element.
-    Closed-form fields are None when their hypothesis fails (e.g. `nonblunt`
-    on a mesh with an obtuse triangle) or the dimension does not match.
+    it is Kobayashi's maximum, and each closed form dominates Kobayashi's
+    bound element by element.
+    `nonblunt` is None on a mesh with an obtuse triangle, where its
+    hypothesis fails.
     """
 
-    dim: int
     elementwise: float
-    circumradius: float | None
-    minangle: float | None
+    circumradius: float
+    minangle: float
     nonblunt: float | None
-    regularity: float | None
     l2_global: float
 
     def value(self, strategy: str) -> float:
@@ -77,28 +73,15 @@ class GlobalConstants:
 
 def kobayashi_bound_2d(t: Simplex) -> float:
     """Edge/area H1 constant bound; never exceeds the circumradius."""
-    if t.dim != 2:
-        raise ValueError("kobayashi_bound_2d applies to triangles")
-    _, meas, edge_sq = as_batch(t)
+    meas, edge_sq = as_batch(t)
     return float(_kobayashi_batch_2d(edge_sq, meas)[0])
 
 
-def kobayashi_bound_3d(t: Simplex) -> float:
-    """Tetrahedral H1 constant bound 2.19 * h_T^2 / rho(T), with rho(T) the
-    inradius of T: of the two readings of rho, inscribed-ball radius and
-    diameter, the radius gives the larger, conservative bound."""
-    if t.dim != 3:
-        raise ValueError("kobayashi_bound_3d applies to tetrahedra")
-    return float(_kobayashi_batch_3d(vertex_metrics(*as_batch(t)))[0])
-
-
 def global_l2_bound(dim: int, h: float) -> float:
-    """Mesh-wide L2 interpolation constant: sqrt(3/83) h^2 (2D) or 8 h^2 (3D)."""
-    if dim == 2:
-        return L2_COEFF_2D * h * h
-    if dim == 3:
-        return L2_COEFF_3D * h * h
-    raise ValueError(f"unsupported dimension {dim}")
+    """Mesh-wide L2 interpolation constant sqrt(3/83) h^2; `dim` must be 2."""
+    if dim != 2:
+        raise ValueError(f"unsupported dimension {dim}")
+    return L2_COEFF_2D * h * h
 
 
 def min_angle_global(theta0: float, h: float) -> float:
@@ -153,36 +136,14 @@ def _kobayashi_maximum(mesh: meshmod.SimplicialMesh) -> float:
     return meshmod._cached(mesh, "kobayashi_maximum", build)
 
 
-def _kobayashi_batch_3d(em: meshmod.ElementMetrics) -> np.ndarray:
-    # (h / rho) * h, not h**2 / rho: rounded products are monotone, so the
-    # closed form TET_COEFF * max(h / rho) * max(h) dominates every element
-    return TET_COEFF * (em.h / em.inradius) * em.h
-
-
 def mesh_constants(mesh: meshmod.SimplicialMesh, qual: meshmod.MeshQuality | None = None) -> GlobalConstants:
     """Mesh-wide constants: element-wise maximum plus all closed forms."""
     if qual is None:
         qual = meshmod.quality(mesh)
-    if mesh.dim == 2:
-        return GlobalConstants(
-            dim=2,
-            elementwise=_kobayashi_maximum(mesh),
-            circumradius=qual.max_circumradius,
-            minangle=min_angle_global(qual.min_angle, qual.h),
-            nonblunt=NONBLUNT_COEFF * qual.h if qual.nonblunt else None,
-            regularity=None,
-            l2_global=global_l2_bound(2, qual.h),
-        )
-    # the maxima of h / rho and of the bound per block, then over the blocks
-    maxima = [((em.h / em.inradius).max(), _kobayashi_batch_3d(em).max()) for em in meshmod._metric_blocks(mesh)]
-    sigma_conv, elementwise = map(float, np.max(maxima, axis=0))
     return GlobalConstants(
-        dim=3,
-        elementwise=elementwise,
-        circumradius=None,
-        minangle=None,
-        nonblunt=None,
-        regularity=TET_COEFF * sigma_conv * qual.h,
-        l2_global=global_l2_bound(3, qual.h),
+        elementwise=_kobayashi_maximum(mesh),
+        circumradius=qual.max_circumradius,
+        minangle=min_angle_global(qual.min_angle, qual.h),
+        nonblunt=NONBLUNT_COEFF * qual.h if qual.nonblunt else None,
+        l2_global=global_l2_bound(2, qual.h),
     )
-

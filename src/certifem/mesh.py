@@ -47,20 +47,20 @@ BOUNDARY_TOL = 1e-10
 # eq=False: `==` is identity and a mesh hashes; comparing arrays is ambiguous
 @dataclass(frozen=True, eq=False)
 class SimplicialMesh:
-    dim: int
-    nodes: np.ndarray  # (N, dim)
-    elements: np.ndarray  # (M, dim+1), positively oriented
-    boundary_facets: np.ndarray  # (K, dim), sorted node tuples
+    dim = 2  # a class constant, not a field: meshes are triangle meshes
+    nodes: np.ndarray  # (N, 2)
+    elements: np.ndarray  # (M, 3), positively oriented
+    boundary_facets: np.ndarray  # (K, 2), sorted node pairs
     boundary_nodes: np.ndarray  # sorted unique node indices
     measures: np.ndarray  # (M,) element measures
-    edge_sq: np.ndarray  # (M, 3) or (M, 6) squared edges, in `geometry.EDGES` order
+    edge_sq: np.ndarray  # (M, 3) squared edges, in `geometry.EDGES` order
     # The refinement levels that produced the mesh, coarsest first: one
     # `(coarse_count, parents)` record per level.  The level's first
     # `coarse_count` nodes are the nodes of the mesh it refined, node
     # `coarse_count + e` is the midpoint of nodes `parents[e]`, and every later
     # level keeps these nodes as its prefix.  Refinement keeps the boundary, so
     # a node is on the boundary at every level that has it or at none.  Empty
-    # for meshes that were built, loaded or are 3D.
+    # for meshes that were built or loaded.
     hierarchy: tuple = ()
     # What later passes derive (`_cached`); every array above is read-only, so
     # entries never go stale.
@@ -81,7 +81,7 @@ class SimplicialMesh:
         return np.nonzero(mask)[0]
 
     def element_vertices(self) -> np.ndarray:
-        """(M, dim+1, dim) vertex coordinates per element."""
+        """(M, 3, 2) vertex coordinates per element."""
         return self.nodes[self.elements]
 
 
@@ -90,9 +90,9 @@ class MeshQuality:
     dim: int
     h: float
     max_circumradius: float
-    min_angle: float | None  # 2D only
-    sigma: float  # max over elements of h_T / (inscribed-ball diameter)
-    nonblunt: bool | None  # 2D only
+    min_angle: float
+    sigma: float  # max over elements of h_T / (inscribed-circle diameter)
+    nonblunt: bool
     element_count: int
     node_count: int
 
@@ -101,35 +101,25 @@ class MeshQuality:
 
 
 def _keys(elements: np.ndarray, n: int, corners) -> np.ndarray:
-    """One int64 key per element and tuple of local vertices in `corners`
-    (such as `FACETS[dim]`): the tuple's node indices, sorted, read as a
-    base-n number, so sorted keys list the sorted tuples in lexicographic
-    order; the first tuple's keys of all elements come first.  Formed
-    `_blocks` of elements at a time: the keys are the one large array."""
-    width = len(corners[0])
-    if n**width > 2**63:  # the largest key, n**width - 1, must fit in int64
-        raise MeshParseError(
-            f"int64 keys of {width}-index rows need nodes**{width} <= 2**63; the mesh has {n} nodes"
-        )
+    """One int64 key per element and pair of local vertices in `corners`
+    (such as `FACETS`): the pair's node indices, sorted, read as a base-n
+    number, so sorted keys list the sorted pairs in lexicographic order; the
+    first pair's keys of all elements come first.  Formed `_blocks` of
+    elements at a time: the keys are the one large array."""
+    if n**2 > 2**63:  # the largest key, n**2 - 1, must fit in int64
+        raise MeshParseError(f"int64 keys of 2-index rows need nodes**2 <= 2**63; the mesh has {n} nodes")
     m = elements.shape[0]
     keys = np.empty(len(corners) * m, dtype=np.int64)
-    for t, local in enumerate(corners):
+    for t, (i, j) in enumerate(corners):
         for rows in _blocks(m):
-            a, b, *c = (elements[rows, k] for k in local)
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            if c:  # lo takes the leading two digits; the median of a, b, c is c clipped to [lo, hi]
-                lo, hi = np.minimum(lo, c[0]) * n + np.clip(c[0], lo, hi), np.maximum(hi, c[0])
-            keys[t * m : (t + 1) * m][rows] = lo * n + hi
+            a, b = elements[rows, i], elements[rows, j]
+            keys[t * m : (t + 1) * m][rows] = np.minimum(a, b) * n + np.maximum(a, b)
     return keys
 
 
-def _decode(keys: np.ndarray, n: int, width: int) -> np.ndarray:
-    """(K, width) node indices of the keys (K,) that `_keys` formed."""
-    rows = np.empty((keys.size, width), dtype=np.int64)
-    for j in range(width - 1, 0, -1):
-        keys, rows[:, j] = np.divmod(keys, n)
-    rows[:, 0] = keys
-    return rows
+def _decode(keys: np.ndarray, n: int) -> np.ndarray:
+    """(K, 2) node pairs of the keys (K,) that `_keys` formed."""
+    return np.stack(np.divmod(keys, n), axis=-1)
 
 
 def _cached(mesh: SimplicialMesh, key: str, build: Callable[[SimplicialMesh], object]):
@@ -162,24 +152,29 @@ def _as_indices(values) -> np.ndarray:
     return _as_array(arr, np.int64, "elements", copy=True if arr is values else None)
 
 
+def _check_dim(dim: int, where: str = "") -> None:
+    """Refuse a mesh of any dimension but 2, naming its dimension."""
+    if dim != 2:
+        raise MeshParseError(f"{where}{dim}D meshes are not supported: certifem meshes 2D polygons only")
+
+
 def build_mesh(dim: int, nodes, elements) -> SimplicialMesh:
-    """Validate connectivity, fix orientation, and detect the boundary.  The
-    mesh keeps copies of the caller's arrays, which stay as they were."""
-    if dim not in (2, 3):
-        raise MeshParseError(f"unsupported dimension {dim}")
-    return _build_mesh(dim, _as_array(nodes, float, "nodes"), _as_indices(elements))
+    """Validate connectivity, fix orientation, and detect the boundary of a
+    triangle mesh; `dim` must be 2.  The mesh keeps copies of the caller's
+    arrays, which stay as they were."""
+    _check_dim(dim)
+    return _build_mesh(_as_array(nodes, float, "nodes"), _as_indices(elements))
 
 
-def _build_mesh(dim: int, nd: np.ndarray, el: np.ndarray) -> SimplicialMesh:
-    """`build_mesh` of float nodes and int64 elements, in dimension 2 or 3,
-    that no one else holds: the mesh reorients elements in place and makes
-    both read-only."""
-    if nd.ndim != 2 or nd.shape[1] != dim:
-        raise MeshParseError(f"node array must be (N, {dim}), got {nd.shape}")
+def _build_mesh(nd: np.ndarray, el: np.ndarray) -> SimplicialMesh:
+    """`build_mesh` of float nodes and int64 elements that no one else
+    holds: the mesh reorients elements in place and makes both read-only."""
+    if nd.ndim != 2 or nd.shape[1] != 2:
+        raise MeshParseError(f"node array must be (N, 2), got {nd.shape}")
     if not np.all(np.isfinite(nd)):
         raise MeshParseError("node coordinates must be finite")
-    if el.ndim != 2 or el.shape[1] != dim + 1:
-        raise MeshParseError(f"element array must be (M, {dim + 1}), got {el.shape}")
+    if el.ndim != 2 or el.shape[1] != 3:
+        raise MeshParseError(f"element array must be (M, 3), got {el.shape}")
     if el.size and (el.min() < 0 or el.max() >= nd.shape[0]):
         raise MeshParseError("element index out of range")
 
@@ -191,7 +186,7 @@ def _build_mesh(dim: int, nd: np.ndarray, el: np.ndarray) -> SimplicialMesh:
         if np.any(flip):
             el[flip, -2], el[flip, -1] = el[flip, -1].copy(), el[flip, -2].copy()
             sm[flip], edge_sq[flip] = _element_geometry(nd, el[flip])
-        bad = np.flatnonzero(degenerate(sm, edge_sq, dim))
+        bad = np.flatnonzero(degenerate(sm, edge_sq))
     if bad.size:
         i = bad[0]
         if not (np.isfinite(sm[i]) and np.isfinite(edge_sq[i]).all()):
@@ -201,22 +196,22 @@ def _build_mesh(dim: int, nd: np.ndarray, el: np.ndarray) -> SimplicialMesh:
 
     # In the sorted facet keys, a facet of three or more elements equals the
     # key two places on, and a boundary facet differs from both neighbours.
-    keys = _keys(el, nd.shape[0], FACETS[dim])
+    keys = _keys(el, nd.shape[0], FACETS)
     keys.sort()
     if np.any(keys[2:] == keys[:-2]):
         uniq, counts = np.unique(keys, return_counts=True)
-        bad = _decode(uniq[np.argmax(counts)], nd.shape[0], dim)[0]
+        bad = _decode(uniq[np.argmax(counts)], nd.shape[0])
         raise NonConformingMeshError(f"facet {bad.tolist()} shared by {counts.max()} elements")
     new = np.ones(keys.size + 1, dtype=bool)  # new[i]: keys[i] differs from keys[i - 1]
     np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
-    bfac = _decode(keys[new[:-1] & new[1:]], nd.shape[0], dim)
+    bfac = _decode(keys[new[:-1] & new[1:]], nd.shape[0])
     bnodes = np.unique(bfac)
     for arr in (nd, el, bfac, bnodes, sm, edge_sq):
         arr.setflags(write=False)
     # Every signed measure is positive here, so it equals the measure.  Every
     # per-element quantity is derived from it and the squared edges, block by
     # block.
-    return SimplicialMesh(dim, nd, el, bfac, bnodes, sm, edge_sq)
+    return SimplicialMesh(nd, el, bfac, bnodes, sm, edge_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +219,12 @@ def _build_mesh(dim: int, nd: np.ndarray, el: np.ndarray) -> SimplicialMesh:
 
 
 def generate_fan_refined(poly: PolyApprox, refine_levels: int = 0) -> SimplicialMesh:
-    """Fan a convex 2D polytope from its centroid, then refine uniformly.
+    """Fan a convex polygon from its centroid, then refine uniformly.
 
     Each refinement level splits every triangle into four by edge midpoints;
     boundary midpoints stay on the polygon edges, so the meshed region is
     the polygon itself at every level.  Deterministic for fixed inputs.
     """
-    if poly.dim != 2:
-        raise InvalidPolygonError("fan generator is 2D only")
     if refine_levels < 0:
         raise InvalidPolygonError("refinement level must be nonnegative")
     v = poly.vertices
@@ -258,8 +251,6 @@ def generate_fan_refined(poly: PolyApprox, refine_levels: int = 0) -> Simplicial
 
 def refine_uniform(mesh: SimplicialMesh) -> SimplicialMesh:
     """Edge-midpoint refinement: every triangle into four similar children."""
-    if mesh.dim != 2:
-        raise NotImplementedError("uniform refinement implemented for 2D meshes")
     nodes, elements, parents = _refine(mesh.nodes, mesh.elements)
     return replace(build_mesh(2, nodes, elements), hierarchy=(*mesh.hierarchy, (mesh.node_count, parents)))
 
@@ -271,7 +262,7 @@ def _refine(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.nda
     orientation."""
     n, m = nodes.shape[0], elements.shape[0]
     keys, inverse = np.unique(_keys(elements, n, ((0, 1), (1, 2), (0, 2))), return_inverse=True)
-    parents = _decode(keys, n, 2)
+    parents = _decode(keys, n)
     mid = 0.5 * (nodes[parents[:, 0]] + nodes[parents[:, 1]])
     m01, m12, m02 = inverse.reshape(3, m) + n
     a, b, c = elements.T
@@ -289,16 +280,15 @@ def _refine(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _metric_blocks(mesh: SimplicialMesh) -> Iterator[ElementMetrics]:
     """`vertex_metrics` of each block of elements (`_blocks`), from the
-    mesh's measures and squared edges (and in 3D the block's gathered
-    vertices), with (block,) arrays.  Mesh-wide maxima and minima reduce
-    these, so no per-element array of the whole mesh is formed."""
+    mesh's measures and squared edges, with (block,) arrays.  Mesh-wide
+    maxima and minima reduce these, so no per-element array of the whole
+    mesh is formed."""
     for rows in _blocks(mesh.element_count):
-        verts = mesh.nodes[mesh.elements[rows]] if mesh.dim == 3 else None
-        yield vertex_metrics(verts, mesh.measures[rows], mesh.edge_sq[rows])
+        yield vertex_metrics(mesh.measures[rows], mesh.edge_sq[rows])
 
 
 def quality(mesh: SimplicialMesh) -> MeshQuality:
-    """Global mesh metrics, computed once per mesh; sigma uses inscribed-ball
+    """Global mesh metrics, computed once per mesh; sigma uses inscribed-circle
     diameters."""
     return _cached(mesh, "quality", _quality)
 
@@ -306,54 +296,42 @@ def quality(mesh: SimplicialMesh) -> MeshQuality:
 def _quality(mesh: SimplicialMesh) -> MeshQuality:
     # the extrema of each block, then of the blocks (max and min are exact);
     # the smallest angle is kept negated so that one maximum takes them all
-    h, circum, sigma, *angles = np.max(
+    h, circum, sigma, neg_min_angle, max_angle = np.max(
         [
-            [em.h.max(), em.circumradius.max(), (em.h / (2.0 * em.inradius)).max()]
-            + ([-em.min_angle.min(), em.max_angle.max()] if mesh.dim == 2 else [])
+            [em.h.max(), em.circumradius.max(), (em.h / (2.0 * em.inradius)).max(), -em.min_angle.min(), em.max_angle.max()]
             for em in _metric_blocks(mesh)
         ],
         axis=0,
     )
-    theta0 = nonblunt = None
-    if mesh.dim == 2:
-        theta0 = -float(angles[0])
-        nonblunt = bool(angles[1] <= math.pi / 2.0 + NONBLUNT_TOL)
     return MeshQuality(
-        dim=mesh.dim,
+        dim=2,
         h=float(h),
         max_circumradius=float(circum),
-        min_angle=theta0,
+        min_angle=-float(neg_min_angle),
         sigma=float(sigma),
-        nonblunt=nonblunt,
+        nonblunt=bool(max_angle <= math.pi / 2.0 + NONBLUNT_TOL),
         element_count=mesh.element_count,
         node_count=mesh.node_count,
     )
 
 
 def polytope_of_mesh(dom: ConvexDomain, mesh: SimplicialMesh) -> PolyApprox:
-    """The polytope that `mesh` meshes, validated as inscribed in `dom`.
+    """The polygon that `mesh` meshes, validated as inscribed in `dom`.
 
-    2D: the mesh boundary must be one closed loop, and the polygon's corners
-    are its nodes with collinear boundary edges merged; `make_poly_approx`
-    then checks convexity, that every corner lies on the boundary of `dom`
-    (a corner that does not is named by its mesh node), and the gaps.  The
+    The mesh boundary must be one closed loop, and the polygon's corners are
+    its nodes with collinear boundary edges merged; `make_poly_approx` then
+    checks convexity, that every corner lies on the boundary of `dom` (a
+    corner that does not is named by its mesh node), and the gaps.  The
     corners depend on the mesh alone and are kept on it, and so is the
-    polytope last validated, with the domain object it was validated for: a
+    polygon last validated, with the domain object it was validated for: a
     later call for that object returns it, and one for another domain runs
     only `make_poly_approx`.
-
-    3D: the facets are the boundary triangles, oriented outward, and every
-    boundary node is a vertex: no 3D generator refines faces, so coplanar
-    facets are not merged, and a boundary node off the boundary of `dom`
-    raises NotInscribedError, like any vertex.
     """
-    if mesh.dim != dom.dim:
-        raise NotInscribedError(f"a {mesh.dim}D mesh cannot mesh a {dom.dim}D polytope in a {dom.dim}D domain")
-    vertices, facets, nodes = _cached(mesh, "polytope", _boundary_polytope)
+    vertices, nodes = _cached(mesh, "polytope", _boundary_polytope)
     last = mesh._cache.get("poly_approx")
     if last is None or last[0] is not dom:
         try:
-            poly = make_poly_approx(dom, vertices, facets)
+            poly = make_poly_approx(dom, vertices)
         except NotInscribedError:
             off = _first_off_boundary(dom, vertices)
             if off is None:  # a facet, not a vertex, lies outside
@@ -363,21 +341,12 @@ def polytope_of_mesh(dom: ConvexDomain, mesh: SimplicialMesh) -> PolyApprox:
     return last[1]
 
 
-def _boundary_polytope(mesh: SimplicialMesh) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Read-only vertices of the polytope that `mesh` meshes, in 3D its
-    (F, 3) facets (None in 2D, where facet i joins corners i and i + 1), and
-    the mesh node of each vertex."""
+def _boundary_polytope(mesh: SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only vertices of the polygon that `mesh` meshes (facet i joins
+    vertices i and i + 1) and the mesh node of each vertex."""
     bnodes = mesh.boundary_nodes
     # each boundary facet as positions in `bnodes`
     local = np.searchsorted(bnodes, mesh.boundary_facets)
-    if mesh.dim == 3:
-        vertices = mesh.nodes[bnodes]
-        a, b, c = (vertices[local[:, k]] for k in range(3))
-        inward = np.einsum("fd,fd->f", np.cross(b - a, c - a), (a + b + c) / 3.0 - vertices.mean(axis=0)) < 0.0
-        local[inward] = local[inward][:, [0, 2, 1]]
-        vertices.setflags(write=False)
-        local.setflags(write=False)
-        return vertices, local, bnodes
     ring = _boundary_loop(bnodes, local)
     points = mesh.nodes[ring]
     tol = BOUNDARY_TOL * float(np.linalg.norm(np.ptp(points, axis=0)))
@@ -411,7 +380,7 @@ def _boundary_polytope(mesh: SimplicialMesh) -> tuple[np.ndarray, np.ndarray | N
     vertices = mesh.nodes[ids]
     vertices.setflags(write=False)
     ids.setflags(write=False)
-    return vertices, None, ids
+    return vertices, ids
 
 
 def _boundary_loop(bnodes: np.ndarray, local: np.ndarray) -> np.ndarray:
@@ -456,7 +425,7 @@ def save(mesh: SimplicialMesh, path: str, fmt: str | None = None) -> None:
         # `json.dump` of {"dim", "nodes", "elements"} with compact separators,
         # _WRITE_CHUNK rows per `json.dumps`
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f'{{"dim":{mesh.dim}')
+            fh.write('{"dim":2')
             for key, rows in (("nodes", mesh.nodes), ("elements", mesh.elements)):
                 fh.write(f',"{key}":[')
                 for start in range(0, rows.shape[0], _WRITE_CHUNK):
@@ -469,19 +438,8 @@ def save(mesh: SimplicialMesh, path: str, fmt: str | None = None) -> None:
         base = _node_ele_base(path)
         bmark = np.zeros(mesh.node_count, dtype=np.int8)
         bmark[mesh.boundary_nodes] = 1
-        _write_rows(
-            base + ".node",
-            f"{mesh.node_count} {mesh.dim} 0 1\n",
-            "%d" + " %.17g" * mesh.dim + " %d\n",
-            [*mesh.nodes.T, bmark],
-        )
-        _write_rows(
-            base + ".ele",
-            f"{mesh.element_count} {mesh.dim + 1} 0\n",
-            " ".join(["%d"] * (mesh.dim + 2)) + "\n",
-            list(mesh.elements.T),
-            shift=1,
-        )
+        _write_rows(base + ".node", f"{mesh.node_count} 2 0 1\n", "%d %.17g %.17g %d\n", [*mesh.nodes.T, bmark])
+        _write_rows(base + ".ele", f"{mesh.element_count} 3 0\n", "%d %d %d %d\n", list(mesh.elements.T), shift=1)
         return
     raise MeshParseError(f"unknown mesh format {fmt!r}")
 
@@ -500,6 +458,7 @@ def load(path: str, fmt: str | None = None) -> SimplicialMesh:
             elements = obj["elements"]
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise MeshParseError(f"cannot parse mesh json {path}: {exc}") from exc
+        _check_dim(dim, f"{path}: ")
         # numpy reads a list mixing true/false with numbers as numbers, so
         # `build_mesh` would not see them.
         if isinstance(elements, list) and any(
@@ -509,9 +468,8 @@ def load(path: str, fmt: str | None = None) -> SimplicialMesh:
         return build_mesh(dim, nodes, elements)
     if fmt == "node_ele":
         base = _node_ele_base(path)
-        nodes, dim = _read_node_file(base + ".node")
-        elements = _read_ele_file(base + ".ele", dim)
-        return _build_mesh(dim, nodes, elements)  # parsed here, so no copies
+        nodes = _read_node_file(base + ".node")
+        return _build_mesh(nodes, _read_ele_file(base + ".ele"))  # parsed here, so no copies
     raise MeshParseError(f"unknown mesh format {fmt!r}")
 
 
@@ -594,12 +552,11 @@ def _read_rows(fh, kind: str, count: int, usecols: range, dtype) -> np.ndarray:
     return rows
 
 
-def _read_node_file(path: str) -> tuple[np.ndarray, int]:
+def _read_node_file(path: str) -> np.ndarray:
     with _mesh_file(path) as fh:
         count, dim = _read_header(fh, "node")
-        if dim not in (2, 3):
-            raise ValueError(f"unsupported dimension {dim}")
-        rows = _read_rows(fh, "node", count, range(1 + dim), float)
+        _check_dim(dim, f"{path}: ")
+        rows = _read_rows(fh, "node", count, range(3), float)
     index = rows[:, 0]
     wrong = np.flatnonzero(index != np.arange(1, count + 1))
     if wrong.size:
@@ -608,17 +565,17 @@ def _read_node_file(path: str) -> tuple[np.ndarray, int]:
             f"{path}: node {i + 1} is numbered {index[i]:.17g}; the index column must read 1..{count} in order"
         )
     # a copy, so that the index column is freed with `rows`
-    return rows[:, 1:].copy(), dim
+    return rows[:, 1:].copy()
 
 
-def _read_ele_file(path: str, dim: int) -> np.ndarray:
+def _read_ele_file(path: str) -> np.ndarray:
     with _mesh_file(path) as fh:
         count, per = _read_header(fh, "element")
-        if per != dim + 1:
-            raise ValueError(f"expected {dim + 1} corners per element, header says {per}")
+        if per != 3:
+            raise ValueError(f"expected 3 corners per element, header says {per}")
         # The element index column is not read: element order does not
         # change the mesh.
-        elements = _read_rows(fh, "element", count, range(1, 1 + per), np.int64)
+        elements = _read_rows(fh, "element", count, range(1, 4), np.int64)
     elements -= 1
     return elements
 

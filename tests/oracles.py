@@ -18,7 +18,6 @@ from certifem import (
     gap_delta,
     global_l2_bound,
     kobayashi_bound_2d,
-    kobayashi_bound_3d,
 )
 from certifem import fem as femmod
 from certifem import mesh as meshmod
@@ -59,7 +58,7 @@ REFERENCE_DELAUNAY = {
 
 def edge_count(mesh: meshmod.SimplicialMesh) -> int:
     """Unique edges, for Euler-formula style checks."""
-    return np.unique(meshmod._keys(mesh.elements, mesh.node_count, list(zip(*EDGES[mesh.dim])))).size
+    return np.unique(meshmod._keys(mesh.elements, mesh.node_count, list(zip(*EDGES)))).size
 
 
 def structured_square_mesh(n: int) -> meshmod.SimplicialMesh:
@@ -105,11 +104,10 @@ def signed_measure(s: Simplex) -> float:
 
 def element_metrics(mesh: meshmod.SimplicialMesh) -> ElementMetrics:
     """Per-element geometry as whole-mesh arrays: `vertex_metrics` of every
-    element at once, from the mesh's measures and squared edges (in 3D also
-    the gathered vertices); the reference for the block walks
-    (`mesh._metric_blocks`) that `quality` and `mesh_constants` reduce."""
-    verts = mesh.element_vertices() if mesh.dim == 3 else None
-    return vertex_metrics(verts, mesh.measures, mesh.edge_sq)
+    element at once, from the mesh's measures and squared edges; the
+    reference for the block walks (`mesh._metric_blocks`) that `quality`
+    and `mesh_constants` reduce."""
+    return vertex_metrics(mesh.measures, mesh.edge_sq)
 
 
 def reference_monomial_integral(exponents) -> float:
@@ -147,9 +145,7 @@ def _liu_batch(edge_sq: np.ndarray, area: np.ndarray) -> np.ndarray:
 
 def liu_bound(t: Simplex) -> float:
     """`_liu_batch` of one triangle."""
-    if t.dim != 2:
-        raise ValueError("liu_bound applies to triangles")
-    _, meas, edge_sq = as_batch(t)
+    meas, edge_sq = as_batch(t)
     return float(_liu_batch(edge_sq, meas)[0])
 
 
@@ -157,19 +153,15 @@ def liu_bound(t: Simplex) -> float:
 class ElementConstants:
     """Per-element upper bounds; `h1_best` is the minimum of the available ones."""
 
-    h1_liu: float | None
+    h1_liu: float
     h1_kobayashi: float
     h1_best: float
     l2_bound: float
 
 
 def element_constants(t: Simplex) -> ElementConstants:
-    l2 = global_l2_bound(t.dim, edge_lengths(t)[0])
-    if t.dim == 2:
-        liu, kob = liu_bound(t), kobayashi_bound_2d(t)
-        return ElementConstants(liu, kob, min(liu, kob), l2)
-    kob = kobayashi_bound_3d(t)
-    return ElementConstants(None, kob, kob, l2)
+    liu, kob = liu_bound(t), kobayashi_bound_2d(t)
+    return ElementConstants(liu, kob, min(liu, kob), global_l2_bound(2, edge_lengths(t)[0]))
 
 
 def angles_and_liu_60(vertices) -> tuple[list, mpmath.mpf]:
@@ -236,7 +228,7 @@ def barrier_check(exact: ExactSolution, poly: PolyApprox, n_samples: int = 10000
     uniform sampling would miss at any realistic sample count.
     """
     dom = exact.domain
-    if poly.dim != dom.dim or not np.all(dom.contains(poly.vertices, tol=ON_BOUNDARY_TOL * dom.diameter)):
+    if not np.all(dom.contains(poly.vertices, tol=ON_BOUNDARY_TOL * dom.diameter)):
         raise NotInscribedError(f"polytope is not inscribed in the domain of {exact.name}")
     delta, gaps = gap_delta(dom, poly)
     bound = 0.5 * dom.diameter * delta * exact.f.sup_norm
@@ -262,14 +254,8 @@ def barrier_check(exact: ExactSolution, poly: PolyApprox, n_samples: int = 10000
             r_min = max(0.0, float((poly.offsets - poly.normals @ center).min()))
             u01 = rng.random(4 * want)
             rr = np.sqrt(u01 * (radius**2 - r_min**2) + r_min**2)
-            if dom.dim == 2:
-                ang = rng.random(4 * want) * 2.0 * math.pi
-                cand = center + np.stack([rr * np.cos(ang), rr * np.sin(ang)], axis=1)
-            else:
-                zz = rng.random(4 * want) * 2.0 - 1.0
-                ang = rng.random(4 * want) * 2.0 * math.pi
-                s = np.sqrt(1.0 - zz**2)
-                cand = center + rr[:, None] * np.stack([s * np.cos(ang), s * np.sin(ang), zz], axis=1)
+            ang = rng.random(4 * want) * 2.0 * math.pi
+            cand = center + np.stack([rr * np.cos(ang), rr * np.sin(ang)], axis=1)
         else:
             lo = poly.vertices.min(axis=0)
             hi = poly.vertices.max(axis=0)

@@ -166,16 +166,73 @@ def test_certify_mesh_of_no_inscribed_convex_polygon_exits_2(tmp_path, capsys, m
     assert not report.exists()
 
 
-def test_certify_3d_mesh_on_polygon_names_both_dimensions(tmp_path, capsys):
-    from certifem import mesh as meshmod
+TET_NODE = "4 3 0 0\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n"
+TET_ELE = "1 4 0\n1 1 2 3 4\n"
+TET_JSON = {"dim": 3, "nodes": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "elements": [[0, 1, 2, 3]]}
 
-    poly_path = str(tmp_path / "sq.json")
-    json.dump({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, open(poly_path, "w"))
-    mesh_path = str(tmp_path / "tet.node")
-    meshmod.save(meshmod.build_mesh(3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2, 3]]), mesh_path)
-    assert run_cli("certify", "--domain", f"polygon:{poly_path}", "--mesh", mesh_path) == 2
+
+@pytest.mark.parametrize("fmt", ["node_ele", "json"])
+def test_3d_mesh_files_are_refused_by_name(tmp_path, capsys, fmt):
+    """certifem meshes 2D polygons only: a one-tetrahedron mesh file is a
+    MeshParseError naming its dimension, from `load` and from every command
+    that reads a mesh file (exit 1, no traceback); `build_mesh(3, ...)`
+    refuses it too."""
+    from certifem import MeshParseError, build_mesh, load
+
+    if fmt == "json":
+        path = tmp_path / "tet.json"
+        path.write_text(json.dumps(TET_JSON))
+    else:
+        path = tmp_path / "tet.node"
+        path.write_text(TET_NODE)
+        (tmp_path / "tet.ele").write_text(TET_ELE)
+    refusal = f"{path}: 3D meshes are not supported"
+    with pytest.raises(MeshParseError, match=refusal):
+        load(str(path))
+    with pytest.raises(MeshParseError, match="3D meshes are not supported"):
+        build_mesh(3, TET_JSON["nodes"], TET_JSON["elements"])
+    commands = [
+        ["mesh", "stats", "--mesh", str(path)],
+        ["mesh", "convert", "--in", str(path), "--out", str(tmp_path / "out.json")],
+        ["certify", "--domain", "disk:1", "--mesh", str(path)],
+        ["verify", "--exact", "disk2d", "--mesh", str(path)],
+    ]
+    for argv in commands:
+        assert run_cli(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert refusal in err and "Traceback" not in err, argv
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        ([[0, 0], [1, 0], [1, 1], [0, 1]], True),
+        ({}, True),
+        ("x", True),
+        ({"vertices": 5}, False),
+    ],
+    ids=["list", "empty-object", "string", "vertices-not-a-list"],
+)
+def test_polygon_file_that_is_no_vertex_object_exits_2(tmp_path, capsys, content, named):
+    """A polygon file must hold a JSON object with a "vertices" key; any
+    other JSON is refused by a typed error that names the file (exit 2, no
+    traceback), and so are vertices that are no list of points."""
+    path = tmp_path / "polygon.json"
+    path.write_text(json.dumps(content))
+    assert run_cli("certify", "--domain", f"polygon:{path}", "--generate", "2") == 2
     err = capsys.readouterr().err
-    assert "3D mesh" in err and "2D polytope" in err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert (f'{path}: a polygon file must hold a JSON object with a "vertices" key' in err) == named
+
+
+def test_removed_regularity_strategy_is_refused_by_argparse(capsys):
+    """`regularity`, the tetrahedral strategy, went with 3D: argparse
+    refuses it with exit 2, naming the strategies that remain."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("certify", "--domain", "disk:1", "--generate", "10,1", "--strategy", "regularity")
+    assert exc.value.code == 2
+    assert "invalid choice: 'regularity'" in capsys.readouterr().err
 
 
 def test_certify_disk_exact_mode(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 
 from certifem import domain as dommod
 from certifem import (
-    Ball,
     ConvexPolygon,
     Disk,
     InvalidDirectionError,
@@ -21,9 +20,6 @@ from conftest import random_rotation
 from oracles import boundary_point
 
 UNIT_SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
-
-OCTA_VERTS = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
-OCTA_FACETS = [[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4], [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]]
 
 
 def test_support_disk():
@@ -148,11 +144,9 @@ def test_boundary_validation_names_the_first_bad_vertex(domain):
         make_poly_approx(domain, [on[0], 1.5 * on[1], inside, on[3]])
 
 
-@pytest.mark.parametrize(
-    "domain", [Disk(1.0), Ball(2.0, center=[0.5, 0, 0]), UNIT_SQUARE], ids=["disk", "ball", "square"]
-)
+@pytest.mark.parametrize("domain", [Disk(1.0), UNIT_SQUARE], ids=["disk", "square"])
 def test_boundary_distance_of_many_points_matches_one_at_a_time(domain, rng):
-    points = rng.uniform(-2.0, 2.0, (40, domain.dim))
+    points = rng.uniform(-2.0, 2.0, (40, 2))
     many = domain.boundary_distance(points)
     assert many.shape == (40,)
     single = [domain.boundary_distance(p) for p in points]
@@ -264,36 +258,6 @@ def test_polygon_halfplanes_match_polytope():
     assert np.abs((pent.normals * mid).sum(1) - pent.offsets).max() <= 1e-15
 
 
-def test_polytope_3d_convexity_checks():
-    ball = Ball(1.0)
-    with pytest.raises(InvalidPolygonError, match="repeated vertices"):
-        make_poly_approx(ball, OCTA_VERTS + [OCTA_VERTS[0]], OCTA_FACETS)
-    # a vertex that no facet uses, outside their hull
-    with pytest.raises(InvalidPolygonError, match="not convex"):
-        make_poly_approx(ball, OCTA_VERTS + [[0, 0, 2]], OCTA_FACETS)
-    for facets in (None, [], [[0, 2]] * 8):
-        with pytest.raises(InvalidPolygonError, match="index triples"):
-            make_poly_approx(ball, OCTA_VERTS, facets)
-    # first facet ragged, out of range, negative, fractional
-    for first in ([0, 2, 4, 1], [0, 2, 6], [-1, 2, 4], [0.9, 2, 4]):
-        with pytest.raises(InvalidPolygonError, match="index triples"):
-            make_poly_approx(ball, OCTA_VERTS, [first] + OCTA_FACETS[1:])
-
-
-@pytest.mark.parametrize(
-    "vertices, facets, reason",
-    [
-        (OCTA_VERTS, OCTA_FACETS[:4], "vertex 5 lies on no facet"),
-        (OCTA_VERTS, OCTA_FACETS[:7], r"edge \[0, 3\] bounds 1 facet"),
-        (OCTA_VERTS, OCTA_FACETS + OCTA_FACETS[:1], r"edge \[0, 2\] bounds 3 facet"),
-    ],
-    ids=["upper-half", "one-missing", "one-doubled"],
-)
-def test_polytope_3d_surface_must_be_closed(vertices, facets, reason):
-    with pytest.raises(InvalidPolygonError, match=reason):
-        make_poly_approx(Ball(1.0), vertices, facets)
-
-
 def test_polygon_contains_and_boundary():
     assert bool(UNIT_SQUARE.contains(np.array([0.5, 0.5])))
     assert not bool(UNIT_SQUARE.contains(np.array([1.5, 0.5])))
@@ -302,33 +266,19 @@ def test_polygon_contains_and_boundary():
         assert UNIT_SQUARE.boundary_distance(p) <= 1e-12
 
 
-def test_ball_polytope_ingestion():
-    ball = Ball(1.0)
-    poly = make_poly_approx(ball, OCTA_VERTS, OCTA_FACETS)
-    assert poly.gap == pytest.approx(1 - 1 / math.sqrt(3), rel=1e-12)
-    assert np.linalg.norm(poly.normals, axis=1) == pytest.approx(np.ones(8), abs=1e-12)
-    # inward-oriented facet rejected
-    bad = [list(reversed(OCTA_FACETS[0]))] + OCTA_FACETS[1:]
-    with pytest.raises(InvalidPolygonError):
-        make_poly_approx(ball, OCTA_VERTS, bad)
-    with pytest.raises(InvalidPolygonError):
-        make_poly_approx(ball, OCTA_VERTS, None)
-
-
 def test_domain_measures_and_diameters():
     assert Disk(2.0).measure == pytest.approx(4 * math.pi, rel=1e-15)
     assert Disk(2.0).diameter == 4.0
-    assert Ball(1.0).measure == pytest.approx(4 * math.pi / 3, rel=1e-15)
     assert UNIT_SQUARE.measure == pytest.approx(1.0, rel=1e-15)
     assert UNIT_SQUARE.diameter == pytest.approx(math.sqrt(2), rel=1e-15)
 
 
 def test_ball_measures_overflow_to_inf():
-    """r**k raises OverflowError where the measure overflows; the measure is
-    inf there instead, with no warning, and keeps its bits elsewhere."""
-    assert Disk(1.4e154).measure == math.inf and Ball(6e102).measure == math.inf
+    """r**2 raises OverflowError where the disk's measure overflows; the
+    measure is inf there instead, with no warning, and keeps its bits
+    elsewhere."""
+    assert Disk(1.4e154).measure == math.inf
     assert Disk(1e150).measure == math.pi * 1e150**2
-    assert Ball(1e100).measure == 4.0 / 3.0 * math.pi * 1e100**3
 
 
 @pytest.mark.parametrize(

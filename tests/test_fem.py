@@ -41,16 +41,10 @@ from certifem import (
     solve_poisson,
     verify_case,
 )
-from certifem.quadrature import (
-    TET_D4_BARY,
-    TET_D4_WEIGHTS,
-    TRI_D4_BARY,
-    TRI_D4_WEIGHTS,
-    simplex_rule,
-)
+from certifem.quadrature import TRI_D4_BARY, TRI_D4_WEIGHTS
 from certifem.geometry import EDGES, FACETS
 from oracles import _liu_batch, element_metrics, fh_error_measured, reference_monomial_integral, structured_square_mesh
-from test_mesh import _jittered_square, _kuhn_cube
+from test_mesh import _jittered_square
 
 REF_TRIANGLE = build_mesh(2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
 TWO_TRI_SQUARE = build_mesh(2, [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]])
@@ -179,12 +173,11 @@ def test_galerkin_residual():
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
 def test_dirichlet_row_sum_check_is_relative(scale):
-    """3D stiffness entries scale with the element size; the row-sum check
-    scales with the largest entry, so the cube solves at every size, and one
-    entry moved by 1e-8 of the largest is still caught (an absolute 1e-10
-    missed it at 1e-8 and rejected the correct matrix at 1e8)."""
-    cube = _kuhn_cube(4)
-    mesh = build_mesh(3, cube.nodes * scale, cube.elements)
+    """The row-sum check scales with the largest entry, so the square solves
+    at every size, and one entry moved by 1e-8 of the largest is still
+    caught."""
+    square = _jittered_square(8, seed=1)
+    mesh = build_mesh(2, square.nodes * scale, square.elements)
     sol, _ = solve_poisson(mesh, SourceTerm.constant(1.0), "exact")
     assert sol.converged
     stiffness = assemble_stiffness(mesh).copy()
@@ -274,15 +267,6 @@ def test_quadrature_degree4_exactness():
             approx = 0.5 * float((TRI_D4_WEIGHTS * TRI_D4_BARY[:, 1] ** a * TRI_D4_BARY[:, 2] ** b).sum())
             worst = max(worst, abs(approx - reference_monomial_integral((a, b))))
     assert worst <= 1e-14
-    worst = 0.0
-    for a in range(5):
-        for b in range(5 - a):
-            for c in range(5 - a - b):
-                approx = (1.0 / 6.0) * float(
-                    (TET_D4_WEIGHTS * TET_D4_BARY[:, 1] ** a * TET_D4_BARY[:, 2] ** b * TET_D4_BARY[:, 3] ** c).sum()
-                )
-                worst = max(worst, abs(approx - reference_monomial_integral((a, b, c))))
-    assert worst <= 1e-14
 
 
 def test_discrete_maximum_principle_nonblunt():
@@ -304,7 +288,6 @@ def test_discrete_poincare():
 H1_MESHES = {
     "fan": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 12), 2),
     "jittered": lambda: _jittered_square(6, seed=3),
-    "kuhn": lambda: _kuhn_cube(3),
 }
 
 
@@ -376,17 +359,6 @@ def test_exact_source_is_evaluated_once_per_solve(monkeypatch):
         lying.l2_norm()
 
 
-def test_3d_mass_and_stiffness():
-    mesh = build_mesh(3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2, 3]])
-    assert measure_sum(mesh) == pytest.approx(1.0 / 6.0, rel=1e-13)
-    _nodal_one_integrates_the_measure(mesh)
-    k = assemble_stiffness(mesh)
-    assert np.abs(np.asarray(k.sum(axis=1))).max() <= 1e-14
-    fh = build_fh(mesh, SourceTerm.constant(1.0), "barycentric")
-    b = assemble_load(mesh, fh)
-    assert b == pytest.approx(np.full(4, 1.0 / 24.0), rel=1e-13)
-
-
 # ---------------------------------------------------------------------------
 # broadcast element kernels against the einsum expressions they replace
 
@@ -397,7 +369,7 @@ def _einsum_quadrature_points(mesh, bary):
 
 def _einsum_quadrature_blocks(mesh):
     """`fem._quadrature_blocks` with each block's points by `einsum`."""
-    bary, _ = simplex_rule(mesh.dim)
+    bary = TRI_D4_BARY
     for rows in geometry._blocks(mesh.element_count):
         yield rows, np.einsum("qk,mkd->mqd", bary, mesh.nodes[mesh.elements[rows]])
 
@@ -426,36 +398,17 @@ def _local_blocks(grads, meas):
     return fem._stiffness_rows(grads, meas)(e, c).reshape(count, k, k)
 
 
-def _jittered_kuhn_cube(n, seed):
-    cube = _kuhn_cube(n)
-    nodes = np.array(cube.nodes)
-    interior = ((nodes > 0.0) & (nodes < 1.0)).all(axis=1)
-    nodes[interior] += (0.15 / n) * np.random.default_rng(seed).uniform(-1.0, 1.0, (int(interior.sum()), 3))
-    return build_mesh(3, nodes, cube.elements)
-
-
-def test_3d_regularity_dominates_elementwise_bit_for_bit():
-    from certifem import mesh_constants
-
-    for n in (2, 3, 4):
-        for seed in range(60):
-            mesh = _jittered_kuhn_cube(n, seed)
-            gc = mesh_constants(mesh)
-            assert gc.regularity >= gc.elementwise, (n, seed)
-
-
 KERNEL_MESHES = {
     "fan-one-block": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 7), 2),
     "fan-partial-block": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 50), 5),
     "jittered-square": lambda: _jittered_square(32, seed=5),
-    "jittered-kuhn-cube": lambda: _jittered_kuhn_cube(3, seed=4),
 }
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_MESHES))
 def test_quadrature_points_match_einsum(name):
     mesh = KERNEL_MESHES[name]()
-    bary, _ = simplex_rule(mesh.dim)
+    bary = TRI_D4_BARY
     start = 0
     for rows, points in fem._quadrature_blocks(mesh):
         # consecutive blocks of at most _BLOCK elements, in element order
@@ -468,8 +421,6 @@ def test_quadrature_points_match_einsum(name):
     assert np.array_equal(_blocked_points(mesh), _einsum_quadrature_points(mesh, bary))
     if name == "fan-partial-block":
         assert mesh.element_count > 2 * geometry._BLOCK and mesh.element_count % geometry._BLOCK
-    if name == "jittered-kuhn-cube":
-        assert bary.shape == (11, 4)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_MESHES))
@@ -485,7 +436,7 @@ def test_barycentric_fh_is_the_vertex_mean(name):
     assert np.array_equal(fh.element_values, sinsin.evaluate(centers))
 
 
-@pytest.mark.parametrize("name", ["jittered-square", "jittered-kuhn-cube"])
+@pytest.mark.parametrize("name", ["jittered-square"])
 def test_stiffness_blocks_match_einsum(name):
     mesh = KERNEL_MESHES[name]()
     got, ref = assemble_stiffness(mesh), _einsum_stiffness(mesh)
@@ -524,28 +475,24 @@ def _solved_gradients(mesh):
     return np.linalg.solve(b, np.broadcast_to(ref, (mesh.element_count, n, n + 1)))
 
 
-def _needles(dim, count, seed):
-    """`count` disjoint elements of aspect 1..1e8: thin in one direction,
+def _needles(count, seed):
+    """`count` disjoint triangles of aspect 1..1e8: thin in one direction,
     then rotated, scaled by 1e-3..10 and translated by up to 3."""
     rng = np.random.default_rng(seed)
-    thin = 10.0 ** -rng.uniform(0.0, 8.0, count)
-    local = np.zeros((count, dim + 1, dim))
+    local = np.zeros((count, 3, 2))
     local[:, 1, 0] = 1.0
     local[:, 2, 0] = rng.uniform(0.0, 1.0, count)
-    local[:, 2, 1] = thin
-    if dim == 3:
-        local[:, 3] = np.stack([rng.uniform(0.0, 1.0, count), rng.uniform(-1.0, 1.0, count) * thin, np.ones(count)], 1)
-    rot = np.linalg.qr(rng.normal(size=(count, dim, dim)))[0]
+    local[:, 2, 1] = 10.0 ** -rng.uniform(0.0, 8.0, count)
+    rot = np.linalg.qr(rng.normal(size=(count, 2, 2)))[0]
     scale = 10.0 ** rng.uniform(-3.0, 1.0, count)
-    shift = rng.uniform(-3.0, 3.0, (count, 1, dim))
+    shift = rng.uniform(-3.0, 3.0, (count, 1, 2))
     verts = scale[:, None, None] * np.einsum("mkd,med->mke", local, rot) + shift
-    return build_mesh(dim, verts.reshape(-1, dim), np.arange(count * (dim + 1)).reshape(count, dim + 1))
+    return build_mesh(2, verts.reshape(-1, 2), np.arange(count * 3).reshape(count, 3))
 
 
 GRADIENT_MESHES = {
     **KERNEL_MESHES,
-    "needles-2d": lambda: _needles(2, 2000, seed=11),
-    "needles-3d": lambda: _needles(3, 2000, seed=12),
+    "needles-2d": lambda: _needles(2000, seed=11),
 }
 
 
@@ -582,26 +529,23 @@ def _exact_edges(mesh):
 
 
 def _exact_gradients(mesh):
-    """Exact P1 gradients of the float vertices, (M, dim, dim+1) Fractions,
-    and a rigorous bound on the error of each entry of `fem._gradients`.
+    """Exact P1 gradients of the float vertices, (M, 2, 3) Fractions, and a
+    rigorous bound on the error of each entry of `fem._gradients`.
 
     Column i >= 1 is a / D, with a an entry of adj(B) and D = det(B).  The
-    computed a carries k_a roundings per Leibniz term (2D: one difference;
-    3D: two differences, a product and the subtraction of the cross
-    product), so it is off by at most e_a = gamma_{k_a} s.  The computed
-    D = dim! |T| is off by at most e_d: in 2D gamma_4 S, the closed-form
-    measure's bound; in 3D gamma_3 |D| + gamma_5 S, the compensated
-    measure's u |D| + gamma_4 S (`test_closed_form_measures_within_rounding_bound`)
-    with the division and the product by 6.  With s and S the sums of the
-    absolute Leibniz terms of a and D, the rounded quotient is off by at most
-    (1 + u) (e_a |D| + |a| e_d) / (|D| (|D| - e_d)) + u |a / D|.  Column 0
-    is minus the sum of the others: their bounds plus gamma_{dim-1} times
+    computed a is one difference of two vertex coordinates, so it is off by
+    at most e_a = gamma_1 s.  The computed D = 2 |T| is off by at most
+    e_d = gamma_4 S, the closed-form measure's bound
+    (`test_closed_form_measures_within_rounding_bound`).  With s and S the
+    sums of the absolute Leibniz terms of a and D, the rounded quotient is
+    off by at most (1 + u) (e_a |D| + |a| e_d) / (|D| (|D| - e_d)) + u |a / D|.
+    Column 0 is minus the sum of the others: their bounds plus gamma_1 times
     the sum of their magnitudes, exact plus bound.
     """
     n = mesh.dim
     e = _exact_edges(mesh)
     det, det_sum = _leibniz(e)
-    err_d = _gamma(4) * det_sum if n == 2 else _gamma(3) * np.abs(det) + _gamma(5) * det_sum
+    err_d = _gamma(4) * det_sum
     grads = np.empty((mesh.element_count, n, n + 1), dtype=object)
     bound = np.empty_like(grads)
     for i in range(n):
@@ -609,7 +553,7 @@ def _exact_gradients(mesh):
             minor = np.delete(np.delete(e, i, axis=1), j, axis=2)
             cof, cof_sum = _leibniz(minor)
             a = (-1) ** (i + j) * cof  # adj(B)[j, i]
-            err_a = _gamma({2: 1, 3: 4}[n]) * cof_sum
+            err_a = _gamma(1) * cof_sum
             grads[:, j, i + 1] = a / det
             quotient = (err_a * np.abs(det) + np.abs(a) * err_d) / (np.abs(det) * (np.abs(det) - err_d))
             bound[:, j, i + 1] = (1 + _U) * quotient + _U * np.abs(a / det)
@@ -618,55 +562,34 @@ def _exact_gradients(mesh):
     return grads, bound
 
 
-def _random_simplices(dim, count, seed):
-    """`count` disjoint elements with corners uniform in [-1, 1]^dim."""
-    verts = np.random.default_rng(seed).uniform(-1.0, 1.0, (count * (dim + 1), dim))
-    return build_mesh(dim, verts, np.arange(count * (dim + 1)).reshape(count, dim + 1))
+def _random_triangles(count, seed):
+    """`count` disjoint triangles with corners uniform in [-1, 1]^2."""
+    verts = np.random.default_rng(seed).uniform(-1.0, 1.0, (count * 3, 2))
+    return build_mesh(2, verts, np.arange(count * 3).reshape(count, 3))
 
 
 MEASURE_MESHES = {
     "needles-2d": GRADIENT_MESHES["needles-2d"],
-    "needles-3d": GRADIENT_MESHES["needles-3d"],
-    "random-triangles": lambda: _random_simplices(2, 2000, seed=13),
-    "random-tets": lambda: _random_simplices(3, 500, seed=14),
+    "random-triangles": lambda: _random_triangles(2000, seed=13),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MEASURE_MESHES))
 def test_closed_form_measures_within_rounding_bound(name):
     """Each measure is within its forward-error bound of the exact measure
-    D / dim! of the same float vertices, D = det(B) and S the sum of the
+    D / 2 of the same float vertices, D = det(B) and S the sum of the
     absolute Leibniz terms of D (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3).
-
-    2D: each term of a d - b c carries two differences, one product and the
-    subtraction, so the error is at most gamma_4 S / 2; the division by 2 is
-    exact.  3D: rounding the three differences of a term moves it by at most
-    gamma_3 of it.  The compensated triple product is within u |D'| + c u^2 S'
-    of the determinant D' of the rounded edges (Ogita, Rump and Oishi,
-    "Accurate sum and dot product", 2005; c, a count of roundings in the
-    error terms, is far below 1/u), so within u |D| + gamma_4 S of D.  The
-    division by 6 adds one rounding: (gamma_2 |D| + gamma_5 S) / 6.  Vertex
-    arrays go through the same kernel, bit for bit.
+    Algorithms, ch. 3): each term of a d - b c carries two differences, one
+    product and the subtraction, so the error is at most gamma_4 S / 2; the
+    division by 2 is exact.  Vertex arrays go through the same kernel, bit
+    for bit.
     """
     mesh = MEASURE_MESHES[name]()
-    n = mesh.dim
     det, abs_sum = _leibniz(_exact_edges(mesh))
     meas = mesh.measures
-    err = np.abs(_fractions(meas) - det / math.factorial(n))
-    assert np.all(err <= (_gamma(4) * abs_sum / 2 if n == 2 else (_gamma(2) * np.abs(det) + _gamma(5) * abs_sum) / 6))
+    err = np.abs(_fractions(meas) - det / 2)
+    assert np.all(err <= _gamma(4) * abs_sum / 2)
     assert np.array_equal(geometry._vertex_geometry(mesh.element_vertices())[0], meas)
-
-
-def test_error_free_transformations_are_exact():
-    """`_two_product` and `_two_sum` return the rounded result and its exact
-    rounding error: p + e = a b and s + t = a + b in exact arithmetic."""
-    rng = np.random.default_rng(15)
-    a, b = (rng.uniform(-1.0, 1.0, 2000) * 10.0 ** rng.uniform(-30.0, 30.0, 2000) for _ in range(2))
-    (p, e), (s, t) = geometry._two_product(a, b), geometry._two_sum(a, b)
-    assert np.array_equal(p, a * b) and np.array_equal(s, a + b)
-    assert np.all(_fractions(p) + _fractions(e) == _fractions(a) * _fractions(b))
-    assert np.all(_fractions(s) + _fractions(t) == _fractions(a) + _fractions(b))
 
 
 def _worst_relative_error(grads, exact):
@@ -684,8 +607,7 @@ def test_closed_form_gradients_match_lapack_solve(name):
     relative, so there the solve is no reference: both are compared with
     the exact gradients of the same float vertices.  The closed form stays
     within its rounding bound (`_exact_gradients`), and its worst relative
-    error is no larger than the solve's (2D: 3.7e-9 against 7.2e-9; 3D:
-    1.5e-9 against 4.9e-9)."""
+    error is no larger than the solve's (3.7e-9 against 7.2e-9)."""
     mesh = GRADIENT_MESHES[name]()
     grads, meas = fem._gradients(mesh)
     ref = _solved_gradients(mesh)
@@ -708,11 +630,11 @@ def test_gradients_use_no_linear_solve(monkeypatch):
         raise AssertionError("np.linalg.solve called")
 
     monkeypatch.setattr(np.linalg, "solve", refuse)
-    for name in ("fan-one-block", "jittered-kuhn-cube"):
+    for name in ("fan-one-block", "jittered-square"):
         fem._gradients(KERNEL_MESHES[name]())
 
 
-@pytest.mark.parametrize("name", ["jittered-square", "jittered-kuhn-cube"])
+@pytest.mark.parametrize("name", ["jittered-square"])
 def test_matrix_free_l2_norm_matches_mass_matrix(name):
     mesh = KERNEL_MESHES[name]()
     v = np.random.default_rng(7).uniform(-1.0, 1.0, mesh.node_count)
@@ -731,9 +653,8 @@ def _sign_changing_quadratic(pts):
     [
         lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 20), 2),
         KERNEL_MESHES["jittered-square"],
-        KERNEL_MESHES["jittered-kuhn-cube"],
     ],
-    ids=["fan-20-2", "jittered-square", "jittered-kuhn-cube"],
+    ids=["fan-20-2", "jittered-square"],
 )
 def test_nodal_load_and_norm_match_mass_matrix(make):
     """The per-corner nodal load and the closed-form ||f_h|| agree with the
@@ -753,16 +674,14 @@ def test_nodal_load_and_norm_match_mass_matrix(make):
 
 
 def _oracle_squared_edges(verts):
-    i, j = EDGES[verts.shape[2]]
+    i, j = EDGES
     return ((verts[:, i] - verts[:, j]) ** 2).sum(-1)
 
 
 def _oracle_metrics(measures, edge_sq):
-    """h, and in 2D the circumradius, inradius and angle extremes, by array
-    reductions over the (M, 3) edge and angle arrays."""
+    """h, the circumradius, inradius and angle extremes, by array reductions
+    over the (M, 3) edge and angle arrays."""
     h = np.sqrt(edge_sq.max(axis=1))
-    if edge_sq.shape[1] != 3:
-        return {"h": h}
     lengths = np.sqrt(edge_sq)
     nxt, prev = [1, 2, 0], [2, 0, 1]
     ang = np.arctan2(4.0 * measures[:, None], edge_sq[:, nxt] + edge_sq[:, prev] - edge_sq)
@@ -775,24 +694,20 @@ def _oracle_metrics(measures, edge_sq):
     }
 
 
-def _oracle_facets(elements, dim):
-    fac = np.concatenate([elements[:, list(i)] for i in FACETS[dim]], axis=0)
+def _oracle_facets(elements):
+    fac = np.concatenate([elements[:, list(i)] for i in FACETS], axis=0)
     fac.sort(axis=1)
     return fac
 
 
 def _oracle_gradients(mesh):
-    """The closed-form gradients from an (M, dim, dim) adjugate stack."""
+    """The closed-form gradients from an (M, 2, 2) adjugate stack."""
     verts = mesh.element_vertices()
-    n = mesh.dim
     e = verts[:, 1:, :] - verts[:, :1, :]
-    det = math.factorial(n) * mesh.measures
-    grads = np.empty((mesh.element_count, n, n + 1))
-    if n == 2:
-        (a, b), (c, d) = e[:, 0].T, e[:, 1].T
-        adj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
-    else:
-        adj = np.stack([np.cross(e[:, 1], e[:, 2]), np.cross(e[:, 2], e[:, 0]), np.cross(e[:, 0], e[:, 1])], axis=2)
+    det = 2 * mesh.measures
+    grads = np.empty((mesh.element_count, 2, 3))
+    (a, b), (c, d) = e[:, 0].T, e[:, 1].T
+    adj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
     np.divide(adj, det[:, None, None], out=grads[:, :, 1:])
     np.negative(grads[:, :, 1:].sum(axis=2), out=grads[:, :, 0])
     return grads
@@ -841,13 +756,13 @@ def test_mesh_kernels_match_oracles(name):
     for field, ref in _oracle_metrics(em.measures, edge_sq).items():
         assert np.array_equal(getattr(em, field), ref), field
     n = mesh.node_count
-    facets = meshmod._decode(meshmod._keys(mesh.elements, n, FACETS[mesh.dim]), n, mesh.dim)
-    assert facets.shape == (mesh.element_count * (mesh.dim + 1), mesh.dim)
-    assert np.array_equal(facets, _oracle_facets(mesh.elements, mesh.dim))
-    i, j = EDGES[mesh.dim]
+    facets = meshmod._decode(meshmod._keys(mesh.elements, n, FACETS), n)
+    assert facets.shape == (mesh.element_count * 3, 2)
+    assert np.array_equal(facets, _oracle_facets(mesh.elements))
+    i, j = EDGES
     edges = np.concatenate([mesh.elements[:, [a, b]] for a, b in zip(i, j)])
     edges.sort(axis=1)
-    assert np.array_equal(meshmod._decode(meshmod._keys(mesh.elements, n, list(zip(i, j))), n, 2), edges)
+    assert np.array_equal(meshmod._decode(meshmod._keys(mesh.elements, n, list(zip(i, j))), n), edges)
 
 
 @pytest.mark.parametrize("name", sorted(GRADIENT_MESHES))
@@ -858,7 +773,7 @@ def test_fem_kernels_match_oracles(name):
     assert np.array_equal(grads, _oracle_gradients(mesh))
     assert np.array_equal(_local_blocks(grads, meas), _oracle_stiffness_blocks(grads, meas))
 
-    bary, w = simplex_rule(mesh.dim)
+    bary, w = TRI_D4_BARY, TRI_D4_WEIGHTS
     f = SourceTerm(evaluate=_wavy, sup_norm=2.0)
     vals = _wavy(_einsum_quadrature_points(mesh, bary))
     assert np.array_equal(assemble_load(mesh, build_fh(mesh, f, "exact")), _oracle_load(mesh, vals, w, bary))
@@ -903,7 +818,7 @@ def test_squared_edges_run_once_per_built_mesh(monkeypatch):
 
 def test_quadrature_points_peak_memory_below_einsum():
     mesh = KERNEL_MESHES["fan-partial-block"]()
-    bary, _ = simplex_rule(2)
+    bary = TRI_D4_BARY
 
     def peak(kernel):
         kernel()  # warm up
@@ -1357,7 +1272,7 @@ def test_blocked_error_quadrature_is_bit_identical_and_smaller():
     """`l2_error_interior` and the exact-mode `l2_norm` go block by block and
     still equal the whole-array quadrature bit for bit, with a lower peak."""
     mesh = KERNEL_MESHES["fan-partial-block"]()
-    bary, w = simplex_rule(2)
+    bary, w = TRI_D4_BARY, TRI_D4_WEIGHTS
     nodal = np.random.default_rng(5).uniform(-1.0, 1.0, mesh.node_count)
     sol = FemSolution(nodal, 0, 0.0, True)
     f = SourceTerm(evaluate=_wavy, sup_norm=2.0)
@@ -1390,7 +1305,7 @@ def test_blocked_norm_reports_the_largest_value_over_all_blocks():
     lying = SourceTerm(evaluate=lambda p: 1.0 + np.asarray(p)[..., 0], sup_norm=1.5)
     with pytest.raises(SupNormViolationError) as err:
         build_fh(mesh, lying, "exact").l2_norm()
-    bary, _ = simplex_rule(2)
+    bary = TRI_D4_BARY
     worst = float(np.abs(lying.evaluate(_einsum_quadrature_points(mesh, bary))).max())
     assert f"|f| reached {worst:.6g} > 1.5" in str(err.value)
     # the load's pass reports the same maximum
@@ -1405,7 +1320,6 @@ BLOCK_MESHES = {
     "below-a-block": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 7), 2),
     "one-block": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 16), 4),
     "ragged-blocks": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 13), 5),
-    "ragged-blocks-3d": lambda: _jittered_kuhn_cube(9, seed=8),
 }
 
 
@@ -1413,7 +1327,7 @@ def _whole_source_pass(mesh, f):
     """The exact-mode load vector and quadrature ||f|| from whole-mesh arrays:
     einsum points, (M, q) values, corner contributions summed over q in
     order and scattered by one `np.add.at` per corner."""
-    bary, w = simplex_rule(mesh.dim)
+    bary, w = TRI_D4_BARY, TRI_D4_WEIGHTS
     vals = np.asarray(f.evaluate(_einsum_quadrature_points(mesh, bary)), dtype=float)
     meas = mesh.measures
     weighted = vals * w
@@ -1446,7 +1360,7 @@ def _whole_load(mesh, fh):
 
 
 def _whole_fh_error(mesh, f, mode):
-    bary, w = simplex_rule(mesh.dim)
+    bary, w = TRI_D4_BARY, TRI_D4_WEIGHTS
     fh = build_fh(mesh, f, mode)
     fvals = np.asarray(f.evaluate(_einsum_quadrature_points(mesh, bary)), dtype=float)
     if mode == "barycentric":
@@ -1459,9 +1373,7 @@ def _whole_fh_error(mesh, f, mode):
 def test_block_meshes_cover_the_block_cases():
     counts = {name: make().element_count for name, make in BLOCK_MESHES.items()}
     assert counts["below-a-block"] < geometry._BLOCK == counts["one-block"]
-    for name in ("ragged-blocks", "ragged-blocks-3d"):
-        assert counts[name] > geometry._BLOCK and counts[name] % geometry._BLOCK, name
-    assert counts["ragged-blocks"] > 3 * geometry._BLOCK
+    assert counts["ragged-blocks"] > 3 * geometry._BLOCK and counts["ragged-blocks"] % geometry._BLOCK
 
 
 @pytest.mark.parametrize("mode", fem.FH_MODES)
@@ -1485,7 +1397,7 @@ def test_block_pass_load_matches_whole_arrays(name, mode):
 @pytest.mark.parametrize("name", sorted(BLOCK_MESHES))
 def test_block_pass_norms_match_whole_arrays(name):
     mesh = BLOCK_MESHES[name]()
-    bary, w = simplex_rule(mesh.dim)
+    bary, w = TRI_D4_BARY, TRI_D4_WEIGHTS
     f = SourceTerm(evaluate=_wavy, sup_norm=2.0)
     # without a load first, `l2_norm` runs the pass without corner sums
     assert build_fh(mesh, f, "exact").l2_norm() == _whole_source_pass(mesh, f)[1]
@@ -1511,7 +1423,7 @@ def test_block_pass_maxima_match_whole_arrays(name):
 
 def test_block_pass_catches_nan_in_the_last_block():
     mesh = BLOCK_MESHES["ragged-blocks"]()
-    bary, _ = simplex_rule(2)
+    bary = TRI_D4_BARY
     # a quadrature point lies inside its element, so only the last block has it
     target = _einsum_quadrature_points(mesh, bary)[-1, 0]
 
@@ -1552,7 +1464,7 @@ def test_block_pass_peak_memory_below_whole_arrays():
     whole = peak(lambda: _whole_source_pass(mesh, f))
     assert peak(lambda: assemble_load(mesh, build_fh(mesh, f, "exact"))) < whole
     assert peak(lambda: build_fh(mesh, f, "exact").l2_norm()) < whole
-    bary, w = simplex_rule(2)
+    bary, w = TRI_D4_BARY, TRI_D4_WEIGHTS
     whole_norm = peak(lambda: _whole_quadrature_l2(mesh, _wavy(_einsum_quadrature_points(mesh, bary)), w))
     assert peak(lambda: build_fh(mesh, f, "exact").l2_norm()) < whole_norm
 
@@ -1572,7 +1484,6 @@ def _mass_blocks(mesh):
 ROW_BLOCK_MESHES = {
     "fan": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 12), 3),
     "jittered-refined-twice": lambda: meshmod.refine_uniform(meshmod.refine_uniform(_jittered_square(6, seed=3))),
-    "kuhn-cube-4": lambda: _kuhn_cube(4),
 }
 
 
@@ -1626,7 +1537,6 @@ def _random_csr(n, seed):
 
 REDUCTION_CASES = {
     "fan": lambda: _stiffness_and_interior(generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 12), 3)),
-    "kuhn-cube-4": lambda: _stiffness_and_interior(_kuhn_cube(4)),
     "no-interior-node": lambda: _stiffness_and_interior(TWO_TRI_SQUARE),
     # the unrefined fan's centre is interior, all its neighbours boundary
     "centre-only": lambda: _stiffness_and_interior(generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 6), 0)),

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from certifem import (
     global_l2_bound,
     inscribed_regular_polygon,
     kobayashi_bound_2d,
-    kobayashi_bound_3d,
     mesh_constants,
     min_angle_global,
     triangle,
@@ -25,7 +23,7 @@ from certifem import geometry
 from certifem import interp_constants as icmod
 from certifem.errors import CertifemError
 from certifem.geometry import NONBLUNT_TOL
-from certifem.interp_constants import TET_COEFF, _kobayashi_batch_2d, _positive_radicand
+from certifem.interp_constants import _kobayashi_batch_2d, _positive_radicand
 from certifem.mesh import MeshQuality, quality
 from conftest import (
     nonblunt_corner_apexes,
@@ -48,7 +46,6 @@ from test_mesh import _jittered_square
 
 EQUILATERAL = triangle([0, 0], [1, 0], [0.5, math.sqrt(3) / 2])
 RIGHT_ISO = triangle([0, 0], [1, 0], [0, 1])
-REGULAR_TET = Simplex(np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / (2 * math.sqrt(2)))
 
 
 def test_liu_hand_values():
@@ -71,28 +68,12 @@ def test_kobayashi_hand_values():
     assert kobayashi_bound_2d(RIGHT_ISO) == pytest.approx(0.4915960, abs=1e-6)
 
 
-def test_kobayashi_3d_conventions():
-    # regular tetrahedron edge 1: rho is the inradius, 1/(2 sqrt(6))
-    assert kobayashi_bound_3d(REGULAR_TET) == pytest.approx(2.19 * 2 * math.sqrt(6), rel=1e-12)
-
-
-def test_kobayashi_3d_scaling_and_flattening():
-    lam = 2.5
-    scaled = Simplex(np.asarray(REGULAR_TET.vertices) * lam)
-    assert kobayashi_bound_3d(scaled) == pytest.approx(lam * kobayashi_bound_3d(REGULAR_TET), rel=1e-12)
-    prev = 0.0
-    for height in (1.0, 0.1, 0.01):
-        tet = Simplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, height]])
-        val = kobayashi_bound_3d(tet)
-        assert val > prev
-        prev = val
-
-
 def test_global_l2_bound_values():
     assert global_l2_bound(2, 0.1) == pytest.approx(math.sqrt(3.0 / 83.0) * 0.01, rel=1e-13)
     assert global_l2_bound(2, 0.1) == pytest.approx(0.0019012, abs=1e-7)
-    assert global_l2_bound(3, 0.5) == pytest.approx(2.0, rel=1e-15)
     assert global_l2_bound(2, 0.0) == 0.0
+    with pytest.raises(ValueError, match="unsupported dimension 3"):
+        global_l2_bound(3, 0.5)
 
 
 def test_element_constants_best_is_min():
@@ -100,9 +81,6 @@ def test_element_constants_best_is_min():
     assert ec.h1_best == min(ec.h1_liu, ec.h1_kobayashi)
     assert ec.h1_best == pytest.approx(0.3476108, abs=1e-6)
     assert ec.l2_bound == pytest.approx(math.sqrt(3.0 / 83.0), rel=1e-13)
-    ec3 = element_constants(REGULAR_TET)
-    assert ec3.h1_liu is None
-    assert ec3.h1_best == ec3.h1_kobayashi
 
 
 def test_mesh_constants_single_equilateral():
@@ -156,20 +134,8 @@ def test_mesh_constants_blunt_mesh_has_no_nonblunt_value():
 
     with pytest.raises(StrategyInapplicableError):
         gc.value("nonblunt")
-    with pytest.raises(StrategyInapplicableError):
+    with pytest.raises(StrategyInapplicableError, match="unknown strategy 'regularity'"):
         gc.value("regularity")
-
-
-def test_mesh_constants_3d_consistency():
-    verts = [[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
-    els = [
-        [0, 1, 3, 5], [0, 3, 2, 5], [0, 2, 4, 5], [0, 4, 1, 5],
-        [0, 3, 1, 6], [0, 2, 3, 6], [0, 4, 2, 6], [0, 1, 4, 6],
-    ]
-    mesh = build_mesh(3, verts, els)
-    gc = mesh_constants(mesh)
-    assert gc.circumradius is None and gc.minangle is None and gc.nonblunt is None
-    assert gc.elementwise <= gc.regularity * (1 + 1e-12)
 
 
 def test_batch_matches_scalar(rng):
@@ -348,25 +314,6 @@ def _needle_mesh(rng, count):
     return build_mesh(2, nodes, np.arange(len(nodes)).reshape(-1, 3))
 
 
-def _kuhn_cube(n, rng, jitter=0.1):
-    """n^3 cells of the unit cube, six Kuhn tetrahedra each, interior nodes jittered."""
-    xs = np.linspace(0.0, 1.0, n + 1)
-    nodes = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
-    inner = ((nodes > 0.0) & (nodes < 1.0)).all(axis=1)
-    nodes[inner] += (jitter / n) * rng.uniform(-1.0, 1.0, (int(inner.sum()), 3))
-    idx = np.arange((n + 1) ** 3).reshape(n + 1, n + 1, n + 1)
-    elements = []
-    for cell in itertools.product(range(n), repeat=3):
-        for order in itertools.permutations(range(3)):
-            corner = list(cell)
-            path = [idx[tuple(corner)]]
-            for axis in order:
-                corner[axis] += 1
-                path.append(idx[tuple(corner)])
-            elements.append(path)
-    return build_mesh(3, nodes, elements)
-
-
 def test_scalar_constants_equal_pipeline_kernels_bit_for_bit():
     rng = np.random.default_rng(3)
     fans = [inscribed_regular_polygon(Disk(1.0), m) for m in range(10, 51, 10)]
@@ -380,52 +327,32 @@ def test_scalar_constants_equal_pipeline_kernels_bit_for_bit():
         np.testing.assert_array_equal(scalar, best)
 
 
-def test_scalar_3d_bounds_equal_pipeline_kernel_bit_for_bit():
-    from certifem import inradius
-    from certifem.interp_constants import _kobayashi_batch_3d
-
-    mesh = _kuhn_cube(3, np.random.default_rng(4))
-    em = element_metrics(mesh)
-    simplices = [Simplex(v) for v in mesh.element_vertices()]
-    np.testing.assert_array_equal([inradius(s) for s in simplices], em.inradius)
-    kernel = _kobayashi_batch_3d(em)
-    np.testing.assert_array_equal([kobayashi_bound_3d(s) for s in simplices], kernel)
-    assert mesh_constants(mesh).elementwise == kernel.max()
-
-
 def _whole_array_quality(mesh):
     """`quality` from the whole-mesh arrays of `element_metrics`."""
     em = element_metrics(mesh)
-    two_d = mesh.dim == 2
     return MeshQuality(
-        dim=mesh.dim,
+        dim=2,
         h=float(em.h.max()),
         max_circumradius=float(em.circumradius.max()),
-        min_angle=float(em.min_angle.min()) if two_d else None,
+        min_angle=float(em.min_angle.min()),
         sigma=float((em.h / (2.0 * em.inradius)).max()),
-        nonblunt=bool((em.max_angle <= math.pi / 2.0 + NONBLUNT_TOL).all()) if two_d else None,
+        nonblunt=bool((em.max_angle <= math.pi / 2.0 + NONBLUNT_TOL).all()),
         element_count=mesh.element_count,
         node_count=mesh.node_count,
     )
 
 
-def _whole_array_constants(mesh, qual):
-    """`mesh_constants` from the whole-mesh arrays of `element_metrics`."""
+def _whole_array_elementwise(mesh):
+    """`mesh_constants(mesh).elementwise` from the whole-mesh arrays of
+    `element_metrics`."""
     em = element_metrics(mesh)
-    if mesh.dim == 2:
-        whole = np.minimum(_liu_batch(em.edge_sq, em.measures), _kobayashi_batch_2d(em.edge_sq, em.measures))
-        return dict(elementwise=float(whole.max()), regularity=None)
-    return dict(
-        elementwise=float((TET_COEFF * (em.h / em.inradius) * em.h).max()),
-        regularity=TET_COEFF * float((em.h / em.inradius).max()) * qual.h,
-    )
+    return float(np.minimum(_liu_batch(em.edge_sq, em.measures), _kobayashi_batch_2d(em.edge_sq, em.measures)).max())
 
 
 QUALITY_MESHES = {
     "fan": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 50), 4),
     "jittered-square": lambda: _jittered_square(48, seed=4),
     "needles": lambda: _needle_mesh(np.random.default_rng(7), 2 * geometry._BLOCK + 100),
-    "kuhn-cube": lambda: _kuhn_cube(9, np.random.default_rng(8)),
 }
 
 
@@ -440,8 +367,7 @@ def test_blockwise_quality_and_constants_match_whole_arrays(name):
     got = mesh_constants(mesh)
     assert "metrics" not in mesh._cache
     assert qual == _whole_array_quality(mesh)
-    ref = _whole_array_constants(mesh, qual)
-    assert (got.elementwise, got.regularity) == (ref["elementwise"], ref["regularity"])
+    assert got.elementwise == _whole_array_elementwise(mesh)
 
 
 def test_blockwise_elementwise_maximum_matches_whole_arrays():

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import math
 import re
@@ -30,7 +29,7 @@ from certifem import (
     refine_uniform,
     save,
 )
-from certifem import Ball, ConvexPolygon, DegenerateSimplexError, Simplex, make_poly_approx, measure
+from certifem import ConvexPolygon, DegenerateSimplexError, Simplex, measure
 from conftest import sample_triangle
 from oracles import edge_count, element_metrics
 
@@ -67,13 +66,11 @@ def test_nonconforming_detection():
 
 
 N2 = [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [-1, 0], [-1, 1], [2, 1]]
-N3 = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1]]
 NONCONFORMING = {
     # facet [0, 2] is shared by 3 elements and the later [1, 2] by 4: the message names the most shared
     "2d-most-shared": (2, N2, [[1, 2, 0], [1, 2, 3], [1, 2, 4], [1, 2, 7], [0, 2, 5], [0, 2, 6]], "[1, 2] shared by 4"),
     # [0, 2] and [1, 2] are shared by 3 elements each: the first in sorted order is named
     "2d-tie": (2, N2, [[0, 1, 2], [1, 3, 2], [1, 4, 2], [0, 2, 5], [0, 2, 6]], "[0, 2] shared by 3"),
-    "3d": (3, N3, [[0, 1, 2, 3], [0, 2, 1, 4], [2, 1, 0, 5]], "[0, 1, 2] shared by 3"),
 }
 
 
@@ -93,14 +90,14 @@ def test_orientation_autofix_and_inverted():
         build_mesh(2, [[0, 0], [1, 0], [2, 0]], [[0, 1, 2]])
 
 
-@pytest.mark.parametrize("dim, scale", [(2, 1e155), (3, 1e103)])
+@pytest.mark.parametrize("dim, scale", [(2, 1e155)])
 def test_overflowing_measures_are_rejected(dim, scale):
     """Finite coordinates whose closed-form measure overflows (inf - inf is
     NaN) are refused by name, not built with NaN measures."""
-    verts = [[0, 0], [1, 0.5], [0.5, 1]] if dim == 2 else [[0, 0, 0], [1, 0.5, 0.25], [0.25, 1, 0.5], [0.5, 0.25, 1]]
+    verts = np.array([[0, 0], [1, 0.5], [0.5, 1]])
     with pytest.raises(InvertedElementError, match="is not finite: the coordinates overflow its closed form"):
-        build_mesh(dim, scale * np.array(verts), [list(range(dim + 1))])
-    assert build_mesh(dim, 1e-3 * scale * np.array(verts), [list(range(dim + 1))]).element_count == 1
+        build_mesh(dim, scale * verts, [[0, 1, 2]])
+    assert build_mesh(dim, 1e-3 * scale * verts, [[0, 1, 2]]).element_count == 1
 
 
 def test_fan_generator_counts():
@@ -350,12 +347,12 @@ def test_2d_element_metrics_gather_no_vertices(monkeypatch):
     assert gathers == [] and len(kernel_calls) == 2
     # bit for bit the metrics of the gathered vertices
     signed, edge_sq = geometry._vertex_geometry(verts)
-    ref = vertex_metrics(verts, np.abs(signed), edge_sq)
+    ref = vertex_metrics(np.abs(signed), edge_sq)
     for f in dataclasses.fields(em):
         assert np.array_equal(getattr(em, f.name), getattr(ref, f.name)), f.name
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2])
 def test_build_mesh_uses_no_lapack_and_gathers_no_vertices(monkeypatch, dim):
     from certifem.mesh import SimplicialMesh
 
@@ -364,7 +361,7 @@ def test_build_mesh_uses_no_lapack_and_gathers_no_vertices(monkeypatch, dim):
 
     monkeypatch.setattr(np.linalg, "det", refuse)
     monkeypatch.setattr(SimplicialMesh, "element_vertices", refuse)
-    mesh = _jittered_square(6, seed=3) if dim == 2 else _kuhn_cube(2)
+    mesh = _jittered_square(6, seed=3)
     # inverted elements too, so the orientation fix runs
     elements = np.array(mesh.elements)
     flip = np.arange(mesh.element_count) % 3 == 0
@@ -372,12 +369,12 @@ def test_build_mesh_uses_no_lapack_and_gathers_no_vertices(monkeypatch, dim):
     build_mesh(dim, mesh.nodes, elements)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2])
 def test_orientation_fix_negates_measures_and_permutes_edges(dim):
     """Swapping back the last two corners of inverted elements gives the
     measures and squared edges of the positively oriented input bit for
     bit."""
-    mesh = _jittered_square(6, seed=3) if dim == 2 else _kuhn_cube(2)
+    mesh = _jittered_square(6, seed=3)
     elements = np.array(mesh.elements)
     flip = np.random.default_rng(2).random(mesh.element_count) < 0.5
     elements[flip, -2:] = elements[flip, :-3:-1]
@@ -403,40 +400,11 @@ def _jittered_square(n, seed):
     return build_mesh(2, nodes, elements)
 
 
-def _kuhn_cube(n):
-    """Unit cube as an n^3 grid of cubes, six tetrahedra each."""
-    xs = np.linspace(0.0, 1.0, n + 1)
-    nodes = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
-    idx = np.arange((n + 1) ** 3).reshape(n + 1, n + 1, n + 1)
-    elements = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        cell = idx[i : i + 2, j : j + 2, k : k + 2]
-        for path in itertools.permutations(range(3)):
-            step = [0, 0, 0]
-            tet = [cell[0, 0, 0]]
-            for axis in path:
-                step[axis] = 1
-                tet.append(cell[tuple(step)])
-            elements.append(tet)
-    return build_mesh(3, nodes, elements)
-
-
-def _jittered_kuhn_cube(n, seed):
-    mesh = _kuhn_cube(n)
-    nodes = mesh.nodes.copy()
-    inner = ((nodes > 0.0) & (nodes < 1.0)).all(axis=1)
-    nodes[inner] += (0.1 / n) * np.random.default_rng(seed).uniform(-1.0, 1.0, (int(inner.sum()), 3))
-    # the last two corners swapped: every element goes through the orientation fix
-    return build_mesh(3, nodes, mesh.elements[:, [0, 1, 3, 2]])
-
-
 KEY_DEDUPE_MESHES = {
     "fan": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 7), 2),
     "fan-3-4": lambda: generate_fan_refined(inscribed_regular_polygon(Disk(1.0), 3), 4),
     "jittered": lambda: _jittered_square(6, seed=3),
     "refined-jittered": lambda: refine_uniform(refine_uniform(_jittered_square(5, seed=6))),
-    "tets": lambda: _kuhn_cube(2),
-    "jittered-tets": lambda: _jittered_kuhn_cube(5, seed=7),
 }
 
 
@@ -445,29 +413,24 @@ def test_key_dedupe_matches_row_unique(name):
     from certifem import mesh as meshmod
 
     mesh = KEY_DEDUPE_MESHES[name]()
-    dim, el = mesh.dim, mesh.elements
-    facets = np.sort(np.concatenate([np.delete(el, j, axis=1) for j in range(dim + 1)]), axis=1)
-    uniq, counts = np.unique(facets, axis=0, return_counts=True)
+    el = mesh.elements
+    pairs = np.sort(np.concatenate([el[:, [0, 1]], el[:, [1, 2]], el[:, [0, 2]]]), axis=1)
+    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
     assert counts.max() == 2 and np.any(counts == 1)
     np.testing.assert_array_equal(mesh.boundary_facets, uniq[counts == 1])
     np.testing.assert_array_equal(mesh.boundary_nodes, np.unique(uniq[counts == 1]))
     assert mesh.boundary_facets.dtype == mesh.boundary_nodes.dtype == np.int64
+    assert edge_count(mesh) == uniq.shape[0]
 
-    corners = [(a, b) for a in range(dim + 1) for b in range(a + 1, dim + 1)]
-    edges = np.sort(np.concatenate([el[:, list(c)] for c in corners]), axis=1)
-    assert edge_count(mesh) == np.unique(edges, axis=0).shape[0]
-
-    if dim == 2:
-        pairs = np.sort(np.concatenate([el[:, [0, 1]], el[:, [1, 2]], el[:, [0, 2]]]), axis=1)
-        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        fine = refine_uniform(mesh)
-        mid = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
-        np.testing.assert_array_equal(fine.nodes, np.vstack([mesh.nodes, mid]))
-        m01, m12, m02 = (inverse.reshape(3, -1) + mesh.node_count)
-        np.testing.assert_array_equal(fine.elements[3 * mesh.element_count :], np.stack([m01, m12, m02], axis=1))
-        coarse_count, parents = fine.hierarchy[-1]
-        assert coarse_count == mesh.node_count
-        assert parents.dtype == np.int32 and np.array_equal(parents, uniq)
+    uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    fine = refine_uniform(mesh)
+    mid = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
+    np.testing.assert_array_equal(fine.nodes, np.vstack([mesh.nodes, mid]))
+    m01, m12, m02 = (inverse.reshape(3, -1) + mesh.node_count)
+    np.testing.assert_array_equal(fine.elements[3 * mesh.element_count :], np.stack([m01, m12, m02], axis=1))
+    coarse_count, parents = fine.hierarchy[-1]
+    assert coarse_count == mesh.node_count
+    assert parents.dtype == np.int32 and np.array_equal(parents, uniq)
 
 
 def test_key_dedupe_overflow_guard():
@@ -476,11 +439,12 @@ def test_key_dedupe_overflow_guard():
     with pytest.raises(MeshParseError, match=r"2\*\*63"):
         _keys(np.array([[0, 1]], dtype=np.int64), 2**32, [(0, 1)])
     with pytest.raises(MeshParseError, match=r"2\*\*63"):
-        _keys(np.array([[0, 1, 2]], dtype=np.int64), 2**21 + 1, [(0, 1, 2)])
-    # the largest admissible base still decodes its largest key exactly
-    top = np.array([[2**21 - 1] * 3, [0, 0, 1], [2**21 - 1] * 3], dtype=np.int64)
-    uniq, counts = np.unique(_keys(top, 2**21, [(0, 1, 2)]), return_counts=True)
-    np.testing.assert_array_equal(_decode(uniq, 2**21, 3), top[1:])
+        _keys(np.array([[0, 1]], dtype=np.int64), 3_037_000_500, [(0, 1)])
+    # the largest admissible base, floor(2**31.5), still decodes its largest key exactly
+    n = 3_037_000_499
+    top = np.array([[n - 1] * 2, [0, 1], [n - 1] * 2], dtype=np.int64)
+    uniq, counts = np.unique(_keys(top, n, [(0, 1)]), return_counts=True)
+    np.testing.assert_array_equal(_decode(uniq, n), top[1:])
     assert counts.tolist() == [1, 2]
 
 
@@ -660,13 +624,13 @@ def test_node_ele_writer_matches_row_by_row_formatting(tmp_path, monkeypatch, ch
     if chunk is not None:
         monkeypatch.setattr(meshmod, "_WRITE_CHUNK", chunk)
     size = meshmod._WRITE_CHUNK
-    for mesh in (_jittered_square(48, seed=2), _kuhn_cube(13)):
-        for count in (mesh.node_count, mesh.element_count):
-            assert count > 2 * size and count % size
-        save(mesh, str(tmp_path / "m.node"))
-        node, ele = _row_by_row_node_ele(mesh)
-        assert (tmp_path / "m.node").read_bytes() == node
-        assert (tmp_path / "m.ele").read_bytes() == ele
+    mesh = _jittered_square(48, seed=2)
+    for count in (mesh.node_count, mesh.element_count):
+        assert count > 2 * size and count % size
+    save(mesh, str(tmp_path / "m.node"))
+    node, ele = _row_by_row_node_ele(mesh)
+    assert (tmp_path / "m.node").read_bytes() == node
+    assert (tmp_path / "m.ele").read_bytes() == ele
 
 
 @pytest.mark.parametrize("chunk", [5, 100, None], ids=["chunk-5", "chunk-100", "default"])
@@ -679,11 +643,11 @@ def test_json_writer_matches_json_dump(tmp_path, monkeypatch, chunk):
     if chunk is not None:
         monkeypatch.setattr(meshmod, "_WRITE_CHUNK", chunk)
     size = meshmod._WRITE_CHUNK
-    for mesh in (_jittered_square(48, seed=2), _kuhn_cube(13)):
-        assert mesh.node_count > 2 * size and mesh.node_count % size
-        save(mesh, str(tmp_path / "m.json"))
-        obj = {"dim": mesh.dim, "nodes": mesh.nodes.tolist(), "elements": mesh.elements.tolist()}
-        assert (tmp_path / "m.json").read_text() == json.dumps(obj, separators=(",", ":")) + "\n"
+    mesh = _jittered_square(48, seed=2)
+    assert mesh.node_count > 2 * size and mesh.node_count % size
+    save(mesh, str(tmp_path / "m.json"))
+    obj = {"dim": 2, "nodes": mesh.nodes.tolist(), "elements": mesh.elements.tolist()}
+    assert (tmp_path / "m.json").read_text() == json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 def _traced_peak(run):
@@ -738,17 +702,7 @@ def _square_with_right_side_at(x):
     return build_mesh(2, nodes, mesh.elements)
 
 
-OCTA_VERTS = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
-OCTA_FACETS = [[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4], [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]]
-
-
-def _octahedron_mesh(scale):
-    nodes = np.vstack([[0.0, 0.0, 0.0], scale * np.array(OCTA_VERTS, dtype=float)])
-    return build_mesh(3, nodes, [[0] + [i + 1 for i in f] for f in OCTA_FACETS])
-
-
 HEPTAGON = inscribed_regular_polygon(Disk(1.0), 7)
-OCTAHEDRON = make_poly_approx(Ball(1.0), OCTA_VERTS, OCTA_FACETS)
 # mesh, domain, the polytope the mesh was made for, and what `polytope_of_mesh`
 # gives: that polytope ("same"), a different one ("other") or an error
 BOUNDARY_CASES = {
@@ -763,8 +717,6 @@ BOUNDARY_CASES = {
     "square side outside": (
         lambda: _square_with_right_side_at(1.0 + 1e-9), UNIT_SQUARE, UNIT_SQUARE_POLY, NotInscribedError,
     ),
-    "octahedron": (lambda: _octahedron_mesh(1.0), Ball(1.0), OCTAHEDRON, "same"),
-    "shrunk octahedron": (lambda: _octahedron_mesh(0.5), Ball(1.0), OCTAHEDRON, NotInscribedError),
 }
 
 
@@ -911,21 +863,6 @@ def test_polytope_of_mesh_keeps_the_corners_and_revalidates_for_another_domain(m
         polytope_of_mesh(Disk(2.0), mesh)
     assert len(walks) == 1
     assert not mesh._cache["polytope"][0].flags.writeable
-
-
-def test_polytope_of_a_3d_mesh_has_every_boundary_node_as_a_vertex():
-    """In 3D the boundary triangles are the facets, oriented outward, and a
-    boundary node off the sphere (here the cube's face centres and edge
-    midpoints) raises, as no coplanar facets are merged."""
-    cube = _kuhn_cube(1)
-    corners = (2.0 * cube.nodes - 1.0) / math.sqrt(3.0)
-    derived = polytope_of_mesh(Ball(1.0), build_mesh(3, corners, cube.elements))
-    assert derived.vertices.shape == (8, 3) and derived.facets.shape == (12, 3)
-    assert derived.gap == pytest.approx(1.0 - 1.0 / math.sqrt(3.0), rel=1e-12)
-    with pytest.raises(NotInscribedError, match="does not lie on the domain boundary"):
-        polytope_of_mesh(Ball(1.0), build_mesh(3, (2.0 * _kuhn_cube(2).nodes - 1.0) / math.sqrt(3.0), _kuhn_cube(2).elements))
-    with pytest.raises(NotInscribedError, match="3D mesh cannot mesh a 2D polytope"):
-        polytope_of_mesh(UNIT_SQUARE, cube)
 
 
 def test_build_mesh_and_measure_share_the_degeneracy_test():
