@@ -54,14 +54,9 @@ def triangle_from_angles(deg1, deg2) -> Simplex:
     return Simplex([[0.0, 0.0], [1.0, 0.0], [cx, cy]])
 
 
-def random_rotation(rng, dim):
-    if dim == 2:
-        a = rng.uniform(0.0, 2.0 * math.pi)
-        return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
+def random_rotation(rng):
+    a = rng.uniform(0.0, 2.0 * math.pi)
+    return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
 
 
 @pytest.fixture

@@ -36,8 +36,6 @@ def rayleigh_lower_bound(t: Simplex, degree: int = 4) -> float:
     conditioning (on a needle it can exceed a certified upper bound), so tests
     use it on triangles with angles >= 5 degrees or area >= 1e-3.
     """
-    if t.dim != 2:
-        raise ValueError("rayleigh_lower_bound applies to triangles")
     if not 2 <= degree <= 6:
         raise ValueError("degree must be between 2 and 6")
     b_map = t.vertices[1:] - t.vertices[0]  # rows are edge vectors; x = v0 + B^T xi

@@ -102,7 +102,7 @@ def test_gap_rigid_motion_invariance(rng):
     base_disk = Disk(1.0)
     base = inscribed_regular_polygon(base_disk, 9)
     for _ in range(25):
-        q = random_rotation(rng, 2)
+        q = random_rotation(rng)
         shift = rng.normal(size=2)
         dom2 = Disk(1.0, center=shift)
         verts2 = base.vertices @ q.T + shift

@@ -185,7 +185,7 @@ def test_circumradius_is_the_mesh_kernel(rng):
 def test_rigid_motion_invariance(rng):
     for _ in range(300):
         t = sample_triangle(rng)
-        q = random_rotation(rng, 2)
+        q = random_rotation(rng)
         shift = rng.normal(size=2)
         t2 = Simplex(t.vertices @ q.T + shift)
         assert measure(t2) == pytest.approx(measure(t), rel=1e-10)

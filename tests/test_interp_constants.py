@@ -193,7 +193,7 @@ def test_liu_and_kobayashi_run_on_unit_sized_elements():
 def test_rigid_motion_invariance(rng):
     for _ in range(100):
         t = sample_triangle(rng)
-        q = random_rotation(rng, 2)
+        q = random_rotation(rng)
         t2 = Simplex(t.vertices @ q.T + rng.normal(size=2))
         assert liu_bound(t2) == pytest.approx(liu_bound(t), rel=1e-10)
         assert kobayashi_bound_2d(t2) == pytest.approx(kobayashi_bound_2d(t), rel=1e-10)
@@ -309,7 +309,7 @@ def _needle_mesh(rng, count):
         base = 10 ** rng.uniform(-3, 1)
         apex = [rng.uniform(-0.5, 1.5) * base, base / 10 ** rng.uniform(3, 8)]
         corners = np.array([[0.0, 0.0], [base, 0.0], apex])
-        tris.append(corners @ random_rotation(rng, 2).T + rng.uniform(-3, 3, 2))
+        tris.append(corners @ random_rotation(rng).T + rng.uniform(-3, 3, 2))
     nodes = np.vstack(tris)
     return build_mesh(2, nodes, np.arange(len(nodes)).reshape(-1, 3))
 
