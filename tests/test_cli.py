@@ -204,6 +204,20 @@ def test_3d_mesh_files_are_refused_by_name(tmp_path, capsys, fmt):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_certify_3d_mesh_on_polygon_names_both_dimensions(tmp_path, capsys):
+    """A tetrahedral mesh on a polygon domain is refused at load, exit 1,
+    by a message that names the file's dimension and the one certifem
+    meshes."""
+    poly_path = tmp_path / "sq.json"
+    poly_path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    mesh_path = tmp_path / "tet.node"
+    mesh_path.write_text(TET_NODE)
+    (tmp_path / "tet.ele").write_text(TET_ELE)
+    assert run_cli("certify", "--domain", f"polygon:{poly_path}", "--mesh", str(mesh_path)) == 1
+    err = capsys.readouterr().err
+    assert "3D mesh" in err and "2D polygons" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "content, named",
     [
