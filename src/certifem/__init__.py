@@ -33,7 +33,7 @@ from .errors import (
     StrategyInapplicableError,
     SupNormViolationError,
 )
-from .estimator import CertifiedBound, certify, certify_closed_form_2d, poincare_bound
+from .estimator import CertifiedBound, Term, certify, certify_closed_form_2d, poincare_bound
 from .fem import (
     FemSolution,
     LinearSystem,

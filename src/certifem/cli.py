@@ -22,7 +22,6 @@ from .domain import (
     ConvexPolygon,
     Disk,
     inscribed_regular_polygon,
-    poly_approx_of_polygon,
 )
 from .errors import BoundViolationError, CertifemError, InvalidPolygonError, MeshParseError
 from .interp_constants import STRATEGIES
@@ -44,7 +43,10 @@ def _parse_domain(spec: str):
             obj = json.load(fh)
         if not (isinstance(obj, dict) and "vertices" in obj):
             raise InvalidPolygonError(f'{arg}: a polygon file must hold a JSON object with a "vertices" key')
-        return ConvexPolygon(obj["vertices"])
+        try:
+            return ConvexPolygon(obj["vertices"])
+        except InvalidPolygonError as exc:
+            raise InvalidPolygonError(f"{arg}: {exc}") from None
     raise CertifemError(f"unknown domain spec {spec!r}")
 
 
@@ -76,7 +78,7 @@ def _meshes(domain, specs, paths):
         parts = [int(tok) for tok in spec.split(",")]
         if len(parts) != (2 if disk else 1):
             raise CertifemError("--generate for a disk takes m,refine" if disk else "--generate for a polygon takes refine")
-        poly = inscribed_regular_polygon(domain, parts[0]) if disk else poly_approx_of_polygon(domain)
+        poly = inscribed_regular_polygon(domain, parts[0]) if disk else domain
         yield meshmod.generate_fan_refined(poly, parts[-1])
     for path in paths:
         yield meshmod.load(path)

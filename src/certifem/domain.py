@@ -1,14 +1,16 @@
-"""Convex domains, inscribed polytope approximations, and boundary gaps.
+"""Convex domains, inscribed polygons, and boundary gaps.
 
 The exact domain is modeled through its support function, which makes the
 facet-to-boundary gap an exact evaluation rather than a sampled estimate:
 the maximum of a linear functional over a convex body IS the support value.
+A polygon keeps one read-only outward half-plane per edge i -> i+1, and an
+inscribed polygon (`PolyApprox`) is a polygon validated against its domain
+that also keeps the gap of each of those facets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,8 +94,10 @@ class Disk(ConvexDomain):
 
 
 class ConvexPolygon(ConvexDomain):
-    """Convex polygon, stored counterclockwise with one outward half-plane
-    `normals[i] . x <= offsets[i]` per edge i -> i+1."""
+    """Convex polygon, stored counterclockwise with one read-only outward
+    half-plane `normals[i] . x <= offsets[i]` per edge i -> i+1.  Vertices in
+    either orientation; repeated vertices, a vertex outside a half-plane (a
+    non-convex or multiply wound outline) or a flat outline are refused."""
 
     dim = 2
 
@@ -113,14 +117,19 @@ class ConvexPolygon(ConvexDomain):
             )
         self.normals, self.offsets = _polygon_halfplanes(v)
         _check_halfspaces(v, self.normals, self.offsets, self.diameter)
-        v.setflags(write=False)
+        for a in (v, self.normals, self.offsets):
+            a.setflags(write=False)
         self.vertices = v
 
     def _support_unit(self, d: np.ndarray) -> float:
         return float((self.vertices @ d).max())
 
+    def signed_facet_distances(self, points) -> np.ndarray:
+        """max_F n_F.x - o_F for each point; > 0 means outside."""
+        return _max_excess(points, self.normals, self.offsets)
+
     def contains(self, points, tol: float = 1e-12):
-        return _max_excess(points, self.normals, self.offsets) <= tol
+        return self.signed_facet_distances(points) <= tol
 
     def boundary_distance(self, points):
         p = np.asarray(points, dtype=float)
@@ -201,37 +210,26 @@ def _check_halfspaces(v: np.ndarray, normals: np.ndarray, offsets: np.ndarray, d
         raise InvalidPolygonError("vertex lies outside a facet half-space; polytope not convex")
 
 
-@dataclass(frozen=True)
-class PolyApprox:
-    """Convex polygon inscribed in a domain, with per-facet boundary gaps.
+class PolyApprox(ConvexPolygon):
+    """A `ConvexPolygon` inscribed in `dom`, with the read-only boundary gap
+    `gap_per_facet[i]` of each facet i -> i+1 and `gap`, their maximum
+    clamped at 0.  A vertex outside `dom` or off its boundary, or a facet
+    outside it, raises NotInscribedError."""
 
-    Facet F has vertex indices `facets[F]` and the outward half-plane
-    `normals[F] . x <= offsets[F]`; the facets are the edges i -> i+1 of the
-    counterclockwise vertex list.
-    """
-
-    dim = 2  # a class constant, not a field
-    vertices: np.ndarray
-    facets: np.ndarray
-    normals: np.ndarray
-    offsets: np.ndarray
-    gap_per_facet: np.ndarray
-    gap: float
-
-    def signed_facet_distances(self, points) -> np.ndarray:
-        """max_F n_F.x - o_F for each point; > 0 means outside."""
-        return _max_excess(points, self.normals, self.offsets)
+    def __init__(self, dom: ConvexDomain, vertices) -> None:
+        super().__init__(vertices)
+        off = _first_off_boundary(dom, self.vertices)
+        if off is not None:
+            raise NotInscribedError("vertex %d %s" % off)
+        self.gap, self.gap_per_facet = gap_delta(dom, self)
+        self.gap_per_facet.setflags(write=False)
 
 
 def gap_delta(dom: ConvexDomain, poly: PolyApprox) -> tuple[float, np.ndarray]:
     """Boundary gap: per facet, the farthest the true boundary extends past
     the facet plane.  Exact through the support function.
     """
-    return _facet_gaps(dom, poly.normals, poly.offsets)
-
-
-def _facet_gaps(dom: ConvexDomain, normals: np.ndarray, offsets: np.ndarray) -> tuple[float, np.ndarray]:
-    gaps = np.array([dom.support(n) - o for n, o in zip(normals, offsets)])
+    gaps = np.array([dom.support(n) - o for n, o in zip(poly.normals, poly.offsets)])
     if np.any(gaps < -INSCRIBED_TOL * dom.diameter):
         worst = int(np.argmin(gaps))
         raise NotInscribedError(f"facet {worst} lies outside the domain by {-gaps[worst]:.3e}")
@@ -252,21 +250,8 @@ def _first_off_boundary(dom: ConvexDomain, vertices: np.ndarray) -> tuple[int, s
 
 
 def make_poly_approx(dom: ConvexDomain, vertices) -> PolyApprox:
-    """Build and validate a polygon inscribed in `dom`: vertices in either
-    orientation (stored counterclockwise), facets the consecutive pairs.
-    Rejects repeated vertices and any vertex outside a facet half-plane,
-    which covers non-convex and multiply wound boundaries.
-    """
-    hull = ConvexPolygon(vertices)
-    v, normals, offsets = hull.vertices, hull.normals, hull.offsets
-    facets = np.stack([np.arange(len(v)), np.roll(np.arange(len(v)), -1)], axis=1)
-    off = _first_off_boundary(dom, v)
-    if off is not None:
-        raise NotInscribedError("vertex %d %s" % off)
-    gap, gaps = _facet_gaps(dom, normals, offsets)
-    for a in (facets, normals, offsets, gaps):
-        a.setflags(write=False)
-    return PolyApprox(v, facets, normals, offsets, gaps, gap)
+    """The polygon with `vertices` inscribed in `dom`, validated."""
+    return PolyApprox(dom, vertices)
 
 
 def inscribed_regular_polygon(dom: Disk, m: int) -> PolyApprox:

@@ -10,9 +10,9 @@ is the sum of three certified terms:
   fem       A_h^2 ||f_h||                            (discretization)
 
 with C_P bounded by D / (sqrt(2) pi) and A_h a guaranteed mesh-wide H1
-interpolation constant.  All bound arithmetic carries a multiplicative
-rounding guard of (1 + 1e-13) per floating operation, reported in the
-metadata; no exact-arithmetic machinery is pretended.
+interpolation constant.  Each `Term` is inflated by (1 + 1e-13) per floating
+operation that computed it; the metadata's `guard_factor` is that guard for
+all their operations.  No exact-arithmetic machinery is pretended.
 """
 
 from __future__ import annotations
@@ -38,37 +38,46 @@ from .fem import poincare_bound
 
 GUARD_PER_OP = 1.0 + 1e-13
 
+
+@dataclass(frozen=True)
+class Term:
+    """A term of the bound: `value`, computed in `ops` floating operations,
+    and `bound`, the value inflated by the rounding guard of each."""
+
+    name: str
+    value: float
+    ops: int
+
+    @property
+    def bound(self) -> float:
+        return self.value * GUARD_PER_OP**self.ops
+
+
 @dataclass(frozen=True)
 class CertifiedBound:
-    term_boundary: float
-    term_source: float
-    term_fem: float
-    total: float
+    """The terms of the bound, and `total`, the sum of their bounds in order."""
+
+    terms: tuple[Term, ...]
     metadata: dict
 
+    @property
+    def total(self) -> float:
+        return sum(t.bound for t in self.terms)
+
     def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "terms": {
-                "boundary": self.term_boundary,
-                "source": self.term_source,
-                "fem": self.term_fem,
-            },
-            "metadata": self.metadata,
-        }
+        return {"total": self.total, "terms": {t.name: t.bound for t in self.terms}, "metadata": self.metadata}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
-def _guard(value: float, ops: int) -> float:
-    """Inflate a nonnegative bound by the rounding guard for `ops` operations."""
-    return value * GUARD_PER_OP**ops
-
-
-def _boundary_term(dom: ConvexDomain, poly: PolyApprox, f: femmod.SourceTerm) -> float:
-    """Guarded domain-truncation term (1/2) D |Omega|^(1/2) delta ||f||_inf."""
-    return _guard(0.5 * dom.diameter * math.sqrt(dom.measure) * poly.gap * f.sup_norm, 4)
+def _terms(dom: ConvexDomain, poly: PolyApprox, f, c_p: float, pert: float, a_h: float, norm: float, fem_ops: int = 2):
+    """The three terms above, in the order they are summed; fem is A_h^2 `norm`."""
+    return (
+        Term("boundary", 0.5 * dom.diameter * math.sqrt(dom.measure) * poly.gap * f.sup_norm, 4),
+        Term("source", c_p * c_p * pert, 2),
+        Term("fem", a_h * a_h * norm, fem_ops),
+    )
 
 
 def _worst_angle_element(mesh: meshmod.SimplicialMesh) -> tuple[int, float]:
@@ -124,18 +133,7 @@ def certify(
         fh_norm = fh.l2_norm()
     pert = femmod.fh_perturbation_bound(mesh, f, fh_mode, qual)
 
-    term_boundary = _boundary_term(dom, poly, f)
-    term_source = _guard(c_p * c_p * pert, 2)
-    term_fem = _guard(a_h * a_h * fh_norm, 2)
-    total = term_boundary + term_source + term_fem
-    # the terms are nonnegative, so the total is finite exactly when each is
-    if not math.isfinite(total):
-        raise CertifemError(
-            f"certified bound is not finite: boundary {term_boundary}, source {term_source}, fem {term_fem}"
-        )
-    if f.sup_norm > 0 and total < sys.float_info.min:  # the relative guard bounds no subnormal total
-        raise CertifemError(f"certified bound {total:.3e} is below the smallest normal double: its rounding is not bounded")
-
+    terms = _terms(dom, poly, f, c_p, pert, a_h, fh_norm)
     metadata = {
         "dim": 2,
         "diameter": dom.diameter,
@@ -149,10 +147,16 @@ def certify(
         "fh_norm": fh_norm,
         "fh_perturbation_bound": pert,
         "mesh": {"h": qual.h, "elements": qual.element_count, "nodes": qual.node_count},
-        "guard_factor": GUARD_PER_OP**8,
+        "guard_factor": GUARD_PER_OP ** sum(t.ops for t in terms),
         "source": f.name,
     }
-    return CertifiedBound(term_boundary, term_source, term_fem, total, metadata)
+    bound = CertifiedBound(terms, metadata)
+    # the terms are nonnegative, so the total is finite exactly when each is
+    if not math.isfinite(bound.total):
+        raise CertifemError("certified bound is not finite: " + ", ".join(f"{t.name} {t.bound}" for t in terms))
+    if f.sup_norm > 0 and bound.total < sys.float_info.min:  # the relative guard bounds no subnormal total
+        raise CertifemError(f"certified bound {bound.total:.3e} is below the smallest normal double: its rounding is not bounded")
+    return bound
 
 
 def certify_closed_form_2d(dom: ConvexDomain, mesh: meshmod.SimplicialMesh, f: femmod.SourceTerm) -> float:
@@ -175,5 +179,4 @@ def certify_closed_form_2d(dom: ConvexDomain, mesh: meshmod.SimplicialMesh, f: f
         l2 = femmod.build_fh(mesh, f, "exact").l2_norm()
     c_p = poincare_bound(2, dom.diameter)
     pert = femmod.fh_perturbation_bound(mesh, f, "nodal", qual)
-    a = icmod.NONBLUNT_COEFF * qual.h
-    return _boundary_term(dom, poly, f) + _guard(c_p * c_p * pert, 2) + _guard(a * a * (l2 + pert), 3)
+    return CertifiedBound(_terms(dom, poly, f, c_p, pert, icmod.NONBLUNT_COEFF * qual.h, l2 + pert, 3), {}).total

@@ -44,7 +44,7 @@ STRATEGIES = ("elementwise", "circumradius", "minangle", "nonblunt")
 
 @dataclass(frozen=True)
 class GlobalConstants:
-    """Mesh-wide H1 constant by several strategies plus the global L2 bound.
+    """Mesh-wide H1 constant by several strategies.
 
     `elementwise` is always at least as sharp as any applicable closed form:
     it is Kobayashi's maximum, and each closed form dominates Kobayashi's
@@ -57,7 +57,6 @@ class GlobalConstants:
     circumradius: float
     minangle: float
     nonblunt: float | None
-    l2_global: float
 
     def value(self, strategy: str) -> float:
         if strategy not in STRATEGIES:
@@ -145,5 +144,4 @@ def mesh_constants(mesh: meshmod.SimplicialMesh, qual: meshmod.MeshQuality | Non
         circumradius=qual.max_circumradius,
         minangle=min_angle_global(qual.min_angle, qual.h),
         nonblunt=NONBLUNT_COEFF * qual.h if qual.nonblunt else None,
-        l2_global=global_l2_bound(2, qual.h),
     )

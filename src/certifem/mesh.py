@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .domain import ConvexDomain, PolyApprox, _first_off_boundary, _shoelace, make_poly_approx
+from .domain import ConvexDomain, ConvexPolygon, PolyApprox, _first_off_boundary, _shoelace, make_poly_approx
 from .errors import (
     InvalidPolygonError,
     InvertedElementError,
@@ -218,7 +218,7 @@ def _build_mesh(nd: np.ndarray, el: np.ndarray) -> SimplicialMesh:
 # generation
 
 
-def generate_fan_refined(poly: PolyApprox, refine_levels: int = 0) -> SimplicialMesh:
+def generate_fan_refined(poly: ConvexPolygon, refine_levels: int = 0) -> SimplicialMesh:
     """Fan a convex polygon from its centroid, then refine uniformly.
 
     Each refinement level splits every triangle into four by edge midpoints;
@@ -453,11 +453,13 @@ def load(path: str, fmt: str | None = None) -> SimplicialMesh:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-            dim = int(obj["dim"])
+            dim = obj["dim"]
             nodes = obj["nodes"]
             elements = obj["elements"]
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise MeshParseError(f"cannot parse mesh json {path}: {exc}") from exc
+        if type(dim) is not int:  # bool is an int subclass, so `true` is refused too
+            raise MeshParseError(f"{path}: mesh dim must be the integer 2, got {json.dumps(dim)}")
         _check_dim(dim, f"{path}: ")
         # numpy reads a list mixing true/false with numbers as numbers, so
         # `build_mesh` would not see them.

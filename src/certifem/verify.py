@@ -86,7 +86,7 @@ def _disk2d() -> ExactSolution:
         v = poly.vertices
         if np.abs(np.hypot(v[:, 0], v[:, 1]) - 1.0).max() > ON_BOUNDARY_TOL:
             raise NotInscribedError("polygon vertices do not lie on the unit circle")
-        edges = v[poly.facets[:, 1]] - v[poly.facets[:, 0]]
+        edges = np.roll(v, -1, axis=0) - v
         alpha = np.arctan2(0.5 * np.hypot(edges[:, 0], edges[:, 1]), poly.offsets)
         return float(_segment_l2_sq(alpha).sum())
 

@@ -236,7 +236,7 @@ def barrier_check(exact: ExactSolution, poly: PolyApprox, n_samples: int = 10000
         return BarrierReport(0.0, bound, True, 0, None)
 
     reach = np.outer(np.maximum(gaps, 0.0), [0.0, 0.25, 0.5, 0.75, 0.999])
-    barycenters = poly.vertices[poly.facets].mean(axis=1)
+    barycenters = 0.5 * (poly.vertices + np.roll(poly.vertices, -1, axis=0))
     probes = (barycenters[:, None, :] + reach[:, :, None] * poly.normals[:, None, :]).reshape(-1, dom.dim)
 
     rng = np.random.default_rng(seed)

@@ -218,17 +218,22 @@ def test_certify_3d_mesh_on_polygon_names_both_dimensions(tmp_path, capsys):
     assert "3D mesh" in err and "2D polygons" in err and "Traceback" not in err
 
 
+NO_VERTEX_OBJECT = 'a polygon file must hold a JSON object with a "vertices" key'
+TOO_FEW_VERTICES = "polygon needs at least 3 planar vertices"
+
+
 @pytest.mark.parametrize(
-    "content, named",
+    "content, reason",
     [
-        ([[0, 0], [1, 0], [1, 1], [0, 1]], True),
-        ({}, True),
-        ("x", True),
-        ({"vertices": 5}, False),
+        ([[0, 0], [1, 0], [1, 1], [0, 1]], NO_VERTEX_OBJECT),
+        ({}, NO_VERTEX_OBJECT),
+        ("x", NO_VERTEX_OBJECT),
+        ({"vertices": 5}, TOO_FEW_VERTICES),
+        ({"vertices": [[0, 0], [1, 0]]}, TOO_FEW_VERTICES),
     ],
-    ids=["list", "empty-object", "string", "vertices-not-a-list"],
+    ids=["list", "empty-object", "string", "vertices-not-a-list", "two-points"],
 )
-def test_polygon_file_that_is_no_vertex_object_exits_2(tmp_path, capsys, content, named):
+def test_polygon_file_that_is_no_vertex_object_exits_2(tmp_path, capsys, content, reason):
     """A polygon file must hold a JSON object with a "vertices" key; any
     other JSON is refused by a typed error that names the file (exit 2, no
     traceback), and so are vertices that are no list of points."""
@@ -236,8 +241,7 @@ def test_polygon_file_that_is_no_vertex_object_exits_2(tmp_path, capsys, content
     path.write_text(json.dumps(content))
     assert run_cli("certify", "--domain", f"polygon:{path}", "--generate", "2") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert (f'{path}: a polygon file must hold a JSON object with a "vertices" key' in err) == named
+    assert err == f"error: {path}: {reason}\n"
 
 
 def test_removed_regularity_strategy_is_refused_by_argparse(capsys):
@@ -643,6 +647,15 @@ def test_certify_mesh_outside_polygon_exits_2(tmp_path, capsys):
         meshmod.save(meshmod.build_mesh(2, [[0, 0], [0.5, 0], corner], [[0, 1, 2]]), mesh_path)
         assert run_cli("certify", "--domain", f"polygon:{poly_path}", "--mesh", mesh_path) == code
     assert "mesh node 2 does not lie on the domain boundary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", ["2.7", '"2"', "true"], ids=["fraction", "string", "bool"])
+def test_mesh_stats_refuses_a_json_dim_that_is_not_the_integer_2(tmp_path, capsys, dim):
+    mesh_path = tmp_path / "dim.json"
+    mesh_path.write_text('{"dim": %s, "nodes": [[0, 0], [1, 0], [0, 1]], "elements": [[0, 1, 2]]}' % dim)
+    assert run_cli("mesh", "stats", "--mesh", str(mesh_path)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {mesh_path}: mesh dim must be the integer 2, got {dim}\n"
 
 
 @pytest.mark.filterwarnings("error")

@@ -81,10 +81,28 @@ def test_regular_polygon_vertices_and_facets():
     got = sorted(map(tuple, np.round(sq.vertices, 12)))
     assert got == sorted([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (-0.0, -1.0)])
     tri = inscribed_regular_polygon(disk, 3)
-    assert tri.facets.tolist() == [[0, 1], [1, 2], [2, 0]]
+    # facet i is the edge i -> i+1: both ends lie on its line
+    for ends in (tri.vertices, np.roll(tri.vertices, -1, axis=0)):
+        assert np.abs((tri.normals * ends).sum(1) - tri.offsets).max() <= 1e-15
     assert tri.offsets == pytest.approx(np.full(3, 0.5), rel=1e-12)
     with pytest.raises(InvalidPolygonError):
         inscribed_regular_polygon(disk, 2)
+
+
+def test_poly_approx_is_a_read_only_convex_polygon():
+    """An inscribed polygon is a `ConvexPolygon`, whose `contains` reads its
+    `signed_facet_distances`; its arrays, and every polygon's half-planes,
+    are read-only."""
+    poly = inscribed_regular_polygon(Disk(1.0), 12)
+    assert isinstance(poly, ConvexPolygon)
+    pts = np.random.default_rng(3).uniform(-1.1, 1.1, (500, 2))
+    for tol in (0.0, 1e-12, 0.05):
+        assert np.array_equal(poly.contains(pts, tol), poly.signed_facet_distances(pts) <= tol)
+    arrays = [getattr(poly, name) for name in ("vertices", "normals", "offsets", "gap_per_facet")]
+    arrays += [UNIT_SQUARE.normals, UNIT_SQUARE.offsets]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def test_poly_approx_invariants():

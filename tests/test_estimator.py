@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from certifem import (
+    CertifemError,
     MissingNormMetadata,
     NotNonBluntError,
     SourceTerm,
@@ -19,13 +20,19 @@ from certifem import (
     registry,
     solve_poisson,
 )
-from certifem.estimator import _guard
+from certifem import estimator as estmod
+from certifem.estimator import GUARD_PER_OP, Term
 from certifem.geometry import _BLOCK
 from certifem.interp_constants import NONBLUNT_COEFF
 from oracles import structured_square_mesh
 
 SQUARE = registry()["square2d"]
 DISK = registry()["disk2d"]
+
+
+def _bounds(cb):
+    """Each term's certified bound, by name."""
+    return {t.name: t.bound for t in cb.terms}
 
 
 def test_poincare_bound_values():
@@ -40,10 +47,12 @@ def test_poincare_bound_values():
 def test_certify_square_exact_mode():
     mesh = structured_square_mesh(8)
     cb = certify(SQUARE.domain, mesh, SQUARE.f, "exact", "nonblunt")
-    assert cb.term_boundary == 0.0
-    assert cb.term_source == 0.0
-    assert cb.total == cb.term_fem
-    assert cb.total == cb.term_boundary + cb.term_source + cb.term_fem
+    b = _bounds(cb)
+    assert [t.name for t in cb.terms] == ["boundary", "source", "fem"]
+    assert b["boundary"] == 0.0
+    assert b["source"] == 0.0
+    assert cb.total == b["fem"]
+    assert cb.total == b["boundary"] + b["source"] + b["fem"]
     assert cb.metadata["gap"] == 0.0
     assert cb.metadata["strategy"] == "nonblunt"
     assert cb.metadata["fh_mode"] == "exact"
@@ -55,9 +64,10 @@ def test_certify_disk_reproduces_prediction_form():
     poly = inscribed_regular_polygon(DISK.domain, m)
     mesh = generate_fan_refined(poly, 3)
     cb = certify(DISK.domain, mesh, DISK.f, "exact", "elementwise")
-    assert cb.term_source == 0.0
+    b = _bounds(cb)
+    assert b["source"] == 0.0
     delta = 2 * math.sin(math.pi / (2 * m)) ** 2
-    assert cb.term_boundary == pytest.approx(math.sqrt(math.pi) * delta, rel=1e-12)
+    assert b["boundary"] == pytest.approx(math.sqrt(math.pi) * delta, rel=1e-12)
     # fem term uses |meshed region|^(1/2) <= sqrt(pi), so the total is below
     # the closed-form prediction sqrt(pi) (A_m^2 + 2 sin^2(pi/2m))
     from certifem.interp_constants import _kobayashi_batch_2d
@@ -66,7 +76,7 @@ def test_certify_disk_reproduces_prediction_form():
     em = element_metrics(mesh)
     a_m = float(_kobayashi_batch_2d(em.edge_sq, em.measures).max())
     prediction = math.sqrt(math.pi) * (a_m**2 + delta)
-    assert cb.term_boundary + cb.term_fem <= prediction + 1e-12
+    assert b["boundary"] + b["fem"] <= prediction + 1e-12
 
 
 def test_certify_linear_in_source_scale():
@@ -80,8 +90,8 @@ def test_certify_linear_in_source_scale():
         l2_norm=3.0 * SQUARE.f.l2_norm,
     )
     scaled = certify(SQUARE.domain, mesh, scaled_f, "nodal", "nonblunt")
-    assert scaled.term_source == pytest.approx(3.0 * base.term_source, rel=1e-12)
-    assert scaled.term_fem == pytest.approx(3.0 * base.term_fem, rel=1e-12)
+    assert _bounds(scaled)["source"] == pytest.approx(3.0 * _bounds(base)["source"], rel=1e-12)
+    assert _bounds(scaled)["fem"] == pytest.approx(3.0 * _bounds(base)["fem"], rel=1e-12)
     assert scaled.total == pytest.approx(3.0 * base.total, rel=1e-12)
 
 
@@ -100,8 +110,8 @@ def test_term_fem_monotone_under_refinement():
         mesh = generate_fan_refined(disk_poly, k)
         for strat in prev:
             cb = certify(DISK.domain, mesh, DISK.f, "exact", strat)
-            assert cb.term_fem <= prev[strat]
-            prev[strat] = cb.term_fem
+            assert _bounds(cb)["fem"] <= prev[strat]
+            prev[strat] = _bounds(cb)["fem"]
 
 
 def test_strategy_errors():
@@ -151,7 +161,8 @@ def test_closed_form_is_certify_terms_with_f_norm():
         l2 = exact.f.l2_norm
         if l2 is None:
             l2 = build_fh(mesh, exact.f, "exact").l2_norm()
-        want = thm.term_boundary + thm.term_source + _guard(a_h * a_h * (l2 + pert), 3)
+        b = _bounds(thm)
+        want = b["boundary"] + b["source"] + Term("fem", a_h * a_h * (l2 + pert), 3).bound
         assert certify_closed_form_2d(exact.domain, mesh, exact.f) == want
 
 
@@ -204,7 +215,39 @@ def test_certified_bound_json_shape():
     assert set(obj) == {"total", "terms", "metadata"}
     assert set(obj["terms"]) == {"boundary", "source", "fem"}
     assert obj["total"] == cb.total  # repr round trip is exact
+    assert obj["terms"] == _bounds(cb)
     assert cb.to_json() == cb.to_json()
+
+
+@pytest.mark.parametrize("ops", [0, 3])
+def test_a_term_the_builder_adds_reaches_total_json_and_guard(monkeypatch, ops):
+    """A fourth term from the one term builder is summed into the total of
+    `certify` and of the closed form, reported in the JSON terms, and
+    guarded in `guard_factor`, with no other edit."""
+    mesh = structured_square_mesh(4)
+    base = certify(SQUARE.domain, mesh, SQUARE.f, "nodal", "nonblunt")
+    closed = certify_closed_form_2d(SQUARE.domain, mesh, SQUARE.f)
+    assert base.metadata["guard_factor"] == GUARD_PER_OP**8
+    dummy = Term("dummy", 0.25, ops)
+    build = estmod._terms
+    monkeypatch.setattr(estmod, "_terms", lambda *args: (*build(*args), dummy))
+    cb = certify(SQUARE.domain, mesh, SQUARE.f, "nodal", "nonblunt")
+    assert cb.terms == (*base.terms, dummy)
+    assert cb.total == base.total + dummy.bound
+    assert json.loads(cb.to_json())["terms"] == {**_bounds(base), "dummy": 0.25 * GUARD_PER_OP**ops}
+    assert cb.metadata["guard_factor"] == GUARD_PER_OP ** (8 + ops)
+    assert certify_closed_form_2d(SQUARE.domain, mesh, SQUARE.f) == closed + dummy.bound
+
+
+def test_not_finite_refusal_names_each_term():
+    """An overflowing total is refused by a message that gives each term's
+    bound by name, in order."""
+    import re
+
+    mesh = generate_fan_refined(inscribed_regular_polygon(DISK.domain, 10), 1)
+    want = "certified bound is not finite: boundary 8.675006616942117e+306, source 0.0, fem inf"
+    with pytest.raises(CertifemError, match=f"^{re.escape(want)}$"):
+        certify(DISK.domain, mesh, SourceTerm.constant(1e308))
 
 
 @pytest.mark.parametrize("mode", ["exact", "barycentric", "nodal"])

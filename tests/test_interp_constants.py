@@ -98,7 +98,7 @@ def test_mesh_constants_scaling():
     gc, gb = mesh_constants(mesh), mesh_constants(big)
     for name in ("elementwise", "circumradius", "minangle", "nonblunt"):
         assert gb.value(name) == pytest.approx(2 * gc.value(name), rel=1e-12)
-    assert gb.l2_global == pytest.approx(4 * gc.l2_global, rel=1e-12)
+    assert global_l2_bound(2, quality(big).h) == pytest.approx(4 * global_l2_bound(2, quality(mesh).h), rel=1e-12)
 
 
 def test_mesh_constants_minangle_right_isoceles():

@@ -187,7 +187,8 @@ def test_verify_case_raises_when_measured_exceeds_certified(monkeypatch):
     import dataclasses
 
     certify = estmod.certify
-    monkeypatch.setattr(estmod, "certify", lambda *a, **k: dataclasses.replace(certify(*a, **k), total=1e-12))
+    tiny = (estmod.Term("tiny", 1e-12, 0),)
+    monkeypatch.setattr(estmod, "certify", lambda *a, **k: dataclasses.replace(certify(*a, **k), terms=tiny))
     exact = registry()["disk2d"]
     poly = inscribed_regular_polygon(exact.domain, 8)
     with pytest.raises(BoundViolationError):
