@@ -96,8 +96,6 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def cmd_mesh(args) -> int:
     if args.mesh_cmd == "gen":
-        if args.shape != "regular-polygon":
-            raise CertifemError(f"unknown shape {args.shape!r}")
         poly = inscribed_regular_polygon(Disk(args.radius), args.m)
         mesh = meshmod.generate_fan_refined(poly, args.refine)
         meshmod.save(mesh, args.out, args.format)
@@ -139,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mesh = sub.add_parser("mesh", help="generate, inspect, or convert meshes")
     mesh_sub = p_mesh.add_subparsers(dest="mesh_cmd", required=True)
     p_gen = mesh_sub.add_parser("gen")
-    p_gen.add_argument("--shape", default="regular-polygon")
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--refine", type=int, default=0)
     p_gen.add_argument("--radius", type=float, default=1.0)

@@ -36,7 +36,6 @@ class ConvexDomain:
     bounds need exact geometric data.
     """
 
-    dim: int
     diameter: float
     measure: float
 
@@ -50,19 +49,17 @@ class ConvexDomain:
         raise NotImplementedError
 
     def contains(self, points, tol: float = 1e-12):
-        """Membership test; accepts a single point or an (..., dim) array."""
+        """Membership test; accepts a single point or an (..., 2) array."""
         raise NotImplementedError
 
     def boundary_distance(self, points):
         """Distance to the boundary of a single point (a float) or of each
-        point of an (N, dim) array (an (N,) array)."""
+        point of an (N, 2) array (an (N,) array)."""
         raise NotImplementedError
 
 
 class Disk(ConvexDomain):
     """Euclidean disk of radius `radius` around `center` (the origin by default)."""
-
-    dim = 2
 
     def __init__(self, radius: float, center=None) -> None:
         if not (math.isfinite(radius) and radius > 0):
@@ -99,12 +96,15 @@ class ConvexPolygon(ConvexDomain):
     either orientation; repeated vertices, a vertex outside a half-plane (a
     non-convex or multiply wound outline) or a flat outline are refused."""
 
-    dim = 2
-
     def __init__(self, vertices) -> None:
-        v = np.array(vertices, dtype=float)
+        try:
+            v = np.array(vertices, dtype=float)
+        except (TypeError, ValueError):  # ragged or non-numeric
+            raise InvalidPolygonError("polygon vertices must be a list of points of 2 numbers") from None
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise InvalidPolygonError("polygon needs at least 3 planar vertices")
+        if not np.isfinite(v).all():
+            raise InvalidPolygonError("polygon vertex coordinates must be finite, not inf or NaN")
         if _shoelace(v) < 0:
             v = v[::-1].copy()  # normalize to counterclockwise
         self.diameter = _diameter(v)
@@ -180,7 +180,7 @@ def _diameter(v: np.ndarray) -> float:
 
     The pairs i < j are walked a block of rows at a time, at most about
     _PAIR_BLOCK of them per block, so memory stays O(m) rather than the
-    (m, m, dim) array of all differences; (v_i - v_j)^2 is (v_j - v_i)^2
+    (m, m, 2) array of all differences; (v_i - v_j)^2 is (v_j - v_i)^2
     bit for bit, so every distance, and the result, is that array's.
     """
     m = len(v)

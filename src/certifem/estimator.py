@@ -80,6 +80,19 @@ def _terms(dom: ConvexDomain, poly: PolyApprox, f, c_p: float, pert: float, a_h:
     )
 
 
+def _certified(terms: tuple[Term, ...], metadata: dict, f) -> CertifiedBound:
+    """The bound of `terms`, with `metadata` and the `guard_factor` of all
+    their operations; refused by CertifemError when its total overflows, or
+    underflows below the smallest normal double for a nonzero source `f`."""
+    bound = CertifiedBound(terms, {**metadata, "guard_factor": GUARD_PER_OP ** sum(t.ops for t in terms)})
+    # the terms are nonnegative, so the total is finite exactly when each is
+    if not math.isfinite(bound.total):
+        raise CertifemError("certified bound is not finite: " + ", ".join(f"{t.name} {t.bound}" for t in terms))
+    if f.sup_norm > 0 and bound.total < sys.float_info.min:  # the relative guard bounds no subnormal total
+        raise CertifemError(f"certified bound {bound.total:.3e} is below the smallest normal double: its rounding is not bounded")
+    return bound
+
+
 def _worst_angle_element(mesh: meshmod.SimplicialMesh) -> tuple[int, float]:
     """The first element with the largest angle, and that angle."""
     idx, widest, first = 0, -math.inf, 0
@@ -124,7 +137,7 @@ def certify(
     constants = icmod.mesh_constants(mesh, qual)
     a_h = constants.value(strategy)
 
-    c_p = poincare_bound(2, dom.diameter)
+    c_p = poincare_bound(dom.diameter)
 
     if fh is None:
         fh = femmod.build_fh(mesh, f, fh_mode)
@@ -133,7 +146,6 @@ def certify(
         fh_norm = fh.l2_norm()
     pert = femmod.fh_perturbation_bound(mesh, f, fh_mode, qual)
 
-    terms = _terms(dom, poly, f, c_p, pert, a_h, fh_norm)
     metadata = {
         "dim": 2,
         "diameter": dom.diameter,
@@ -147,16 +159,9 @@ def certify(
         "fh_norm": fh_norm,
         "fh_perturbation_bound": pert,
         "mesh": {"h": qual.h, "elements": qual.element_count, "nodes": qual.node_count},
-        "guard_factor": GUARD_PER_OP ** sum(t.ops for t in terms),
         "source": f.name,
     }
-    bound = CertifiedBound(terms, metadata)
-    # the terms are nonnegative, so the total is finite exactly when each is
-    if not math.isfinite(bound.total):
-        raise CertifemError("certified bound is not finite: " + ", ".join(f"{t.name} {t.bound}" for t in terms))
-    if f.sup_norm > 0 and bound.total < sys.float_info.min:  # the relative guard bounds no subnormal total
-        raise CertifemError(f"certified bound {bound.total:.3e} is below the smallest normal double: its rounding is not bounded")
-    return bound
+    return _certified(_terms(dom, poly, f, c_p, pert, a_h, fh_norm), metadata, f)
 
 
 def certify_closed_form_2d(dom: ConvexDomain, mesh: meshmod.SimplicialMesh, f: femmod.SourceTerm) -> float:
@@ -164,7 +169,8 @@ def certify_closed_form_2d(dom: ConvexDomain, mesh: meshmod.SimplicialMesh, f: f
     sources, on the polytope that `mesh` meshes: the terms of
     `certify(..., fh_mode="nodal", strategy="nonblunt")` with ||f_h|| replaced
     by ||f|| + ||f - f_h||, so that it depends on h, D, delta and the norms
-    of f alone and upper-bounds that route.
+    of f alone and upper-bounds that route.  Refuses the totals `certify`
+    refuses, with its messages.
     """
     poly = meshmod.polytope_of_mesh(dom, mesh)
     qual = meshmod.quality(mesh)
@@ -177,6 +183,6 @@ def certify_closed_form_2d(dom: ConvexDomain, mesh: meshmod.SimplicialMesh, f: f
     if l2 is None:
         # Exact for polynomial data up to degree 2; quadrature-accurate otherwise.
         l2 = femmod.build_fh(mesh, f, "exact").l2_norm()
-    c_p = poincare_bound(2, dom.diameter)
+    c_p = poincare_bound(dom.diameter)
     pert = femmod.fh_perturbation_bound(mesh, f, "nodal", qual)
-    return CertifiedBound(_terms(dom, poly, f, c_p, pert, icmod.NONBLUNT_COEFF * qual.h, l2 + pert, 3), {}).total
+    return _certified(_terms(dom, poly, f, c_p, pert, icmod.NONBLUNT_COEFF * qual.h, l2 + pert, 3), {}, f).total

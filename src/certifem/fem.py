@@ -73,7 +73,7 @@ _SMOOTHING_WEIGHT = 0.7
 class SourceTerm:
     """Source data plus the norm metadata the certified bounds consume.
 
-    `evaluate` must accept an (..., dim) array of points and return (...)
+    `evaluate` must accept an (..., 2) array of points and return (...)
     values.  Every stored norm is an upper bound for the true norm over the
     domain, which keeps the resulting error bounds valid.
     """
@@ -222,27 +222,25 @@ def build_fh(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str = "exact") -
 
 def _quadrature_blocks(mesh: meshmod.SimplicialMesh) -> Iterator[tuple[slice, np.ndarray]]:
     """`(rows, points)` for each block of elements (`geometry._blocks`): the
-    (block, q, dim) physical points `sum_k bary[q, k] * corner_k` of the
+    (block, q, 2) physical points `sum_k bary[q, k] * corner_k` of the
     degree-4 rule on the elements `rows`, as the transposed view of a
-    (dim, q, block) array, so that each coordinate of each point is one
+    (2, q, block) array, so that each coordinate of each point is one
     contiguous column.
 
     Bit-identical to `np.einsum("qk,mkd->mqd", bary, mesh.element_vertices())[rows]`:
     the same products summed over k in the same order, but one coordinate
     and one point at a time on contiguous corner columns.
     """
-    bary = TRI_D4_BARY
-    nodes, nq, dim = mesh.nodes, bary.shape[0], mesh.dim
     for rows in _blocks(mesh.element_count):
         block = mesh.elements[rows].T
         term = np.empty(block.shape[1])
-        points = np.empty((dim, nq, block.shape[1]))
+        points = np.empty((2, TRI_D4_BARY.shape[0], block.shape[1]))
         for c, acc in enumerate(points):
-            corners = nodes[block, c]  # (dim+1, block): coordinate c of each corner
-            for p, point in enumerate(acc):
-                np.multiply(bary[p, 0], corners[0], out=point)
-                for k in range(1, dim + 1):
-                    point += np.multiply(bary[p, k], corners[k], out=term)
+            c0, c1, c2 = mesh.nodes[block, c]  # coordinate c of each corner
+            for (b0, b1, b2), point in zip(TRI_D4_BARY, acc):
+                np.multiply(b0, c0, out=point)
+                point += np.multiply(b1, c1, out=term)
+                point += np.multiply(b2, c2, out=term)
         yield rows, points.T
 
 
@@ -262,7 +260,7 @@ def _quadrature_norm(mesh: meshmod.SimplicialMesh, values: Callable[[slice, np.n
 def _source_l2(mesh: meshmod.SimplicialMesh, f: SourceTerm, contrib: np.ndarray | None = None) -> float:
     """||f|| over `mesh` by the degree-4 rule, from the one pass that
     evaluates f at the rule's points; |f| is checked against `f.sup_norm` at
-    all of them, naming the largest over all blocks.  Given an (n+1, M)
+    all of them, naming the largest over all blocks.  Given a (3, M)
     array `contrib`, the pass also fills row j with corner j's load
     contributions |T| sum_q w_q f(x_q) bary[q, j]."""
     bary, w = TRI_D4_BARY, TRI_D4_WEIGHTS
@@ -331,15 +329,14 @@ def _stiffness_rows(grads: np.ndarray, meas: np.ndarray) -> Callable[[np.ndarray
     i <= j, meas * sum_d grads[:, d, i] * grads[:, d, j] summed over d in
     order (bit-identical to the einsum "mki,mkj->mij"), are formed once per
     element, k (k + 1) / 2 of them; a row gathers k."""
-    count, dim, k = grads.shape
-    cols = grads.transpose(1, 2, 0)  # (dim, k, M): a contiguous view in 2D
+    count, _, k = grads.shape
+    cols = grads.transpose(1, 2, 0)  # (2, k, M): a contiguous view
     entries = np.empty((k * (k + 1) // 2, count))
     pair = np.empty((k, k), dtype=np.intp)  # the entry of (i, j), in either order
     for p, (i, j) in enumerate((i, j) for i in range(k) for j in range(i, k)):
         pair[i, j] = pair[j, i] = p
         np.multiply(cols[0, i], cols[0, j], out=entries[p])
-        for d in range(1, dim):
-            entries[p] += cols[d, i] * cols[d, j]
+        entries[p] += cols[1, i] * cols[1, j]
         entries[p] *= meas
 
     def rows(e, c):
@@ -396,22 +393,21 @@ def assemble_load(mesh: meshmod.SimplicialMesh, fh: DiscreteSource) -> np.ndarra
     Barycentric and nodal modes integrate exactly; exact mode uses the
     degree-4 rule, and stores the same rule's ||f|| on `fh` for
     `fh.l2_norm`, so f is evaluated once per solve.  Every mode scatters
-    (n+1, M) corner contributions, corner by corner; nodal corner j of T
-    gives |T| (v_j + sum_k v_k) / ((n+1)(n+2)), row j of M_T v (`_p1_l2`).
+    (3, M) corner contributions, corner by corner; nodal corner j of T
+    gives |T| (v_j + sum_k v_k) / 12, row j of M_T v (`_p1_l2`).
     """
-    n = mesh.dim
     if fh.mode == "nodal":
         v = fh.nodal_values[mesh.elements.T]
-        contrib = (v + v.sum(axis=0)) * (mesh.measures / ((n + 1) * (n + 2)))
+        contrib = (v + v.sum(axis=0)) * (mesh.measures / 12)
     elif fh.mode == "barycentric":
-        contrib = np.broadcast_to(fh.element_values * mesh.measures / (n + 1), (n + 1, mesh.element_count))
+        contrib = np.broadcast_to(fh.element_values * mesh.measures / 3, (3, mesh.element_count))
     else:
-        contrib = np.empty((n + 1, mesh.element_count))
+        contrib = np.empty((3, mesh.element_count))
         norm = _source_l2(mesh, fh.source, contrib)
         if fh.mesh is mesh:
             fh.quadrature_l2 = norm
     b = np.zeros(mesh.node_count)
-    for j in range(n + 1):
+    for j in range(3):
         np.add.at(b, mesh.elements[:, j], contrib[j])
     return b
 
@@ -812,13 +808,12 @@ def fem_l2_norm(mesh: meshmod.SimplicialMesh, sol: FemSolution) -> float:
 
 def _p1_l2(mesh: meshmod.SimplicialMesh, nodal: np.ndarray) -> float:
     """L2 norm of the P1 function with `nodal` values, exact: the sum over
-    elements of v^T M_T v = |T| (sum_k v_k^2 + (sum_k v_k)^2) / ((n+1)(n+2)),
-    M_T = |T| (J + I) / ((n+1)(n+2)) the local mass matrix, J all ones.
+    elements of v^T M_T v = |T| (sum_k v_k^2 + (sum_k v_k)^2) / 12,
+    M_T = |T| (J + I) / 12 the local mass matrix, J all ones.
     Every term is nonnegative, so none cancels."""
-    n = mesh.dim
     v = nodal[mesh.elements]
     local = (v**2).sum(axis=1) + v.sum(axis=1) ** 2
-    return math.sqrt(float((local * mesh.measures).sum()) / ((n + 1) * (n + 2)))
+    return math.sqrt(float((local * mesh.measures).sum()) / 12)
 
 
 def fem_h1_seminorm(mesh: meshmod.SimplicialMesh, sol: FemSolution) -> float:
@@ -844,19 +839,11 @@ def _p1_at_points(mesh: meshmod.SimplicialMesh, nodal: np.ndarray, rows: slice) 
     `rows`.
 
     Bit-identical to `np.einsum("qk,mk->mq", bary, nodal[mesh.elements[rows]])`,
-    which sums the products on two SIMD lanes: the even k, the odd k, then
-    both; here one point at a time on contiguous corner columns.
+    which sums the products on two SIMD lanes: (w0 c0 + w2 c2) + w1 c1;
+    here one point at a time on contiguous corner columns.
     """
-    bary = TRI_D4_BARY
-    elements = mesh.elements[rows]
-    corners = [nodal[elements[:, k]] for k in range(mesh.dim + 1)]
-    out = np.empty((elements.shape[0], bary.shape[0]))
-    for q, weights in enumerate(bary):
-        lanes = [weights[0] * corners[0], weights[1] * corners[1]]
-        for k in range(2, mesh.dim + 1):
-            lanes[k % 2] += weights[k] * corners[k]
-        out[:, q] = lanes[0] + lanes[1]
-    return out
+    c0, c1, c2 = nodal[mesh.elements[rows].T]
+    return np.stack([(w0 * c0 + w2 * c2) + w1 * c1 for w0, w1, w2 in TRI_D4_BARY], axis=1)
 
 
 def fh_perturbation_bound(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str, qual=None) -> float:
@@ -868,24 +855,21 @@ def fh_perturbation_bound(mesh: meshmod.SimplicialMesh, f: SourceTerm, mode: str
     if mode == "barycentric":
         if f.grad_sup_norm is None:
             raise MissingNormMetadata("barycentric perturbation bound needs grad_sup_norm")
-        n = mesh.dim
-        return n / (n + 1.0) * qual.h * math.sqrt(meshmod.measure_sum(mesh)) * f.grad_sup_norm
+        return 2 / 3 * qual.h * math.sqrt(meshmod.measure_sum(mesh)) * f.grad_sup_norm
     if mode == "nodal":
         if f.h2_seminorm is None:
             raise MissingNormMetadata("nodal perturbation bound needs h2_seminorm")
-        return global_l2_bound(mesh.dim, qual.h) * f.h2_seminorm
+        return global_l2_bound(qual.h) * f.h2_seminorm
     raise ValueError(f"unknown f_h mode {mode!r}")
 
 
-def poincare_bound(dim: int, diameter: float) -> float:
-    """Upper bound D / (sqrt(2) pi) for the Poincare constant; `dim` must be 2."""
-    if dim != 2:
-        raise ValueError(f"unsupported dimension {dim}")
+def poincare_bound(diameter: float) -> float:
+    """Upper bound D / (sqrt(2) pi) for the Poincare constant."""
     if diameter < 0:
         raise ValueError("diameter must be nonnegative")
-    return diameter / (math.sqrt(dim) * math.pi)
+    return diameter / (math.sqrt(2) * math.pi)
 
 
 def poincare_residual(mesh: meshmod.SimplicialMesh, sol: FemSolution, diameter: float) -> tuple[float, float]:
     """(||u_h||, C_P-bound * |u_h|_1) with both sides from exact P1 quadrature."""
-    return fem_l2_norm(mesh, sol), poincare_bound(mesh.dim, diameter) * fem_h1_seminorm(mesh, sol)
+    return fem_l2_norm(mesh, sol), poincare_bound(diameter) * fem_h1_seminorm(mesh, sol)

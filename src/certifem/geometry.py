@@ -37,7 +37,6 @@ class Simplex:
     """Immutable triangle: 3 vertices in R^2."""
 
     __slots__ = ("vertices",)
-    dim = 2
 
     def __init__(self, vertices) -> None:
         v = np.array(vertices, dtype=float)

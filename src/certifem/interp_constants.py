@@ -76,10 +76,8 @@ def kobayashi_bound_2d(t: Simplex) -> float:
     return float(_kobayashi_batch_2d(edge_sq, meas)[0])
 
 
-def global_l2_bound(dim: int, h: float) -> float:
-    """Mesh-wide L2 interpolation constant sqrt(3/83) h^2; `dim` must be 2."""
-    if dim != 2:
-        raise ValueError(f"unsupported dimension {dim}")
+def global_l2_bound(h: float) -> float:
+    """Mesh-wide L2 interpolation constant sqrt(3/83) h^2."""
     return L2_COEFF_2D * h * h
 
 

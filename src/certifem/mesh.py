@@ -47,7 +47,6 @@ BOUNDARY_TOL = 1e-10
 # eq=False: `==` is identity and a mesh hashes; comparing arrays is ambiguous
 @dataclass(frozen=True, eq=False)
 class SimplicialMesh:
-    dim = 2  # a class constant, not a field: meshes are triangle meshes
     nodes: np.ndarray  # (N, 2)
     elements: np.ndarray  # (M, 3), positively oriented
     boundary_facets: np.ndarray  # (K, 2), sorted node pairs
@@ -87,7 +86,6 @@ class SimplicialMesh:
 
 @dataclass(frozen=True)
 class MeshQuality:
-    dim: int
     h: float
     max_circumradius: float
     min_angle: float
@@ -97,7 +95,7 @@ class MeshQuality:
     node_count: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {"dim": 2, **asdict(self)}
 
 
 def _keys(elements: np.ndarray, n: int, corners) -> np.ndarray:
@@ -304,7 +302,6 @@ def _quality(mesh: SimplicialMesh) -> MeshQuality:
         axis=0,
     )
     return MeshQuality(
-        dim=2,
         h=float(h),
         max_circumradius=float(circum),
         min_angle=-float(neg_min_angle),

@@ -161,7 +161,7 @@ class ElementConstants:
 
 def element_constants(t: Simplex) -> ElementConstants:
     liu, kob = liu_bound(t), kobayashi_bound_2d(t)
-    return ElementConstants(liu, kob, min(liu, kob), global_l2_bound(2, edge_lengths(t)[0]))
+    return ElementConstants(liu, kob, min(liu, kob), global_l2_bound(edge_lengths(t)[0]))
 
 
 def angles_and_liu_60(vertices) -> tuple[list, mpmath.mpf]:
@@ -237,10 +237,10 @@ def barrier_check(exact: ExactSolution, poly: PolyApprox, n_samples: int = 10000
 
     reach = np.outer(np.maximum(gaps, 0.0), [0.0, 0.25, 0.5, 0.75, 0.999])
     barycenters = 0.5 * (poly.vertices + np.roll(poly.vertices, -1, axis=0))
-    probes = (barycenters[:, None, :] + reach[:, :, None] * poly.normals[:, None, :]).reshape(-1, dom.dim)
+    probes = (barycenters[:, None, :] + reach[:, :, None] * poly.normals[:, None, :]).reshape(-1, 2)
 
     rng = np.random.default_rng(seed)
-    center = getattr(dom, "center", np.zeros(dom.dim))
+    center = getattr(dom, "center", np.zeros(2))
     radius = getattr(dom, "radius", None)
     kept = []
     kept_count = 0
@@ -259,7 +259,7 @@ def barrier_check(exact: ExactSolution, poly: PolyApprox, n_samples: int = 10000
         else:
             lo = poly.vertices.min(axis=0)
             hi = poly.vertices.max(axis=0)
-            cand = lo + rng.random((4 * want, dom.dim)) * (hi - lo)
+            cand = lo + rng.random((4 * want, 2)) * (hi - lo)
         inside = np.asarray(dom.contains(cand))
         outside_poly = poly.signed_facet_distances(cand) >= 0.0
         good = cand[inside & outside_poly]

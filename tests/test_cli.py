@@ -17,10 +17,11 @@ def run_cli(*args):
 
 def test_mesh_gen_stats_pipeline(tmp_path):
     out = str(tmp_path / "m8.json")
-    assert run_cli("mesh", "gen", "--shape", "regular-polygon", "--m", "8", "--refine", "0", "--out", out) == 0
+    assert run_cli("mesh", "gen", "--m", "8", "--refine", "0", "--out", out) == 0
     stats_path = str(tmp_path / "stats.json")
     assert run_cli("mesh", "stats", "--mesh", out, "--out", stats_path) == 0
     stats = json.load(open(stats_path))
+    assert stats["dim"] == 2  # the report keeps its key; `MeshQuality` has no dim field
     assert stats["element_count"] == 8
     assert stats["nonblunt"] is True
 
@@ -220,6 +221,7 @@ def test_certify_3d_mesh_on_polygon_names_both_dimensions(tmp_path, capsys):
 
 NO_VERTEX_OBJECT = 'a polygon file must hold a JSON object with a "vertices" key'
 TOO_FEW_VERTICES = "polygon needs at least 3 planar vertices"
+NO_POINT_LIST = "polygon vertices must be a list of points of 2 numbers"
 
 
 @pytest.mark.parametrize(
@@ -230,8 +232,10 @@ TOO_FEW_VERTICES = "polygon needs at least 3 planar vertices"
         ("x", NO_VERTEX_OBJECT),
         ({"vertices": 5}, TOO_FEW_VERTICES),
         ({"vertices": [[0, 0], [1, 0]]}, TOO_FEW_VERTICES),
+        ({"vertices": [[0, 0], [1]]}, NO_POINT_LIST),
+        ({"vertices": [["a", 0], [1, 0], [0, 1]]}, NO_POINT_LIST),
     ],
-    ids=["list", "empty-object", "string", "vertices-not-a-list", "two-points"],
+    ids=["list", "empty-object", "string", "vertices-not-a-list", "two-points", "ragged", "non-numeric"],
 )
 def test_polygon_file_that_is_no_vertex_object_exits_2(tmp_path, capsys, content, reason):
     """A polygon file must hold a JSON object with a "vertices" key; any

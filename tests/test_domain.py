@@ -313,3 +313,12 @@ def test_polygon_whose_closed_forms_overflow_is_refused_by_name(vertices, reason
     "repeated vertices" that an infinite distance used to read as."""
     with pytest.raises(InvalidPolygonError, match=reason):
         ConvexPolygon(vertices)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_polygon_with_non_finite_coordinates_is_refused_as_such(bad):
+    """An inf or NaN coordinate is refused by name before any closed form
+    reads it: with no RuntimeWarning (an error under the suite's filter),
+    and not as an overflow of the diameter."""
+    with pytest.raises(InvalidPolygonError, match="^polygon vertex coordinates must be finite, not inf or NaN$"):
+        ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.0, bad]])

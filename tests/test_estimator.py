@@ -6,6 +6,7 @@ import pytest
 
 from certifem import (
     CertifemError,
+    Disk,
     MissingNormMetadata,
     NotNonBluntError,
     SourceTerm,
@@ -36,12 +37,9 @@ def _bounds(cb):
 
 
 def test_poincare_bound_values():
-    assert poincare_bound(2, 2.0) == pytest.approx(math.sqrt(2) / math.pi, rel=1e-14)
-    assert poincare_bound(2, 2.0) == pytest.approx(0.4501582, abs=1e-7)
-    assert poincare_bound(2, 0.0) == 0.0
-    for dim in (3, 4):
-        with pytest.raises(ValueError, match=f"unsupported dimension {dim}"):
-            poincare_bound(dim, 1.0)
+    assert poincare_bound(2.0) == pytest.approx(math.sqrt(2) / math.pi, rel=1e-14)
+    assert poincare_bound(2.0) == pytest.approx(0.4501582, abs=1e-7)
+    assert poincare_bound(0.0) == 0.0
 
 
 def test_certify_square_exact_mode():
@@ -248,6 +246,28 @@ def test_not_finite_refusal_names_each_term():
     want = "certified bound is not finite: boundary 8.675006616942117e+306, source 0.0, fem inf"
     with pytest.raises(CertifemError, match=f"^{re.escape(want)}$"):
         certify(DISK.domain, mesh, SourceTerm.constant(1e308))
+
+
+@pytest.mark.parametrize(
+    "radius, reason",
+    [(1e150, "certified bound is not finite: boundary inf, source 0.0, fem inf"), (1e-110, "is below the smallest normal double")],
+    ids=["overflow", "underflow"],
+)
+def test_closed_form_refuses_what_certify_refuses(radius, reason):
+    """The closed form's total, like `certify`'s, is refused when it
+    overflows, or falls below the smallest normal double for a nonzero
+    source, by the same message."""
+    import re
+
+    disk = Disk(radius)
+    mesh = generate_fan_refined(inscribed_regular_polygon(disk, 12), 1)
+    f = SourceTerm.constant(1.0)
+    messages = []
+    for route in (lambda: certify(disk, mesh, f, "nodal", "nonblunt"), lambda: certify_closed_form_2d(disk, mesh, f)):
+        with pytest.raises(CertifemError, match=re.escape(reason)) as exc:
+            route()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("mode", ["exact", "barycentric", "nodal"])

@@ -414,8 +414,8 @@ def test_quadrature_points_match_einsum(name):
         # consecutive blocks of at most _BLOCK elements, in element order
         assert rows.start == start and 0 < points.shape[0] <= geometry._BLOCK
         start += points.shape[0]
-        assert points.shape == (points.shape[0], bary.shape[0], mesh.dim)
-        # the transposed view of a C-contiguous (dim, q, block) array
+        assert points.shape == (points.shape[0], bary.shape[0], 2)
+        # the transposed view of a C-contiguous (2, q, block) array
         assert points.T.flags.c_contiguous
     assert start == mesh.element_count
     assert np.array_equal(_blocked_points(mesh), _einsum_quadrature_points(mesh, bary))
@@ -468,7 +468,7 @@ def test_scatter_matches_coo_conversion_bit_for_bit(name):
 
 def _solved_gradients(mesh):
     """The P1 gradients by a batched LAPACK solve of B G = [-1 | I]."""
-    n = mesh.dim
+    n = 2
     verts = mesh.element_vertices()
     b = verts[:, 1:, :] - verts[:, :1, :]
     ref = np.hstack([-np.ones((n, 1)), np.eye(n)])
@@ -542,7 +542,7 @@ def _exact_gradients(mesh):
     Column 0 is minus the sum of the others: their bounds plus gamma_1 times
     the sum of their magnitudes, exact plus bound.
     """
-    n = mesh.dim
+    n = 2
     e = _exact_edges(mesh)
     det, det_sum = _leibniz(e)
     err_d = _gamma(4) * det_sum
@@ -611,7 +611,7 @@ def test_closed_form_gradients_match_lapack_solve(name):
     mesh = GRADIENT_MESHES[name]()
     grads, meas = fem._gradients(mesh)
     ref = _solved_gradients(mesh)
-    assert grads.shape == ref.shape == (mesh.element_count, mesh.dim, mesh.dim + 1)
+    assert grads.shape == ref.shape == (mesh.element_count, 2, 3)
     if name.startswith("needles"):
         exact, bound = _exact_gradients(mesh)
         assert np.all(np.abs(_fractions(grads) - exact) <= bound)
@@ -725,7 +725,7 @@ def _oracle_stiffness_blocks(grads, meas):
 def _oracle_load(mesh, vals, w, bary):
     b = np.zeros(mesh.node_count)
     contrib = np.einsum("mq,q,qk->mk", vals, w, bary) * mesh.measures[:, None]
-    for j in range(mesh.dim + 1):
+    for j in range(3):
         np.add.at(b, mesh.elements[:, j], contrib[:, j])
     return b
 
@@ -769,7 +769,7 @@ def test_mesh_kernels_match_oracles(name):
 def test_fem_kernels_match_oracles(name):
     mesh = GRADIENT_MESHES[name]()
     grads, meas = fem._gradients(mesh)
-    assert grads.shape == (mesh.element_count, mesh.dim, mesh.dim + 1)
+    assert grads.shape == (mesh.element_count, 2, 3)
     assert np.array_equal(grads, _oracle_gradients(mesh))
     assert np.array_equal(_local_blocks(grads, meas), _oracle_stiffness_blocks(grads, meas))
 
@@ -1332,7 +1332,7 @@ def _whole_source_pass(mesh, f):
     meas = mesh.measures
     weighted = vals * w
     b = np.zeros(mesh.node_count)
-    for j in range(mesh.dim + 1):
+    for j in range(3):
         contrib = weighted[:, 0] * bary[0, j]
         for q in range(1, w.size):
             contrib += weighted[:, q] * bary[q, j]
@@ -1344,7 +1344,7 @@ def _whole_source_pass(mesh, f):
 def _whole_load(mesh, fh):
     if fh.mode == "exact":
         return _whole_source_pass(mesh, fh.source)[0]
-    n = mesh.dim
+    n = 2
     b = np.zeros(mesh.node_count)
     if fh.mode == "nodal":
         # row j of |T| (J + I) / ((n+1)(n+2)) times the corner values
@@ -1353,8 +1353,8 @@ def _whole_load(mesh, fh):
         for j in range(n + 1):
             np.add.at(b, mesh.elements[:, j], contrib[j])
         return b
-    contrib = fh.element_values * mesh.measures / (mesh.dim + 1)
-    for j in range(mesh.dim + 1):
+    contrib = fh.element_values * mesh.measures / 3
+    for j in range(3):
         np.add.at(b, mesh.elements[:, j], contrib)
     return b
 
@@ -1476,7 +1476,7 @@ def test_block_pass_peak_memory_below_whole_arrays():
 
 def _mass_blocks(mesh):
     """The (M, k, k) local mass matrices as one broadcast product."""
-    n = mesh.dim
+    n = 2
     base = np.ones((n + 1, n + 1)) + np.eye(n + 1)
     return base[None, :, :] * (mesh.measures / ((n + 1) * (n + 2)))[:, None, None]
 
@@ -1497,7 +1497,7 @@ def test_row_block_scatter_is_the_coo_conversion(monkeypatch, name, slots):
     mesh = ROW_BLOCK_MESHES[name]()
     monkeypatch.setattr(fem, "_SCATTER_SLOTS", slots)
     grads, meas = fem._gradients(mesh)
-    random = np.random.default_rng(7).normal(size=(mesh.element_count,) + (mesh.dim + 1,) * 2)
+    random = np.random.default_rng(7).normal(size=(mesh.element_count, 3, 3))
     blocks = []
 
     def random_rows(e, c):

@@ -69,11 +69,9 @@ def test_kobayashi_hand_values():
 
 
 def test_global_l2_bound_values():
-    assert global_l2_bound(2, 0.1) == pytest.approx(math.sqrt(3.0 / 83.0) * 0.01, rel=1e-13)
-    assert global_l2_bound(2, 0.1) == pytest.approx(0.0019012, abs=1e-7)
-    assert global_l2_bound(2, 0.0) == 0.0
-    with pytest.raises(ValueError, match="unsupported dimension 3"):
-        global_l2_bound(3, 0.5)
+    assert global_l2_bound(0.1) == pytest.approx(math.sqrt(3.0 / 83.0) * 0.01, rel=1e-13)
+    assert global_l2_bound(0.1) == pytest.approx(0.0019012, abs=1e-7)
+    assert global_l2_bound(0.0) == 0.0
 
 
 def test_element_constants_best_is_min():
@@ -98,7 +96,7 @@ def test_mesh_constants_scaling():
     gc, gb = mesh_constants(mesh), mesh_constants(big)
     for name in ("elementwise", "circumradius", "minangle", "nonblunt"):
         assert gb.value(name) == pytest.approx(2 * gc.value(name), rel=1e-12)
-    assert global_l2_bound(2, quality(big).h) == pytest.approx(4 * global_l2_bound(2, quality(mesh).h), rel=1e-12)
+    assert global_l2_bound(quality(big).h) == pytest.approx(4 * global_l2_bound(quality(mesh).h), rel=1e-12)
 
 
 def test_mesh_constants_minangle_right_isoceles():
@@ -331,7 +329,6 @@ def _whole_array_quality(mesh):
     """`quality` from the whole-mesh arrays of `element_metrics`."""
     em = element_metrics(mesh)
     return MeshQuality(
-        dim=2,
         h=float(em.h.max()),
         max_circumradius=float(em.circumradius.max()),
         min_angle=float(em.min_angle.min()),

@@ -615,12 +615,12 @@ def _row_by_row_node_ele(mesh):
     """`.node` and `.ele` bytes formatted by one `%` per row."""
     marker = np.zeros(mesh.node_count, dtype=int)
     marker[mesh.boundary_nodes] = 1
-    node_fmt = "%d" + " %.17g" * mesh.dim + " %d\n"
-    node = f"{mesh.node_count} {mesh.dim} 0 1\n" + "".join(
+    node_fmt = "%d %.17g %.17g %d\n"
+    node = f"{mesh.node_count} 2 0 1\n" + "".join(
         node_fmt % (i + 1, *x, b) for i, (x, b) in enumerate(zip(mesh.nodes.tolist(), marker.tolist()))
     )
-    ele_fmt = " ".join(["%d"] * (mesh.dim + 2)) + "\n"
-    ele = f"{mesh.element_count} {mesh.dim + 1} 0\n" + "".join(
+    ele_fmt = "%d %d %d %d\n"
+    ele = f"{mesh.element_count} 3 0\n" + "".join(
         ele_fmt % (i + 1, *(c + 1 for c in row)) for i, row in enumerate(mesh.elements.tolist())
     )
     return node.encode(), ele.encode()
